@@ -4,7 +4,7 @@
     python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 1
 
 Pins the BLAS thread count in the environment before any numpy loads, then
-starts the workload process (worker.py) and, untraced, four set-up probes.
+starts the workload process (worker.py) and, untraced, two set-up probes.
 Prints a table of the metrics with units and sample counts, then, as the
 last stdout line, one JSON object with the keys correct, attempted, failed
 and metrics: the end-to-end metrics with --trace 0, the per-layer metrics
@@ -34,7 +34,7 @@ import catalog  # noqa: E402  (numpy-free)
 # One BLAS thread: the load model is one closed-loop client, and on a shared
 # two-core machine a second BLAS thread mostly adds run-to-run noise.
 BLAS_THREADS = 1
-SETUP_PROBES = 4
+SETUP_PROBES = 2
 RUN_TIMEOUT_S = 170.0
 
 END_TO_END = ("setup_s", "op_s_p50", "ops_per_min", "peak_rss_mb")
@@ -153,7 +153,7 @@ def main(argv=None):
             return 0
         record = {"seed": args.seed, "seconds": args.seconds, "environment": environment(),
                   "workloads": {}}
-        for name in catalog.WORKLOADS:
+        for name in catalog.BASE_WORKLOADS:
             entry = {}
             for trace in (0, 1) if args.trace else (0,):
                 sub = argparse.Namespace(**{**vars(args), "workload": name, "trace": trace})

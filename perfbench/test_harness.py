@@ -53,6 +53,20 @@ def test_every_catalog_entry_has_a_reference_and_a_unique_id():
     assert set(ids) == set(refs)
 
 
+def test_declared_workloads_exist_and_block_norm_is_the_union():
+    with open(BENCHMARK) as fh:
+        declared = json.load(fh)
+    assert {w["name"] for w in declared["workloads"]} <= set(catalog.WORKLOADS)
+
+    def ids(name):
+        return sorted(e.id for c in catalog.WORKLOADS[name] for e in c.entries)
+
+    assert ids("block-norm") == sorted(ids("lap-banded") + ids("periodic-probe"))
+    # one round is the whole union, so the seed sets only the order
+    ops = catalog.draw("block-norm", 3, declared["run_seconds"])
+    assert sorted(e.id for e in ops) == ids("block-norm")
+
+
 def test_norm_tolerance_admits_three_percent_and_catches_ten():
     ref = {"verdict": "plateaus", "tail_norms": [1.0, 0.5]}
     assert checks.compare({"verdict": "plateaus", "tail_norms": [1.03, 0.485]}, ref) == []
