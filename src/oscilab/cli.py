@@ -14,8 +14,9 @@ artifacts plus a manifest with config echo, version, wall time, and a
 sha256 per output. Identical config + seed gives byte-identical outputs
 (the manifest's wall_time field is the one exemption).
 
-Exit codes: 0 success, 1 compute failure, 2 validation failure (with a
-machine-readable error JSON on stdout naming the violated invariant).
+Exit codes: 0 success, 1 compute failure (error JSON on stderr), 2
+validation failure (error JSON on stdout). The error JSON names the violated
+invariant wherever one applies.
 """
 
 import argparse
@@ -47,7 +48,7 @@ from .discretize import (
     line_grid,
     periodic_grid,
 )
-from .errors import InvariantViolation
+from .errors import ComputeFailure, InvariantViolation
 from .lap import (
     LapScanSpec,
     lap_scan,
@@ -103,6 +104,32 @@ _DESCRIPTIONS = {
 }
 
 
+# the top-level params keys each command reads; any other key is rejected
+_PARAMS = {
+    "verify-wvn": ("variant", "x_max", "step", "v_shift"),
+    "construct-dirac": (
+        "m", "lam", "kappa_rho", "u_decay", "match_radius", "phi_el", "L", "step",
+    ),
+    "construct-kg": ("m", "length", "n"),
+    "find-embedded": ("potential", "window", "boxes", "h", "drift_tol"),
+    "lap-scan": (
+        "potential", "interval", "s", "weight_kind", "re_points", "im_ladder",
+        "boxes", "h",
+    ),
+    "mourre-check": (
+        "kind", "window", "L", "h", "potential", "rank_budget", "phi", "s", "R",
+        "delta", "gamma", "trials",
+    ),
+    "compactness-probe": (
+        "mode", "L", "h", "window", "k", "radii", "channel_alphas", "sweep_csv",
+        "n", "smoothing_orders", "p", "alpha", "tol",
+    ),
+    "phase-diagram": (
+        "windows", "alphas", "betas", "k", "w", "s", "h", "boxes", "budget",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -117,6 +144,13 @@ class RunConfig:
             )
         if not isinstance(self.params, dict):
             raise InvariantViolation("params-type", "params must be an object")
+        unknown = sorted(set(self.params) - set(_PARAMS[self.command]))
+        if unknown:
+            raise InvariantViolation(
+                "param-unknown",
+                f"unknown {self.command} param {unknown[0]!r}; "
+                f"known: {', '.join(_PARAMS[self.command])}",
+            )
         if not isinstance(self.seed, int):
             raise InvariantViolation("seed-type", "seed must be an integer")
 
@@ -482,6 +516,12 @@ def run(config_path, overrides=()):
         outputs, disclosures = _HANDLERS[config.command](
             config.params, config.output_dir, config.seed
         )
+    except ComputeFailure as exc:
+        print(
+            json.dumps({"error": {"invariant": exc.invariant, "message": str(exc)}}),
+            file=sys.stderr,
+        )
+        return 1
     except InvariantViolation as exc:
         print(json.dumps({"error": {"invariant": exc.invariant, "message": str(exc)}}))
         return 2
@@ -529,17 +569,9 @@ def main(argv=None):
     parser.add_argument("--out", help="override output_dir")
     parser.add_argument("--seed", type=int, help="override seed")
     parser.add_argument(
-        "--threads",
-        type=int,
-        help="set OSCILAB_THREADS for this run; the environment variable is "
-        "authoritative and takes full effect when set before startup",
-    )
-    parser.add_argument(
         "--list-commands", action="store_true", help="print the command table"
     )
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        os.environ["OSCILAB_THREADS"] = str(args.threads)
     if args.list_commands:
         print(list_commands())
         return 0

@@ -31,7 +31,6 @@ __all__ = [
     "verify_wvn_1d",
     "verify_wvn_3d",
     "kg_construct",
-    "dirac_exp_rM",
     "dirac_build_u",
     "dirac_solve_potential",
     "dirac_solve_from_profiles",
@@ -248,28 +247,14 @@ def dirac_default_grid():
     return halfline_grid(200.0, 1e-3)
 
 
-def dirac_exp_rM(m, lam, r):
-    """Closed-form exp(rM) for M = [[0, m+lam], [m-lam, 0]].
-
-    M^2 = (m^2 - lam^2) I, so the exponential is rotation-type for
-    lam^2 > m^2 (frequency omega = sqrt(lam^2 - m^2)), hyperbolic for
-    lam^2 < m^2, and I + rM at the threshold. det = 1 always (trace M = 0).
-    """
-    kp, km = m + lam, m - lam
-    disc = lam * lam - m * m
-    if disc > 0:
-        om = np.sqrt(disc)
-        c, s = np.cos(om * r), np.sin(om * r) / om
-    elif disc < 0:
-        om = np.sqrt(-disc)
-        c, s = np.cosh(om * r), np.sinh(om * r) / om
-    else:
-        c, s = 1.0, r
-    return np.array([[c, kp * s], [km * s, c]])
-
-
 def _exp_rM_arrays(spec, r):
-    """Vectorized entries (c, kp*s, km*s, c) of exp(rM) over a radius array."""
+    """Entries (c, kp*s, km*s) of exp(rM) = [[c, kp*s], [km*s, c]] over r.
+
+    M = [[0, kp], [km, 0]] with kp = m + lam, km = m - lam, so M^2 =
+    (m^2 - lam^2) I and, for lam^2 > m^2, exp(rM) is a rotation-type matrix
+    of frequency omega = sqrt(lam^2 - m^2): c = cos(omega r), s =
+    sin(omega r)/omega, and det exp(rM) = 1 (trace M = 0).
+    """
     kp, km = spec.m + spec.lam, spec.m - spec.lam
     disc = spec.lam**2 - spec.m**2  # > 0 by the spec invariant
     om = np.sqrt(disc)

@@ -1,11 +1,10 @@
 """Finite Hermitian matrix realizations of the operators under study.
 
 Grids are uniform 1D boxes (line, half-line, or periodic). Matrices carry a
-structured storage tag (tridiagonal, diagonal, Fourier multiplier, blocked
-Dirac, low-rank, dense) so that large scans can exploit structure while small
-diagnostics may materialize dense entries. Functional calculus (spectral
-windows, operator weights) is exact eigendecomposition, never a series
-approximation.
+structured storage tag (tridiagonal, diagonal, imaginary tridiagonal, Fourier
+multiplier, dense) so that large scans can exploit structure while small
+diagnostics may materialize dense entries. Functional calculus (operator
+weights) is exact eigendecomposition, never a series approximation.
 
 Boundary conditions are Dirichlet wherever a choice must be made; periodic
 grids exist for the Fourier-multiplier operators (free oracles and the
@@ -13,12 +12,12 @@ relativistic construction).
 """
 
 from dataclasses import dataclass
-import struct
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from ._smooth import smoothstep_quintic, spectral_bump
+from ._smooth import spectral_bump
 from .errors import InvariantViolation
 from .potentials import eval_potential
 
@@ -26,23 +25,13 @@ __all__ = [
     "Grid1D",
     "WindowSpec",
     "OperatorMatrix",
-    "DiracSymbols",
     "build_h0",
     "build_radial_channel",
     "build_schrodinger",
-    "build_dirac_1d",
     "build_conjugate_A",
-    "build_B_R",
     "build_weight",
-    "apply_window",
-    "eval_dirac_symbols",
-    "build_regularized_channel_symbol",
-    "operator_norm",
     "eig_full",
     "eig_window",
-    "export_matrix_binary",
-    "import_matrix_binary",
-    "export_matrix_market",
 ]
 
 # largest dimension for which dense entries may be materialized
@@ -171,31 +160,152 @@ class WindowSpec:
 
 
 # ---------------------------------------------------------------------------
+# the storage table: one entry per storage, each giving the dense entries,
+# the matrix-vector product, and the eigendecomposition (window (lo, hi) or
+# None for the full spectrum) of an OperatorMatrix held in that storage
+
+
+def _column(a, v):
+    """a broadcast against v: a column when v is a block of column vectors."""
+    return a[:, None] if v.ndim == 2 else a
+
+
+def _select(values, lo, hi):
+    """Indices of the values in [lo, hi], in ascending order of value."""
+    idx = np.where((values >= lo) & (values <= hi))[0]
+    return idx[np.argsort(values[idx])]
+
+
+def _tridiagonal_kwargs(window):
+    return {} if window is None else {"select": "v", "select_range": window}
+
+
+def _fourier_modes(n, idx):
+    """Orthonormal plane-wave eigenvectors for the selected FFT mode indices."""
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(k, np.asarray(idx)) / n) / np.sqrt(n)
+
+
+# tridiagonal -- data: d (n), e (n-1), both real
+
+
+def _tri_entries(T):
+    m = np.diag(T.data["d"].astype(float))
+    m += np.diag(T.data["e"], 1) + np.diag(T.data["e"], -1)
+    return m
+
+
+def _tri_matvec(T, v):
+    d, e = _column(T.data["d"], v), _column(T.data["e"], v)
+    out = d * v
+    out[:-1] += e * v[1:]
+    out[1:] += e * v[:-1]
+    return out
+
+
+def _tri_eig(T, window):
+    return eigh_tridiagonal(T.data["d"], T.data["e"], **_tridiagonal_kwargs(window))
+
+
+# diagonal -- data: d (n) real
+
+
+def _diag_matvec(T, v):
+    return _column(T.data["d"], v) * v
+
+
+def _diag_eig(T, window):
+    d = T.data["d"]
+    idx = _select(d, *(window or (-np.inf, np.inf)))
+    v = np.zeros((len(d), len(idx)))
+    v[idx, np.arange(len(idx))] = 1.0
+    return d[idx], v
+
+
+# imag_tridiagonal -- data: s (n-1) real; the matrix is i S with S real
+# antisymmetric, S[j, j+1] = s[j]
+
+
+def _itri_entries(T):
+    s = T.data["s"]
+    return 1j * (np.diag(s, 1) - np.diag(s, -1))
+
+
+def _itri_matvec(T, v):
+    s = _column(T.data["s"], v)
+    out = np.zeros(v.shape, dtype=complex)
+    out[:-1] += s * v[1:]
+    out[1:] -= s * v[:-1]
+    return 1j * out
+
+
+def _itri_eig(T, window):
+    # i S = D^H J D with J the real symmetric tridiagonal of off-diagonal s
+    # and D = diag(i^j), so the eigenvectors are those of J rotated by D^H
+    n = T.grid.n
+    w, vb = eigh_tridiagonal(np.zeros(n), T.data["s"], **_tridiagonal_kwargs(window))
+    phase = np.power(1j, np.arange(n) % 4)
+    return w, np.conj(phase)[:, None] * vb
+
+
+# fourier -- data: multiplier (n) real, FFT mode order
+
+
+def _fourier_entries(T):
+    f = np.fft.fft(np.eye(T.grid.n), axis=0, norm="ortho")
+    return (f.conj().T * T.data["multiplier"]) @ f
+
+
+def _fourier_matvec(T, v):
+    mult = T.data["multiplier"]
+    out = np.fft.ifft(_column(mult, v) * np.fft.fft(v, axis=0), axis=0)
+    if np.isrealobj(v) and np.all(np.isreal(mult)):
+        return out.real
+    return out
+
+
+def _fourier_eig(T, window):
+    mult = T.data["multiplier"]
+    idx = _select(mult, *(window or (-np.inf, np.inf)))
+    return mult[idx], _fourier_modes(T.grid.n, idx)
+
+
+# dense -- data: mat (n, n) Hermitian
+
+
+def _dense_eig(T, window):
+    w, v = eigh(T.entries)
+    if window is None:
+        return w, v
+    keep = (w >= window[0]) & (w <= window[1])
+    return w[keep], v[:, keep]
+
+
+class _Storage(NamedTuple):
+    entries: Callable
+    matvec: Callable
+    eig: Callable
+
+
+_STORAGE = {
+    "tridiagonal": _Storage(_tri_entries, _tri_matvec, _tri_eig),
+    "diagonal": _Storage(
+        lambda T: np.diag(T.data["d"].astype(float)), _diag_matvec, _diag_eig
+    ),
+    "imag_tridiagonal": _Storage(_itri_entries, _itri_matvec, _itri_eig),
+    "fourier": _Storage(_fourier_entries, _fourier_matvec, _fourier_eig),
+    "dense": _Storage(lambda T: T.data["mat"], lambda T, v: T.data["mat"] @ v, _dense_eig),
+}
+
+
+# ---------------------------------------------------------------------------
 # operator container
 
-_VALID_KINDS = (
-    "hamiltonian",
-    "free",
-    "conjugate_A",
-    "conjugate_BR",
-    "weight",
-    "window",
-    "dirac",
-)
-
-_VALID_STORAGE = (
-    "tridiagonal",  # data: d (n), e (n-1), both real
-    "diagonal",  # data: d (n) real
-    "imag_tridiagonal",  # data: s (n-1) real; matrix = i S, S real antisymmetric
-    "fourier",  # data: multiplier (n) real, FFT mode order
-    "low_rank",  # data: vectors (n, m), values (m); matrix = V diag(vals) V^H
-    "dirac",  # data: diag1, diag2 (n) real, off (n) complex; blocks with -D
-    "dense",  # data: mat (n, n)
-)
+_VALID_KINDS = ("hamiltonian", "free", "conjugate_A", "weight")
 
 
 class OperatorMatrix:
-    """Hermitian matrix with grid provenance and structured storage.
+    """Hermitian n x n matrix on an n-point grid, with structured storage.
 
     ``entries`` materializes the dense matrix (guarded by MATERIALIZE_MAX);
     ``matvec`` applies the operator without materializing. All storage
@@ -205,17 +315,16 @@ class OperatorMatrix:
     def __init__(self, grid, kind, label, storage, data):
         if kind not in _VALID_KINDS:
             raise InvariantViolation("operator-kind", f"unknown kind {kind!r}")
-        if storage not in _VALID_STORAGE:
+        if storage not in _STORAGE:
             raise InvariantViolation("operator-storage", f"unknown storage {storage!r}")
         self.grid = grid
         self.kind = kind
         self.label = label
         self.storage = storage
         self.data = data
-        n = self.shape[0]
         if storage == "dense":
             mat = data["mat"]
-            if mat.shape != (n, n):
+            if mat.shape != self.shape:
                 raise InvariantViolation(
                     "operator-dimension", "dense matrix does not match grid size"
                 )
@@ -227,128 +336,22 @@ class OperatorMatrix:
 
     @property
     def shape(self):
-        n = self.grid.n
-        if self.kind == "dirac" and self.storage in ("dirac",):
-            n = 2 * n
-        elif self.storage == "dense":
-            n = self.data["mat"].shape[0]
-        elif self.storage == "low_rank":
-            n = self.data["vectors"].shape[0]
-        return (n, n)
-
-    # -- dense materialization ------------------------------------------------
+        return (self.grid.n, self.grid.n)
 
     @property
     def entries(self):
-        n = self.shape[0]
+        n = self.grid.n
         if n > MATERIALIZE_MAX:
             raise InvariantViolation(
                 "materialization-size",
                 f"refusing to materialize {n}x{n} dense entries "
                 f"(limit {MATERIALIZE_MAX}); use matvec or the structured data",
             )
-        if self.storage == "dense":
-            return self.data["mat"]
-        if self.storage == "tridiagonal":
-            m = np.diag(self.data["d"].astype(float))
-            m += np.diag(self.data["e"], 1) + np.diag(self.data["e"], -1)
-            return m
-        if self.storage == "diagonal":
-            return np.diag(self.data["d"].astype(float))
-        if self.storage == "imag_tridiagonal":
-            s = self.data["s"]
-            return 1j * (np.diag(s, 1) - np.diag(s, -1))
-        if self.storage == "fourier":
-            f = np.fft.fft(np.eye(self.grid.n), axis=0, norm="ortho")
-            return (f.conj().T * self.data["multiplier"]) @ f
-        if self.storage == "low_rank":
-            v = self.data["vectors"]
-            return (v * self.data["values"]) @ v.conj().T
-        # dirac block storage
-        ng = self.grid.n
-        h = self.grid.h
-        dmat = np.zeros((ng, ng))
-        idx = np.arange(ng - 1)
-        dmat[idx, idx + 1] = 1.0 / (2.0 * h)
-        dmat[idx + 1, idx] = -1.0 / (2.0 * h)
-        off = np.diag(self.data["off"]) - dmat
-        top = np.hstack([np.diag(self.data["diag1"]).astype(complex), off])
-        bot = np.hstack([off.conj().T, np.diag(self.data["diag2"]).astype(complex)])
-        return np.vstack([top, bot])
-
-    # -- application ----------------------------------------------------------
+        return _STORAGE[self.storage].entries(self)
 
     def matvec(self, vec):
         """Apply the operator to a vector or a stack of column vectors."""
-        v = np.asarray(vec)
-        if self.storage == "dense":
-            return self.data["mat"] @ v
-        if self.storage == "diagonal":
-            d = self.data["d"]
-            return (d[:, None] * v) if v.ndim == 2 else d * v
-        if self.storage == "tridiagonal":
-            d, e = self.data["d"], self.data["e"]
-            if v.ndim == 1:
-                out = d * v
-                out[:-1] += e * v[1:]
-                out[1:] += e * v[:-1]
-            else:
-                out = d[:, None] * v
-                out[:-1] += e[:, None] * v[1:]
-                out[1:] += e[:, None] * v[:-1]
-            return out
-        if self.storage == "imag_tridiagonal":
-            s = self.data["s"]
-            out = np.zeros(v.shape, dtype=complex)
-            if v.ndim == 1:
-                out[:-1] += s * v[1:]
-                out[1:] -= s * v[:-1]
-            else:
-                out[:-1] += s[:, None] * v[1:]
-                out[1:] -= s[:, None] * v[:-1]
-            return 1j * out
-        if self.storage == "fourier":
-            mult = self.data["multiplier"]
-            spec = np.fft.fft(v, axis=0)
-            spec = mult[:, None] * spec if v.ndim == 2 else mult * spec
-            out = np.fft.ifft(spec, axis=0)
-            if np.isrealobj(v) and np.all(np.isreal(mult)):
-                return out.real
-            return out
-        if self.storage == "low_rank":
-            vecs = self.data["vectors"]
-            vals = self.data["values"]
-            return vecs @ (vals[:, None] * (vecs.conj().T @ v)) if v.ndim == 2 else vecs @ (
-                vals * (vecs.conj().T @ v)
-            )
-        # dirac block storage
-        ng = self.grid.n
-        h = self.grid.h
-        d1, d2, off = self.data["diag1"], self.data["diag2"], self.data["off"]
-        f1, f2 = v[:ng], v[ng:]
-
-        def diff(g):
-            out = np.zeros_like(g)
-            out[:-1] += g[1:] / (2.0 * h)
-            out[1:] -= g[:-1] / (2.0 * h)
-            return out
-
-        top = d1 * f1 + off * f2 - diff(f2)
-        bot = np.conj(off) * f1 + diff(f1) + d2 * f2
-        return np.concatenate([top, bot])
-
-    def hermiticity_defect(self):
-        """Relative Frobenius distance to the adjoint (0 for structured storage)."""
-        if self.storage != "dense":
-            return 0.0
-        m = self.data["mat"]
-        return float(
-            np.linalg.norm(m - m.conj().T) / max(np.linalg.norm(m), 1e-300)
-        )
-
-
-# ---------------------------------------------------------------------------
-# eigendecomposition dispatch (exact functional calculus backbone)
+        return _STORAGE[self.storage].matvec(self, np.asarray(vec))
 
 
 def eig_full(T):
@@ -357,37 +360,7 @@ def eig_full(T):
     V's columns are orthonormal eigenvectors; V may be complex for storage
     kinds with complex entries.
     """
-    if T.storage == "tridiagonal":
-        return eigh_tridiagonal(T.data["d"], T.data["e"])
-    if T.storage == "diagonal":
-        d = T.data["d"]
-        order = np.argsort(d)
-        v = np.zeros((len(d), len(d)))
-        v[order, np.arange(len(d))] = 1.0
-        return d[order], v
-    if T.storage == "imag_tridiagonal":
-        n = T.shape[0]
-        w, vb = eigh_tridiagonal(np.zeros(n), T.data["s"])
-        phase = np.power(1j, np.arange(n) % 4)
-        return w, np.conj(phase)[:, None] * vb
-    if T.storage == "fourier":
-        mult = T.data["multiplier"]
-        order = np.argsort(mult)
-        return mult[order], _fourier_modes(T.grid.n, order)
-    if T.storage == "low_rank":
-        # complete the spectrum with zeros on the orthogonal complement
-        raise InvariantViolation(
-            "low-rank-eig",
-            "full eigendecomposition of a low-rank window is not supported; "
-            "use the stored vectors/values",
-        )
-    return eigh(T.entries)
-
-
-def _fourier_modes(n, idx):
-    """Orthonormal plane-wave eigenvectors for the selected FFT mode indices."""
-    k = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(k, np.asarray(idx)) / n) / np.sqrt(n)
+    return _STORAGE[T.storage].eig(T, None)
 
 
 def eig_window(T, lo, hi):
@@ -396,51 +369,7 @@ def eig_window(T, lo, hi):
     Uses the windowed tridiagonal solver where the storage allows, never
     forming a dense matrix for structured input.
     """
-    if T.storage == "tridiagonal":
-        return eigh_tridiagonal(
-            T.data["d"], T.data["e"], select="v", select_range=(lo, hi)
-        )
-    if T.storage == "diagonal":
-        d = T.data["d"]
-        idx = np.where((d >= lo) & (d <= hi))[0]
-        idx = idx[np.argsort(d[idx])]
-        v = np.zeros((len(d), len(idx)))
-        v[idx, np.arange(len(idx))] = 1.0
-        return d[idx], v
-    if T.storage == "imag_tridiagonal":
-        n = T.shape[0]
-        w, vb = eigh_tridiagonal(
-            np.zeros(n), T.data["s"], select="v", select_range=(lo, hi)
-        )
-        phase = np.power(1j, np.arange(n) % 4)
-        return w, np.conj(phase)[:, None] * vb
-    if T.storage == "fourier":
-        mult = T.data["multiplier"]
-        idx = np.where((mult >= lo) & (mult <= hi))[0]
-        idx = idx[np.argsort(mult[idx])]
-        return mult[idx], _fourier_modes(T.grid.n, idx)
-    w, v = eig_full(T)
-    keep = (w >= lo) & (w <= hi)
-    return w[keep], v[:, keep]
-
-
-def operator_norm(T):
-    """Spectral norm of an OperatorMatrix, exploiting storage structure."""
-    if T.storage == "diagonal":
-        return float(np.max(np.abs(T.data["d"])))
-    if T.storage == "fourier":
-        return float(np.max(np.abs(T.data["multiplier"])))
-    if T.storage == "low_rank":
-        vals = T.data["values"]
-        return float(np.max(np.abs(vals))) if len(vals) else 0.0
-    if T.storage == "tridiagonal":
-        w = eigh_tridiagonal(T.data["d"], T.data["e"], eigvals_only=True)
-        return float(np.max(np.abs(w)))
-    if T.storage == "imag_tridiagonal":
-        n = T.shape[0]
-        w = eigh_tridiagonal(np.zeros(n), T.data["s"], eigvals_only=True)
-        return float(np.max(np.abs(w)))
-    return float(np.linalg.norm(T.entries, 2))
+    return _STORAGE[T.storage].eig(T, (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -507,53 +436,6 @@ def build_schrodinger(grid, V, channel=None):
     return OperatorMatrix(grid, "hamiltonian", "h", "tridiagonal", {"d": d, "e": e})
 
 
-def build_dirac_1d(grid, m, V=None):
-    """1D Dirac operator sigma_2 P + m sigma_3 + V as a 2n x 2n Hermitian matrix.
-
-    V, if given, holds a 2x2 Hermitian matrix per grid point, shape (n, 2, 2).
-    With the central-difference P the blocks are [[m + V11, V12 - D],
-    [V12* + D, -m + V22]], all real when V12 is real. Central differencing
-    decouples even/odd sublattices at wavelength 2h, so spectral windows
-    should stay inside |xi| <= 0.5 * pi/(2h).
-    """
-    n = grid.n
-    if V is None:
-        v11 = np.zeros(n)
-        v22 = np.zeros(n)
-        v12 = np.zeros(n, dtype=complex)
-    else:
-        V = np.asarray(V)
-        if V.shape != (n, 2, 2):
-            raise InvariantViolation(
-                "dirac-potential-shape", f"V must have shape ({n}, 2, 2)"
-            )
-        if not np.allclose(V, np.conj(np.swapaxes(V, 1, 2)), atol=1e-12):
-            raise InvariantViolation(
-                "dirac-potential-hermiticity", "V must be Hermitian at each point"
-            )
-        v11 = V[:, 0, 0].real
-        v22 = V[:, 1, 1].real
-        v12 = V[:, 0, 1].astype(complex)
-    if grid.kind == "periodic":
-        # exact Fourier derivative: assemble dense (free case is the oracle)
-        xi = grid.xi
-        f = np.fft.fft(np.eye(n), axis=0, norm="ortho")
-        dex = (f.conj().T * (1j * xi)) @ f  # exact d/dx, anti-Hermitian
-        off = np.diag(v12) - dex
-        top = np.hstack([np.diag(m + v11).astype(complex), off])
-        bot = np.hstack([off.conj().T, np.diag(-m + v22).astype(complex)])
-        mat = np.vstack([top, bot])
-        mat = 0.5 * (mat + mat.conj().T)
-        return OperatorMatrix(grid, "dirac", "dirac1d", "dense", {"mat": mat})
-    return OperatorMatrix(
-        grid,
-        "dirac",
-        "dirac1d",
-        "dirac",
-        {"diag1": m + v11, "diag2": -m + v22, "off": v12},
-    )
-
-
 def build_conjugate_A(grid):
     """Generator of dilations (P x + x P)/2 via the central difference.
 
@@ -569,35 +451,6 @@ def build_conjugate_A(grid):
     x = grid.x
     s = -(x[:-1] + x[1:]) / (4.0 * grid.h)
     return OperatorMatrix(grid, "conjugate_A", "A", "imag_tridiagonal", {"s": s})
-
-
-def build_B_R(grid, R, delta):
-    """Localized conjugate operator chi_R^2 g_delta x P + P x g_delta chi_R^2.
-
-    chi_R(x) = chi(|x|/R) with chi = 0 on [0, 1] and 1 on [2, infinity)
-    (quintic shoulder), g_delta(x) = (2 - <x>^(-delta)) <x>^(-1). The
-    operator vanishes on the region |x| <= R. delta = 0 gives exactly
-    g_0 = <x>^(-1).
-    """
-    if grid.kind == "periodic":
-        raise InvariantViolation(
-            "conjugate-grid", "the localized conjugate operator needs a non-periodic grid"
-        )
-    if not R >= 1:
-        raise InvariantViolation("BR-radius", f"need R >= 1, got {R}")
-    if not 0.0 <= delta < 1.0:
-        raise InvariantViolation("delta-range", f"need delta in [0,1), got {delta}")
-    if not R < grid.L:
-        raise InvariantViolation("BR-radius", "R must be smaller than the box L")
-    x = grid.x
-    br = np.sqrt(1.0 + x * x)
-    g = (2.0 - br ** (-delta)) / br
-    chi = smoothstep_quintic(np.abs(x) / R - 1.0)
-    mdiag = chi**2 * g * x
-    s = -(mdiag[:-1] + mdiag[1:]) / (2.0 * grid.h)
-    return OperatorMatrix(
-        grid, "conjugate_BR", f"B_R[{R:g}]", "imag_tridiagonal", {"s": s}
-    )
 
 
 def build_weight(grid, s, operator_basis=None):
@@ -627,182 +480,3 @@ def build_weight(grid, s, operator_basis=None):
         "dense",
         {"mat": mat},
     )
-
-
-def apply_window(T, w):
-    """Exact spectral window theta(T) or E_J(T) via eigendecomposition.
-
-    Diagonal and Fourier storages stay in their own representation; other
-    storages return a low-rank factorization over the window's support
-    (so large grids never materialize an n x n dense window).
-    """
-    lo, hi = w.support
-    if T.storage == "diagonal":
-        return OperatorMatrix(
-            T.grid, "window", f"win({T.label})", "diagonal",
-            {"d": w.weights(T.data["d"])},
-        )
-    if T.storage == "fourier":
-        return OperatorMatrix(
-            T.grid, "window", f"win({T.label})", "fourier",
-            {"multiplier": w.weights(T.data["multiplier"])},
-        )
-    vals, vecs = eig_window(T, lo, hi)
-    th = w.weights(vals)
-    keep = th > 1e-15
-    return OperatorMatrix(
-        T.grid,
-        "window",
-        f"win({T.label})",
-        "low_rank",
-        {"vectors": vecs[:, keep], "values": th[keep], "energies": vals[keep]},
-    )
-
-
-# ---------------------------------------------------------------------------
-# momentum-space symbols for the 3D Dirac conjugate operator
-
-
-@dataclass(frozen=True)
-class DiracSymbols:
-    """Symbols of the free Dirac conjugate-operator calculus at mass m.
-
-    tau is a smooth bump supported on [tau_lo, tau_hi] (plus a 10% shoulder),
-    an energy localization that must stay inside (m, infinity) or
-    (-infinity, -m).
-    """
-
-    m: float
-    tau_lo: float
-    tau_hi: float
-
-    def __post_init__(self):
-        if not self.m > 0:
-            raise InvariantViolation("mass-positivity", f"need m > 0, got {self.m}")
-        if not self.tau_lo < self.tau_hi:
-            raise InvariantViolation("tau-order", "need tau_lo < tau_hi")
-        margin = 0.1 * (self.tau_hi - self.tau_lo)
-        inside_pos = self.tau_lo - margin > self.m
-        inside_neg = self.tau_hi + margin < -self.m
-        if not (inside_pos or inside_neg):
-            raise InvariantViolation(
-                "tau-support",
-                "tau support (with shoulder) must avoid the spectral gap [-m, m]",
-            )
-
-    def tau(self, t):
-        margin = 0.1 * (self.tau_hi - self.tau_lo)
-        return spectral_bump(t, self.tau_lo, self.tau_hi, margin)
-
-
-_SIGMA = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
-
-_BETA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-
-
-def _alpha_matrix(j):
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, 2:] = _SIGMA[j]
-    out[2:, :2] = _SIGMA[j]
-    return out
-
-
-def eval_dirac_symbols(sym, xi):
-    """Evaluate mu, F, and the projectors Pi_+/Pi_- at a momentum xi in R^3.
-
-    mu(xi) = sqrt(|xi|^2 + m^2); F_j = mu^2 |xi|^(-2) tau(mu) xi_j;
-    Pi_pm = (I pm (alpha.xi + m beta)/mu)/2 are rank-2 projectors with
-    Pi_pm (alpha.xi + m beta) = pm mu Pi_pm. At xi = 0 the projectors
-    degenerate to (I pm beta)/2; F is only defined there if tau(m) = 0.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (3,):
-        raise InvariantViolation("xi-shape", "xi must be a real 3-vector")
-    r2 = float(xi @ xi)
-    mu = float(np.sqrt(r2 + sym.m**2))
-    tau_val = float(sym.tau(mu))
-    if r2 == 0.0:
-        if tau_val != 0.0:
-            raise InvariantViolation(
-                "xi-zero-guard", "F(0) undefined: tau(m) != 0 at xi = 0"
-            )
-        F = np.zeros(3)
-        pi_plus = 0.5 * (np.eye(4, dtype=complex) + _BETA)
-        pi_minus = 0.5 * (np.eye(4, dtype=complex) - _BETA)
-        return mu, F, pi_plus, pi_minus
-    F = (mu**2 / r2) * tau_val * xi
-    slash = sum(xi[j] * _alpha_matrix(j) for j in range(3)) + sym.m * _BETA
-    pi_plus = 0.5 * (np.eye(4, dtype=complex) + slash / mu)
-    pi_minus = 0.5 * (np.eye(4, dtype=complex) - slash / mu)
-    return mu, F, pi_plus, pi_minus
-
-
-def build_regularized_channel_symbol(alpha_channel, kappa_reg, r, tau):
-    """Regularized channel symbol tau^2 + alpha r^(-2) chi(alpha r^(-2)/kappa).
-
-    chi is 1 on [0, 1] and 0 on [2, infinity) (quintic shoulder), so the
-    symbol equals tau^2 + alpha r^(-2) wherever alpha r^(-2) <= kappa_reg and
-    is bounded by tau^2 + O(kappa_reg) everywhere.
-    """
-    if not kappa_reg >= 1:
-        raise InvariantViolation("kappa-reg", f"need kappa_reg >= 1, got {kappa_reg}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise InvariantViolation("radius-positivity", "need r > 0")
-    t = alpha_channel / (kappa_reg * r**2)
-    chi = 1.0 - smoothstep_quintic(t - 1.0)
-    out = tau**2 + alpha_channel / r**2 * chi
-    return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-_BINARY_MAGIC = b"OMX1"
-
-
-def export_matrix_binary(T, path):
-    """Write dense entries in a simple binary format.
-
-    Layout: magic "OMX1", uint32 rows, uint32 cols, uint8 dtype flag
-    (0 = float64, 1 = complex128), 16-byte space-padded kind label, then
-    row-major little-endian matrix data.
-    """
-    mat = np.asarray(T.entries)
-    if np.iscomplexobj(mat):
-        if np.max(np.abs(mat.imag)) == 0.0:
-            mat = mat.real
-    flag = 1 if np.iscomplexobj(mat) else 0
-    mat = mat.astype("<c16" if flag else "<f8")
-    label = T.kind.encode()[:16].ljust(16)
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
-        fh.write(struct.pack("B", flag))
-        fh.write(label)
-        fh.write(np.ascontiguousarray(mat).tobytes())
-
-
-def import_matrix_binary(path):
-    """Read a matrix written by export_matrix_binary; returns (matrix, kind)."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _BINARY_MAGIC:
-            raise InvariantViolation("binary-magic", "bad magic in matrix file")
-        rows, cols = struct.unpack("<II", fh.read(8))
-        (flag,) = struct.unpack("B", fh.read(1))
-        kind = fh.read(16).decode().strip()
-        dtype = "<c16" if flag else "<f8"
-        data = np.frombuffer(fh.read(), dtype=dtype).reshape(rows, cols)
-    return data, kind
-
-
-def export_matrix_market(T, path):
-    """Write the dense entries in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite
-    from scipy.sparse import coo_matrix
-
-    mmwrite(str(path), coo_matrix(np.asarray(T.entries)), field=None)

@@ -12,3 +12,12 @@ class InvariantViolation(ValueError):
     def __init__(self, invariant, message):
         self.invariant = invariant
         super().__init__(message)
+
+
+class ComputeFailure(InvariantViolation):
+    """A computation on a valid input could not produce a trustworthy number.
+
+    Raised mid-run, e.g. when an iterative norm runs out of iterations or a
+    resolvent factorization breaks down; the command-line runner reports it
+    as a compute failure rather than as a bad configuration.
+    """

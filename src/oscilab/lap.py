@@ -21,11 +21,11 @@ compressions and is not used here).
 from dataclasses import dataclass
 import csv
 import itertools
-import os
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, get_blas_funcs, get_lapack_funcs
+from scipy.linalg import eigh, eigh_tridiagonal, get_lapack_funcs
 
+from . import _blocknorm
 from .discretize import (
     MATERIALIZE_MAX,
     OperatorMatrix,
@@ -36,7 +36,7 @@ from .discretize import (
     eig_window,
     line_grid,
 )
-from .errors import InvariantViolation
+from .errors import ComputeFailure, InvariantViolation
 from .potentials import OscillatingSpec
 from ._smooth import smoothstep_quintic, smoothstep_quintic_prime
 from .spectral import find_embedded
@@ -84,98 +84,6 @@ def _check_weight(W):
             raise InvariantViolation("weight-positivity", "weight must be PSD")
 
 
-# BLAS/LAPACK kernels of the block iteration, bound once for complex blocks
-_herk, _trsm = get_blas_funcs(("herk", "trsm"), dtype=complex)
-(_potrf,) = get_lapack_funcs(("potrf",), dtype=complex)
-
-# entries of the unit-column block below this are raised to it. Repeated
-# applies of a decaying resolvent push the block's far tail toward zero; a
-# tail in the subnormal range (< 2.2e-308) makes every later solve and Gram
-# product several times slower. Far below double precision's resolution, the
-# floor keeps the tail and its Gram products normal without moving a norm.
-_TAIL_FLOOR = 1e-100
-
-# largest entry of |X^H X - I| after one CholeskyQR pass that still lets the
-# second pass restore orthonormality (for 5 columns, ||X^H X - I||_2 <= 1/2)
-_CHOLQR_DRIFT = 0.1
-
-
-def _gram(Z):
-    """Z^H Z by herk; only the upper triangle is filled."""
-    return _herk(1.0, Z, trans=2)
-
-
-def _orthonormalise(Z, G):
-    """Orthonormal basis of range(Z) by CholeskyQR2, overwriting Z.
-
-    G is the upper triangle of Z^H Z. Each pass factors the Gram matrix as
-    R^H R and solves Z <- Z R^{-1}; the second pass removes the loss of
-    orthogonality of the first (Fukaya et al., ScalA 2014). When a Cholesky
-    factor breaks down, or the first pass leaves the block too far from
-    orthonormal for the second to repair (Z close to rank deficient),
-    Householder QR takes over for this block.
-    """
-    k = Z.shape[1]
-    for first in (True, False):
-        R, info = _potrf(G, lower=0, clean=1, overwrite_a=1)
-        if info != 0:
-            break
-        Z = _trsm(1.0, R, Z, side=1, lower=0, overwrite_b=1)
-        if not first:
-            return Z
-        G = _gram(Z)
-        if np.max(np.abs(np.triu(G) - np.eye(k))) > _CHOLQR_DRIFT:
-            break
-    return np.asfortranarray(np.linalg.qr(Z)[0])
-
-
-def _subspace_norm_sq(apply_mhm, n, block=5, tol=1e-12, max_iters=600, seed=0, X=None):
-    """Largest eigenvalue of the PSD operator M^H M by block subspace iteration.
-
-    Each step applies M^H M to the orthonormal block X, reads the estimate
-    lam = ||Z||_2 off the Gram matrix Z^H Z (its 2-norm is ||Z||_2^2) and
-    re-orthonormalises Z by CholeskyQR2. The block lives in one private
-    Fortran-ordered array: apply_mhm may overwrite its argument and may
-    return a block in either order.
-
-    Returns (lam, iterations, converged, X). X is the last orthonormal block,
-    so callers can warm-start the next spectral parameter from it. converged
-    is False when max_iters ran out before the stopping rule held; lam is
-    then the last estimate, not a converged value.
-    """
-    if X is None:
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, block)) + 1j * rng.standard_normal((n, block))
-        X, _ = np.linalg.qr(X)
-    X = np.array(X, dtype=complex, order="F")
-    lam = prev = 0.0
-    settled = converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        Z = np.asfortranarray(apply_mhm(X))
-        G = _gram(Z)
-        G_full = np.triu(G) + np.triu(G, 1).conj().T
-        lam = float(np.sqrt(np.linalg.norm(G_full, 2)))
-        X = _orthonormalise(Z, G)
-        X[np.abs(X) < _TAIL_FLOOR] = _TAIL_FLOOR
-        small = abs(lam - prev) <= tol * max(lam, 1e-300)
-        if it > 4 and small and settled:
-            converged = True
-            break
-        settled = small
-        prev = lam
-    return lam, it, converged, X
-
-
-def _require_converged(iterations, converged, z):
-    if not converged:
-        raise InvariantViolation(
-            "norm-convergence",
-            f"block iteration for the resolvent norm at z={z} did not converge "
-            f"in {iterations} iterations",
-        )
-
-
 def _tridiag_solver(d, e, z):
     """LU factorization of the complex tridiagonal H - z, returning a solver.
 
@@ -189,14 +97,14 @@ def _tridiag_solver(d, e, z):
     dd = np.asarray(d, dtype=complex) - z
     dl, dd, du, du2, ipiv, info = gttrf(dl, dd, du)
     if info != 0:
-        raise InvariantViolation(
+        raise ComputeFailure(
             "resolvent-factorization", f"tridiagonal LU failed (info={info})"
         )
 
     def solve(B, trans):
         x, info2 = gttrs(dl, dd, du, du2, ipiv, B, trans=trans, overwrite_b=1)
         if info2 != 0:
-            raise InvariantViolation(
+            raise ComputeFailure(
                 "resolvent-solve", f"tridiagonal solve failed (info={info2})"
             )
         return x
@@ -221,7 +129,7 @@ def _banded_norm(d, e, wdiag, z, tol=1e-12, max_iters=600, seed=0, X=None):
         V *= w
         return V
 
-    lam, iters, converged, X = _subspace_norm_sq(
+    lam, iters, converged, X = _blocknorm._subspace_norm_sq(
         apply_mhm, len(d), tol=tol, max_iters=max_iters, seed=seed, X=X
     )
     return float(np.sqrt(lam)), iters, converged, X
@@ -263,7 +171,7 @@ def weighted_resolvent_norm(H, W, z, method="auto", tol=1e-12, max_iters=600):
         norm, iters, converged, _ = _banded_norm(
             H.data["d"], H.data["e"], W.data["d"], z, tol=tol, max_iters=max_iters
         )
-        _require_converged(iters, converged, z)
+        _blocknorm._require_converged(iters, converged, f"at z={z}")
         return norm
     if H.storage == "fourier" and W.storage == "diagonal":
         coef = 1.0 / (H.data["multiplier"] - z)
@@ -275,10 +183,10 @@ def weighted_resolvent_norm(H, W, z, method="auto", tol=1e-12, max_iters=600):
                 np.conj(coef)[:, None] * np.fft.fft(wdiag * Y, axis=0), axis=0
             )
 
-        lam, iters, converged, _ = _subspace_norm_sq(
+        lam, iters, converged, _ = _blocknorm._subspace_norm_sq(
             apply_mhm, H.shape[0], tol=tol, max_iters=max_iters
         )
-        _require_converged(iters, converged, z)
+        _blocknorm._require_converged(iters, converged, f"at z={z}")
         return float(np.sqrt(lam))
     if method == "iterative":
         raise InvariantViolation(
@@ -476,7 +384,7 @@ def lap_scan(factory, V, spec):
                     val, iters, converged, X = _banded_norm(
                         H.data["d"], H.data["e"], W.data["d"], z, X=X
                     )
-                    _require_converged(iters, converged, z)
+                    _blocknorm._require_converged(iters, converged, f"at z={z}")
                 else:
                     val = weighted_resolvent_norm(H, W, z)
                 norms.append(val)

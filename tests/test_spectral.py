@@ -3,33 +3,28 @@ import csv
 import numpy as np
 import pytest
 
+from oscilab._smooth import smoothstep_quintic
 from oscilab.discretize import (
     Grid1D,
     OperatorMatrix,
     WindowSpec,
-    apply_window,
-    build_conjugate_A,
-    build_h0,
     build_schrodinger,
-    eig_window,
     halfline_grid,
     line_grid,
     periodic_grid,
 )
-from oscilab.errors import InvariantViolation
+from oscilab.errors import ComputeFailure, InvariantViolation
 from oscilab.potentials import WignerVonNeumann1D
 from oscilab.spectral import (
+    _fourier_corner_norm,
+    _make_report,
     append_sweep_csv,
     candidate_to_json,
-    eig,
-    embed_vector,
     find_embedded,
     interference_symbol_check,
     oscillation_compactness_probe,
     small_plus_decay_probe,
-    tail_decay,
     tail_report_to_json,
-    virial_check,
 )
 
 
@@ -42,22 +37,7 @@ def free_builder(L):
 
 
 # ---------------------------------------------------------------------------
-# eigensolver wrapper
-
-
-def test_eig_sorted_orthonormal_residuals(rng):
-    n = 60
-    raw = rng.normal(size=(n, n))
-    mat = 0.5 * (raw + raw.T)
-    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "t", "dense",
-                       {"mat": mat})
-    res = eig(T)
-    assert np.all(np.diff(res.eigenvalues) >= 0.0)
-    assert np.allclose(res.eigenvectors.T @ res.eigenvectors, np.eye(n), atol=1e-10)
-    scale = np.max(np.abs(res.eigenvalues))
-    assert np.max(res.residual_norms) <= 1e-8 * scale
-    defect = mat @ res.eigenvectors - res.eigenvectors * res.eigenvalues
-    assert np.max(np.abs(defect)) <= 1e-8 * scale
+# operator input
 
 
 def test_eig_rejects_non_hermitian():
@@ -115,121 +95,53 @@ def test_find_embedded_validation():
 
 
 # ---------------------------------------------------------------------------
-# virial classifier
-
-
-def test_virial_separates_genuine_from_artifact():
-    grid = line_grid(120.0, 0.05)
-    H = build_schrodinger(grid, WignerVonNeumann1D())
-    A = build_conjugate_A(grid)
-    w, v = eig_window(H, 0.9, 1.1)
-    i = int(np.argmin(np.abs(w - 1.0)))
-    genuine_val = virial_check(H, A, v[:, i], w[i])
-
-    H0 = build_h0(grid)
-    w0, v0 = eig_window(H0, 0.9, 1.1)
-    j = len(w0) // 2
-    artifact_val = virial_check(H0, A, v0[:, j], w0[j])
-    assert artifact_val >= 10.0 * genuine_val
-
-
-def test_virial_zero_vector():
-    grid = line_grid(10.0, 0.1)
-    H = build_h0(grid)
-    A = build_conjugate_A(grid)
-    assert virial_check(H, A, np.zeros(grid.n)) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# box extension
-
-
-def test_embed_vector_preserves_values():
-    small = line_grid(10.0, 0.1)
-    big = line_grid(20.0, 0.1)
-    vec = np.exp(-small.x**2)
-    out = embed_vector(small, big, vec)
-    assert out.shape == (big.n,)
-    assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(vec))
-    inner = np.abs(big.x) <= 10.0 - big.h / 2.0
-    assert np.allclose(out[inner], vec, atol=1e-12)
-    assert np.all(out[~inner] == 0.0)
-
-
-def test_embed_vector_requires_matching_spacing():
-    small = line_grid(10.0, 0.1)
-    big = line_grid(20.0, 0.2)
-    with pytest.raises(InvariantViolation):
-        embed_vector(small, big, np.zeros(small.n))
-
-
-# ---------------------------------------------------------------------------
 # corner-norm tail reports
 
 
-def _dense_corner_norms(mat, rad, radii):
-    out = []
-    for R in radii:
-        mask = rad >= R
-        sub = mat[np.ix_(mask, mask)]
-        out.append(np.linalg.norm(sub, 2) if sub.size else 0.0)
-    return out
-
-
-def test_tail_decay_compact_diagonal():
-    grid = line_grid(100.0, 0.5)
-    d = np.where(np.abs(grid.x) <= 10.0, 1.0, 0.0)
-    T = OperatorMatrix(grid, "hamiltonian", "v", "diagonal", {"d": d})
-    rep = tail_decay(T, (5.0, 20.0, 40.0))
-    assert rep.verdict == "decays_to_zero"
-    assert rep.tail_norms[-1] == 0.0
-    assert rep.operator_norm == 1.0
-
-
-def test_tail_decay_routes_agree_with_dense(rng):
-    grid = line_grid(10.0, 0.25)
-    n = grid.n
-    radii = (2.0, 4.0, 6.0)
-    rad = np.abs(grid.x)
-
-    decay = np.exp(-np.abs(grid.x))
-    tri = OperatorMatrix(
-        grid, "hamiltonian", "t", "tridiagonal",
-        {"d": decay, "e": 0.3 * np.sqrt(decay[:-1] * decay[1:])},
-    )
-    want = _dense_corner_norms(tri.entries, rad, radii)
-    got = tail_decay(tri, radii).tail_norms
-    assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
-
-    vecs = rng.normal(size=(n, 3))
-    vecs, _ = np.linalg.qr(vecs)
-    low = OperatorMatrix(
-        grid, "window", "w", "low_rank",
-        {"vectors": vecs, "values": np.array([1.0, 0.5, 0.25])},
-    )
-    want = _dense_corner_norms(low.entries, rad, radii)
-    got = tail_decay(low, radii).tail_norms
-    assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
-
-
 def test_tail_decay_plateau_verdict():
-    # corner norms of a fixed operator never increase with R; a constant
-    # diagonal keeps them flat, the plateau case
-    grid = line_grid(100.0, 0.5)
-    T = OperatorMatrix(grid, "hamiltonian", "v", "diagonal",
-                       {"d": np.ones(line_grid(100.0, 0.5).n)})
-    rep = tail_decay(T, (1.0, 10.0, 50.0, 90.0))
+    # flat corner norms are the plateau case; a tenfold fall decays, a
+    # tenfold rise grows
+    rep = _make_report((1.0, 10.0, 50.0, 90.0), (1.0, 1.0, 1.0, 1.0))
     assert rep.verdict == "plateaus"
     assert rep.plateau_estimate == 1.0
-    assert np.all(np.diff(rep.tail_norms) <= 1e-12)
+    assert _make_report((1.0, 2.0), (1.0, 0.1)).verdict == "decays_to_zero"
+    assert _make_report((1.0, 2.0), (1.0, 10.0)).verdict == "grows"
 
 
 def test_tail_decay_radii_validation():
-    grid = line_grid(10.0, 0.25)
-    T = build_h0(grid)
     with pytest.raises(InvariantViolation) as err:
-        tail_decay(T, (5.0, 5.0))
+        small_plus_decay_probe(halfline_grid(20.0, 0.1), WindowSpec(0.3, 0.8), 2.0,
+                               (5.0, 5.0))
     assert err.value.invariant == "radii-increasing"
+    with pytest.raises(InvariantViolation) as err:
+        oscillation_compactness_probe(periodic_grid(20.0, 256), 1.0, 2.0, 1.0,
+                                      radii=(5.0,))
+    assert err.value.invariant == "radii-increasing"
+
+
+def _fourier_corner_setup():
+    grid = periodic_grid(20.0, 512)
+    ax = np.abs(grid.x)
+    wl = 1.0 / (1.0 + grid.xi**2)
+    chi = smoothstep_quintic((ax - 5.0) / 5.0)
+    return grid, np.sin(grid.x**2), wl, chi
+
+
+def test_fourier_corner_norm_matches_dense():
+    grid, mult, wl, chi = _fourier_corner_setup()
+    f = np.fft.fft(np.eye(grid.n), axis=0, norm="ortho")
+    W = (f.conj().T * wl) @ f
+    corner = chi[:, None] * (W @ (mult[:, None] * W)) * chi[None, :]
+    want = np.linalg.norm(corner, 2)
+    assert want == pytest.approx(0.001406, abs=5e-7)
+    assert _fourier_corner_norm(mult, wl, wl, chi) == pytest.approx(want, rel=1e-5)
+
+
+def test_fourier_corner_norm_iteration_cap_raises():
+    _, mult, wl, chi = _fourier_corner_setup()
+    with pytest.raises(ComputeFailure) as err:
+        _fourier_corner_norm(mult, wl, wl, chi, iters=3)
+    assert err.value.invariant == "norm-convergence"
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +223,14 @@ def test_candidate_and_report_json():
     doc = candidate_to_json(cands[0])
     assert set(doc) == {"energy", "localization", "box_drift", "verdict"}
 
-    grid = line_grid(20.0, 0.25)
-    T = OperatorMatrix(grid, "hamiltonian", "v", "diagonal",
-                       {"d": np.exp(-np.abs(grid.x))})
-    rep = tail_decay(T, (2.0, 5.0, 9.0))
+    rep = _make_report((2.0, 5.0, 9.0), (0.5, 0.1, 0.01))
     doc = tail_report_to_json(rep)
     assert isinstance(doc["radii"], list)
     assert doc["verdict"] == rep.verdict
 
 
 def test_append_sweep_csv_writes_header_once(tmp_path):
-    grid = line_grid(20.0, 0.25)
-    T = OperatorMatrix(grid, "hamiltonian", "v", "diagonal",
-                       {"d": np.exp(-np.abs(grid.x))})
-    rep = tail_decay(T, (2.0, 5.0, 9.0))
+    rep = _make_report((2.0, 5.0, 9.0), (0.5, 0.1, 0.01))
     path = tmp_path / "sweep.csv"
     append_sweep_csv(path, 0.3, 0.8, 2.0, rep)
     append_sweep_csv(path, 1.2, 1.7, 2.0, rep)
