@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from oscilab._smooth import smoothstep_quintic
 from oscilab.discretize import (
@@ -252,6 +253,94 @@ def test_window_spec_validation():
     with pytest.raises(InvariantViolation) as err:
         WindowSpec(0.0, 1.0, kind="boxcar")
     assert err.value.invariant == "window-kind"
+
+
+# the window calculus theta(T) = V theta(w) V^H on the window's support, the
+# form in which the windowed channel probe applies a WindowSpec
+
+
+def _window_factors(T, spec):
+    w, v = eig_window(T, *spec.support)
+    return v, spec.weights(w)
+
+
+def _window_apply(factors, u):
+    v, th = factors
+    return v @ (th * (v.conj().T @ u))
+
+
+def test_window_identity_and_projector_laws():
+    g = line_grid(5.0, 0.125)
+    H = build_h0(g)
+    w, _ = eig_full(H)
+    full = WindowSpec(-1.0, w.max() + 1.0, kind="sharp_projector")
+    v = np.sin(g.x) + 0.2 * np.cos(3.0 * g.x)
+    assert np.allclose(_window_apply(_window_factors(H, full), v), v, atol=1e-10)
+
+    part = WindowSpec(0.3 * w.max(), 0.7 * w.max(), kind="sharp_projector")
+    E = _window_factors(H, part)
+    Ev = _window_apply(E, v)
+    assert np.max(np.abs(_window_apply(E, Ev) - Ev)) <= 1e-12 * np.max(
+        np.abs(v)
+    )
+
+
+def test_window_disjoint_is_zero():
+    g = line_grid(5.0, 0.125)
+    H = build_h0(g)
+    dead = WindowSpec(-6.0, -5.0)
+    v = np.ones(g.n)
+    assert np.max(np.abs(_window_apply(_window_factors(H, dead), v))) <= 1e-12
+
+
+def test_window_functional_calculus_commutes_with_polynomials(rng):
+    n = 40
+    raw = rng.normal(size=(n, n))
+    mat = 0.5 * (raw + raw.T)
+    g = Grid1D("line", 1.0, n)
+    T = OperatorMatrix(g, "hamiltonian", "t", "dense", {"mat": mat})
+    w, v = eig_full(T)
+    spec = WindowSpec(float(np.percentile(w, 30)), float(np.percentile(w, 70)))
+    vw, th = _window_factors(T, spec)
+    theta = (vw * th) @ vw.T
+
+    def poly(t):
+        return t**3 - 2.0 * t + 0.5
+
+    pT = (v * poly(w)) @ v.T
+    lhs = theta @ pT
+    rhs = (v * (spec.weights(w) * poly(w))) @ v.T
+    assert np.linalg.norm(lhs - rhs, 2) <= 1e-10 * np.linalg.norm(rhs, 2)
+
+
+def test_window_commutator_with_A_is_small():
+    # smooth spectral cutoffs nearly commute with the dilation generator
+    g = line_grid(100.0, 0.01)
+    H = build_schrodinger(g, WignerVonNeumann1D())
+    A = build_conjugate_A(g)
+    theta = _window_factors(H, WindowSpec(0.9, 1.1))
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    v /= np.linalg.norm(v)
+
+    def comm(u):
+        return _window_apply(theta, A.matvec(u)) - A.matvec(_window_apply(theta, u))
+
+    lam = 0.0
+    for _ in range(40):
+        u = -comm(comm(v))
+        lam = np.linalg.norm(u)
+        if lam == 0.0:
+            break
+        v = u / lam
+    comm_norm = np.sqrt(lam)
+    # A = i S with S real antisymmetric tridiagonal, so ||A|| is the top
+    # eigenvalue of the symmetric tridiagonal with off-diagonal |s|
+    s = np.abs(A.data["s"])
+    a_norm = eigvalsh_tridiagonal(
+        np.zeros(g.n), s, select="i", select_range=(g.n - 1, g.n - 1)
+    )[0]
+    assert comm_norm <= 0.05 * a_norm
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscilab.discretize import build_weight, line_grid
 from oscilab.errors import InvariantViolation
+from oscilab.lap import _br_profile
 from oscilab.potentials import (
     CustomSample,
     CutoffSpec,
@@ -279,7 +281,40 @@ def test_simon_envelope_table_validation():
 
 
 # ---------------------------------------------------------------------------
-# scalar weight function specs
+# scalar weight functions: g_delta enters the Mourre check at infinity through
+# the B_R profile f = chi_R^2 g_delta x, where chi_R = 1 for |x| >= 2R; the
+# bracket power is the position weight <Q>^-s of the resolvent estimates
+
+
+def _g_delta(t, delta, R=1e-3):
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    assert np.all(np.abs(t) >= 2.0 * R)
+    f, _ = _br_profile(t, R, delta)
+    return f / t
+
+
+def test_weight_g_delta_origin_and_lower_bound():
+    # g_delta(0) = 1, approached at the inner edge |x| = 2R of a small radius
+    assert _g_delta(2e-9, 0.5, R=1e-9)[0] == pytest.approx(1.0, abs=1e-12)
+    t = np.linspace(-50.0, 50.0, 1000)
+    g = _g_delta(t, 0.5, R=0.02)
+    assert np.all(g >= (1.0 + t * t) ** (-0.5) - 1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta=st.floats(0.01, 0.99), t=st.floats(-100.0, 100.0).filter(
+    lambda v: abs(v) >= 2e-3))
+def test_weight_g_delta_bounds_hold_everywhere(delta, t):
+    g = _g_delta(t, delta)[0]
+    lo = (1.0 + t * t) ** (-0.5)
+    assert lo - 1e-15 <= g <= 2.0 * lo + 1e-15
+
+
+def test_weight_bracket_power():
+    g = line_grid(12.0, 0.5)
+    d = build_weight(g, 0.5).data["d"]
+    assert d[np.argmin(np.abs(g.x))] == 1.0
+    assert np.allclose(d, (1.0 + g.x * g.x) ** (-0.25), rtol=1e-15)
 
 
 def test_weight_spec_validation_slugs():

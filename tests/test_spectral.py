@@ -9,6 +9,7 @@ from oscilab.discretize import (
     OperatorMatrix,
     WindowSpec,
     build_schrodinger,
+    eig_full,
     halfline_grid,
     line_grid,
     periodic_grid,
@@ -17,6 +18,7 @@ from oscilab.errors import ComputeFailure, InvariantViolation
 from oscilab.potentials import WignerVonNeumann1D
 from oscilab.spectral import (
     _fourier_corner_norm,
+    _gram_corner_norm,
     _make_report,
     append_sweep_csv,
     candidate_to_json,
@@ -47,6 +49,21 @@ def test_eig_rejects_non_hermitian():
         OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "t", "dense",
                        {"mat": mat})
     assert err.value.invariant == "operator-hermiticity"
+
+
+def test_eig_sorted_orthonormal_residuals(rng):
+    n = 60
+    raw = rng.normal(size=(n, n))
+    mat = 0.5 * (raw + raw.T)
+    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "t", "dense",
+                       {"mat": mat})
+    w, v = eig_full(T)
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.allclose(v.T @ v, np.eye(n), atol=1e-10)
+    scale = np.max(np.abs(w))
+    assert np.max(np.linalg.norm(T.matvec(v) - v * w, axis=0)) <= 1e-8 * scale
+    defect = mat @ v - v * w
+    assert np.max(np.abs(defect)) <= 1e-8 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +113,44 @@ def test_find_embedded_validation():
 
 # ---------------------------------------------------------------------------
 # corner-norm tail reports
+
+
+# the windowed channel probe reads each corner norm off the low-rank factors
+# M = U F U^T with a sharp cutoff, through _gram_corner_norm
+
+
+def _dense_corner_norms(mat, rad, radii):
+    out = []
+    for R in radii:
+        mask = rad >= R
+        out.append(np.max(np.abs(np.linalg.eigvalsh(mat[np.ix_(mask, mask)]))))
+    return out
+
+
+def test_tail_decay_compact_diagonal(rng):
+    grid = line_grid(100.0, 0.5)
+    rad = np.abs(grid.x)
+    U = rng.normal(size=(grid.n, 4)) * (rad <= 10.0)[:, None]
+    F = np.diag([1.0, 0.5, -0.25, 0.125])
+    radii = (5.0, 20.0, 40.0)
+    tails = [_gram_corner_norm(U[rad >= R, :], F) for R in radii]
+    assert tails[1] == 0.0 and tails[2] == 0.0
+    rep = _make_report(radii, tails)
+    assert rep.verdict == "decays_to_zero"
+    assert rep.tail_norms[-1] == 0.0
+
+
+def test_tail_decay_routes_agree_with_dense(rng):
+    grid = line_grid(10.0, 0.25)
+    n = grid.n
+    radii = (2.0, 4.0, 6.0)
+    rad = np.abs(grid.x)
+    U = rng.normal(size=(n, 3)) * np.exp(-0.2 * rad)[:, None]
+    raw = rng.normal(size=(3, 3))
+    F = 0.5 * (raw + raw.T)
+    want = _dense_corner_norms(U @ F @ U.T, rad, radii)
+    got = [_gram_corner_norm(U[rad >= R, :], F) for R in radii]
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_tail_decay_plateau_verdict():
