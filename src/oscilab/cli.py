@@ -130,6 +130,20 @@ _PARAMS = {
 }
 
 
+def _check_keys(doc, known, command, path="params"):
+    """Reject a doc that is not an object or holds a key outside known."""
+    if not isinstance(doc, dict):
+        raise InvariantViolation("params-type", f"{path} must be an object")
+    prefix = "" if path == "params" else path + "."
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise InvariantViolation(
+            "param-unknown",
+            f"unknown {command} param {prefix + unknown[0]!r}; "
+            f"known: {', '.join(prefix + k for k in known)}",
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -142,15 +156,9 @@ class RunConfig:
             raise InvariantViolation(
                 "command-unknown", f"unknown command {self.command!r}"
             )
-        if not isinstance(self.params, dict):
-            raise InvariantViolation("params-type", "params must be an object")
-        unknown = sorted(set(self.params) - set(_PARAMS[self.command]))
-        if unknown:
-            raise InvariantViolation(
-                "param-unknown",
-                f"unknown {self.command} param {unknown[0]!r}; "
-                f"known: {', '.join(_PARAMS[self.command])}",
-            )
+        _check_keys(self.params, _PARAMS[self.command], self.command)
+        if self.command == "mourre-check" and self.params.get("phi") is not None:
+            _check_keys(self.params["phi"], ("s", "R", "c"), self.command, "phi")
         if not isinstance(self.seed, int):
             raise InvariantViolation("seed-type", "seed must be an integer")
 
@@ -313,6 +321,7 @@ def _cmd_lap_scan(params, out_dir, seed):
     disclosures = {
         "im_floor": result.im_floor,
         "level_spacing": result.level_spacing,
+        "norm_iterations": result.norm_iterations,
     }
     return [csv_path, json_path], disclosures
 

@@ -160,9 +160,9 @@ class WindowSpec:
 
 
 # ---------------------------------------------------------------------------
-# the storage table: one entry per storage, each giving the dense entries,
-# the matrix-vector product, and the eigendecomposition (window (lo, hi) or
-# None for the full spectrum) of an OperatorMatrix held in that storage
+# the storage table: per storage, the dense entries, the matrix-vector product,
+# the eigendecomposition and the eigenvalues alone (window (lo, hi), or None for
+# the full spectrum) of an OperatorMatrix held in that storage
 
 
 def _column(a, v):
@@ -170,20 +170,23 @@ def _column(a, v):
     return a[:, None] if v.ndim == 2 else a
 
 
-def _select(values, lo, hi):
-    """Indices of the values in [lo, hi], in ascending order of value."""
+def _select(values, window):
+    """(values, indices) of the values in the window, in ascending order."""
+    lo, hi = window or (-np.inf, np.inf)
     idx = np.where((values >= lo) & (values <= hi))[0]
-    return idx[np.argsort(values[idx])]
-
-
-def _tridiagonal_kwargs(window):
-    return {} if window is None else {"select": "v", "select_range": window}
+    idx = idx[np.argsort(values[idx])]
+    return values[idx], idx
 
 
 def _fourier_modes(n, idx):
     """Orthonormal plane-wave eigenvectors for the selected FFT mode indices."""
     k = np.arange(n)
     return np.exp(2j * np.pi * np.outer(k, np.asarray(idx)) / n) / np.sqrt(n)
+
+
+def _tridiagonal_eig(d, e, window, eigvals_only=False):
+    kwargs = {} if window is None else {"select": "v", "select_range": window}
+    return eigh_tridiagonal(d, e, eigvals_only=eigvals_only, **kwargs)
 
 
 # tridiagonal -- data: d (n), e (n-1), both real
@@ -203,10 +206,6 @@ def _tri_matvec(T, v):
     return out
 
 
-def _tri_eig(T, window):
-    return eigh_tridiagonal(T.data["d"], T.data["e"], **_tridiagonal_kwargs(window))
-
-
 # diagonal -- data: d (n) real
 
 
@@ -215,11 +214,10 @@ def _diag_matvec(T, v):
 
 
 def _diag_eig(T, window):
-    d = T.data["d"]
-    idx = _select(d, *(window or (-np.inf, np.inf)))
-    v = np.zeros((len(d), len(idx)))
+    w, idx = _select(T.data["d"], window)
+    v = np.zeros((len(T.data["d"]), len(idx)))
     v[idx, np.arange(len(idx))] = 1.0
-    return d[idx], v
+    return w, v
 
 
 # imag_tridiagonal -- data: s (n-1) real; the matrix is i S with S real
@@ -243,7 +241,7 @@ def _itri_eig(T, window):
     # i S = D^H J D with J the real symmetric tridiagonal of off-diagonal s
     # and D = diag(i^j), so the eigenvectors are those of J rotated by D^H
     n = T.grid.n
-    w, vb = eigh_tridiagonal(np.zeros(n), T.data["s"], **_tridiagonal_kwargs(window))
+    w, vb = _tridiagonal_eig(np.zeros(n), T.data["s"], window)
     phase = np.power(1j, np.arange(n) % 4)
     return w, np.conj(phase)[:, None] * vb
 
@@ -265,9 +263,8 @@ def _fourier_matvec(T, v):
 
 
 def _fourier_eig(T, window):
-    mult = T.data["multiplier"]
-    idx = _select(mult, *(window or (-np.inf, np.inf)))
-    return mult[idx], _fourier_modes(T.grid.n, idx)
+    w, idx = _select(T.data["multiplier"], window)
+    return w, _fourier_modes(T.grid.n, idx)
 
 
 # dense -- data: mat (n, n) Hermitian
@@ -285,16 +282,31 @@ class _Storage(NamedTuple):
     entries: Callable
     matvec: Callable
     eig: Callable
+    eigvals: Callable
 
 
 _STORAGE = {
-    "tridiagonal": _Storage(_tri_entries, _tri_matvec, _tri_eig),
-    "diagonal": _Storage(
-        lambda T: np.diag(T.data["d"].astype(float)), _diag_matvec, _diag_eig
+    "tridiagonal": _Storage(
+        _tri_entries, _tri_matvec,
+        lambda T, win: _tridiagonal_eig(T.data["d"], T.data["e"], win),
+        lambda T, win: _tridiagonal_eig(T.data["d"], T.data["e"], win, True),
     ),
-    "imag_tridiagonal": _Storage(_itri_entries, _itri_matvec, _itri_eig),
-    "fourier": _Storage(_fourier_entries, _fourier_matvec, _fourier_eig),
-    "dense": _Storage(lambda T: T.data["mat"], lambda T, v: T.data["mat"] @ v, _dense_eig),
+    "diagonal": _Storage(
+        lambda T: np.diag(T.data["d"].astype(float)), _diag_matvec, _diag_eig,
+        lambda T, win: _select(T.data["d"], win)[0],
+    ),
+    "imag_tridiagonal": _Storage(
+        _itri_entries, _itri_matvec, _itri_eig,
+        lambda T, win: _tridiagonal_eig(np.zeros(T.grid.n), T.data["s"], win, True),
+    ),
+    "fourier": _Storage(
+        _fourier_entries, _fourier_matvec, _fourier_eig,
+        lambda T, win: _select(T.data["multiplier"], win)[0],
+    ),
+    "dense": _Storage(
+        lambda T: T.data["mat"], lambda T, v: T.data["mat"] @ v, _dense_eig,
+        lambda T, win: _select(eigh(T.entries, eigvals_only=True), win)[0],
+    ),
 }
 
 

@@ -23,10 +23,11 @@ import csv
 import itertools
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import eigh, get_lapack_funcs
 
 from . import _blocknorm
 from .discretize import (
+    _STORAGE,
     MATERIALIZE_MAX,
     OperatorMatrix,
     build_conjugate_A,
@@ -112,27 +113,43 @@ def _tridiag_solver(d, e, z):
     return solve
 
 
-def _banded_norm(d, e, wdiag, z, tol=1e-12, max_iters=600, seed=0, X=None):
-    """||W (H - z)^{-1} W|| for tridiagonal H and diagonal W, O(n) per apply.
+def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, seed=0, X=None, w2=None):
+    """||W (H - z)^{-1} W|| for tridiagonal H by LU applies of (H - z)^{-1}.
 
-    Returns (norm, iterations, converged, X) as _subspace_norm_sq does.
+    w is W's diagonal (a vector; O(n) per apply) or W itself (a dense
+    matrix; one GEMM per weight multiply). For a dense W, w2 = W^2 may be
+    passed so that a scan forms it once per box. Returns (norm, iterations,
+    converged, X) as _subspace_norm_sq does.
     """
     solve = _tridiag_solver(d, e, z)
-    w = wdiag[:, None]
-    w2 = w * w
+    if w.ndim == 1:
+        w = w[:, None]
+        w2 = w * w
 
-    def apply_mhm(V):
-        V *= w
-        V = solve(V, "N")
-        V *= w2
-        V = solve(V, "C")
-        V *= w
-        return V
+        def apply_mhm(V):
+            V *= w
+            V = solve(V, "N")
+            V *= w2
+            V = solve(V, "C")
+            V *= w
+            return V
+
+    else:
+        w2 = w @ w if w2 is None else w2
+
+        def apply_mhm(V):
+            V = solve(w @ V, "N")
+            V = solve(w2 @ V, "C")
+            return w @ V
 
     lam, iters, converged, X = _blocknorm._subspace_norm_sq(
         apply_mhm, len(d), tol=tol, max_iters=max_iters, seed=seed, X=X
     )
     return float(np.sqrt(lam)), iters, converged, X
+
+
+# the data key of W's operand for _banded_norm, per weight storage
+_BANDED_WEIGHT = {"diagonal": "d", "dense": "mat"}
 
 
 def _spectral_norm_route(H, W, z):
@@ -151,10 +168,11 @@ def _spectral_norm_route(H, W, z):
 def weighted_resolvent_norm(H, W, z, method="auto", tol=1e-12, max_iters=600):
     """Largest singular value of W (H - z)^{-1} W.
 
-    The resolvent is applied spectrally (exactly, on the matrix): either
-    through a dense eigendecomposition of H or through a tridiagonal LU
-    with subspace iteration on the squared operator; both routes agree to
-    solver precision and the dense one is kept available as a cross-check.
+    The resolvent is applied exactly, on the matrix: for tridiagonal H
+    (diagonal or dense W) and Fourier H (diagonal W) by subspace iteration
+    on the squared operator with LU or FFT applies; otherwise, and for
+    method="spectral", through a dense eigendecomposition of H. Both routes
+    agree to solver precision and the dense one is kept as a cross-check.
     """
     z = complex(z)
     if z.imag == 0.0:
@@ -167,9 +185,10 @@ def weighted_resolvent_norm(H, W, z, method="auto", tol=1e-12, max_iters=600):
     diag_pair = H.storage == "diagonal" and W.storage == "diagonal"
     if diag_pair:
         return float(np.max(np.abs(W.data["d"] ** 2 / (H.data["d"] - z))))
-    if H.storage == "tridiagonal" and W.storage == "diagonal":
+    if H.storage == "tridiagonal" and W.storage in _BANDED_WEIGHT:
         norm, iters, converged, _ = _banded_norm(
-            H.data["d"], H.data["e"], W.data["d"], z, tol=tol, max_iters=max_iters
+            H.data["d"], H.data["e"], W.data[_BANDED_WEIGHT[W.storage]], z,
+            tol=tol, max_iters=max_iters,
         )
         _blocknorm._require_converged(iters, converged, f"at z={z}")
         return norm
@@ -255,6 +274,9 @@ class LapScanResult:
     im_floor: float
     level_spacing: float
     box_reports: tuple  # (box_L, p, sup_norm, verdict) per box
+    # block iterations of the tridiagonal-LU norm kernel, summed over the
+    # rows and the largest per row: {"total", "max"}
+    norm_iterations: dict = None
 
 
 def _free_dirichlet_eigs(grid):
@@ -268,20 +290,7 @@ def _count_spectrum(H, lo, hi):
     if H.kind == "free" and H.storage == "tridiagonal":
         ev = _free_dirichlet_eigs(H.grid)
         return int(np.searchsorted(ev, hi, "right") - np.searchsorted(ev, lo, "left"))
-    if H.storage == "tridiagonal":
-        w = eigh_tridiagonal(
-            H.data["d"], H.data["e"], select="v", select_range=(lo, hi),
-            eigvals_only=True,
-        )
-        return len(w)
-    if H.storage == "diagonal":
-        d = H.data["d"]
-        return int(np.count_nonzero((d >= lo) & (d <= hi)))
-    if H.storage == "fourier":
-        m = H.data["multiplier"]
-        return int(np.count_nonzero((m >= lo) & (m <= hi)))
-    w = eigh(H.entries, eigvals_only=True)
-    return int(np.count_nonzero((w >= lo) & (w <= hi)))
+    return len(_STORAGE[H.storage].eigvals(H, (lo, hi)))
 
 
 def _standard_ladder(floor, im_max=1.0):
@@ -356,6 +365,7 @@ def lap_scan(factory, V, spec):
     box_reports = []
     p_values = []
     sup_by_box = {}
+    iterations = []
     for L in spec.box_list:
         H = hams[L]
         grid = H.grid
@@ -363,10 +373,16 @@ def lap_scan(factory, V, spec):
             W = build_weight(grid, spec.s)
         else:
             W = build_weight(grid, spec.s, operator_basis=build_conjugate_A(grid))
+        _check_weight(W)
         free_fast = (
             H.kind == "free" and H.storage == "tridiagonal" and spec.s == 0.0
         )
         ev = _free_dirichlet_eigs(grid) if free_fast else None
+        banded = H.storage == "tridiagonal" and W.storage in _BANDED_WEIGHT
+        if banded:
+            w = W.data[_BANDED_WEIGHT[W.storage]]
+            # W^2 for the dense weight, formed once per box
+            w2 = w @ w if w.ndim == 2 else None
         box_p = []
         box_sup = 0.0
         for re_z in re_grid:
@@ -380,11 +396,12 @@ def lap_scan(factory, V, spec):
                     near = ev[max(j - 1, 0) : j + 1]
                     dre = float(np.min(np.abs(near - re_z)))
                     val = 1.0 / float(np.hypot(dre, eta))
-                elif H.storage == "tridiagonal" and W.storage == "diagonal":
+                elif banded:
                     val, iters, converged, X = _banded_norm(
-                        H.data["d"], H.data["e"], W.data["d"], z, X=X
+                        H.data["d"], H.data["e"], w, z, X=X, w2=w2
                     )
                     _blocknorm._require_converged(iters, converged, f"at z={z}")
+                    iterations.append(iters)
                 else:
                     val = weighted_resolvent_norm(H, W, z)
                 norms.append(val)
@@ -415,6 +432,7 @@ def lap_scan(factory, V, spec):
         im_floor=float(floor),
         level_spacing=float(spacing),
         box_reports=box_reports,
+        norm_iterations={"total": sum(iterations), "max": max(iterations, default=0)},
     )
 
 

@@ -175,6 +175,36 @@ def test_unknown_param_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _weighted_mourre_doc(tmp_path, phi):
+    return {
+        "command": "mourre-check",
+        "params": {
+            "kind": "weighted", "window": [0.5, 1.5], "L": 20.0, "h": 0.1, "phi": phi,
+        },
+        "output_dir": str(tmp_path / "out"),
+    }
+
+
+def test_unknown_phi_key_exits_2(tmp_path, capsys):
+    code = run(write_config(tmp_path, _weighted_mourre_doc(tmp_path, {"RR": 4})))
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err["error"]["invariant"] == "param-unknown"
+    assert "'phi.RR'" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+    doc = _weighted_mourre_doc(tmp_path, {"s": 0.6, "R": 4.0, "c": 2.0})
+    RunConfig(doc["command"], doc["params"], doc["output_dir"])
+
+
+def test_non_object_phi_exits_2(tmp_path, capsys):
+    code = run(write_config(tmp_path, _weighted_mourre_doc(tmp_path, 4)))
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err["error"]["invariant"] == "params-type"
+    assert "phi" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def _benchmark_catalog():
     path = os.path.join(ROOT, "perfbench", "catalog.py")
     spec = importlib.util.spec_from_file_location("perfbench_catalog", path)
@@ -228,9 +258,12 @@ def test_lap_scan_run_flags_the_unweighted_control(tmp_path):
     assert run(write_config(tmp_path, doc)) == 0
     summary = read_json(out_dir / "lap_scan.json")
     assert summary["verdict"] == "lap_fails"
+    assert "norm_iterations" not in summary
     manifest = read_json(out_dir / "manifest.json")
     assert manifest["disclosures"]["im_floor"] > 0.0
     assert manifest["disclosures"]["level_spacing"] > 0.0
+    # the free control's norms are closed-form, no block iterations
+    assert manifest["disclosures"]["norm_iterations"] == {"total": 0, "max": 0}
     with open(out_dir / "lap_scan.csv", newline="") as fh:
         header = next(csv.reader(fh))
     assert header == ["re_z", "im_z", "box_L", "norm"]

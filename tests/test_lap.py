@@ -1,6 +1,7 @@
 """Tests for the weighted resolvent scan and the commutator positivity checks."""
 
 import csv
+import functools
 import os
 
 import numpy as np
@@ -18,6 +19,7 @@ from oscilab.discretize import (
     line_grid,
     periodic_grid,
 )
+import oscilab.lap
 from oscilab.errors import InvariantViolation
 from oscilab.lap import (
     LapScanSpec,
@@ -32,7 +34,13 @@ from oscilab.lap import (
     weighted_mourre_check,
     weighted_resolvent_norm,
 )
-from oscilab.potentials import WeightFunctionSpec, WignerVonNeumann1D
+from oscilab.potentials import (
+    OscillatingSpec,
+    ShortRangeSample,
+    SumPotential,
+    WeightFunctionSpec,
+    WignerVonNeumann1D,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +225,80 @@ def test_scan_rows_match_the_dense_route_down_to_the_floor():
     for eta in picked:
         dense = weighted_resolvent_norm(H, W, complex(1.0, eta), method="spectral")
         assert rows[(1.0, eta)] == pytest.approx(dense, rel=1e-9)
+
+
+def _scenario12_potential():
+    """Scenario 12's potential: oscillating tail plus a sampled sech^2 bump."""
+    x = np.linspace(-8.0, 8.0, 161)
+    bump = ShortRangeSample(x=tuple(x), values=tuple(0.5 / np.cosh(x) ** 2), rho_sr=2.0)
+    return SumPotential((OscillatingSpec(w=3.0, k=2.0, alpha=1.0, beta=1.0), bump))
+
+
+_CONJUGATE_A_SPEC = LapScanSpec(
+    interval=(0.5, 1.5), s=0.51, weight_kind="conjugate_A", box_list=(10.0, 20.0)
+)
+
+
+def _conjugate_A_weight(H):
+    return build_weight(H.grid, 0.51, operator_basis=build_conjugate_A(H.grid))
+
+
+@pytest.mark.parametrize("potential", ["free", "scenario12"])
+def test_conjugate_A_scan_rows_match_the_dense_route(potential):
+    V = None if potential == "free" else _scenario12_potential()
+    factory = schrodinger_line_factory(0.2)
+    res = lap_scan(factory, V, _CONJUGATE_A_SPEC)
+    assert len(res.rows) == 2 * 5 * len({r[1] for r in res.rows})
+    assert 0 < res.norm_iterations["max"] < res.norm_iterations["total"]
+    for L in _CONJUGATE_A_SPEC.box_list:
+        H = factory(V, L)
+        W = _conjugate_A_weight(H)
+        assert (H.storage, W.storage) == ("tridiagonal", "dense")
+        for re_z, eta, _, norm in (r for r in res.rows if r[2] == L):
+            z = complex(re_z, eta)
+            dense = weighted_resolvent_norm(H, W, z, method="spectral")
+            assert norm == pytest.approx(dense, rel=1e-9)
+            if eta == res.im_floor:
+                auto = weighted_resolvent_norm(H, W, z)
+                assert auto == pytest.approx(dense, rel=1e-9)
+
+
+def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
+    calls = {"eigh": 0, "spectral": 0}
+    eigh, spectral = oscilab.lap.eigh, oscilab.lap._spectral_norm_route
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(oscilab.lap, "eigh", counted("eigh", eigh))
+    monkeypatch.setattr(
+        oscilab.lap, "_spectral_norm_route", counted("spectral", spectral)
+    )
+    res = lap_scan(schrodinger_line_factory(0.2), None, _CONJUGATE_A_SPEC)
+    assert len(res.rows) > 2
+    # the dense PSD check of W, once per box; no dense resolvent route
+    assert calls == {"eigh": 2, "spectral": 0}
+
+    # the iteration cap still raises on the dense-weight path
+    H = schrodinger_line_factory(0.2)(None, 10.0)
+    W = _conjugate_A_weight(H)
+    z = 1.0 + 0.05j
+    _, iters, converged, _ = _banded_norm(
+        H.data["d"], H.data["e"], W.data["mat"], z, max_iters=2
+    )
+    assert (iters, converged) == (2, False)
+    with pytest.raises(InvariantViolation) as err:
+        weighted_resolvent_norm(H, W, z, max_iters=2)
+    assert err.value.invariant == "norm-convergence"
+    capped = functools.partial(oscilab.lap._banded_norm, max_iters=2)
+    monkeypatch.setattr(oscilab.lap, "_banded_norm", capped)
+    with pytest.raises(InvariantViolation) as err:
+        lap_scan(schrodinger_line_factory(0.2), None, _CONJUGATE_A_SPEC)
+    assert err.value.invariant == "norm-convergence"
 
 
 # ---------------------------------------------------------------------------
