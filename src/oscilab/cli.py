@@ -12,7 +12,8 @@ Runs are described by a JSON config file::
 and dispatched to the compute modules. Every run writes its CSV/JSON/SVG
 artifacts plus a manifest with config echo, version, wall time, and a
 sha256 per output. Identical config + seed gives byte-identical outputs
-(the manifest's wall_time field is the one exemption).
+(the manifest's wall_time and blas_threads fields describe the run, not
+its outputs).
 
 Exit codes: 0 success, 1 compute failure (error JSON on stderr), 2
 validation failure (error JSON on stdout). The error JSON names the violated
@@ -20,6 +21,7 @@ invariant wherever one applies.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -213,6 +215,45 @@ def _require(params, key):
 def _potential(params, key="potential"):
     doc = params.get(key)
     return None if doc is None else potential_from_json(doc)
+
+
+# the thread-count getters an OpenBLAS build may export, by symbol prefix
+_GET_NUM_THREADS = (
+    "openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "scipy_openblas_get_num_threads64_",
+)
+
+
+def _blas_threads():
+    """BLAS threads in effect, per package that loaded its own OpenBLAS.
+
+    The numpy and scipy wheels each bundle an OpenBLAS (under numpy.libs/ and
+    scipy.libs/); each copy found mapped into this process reports its own
+    count. A package whose count cannot be read maps to None.
+    """
+    found = {"numpy": None, "scipy": None}
+    try:
+        with open("/proc/self/maps") as fh:
+            maps = [line.split(None, 5) for line in fh]
+    except OSError:
+        return found
+    paths = {m[5].strip() for m in maps if len(m) == 6 and "openblas" in m[5]}
+    for path in sorted(paths):
+        owner = os.path.basename(os.path.dirname(path)).removesuffix(".libs")
+        if owner not in found:
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _GET_NUM_THREADS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                found[owner] = int(getter())
+                break
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +588,7 @@ def run(config_path, overrides=()):
         "config": doc,
         "version": __version__,
         "wall_time_s": wall,
+        "blas_threads": _blas_threads(),
         "outputs": [
             {"path": os.path.relpath(p, config.output_dir), "sha256": _sha256(p)}
             for p in outputs

@@ -32,6 +32,7 @@ __all__ = [
     "build_weight",
     "eig_full",
     "eig_window",
+    "eigvals_window",
 ]
 
 # largest dimension for which dense entries may be materialized
@@ -161,8 +162,9 @@ class WindowSpec:
 
 # ---------------------------------------------------------------------------
 # the storage table: per storage, the dense entries, the matrix-vector product,
-# the eigendecomposition and the eigenvalues alone (window (lo, hi), or None for
-# the full spectrum) of an OperatorMatrix held in that storage
+# the eigendecomposition, the eigenvalues alone and their count (window
+# (lo, hi), or None for the full spectrum) of an OperatorMatrix held in that
+# storage
 
 
 def _column(a, v):
@@ -187,6 +189,17 @@ def _fourier_modes(n, idx):
 def _tridiagonal_eig(d, e, window, eigvals_only=False):
     kwargs = {} if window is None else {"select": "v", "select_range": window}
     return eigh_tridiagonal(d, e, eigvals_only=eigvals_only, **kwargs)
+
+
+def _sturm_count(d, e, window):
+    # stebz fixes its count from the Sturm counts at the two window ends; an
+    # absolute tolerance of the window's width ends the bisection right there
+    lo, hi = window
+    return len(
+        eigh_tridiagonal(
+            d, e, eigvals_only=True, select="v", select_range=window, tol=hi - lo
+        )
+    )
 
 
 # tridiagonal -- data: d (n), e (n-1), both real
@@ -278,11 +291,29 @@ def _dense_eig(T, window):
     return w[keep], v[:, keep]
 
 
+def _counted(eigvals):
+    """The count column of a storage whose eigenvalues cost no more than it."""
+    return lambda T, win: len(eigvals(T, win))
+
+
+def _diag_eigvals(T, win):
+    return _select(T.data["d"], win)[0]
+
+
+def _fourier_eigvals(T, win):
+    return _select(T.data["multiplier"], win)[0]
+
+
+def _dense_eigvals(T, win):
+    return _select(eigh(T.entries, eigvals_only=True), win)[0]
+
+
 class _Storage(NamedTuple):
     entries: Callable
     matvec: Callable
     eig: Callable
     eigvals: Callable
+    count: Callable
 
 
 _STORAGE = {
@@ -290,22 +321,24 @@ _STORAGE = {
         _tri_entries, _tri_matvec,
         lambda T, win: _tridiagonal_eig(T.data["d"], T.data["e"], win),
         lambda T, win: _tridiagonal_eig(T.data["d"], T.data["e"], win, True),
+        lambda T, win: _sturm_count(T.data["d"], T.data["e"], win),
     ),
     "diagonal": _Storage(
         lambda T: np.diag(T.data["d"].astype(float)), _diag_matvec, _diag_eig,
-        lambda T, win: _select(T.data["d"], win)[0],
+        _diag_eigvals, _counted(_diag_eigvals),
     ),
     "imag_tridiagonal": _Storage(
         _itri_entries, _itri_matvec, _itri_eig,
         lambda T, win: _tridiagonal_eig(np.zeros(T.grid.n), T.data["s"], win, True),
+        lambda T, win: _sturm_count(np.zeros(T.grid.n), T.data["s"], win),
     ),
     "fourier": _Storage(
         _fourier_entries, _fourier_matvec, _fourier_eig,
-        lambda T, win: _select(T.data["multiplier"], win)[0],
+        _fourier_eigvals, _counted(_fourier_eigvals),
     ),
     "dense": _Storage(
         lambda T: T.data["mat"], lambda T, v: T.data["mat"] @ v, _dense_eig,
-        lambda T, win: _select(eigh(T.entries, eigvals_only=True), win)[0],
+        _dense_eigvals, _counted(_dense_eigvals),
     ),
 }
 
@@ -382,6 +415,14 @@ def eig_window(T, lo, hi):
     forming a dense matrix for structured input.
     """
     return _STORAGE[T.storage].eig(T, (lo, hi))
+
+
+def eigvals_window(T, lo, hi):
+    """Eigenvalues of T in [lo, hi], ascending, without eigenvectors.
+
+    For tridiagonal storage they are bit-identical to eig_window's.
+    """
+    return _STORAGE[T.storage].eigvals(T, (lo, hi))
 
 
 # ---------------------------------------------------------------------------

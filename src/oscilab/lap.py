@@ -80,8 +80,11 @@ def _check_weight(W):
             raise InvariantViolation("weight-positivity", "weight must be >= 0")
         return
     if W.shape[0] <= MATERIALIZE_MAX:
-        wmin = float(eigh(W.entries, eigvals_only=True)[0])
-        if wmin < -1e-10:
+        # W >= -1e-10 iff W + 1e-10 I has a Cholesky factor
+        shifted = np.array(W.entries, order="F")
+        shifted.flat[:: W.shape[0] + 1] += 1e-10
+        (potrf,) = get_lapack_funcs(("potrf",), (shifted,))
+        if potrf(shifted, overwrite_a=1)[1] != 0:
             raise InvariantViolation("weight-positivity", "weight must be PSD")
 
 
@@ -290,7 +293,7 @@ def _count_spectrum(H, lo, hi):
     if H.kind == "free" and H.storage == "tridiagonal":
         ev = _free_dirichlet_eigs(H.grid)
         return int(np.searchsorted(ev, hi, "right") - np.searchsorted(ev, lo, "left"))
-    return len(_STORAGE[H.storage].eigvals(H, (lo, hi)))
+    return _STORAGE[H.storage].count(H, (lo, hi))
 
 
 def _standard_ladder(floor, im_max=1.0):
@@ -731,20 +734,18 @@ def phase_sweep(
     """Scan the (alpha, beta) grid of oscillating potentials for LAP verdicts.
 
     ``windows`` maps names ("below", "above") to energy intervals on either
-    side of the interference threshold k^2/4. Each live cell is screened
-    for genuine embedded eigenvalues over the hull of the windows, then
-    scanned per window; cells beyond the budget are emitted as skipped.
-    A window straddling k^2/4 is reported inconclusive by policy.
+    side of the interference threshold k^2/4. Each live cell builds H once
+    per box; each window is screened on its own for genuine embedded
+    eigenvalues, and a window without one is LAP-scanned. Cells beyond the
+    budget are emitted as skipped. A window straddling k^2/4 is reported
+    inconclusive by policy.
     """
     if not windows:
         raise InvariantViolation("windows-empty", "need at least one named window")
     names = list(windows.keys())
     factory = schrodinger_line_factory(h)
     threshold = k * k / 4.0
-    hull = (
-        min(windows[nm][0] for nm in names),
-        max(windows[nm][1] for nm in names),
-    )
+    boxes = tuple(float(L) for L in box_list)
     cells = []
     pairs = list(itertools.product(alphas, betas))
     for idx, (alpha, beta) in enumerate(pairs):
@@ -759,23 +760,23 @@ def phase_sweep(
                 )
             continue
         V = OscillatingSpec(w=w, k=k, alpha=alpha, beta=beta)
-        found = find_embedded(lambda L: factory(V, L), hull, box_list)
-        genuine = [c for c in found if c.verdict == "genuine"]
+        hams = {L: factory(V, L) for L in boxes}
         for nm in names:
             win = tuple(map(float, windows[nm]))
-            inside = [c for c in genuine if win[0] <= c.energy <= win[1]]
-            if inside:
+            found = find_embedded(hams.__getitem__, win, boxes)
+            genuine = [c for c in found if c.verdict == "genuine"]
+            if genuine:
                 cells.append(
                     PhaseDiagramCell(
                         float(alpha), float(beta), nm, win,
-                        "inconclusive", float("nan"), len(inside),
+                        "inconclusive", float("nan"), len(genuine),
                         "genuine embedded eigenvalue inside the window",
                     )
                 )
                 continue
             scan = lap_scan(
-                factory, V,
-                LapScanSpec(interval=win, s=s, box_list=tuple(box_list)),
+                lambda _, L: hams[L], V,
+                LapScanSpec(interval=win, s=s, box_list=boxes),
             )
             verdict = scan.verdict
             note = ""

@@ -21,7 +21,7 @@ from scipy.linalg import eigh
 
 from . import _blocknorm
 from ._smooth import smoothstep_quintic
-from .discretize import build_radial_channel, eig_window
+from .discretize import build_radial_channel, eig_window, eigvals_window
 from .errors import InvariantViolation
 from .potentials import CutoffSpec, eval_cutoff
 
@@ -72,9 +72,12 @@ def find_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
 
     ``build`` maps a box size L to the Hamiltonian OperatorMatrix on that
     box; ``window`` is the energy interval (lo, hi); ``box_list`` needs at
-    least two sizes. Candidates come from the largest box; localization is
-    the eigenvector mass inside the inner half-box, and the drift is the
-    worst nearest-match distance to the other boxes' windowed spectra.
+    least two sizes. Candidates and their eigenvectors come from the largest
+    box alone; localization is the eigenvector mass inside the inner
+    half-box. The smaller boxes supply eigenvalues only, over the window
+    widened by 10 * drift_tol on each side, and the drift is the worst
+    nearest-match distance to them; so every drift below 10 * drift_tol is
+    exact, also for a candidate whose partner lies just outside the window.
     verdict: genuine iff localization >= 0.99 and drift <= drift_tol;
     box_artifact iff localization < 0.99 or drift >= 10 * drift_tol;
     unresolved between.
@@ -89,24 +92,19 @@ def find_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
     boxes = sorted(float(L) for L in box_list)
     if len(boxes) < 2:
         raise InvariantViolation("box-count", "need at least two box sizes")
-    spectra = {}
-    mats = {}
-    for L in boxes:
-        T = build(L)
-        w, v = eig_window(T, lo, hi)
-        spectra[L] = w
-        mats[L] = (T, v)
+    reach = 10.0 * drift_tol
+    partners = [eigvals_window(build(L), lo - reach, hi + reach) for L in boxes[:-1]]
     big = boxes[-1]
-    T, v = mats[big]
+    T = build(big)
+    energies, v = eig_window(T, lo, hi)
     inner = _radius(T.grid) <= big / 2.0
     out = []
-    for i, energy in enumerate(spectra[big]):
+    for i, energy in enumerate(energies):
         vec = v[:, i]
         mass = np.abs(vec) ** 2
         loc = float(mass[inner].sum() / mass.sum())
         drift = 0.0
-        for L in boxes[:-1]:
-            other = spectra[L]
+        for other in partners:
             if len(other) == 0:
                 drift = np.inf
             else:

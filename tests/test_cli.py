@@ -394,3 +394,24 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert "verify-wvn" in proc.stdout
+
+
+def test_manifest_reports_the_blas_threads_in_effect(tmp_path):
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path, {
+        "command": "verify-wvn",
+        "params": {"x_max": 10.0, "step": 0.01},
+        "output_dir": str(out_dir),
+    })
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscilab.cli", config],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    manifest = read_json(out_dir / "manifest.json")
+    # numpy and scipy each load their own OpenBLAS; both report the pinned 1
+    assert manifest["blas_threads"] == {"numpy": 1, "scipy": 1}
+    assert "blas_threads" not in manifest["disclosures"]

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh_tridiagonal
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from oscilab._smooth import smoothstep_quintic
 from oscilab.discretize import (
+    _STORAGE,
     Grid1D,
     OperatorMatrix,
     WindowSpec,
@@ -14,6 +17,7 @@ from oscilab.discretize import (
     build_weight,
     eig_full,
     eig_window,
+    eigvals_window,
     halfline_grid,
     line_grid,
     periodic_grid,
@@ -399,6 +403,39 @@ def test_storage_table_routes_agree_with_dense(storage, rng):
     wv, Vv = eig_window(T, lo, hi)
     assert np.allclose(wv, w[(w >= lo) & (w <= hi)], atol=1e-10 * scale)
     assert np.max(np.abs(mat @ Vv - Vv * wv)) <= 1e-10 * scale
+    assert np.allclose(eigvals_window(T, lo, hi), wv, atol=1e-10 * scale)
+    assert _STORAGE[storage].count(T, (lo, hi)) == len(wv)
+
+
+def test_tridiagonal_eigvals_match_eig_window_bit_for_bit():
+    H = build_schrodinger(line_grid(60.0, 0.1), WignerVonNeumann1D())
+    w, _ = eig_window(H, 0.2, 1.7)
+    assert len(w) > 10
+    assert np.array_equal(eigvals_window(H, 0.2, 1.7), w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(16, 120),
+    seed=st.integers(0, 2**32 - 1),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_sturm_count_column_matches_dense_count(n, seed, ends):
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    e = rng.normal(size=n - 1) * (rng.random(n - 1) > 0.1)  # some split blocks
+    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "t", "tridiagonal",
+                       {"d": d, "e": e})
+    ev = np.linalg.eigvalsh(T.entries)
+    span = ev[-1] - ev[0] + 2.0
+    lo, hi = sorted(ev[0] - 1.0 + span * np.asarray(ends))
+    # a proper window whose ends sit at least 1e-8 from every eigenvalue
+    assume(hi > lo)
+    assume(np.min(np.abs(np.concatenate((ev - lo, ev - hi)))) >= 1e-8)
+    want = int(np.count_nonzero((ev >= lo) & (ev <= hi)))
+    assert _STORAGE["tridiagonal"].count(T, (lo, hi)) == want
+    full = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi))
+    assert len(full) == want
 
 
 def test_dense_input_must_be_hermitian():

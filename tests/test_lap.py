@@ -19,7 +19,9 @@ from oscilab.discretize import (
     line_grid,
     periodic_grid,
 )
+import oscilab.discretize
 import oscilab.lap
+import oscilab.spectral
 from oscilab.errors import InvariantViolation
 from oscilab.lap import (
     LapScanSpec,
@@ -264,8 +266,9 @@ def test_conjugate_A_scan_rows_match_the_dense_route(potential):
 
 
 def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
-    calls = {"eigh": 0, "spectral": 0}
+    calls = {"eigh": 0, "potrf": 0, "spectral": 0}
     eigh, spectral = oscilab.lap.eigh, oscilab.lap._spectral_norm_route
+    get_lapack_funcs = oscilab.lap.get_lapack_funcs
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -274,14 +277,22 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
 
         return wrapper
 
+    def counting_get(names, *args, **kwargs):
+        funcs = get_lapack_funcs(names, *args, **kwargs)
+        return tuple(
+            counted(nm, f) if nm == "potrf" else f for nm, f in zip(names, funcs)
+        )
+
     monkeypatch.setattr(oscilab.lap, "eigh", counted("eigh", eigh))
+    monkeypatch.setattr(oscilab.lap, "get_lapack_funcs", counting_get)
     monkeypatch.setattr(
         oscilab.lap, "_spectral_norm_route", counted("spectral", spectral)
     )
     res = lap_scan(schrodinger_line_factory(0.2), None, _CONJUGATE_A_SPEC)
     assert len(res.rows) > 2
-    # the dense PSD check of W, once per box; no dense resolvent route
-    assert calls == {"eigh": 2, "spectral": 0}
+    # the PSD check of W (a Cholesky factorisation), once per box; no dense
+    # eigendecomposition and no dense resolvent route
+    assert calls == {"eigh": 0, "potrf": 2, "spectral": 0}
 
     # the iteration cap still raises on the dense-weight path
     H = schrodinger_line_factory(0.2)(None, 10.0)
@@ -299,6 +310,27 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         lap_scan(schrodinger_line_factory(0.2), None, _CONJUGATE_A_SPEC)
     assert err.value.invariant == "norm-convergence"
+
+
+@pytest.mark.parametrize("wmin", [-1e-9, -1e-12, 0.0])
+def test_weight_psd_check_agrees_with_the_dense_spectrum(wmin, rng):
+    # W with smallest eigenvalue wmin; 0 makes W a projector
+    n = 40
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    vals = np.ones(n)
+    vals[: n // 2] = 0.0
+    vals[0] = wmin
+    mat = (q * vals) @ q.conj().T
+    W = OperatorMatrix(Grid1D("line", 1.0, n), "weight", "w", "dense",
+                       {"mat": 0.5 * (mat + mat.conj().T)})
+    psd = np.linalg.eigvalsh(W.entries)[0] >= -1e-10
+    assert psd == (wmin > -1e-10)
+    if psd:
+        oscilab.lap._check_weight(W)
+    else:
+        with pytest.raises(InvariantViolation) as err:
+            oscilab.lap._check_weight(W)
+        assert err.value.invariant == "weight-positivity"
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +671,61 @@ def test_phase_sweep_lite_cell_structure(tmp_path):
         box_list=(60.0, 120.0),
     )
     assert again == cells
+
+
+def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
+    builds, vector_windows, tridiagonal = [], [], []
+    build = oscilab.lap.build_schrodinger
+    eig_window_ = oscilab.spectral.eig_window
+    eigh_tridiagonal_ = oscilab.discretize.eigh_tridiagonal
+
+    def counted_build(grid, V):
+        builds.append(grid.L)
+        return build(grid, V)
+
+    def counted_eig_window(T, lo, hi):
+        vector_windows.append((T.grid.L, lo, hi))
+        return eig_window_(T, lo, hi)
+
+    def counted_tridiagonal(d, e, **kwargs):
+        tridiagonal.append((len(d), kwargs))
+        return eigh_tridiagonal_(d, e, **kwargs)
+
+    monkeypatch.setattr(oscilab.lap, "build_schrodinger", counted_build)
+    monkeypatch.setattr(oscilab.spectral, "eig_window", counted_eig_window)
+    monkeypatch.setattr(oscilab.discretize, "eigh_tridiagonal", counted_tridiagonal)
+    windows = {"below": (0.2, 0.6), "above": (1.2, 1.7)}
+    cells = phase_sweep(
+        (1.0,), (0.75,), k=2.0, w=3.0, windows=windows, h=0.25,
+        box_list=(60.0, 120.0),
+    )
+    # both windows are LAP-scanned, so every piece of the cell runs
+    assert [c.embedded_count for c in cells] == [0, 0]
+    assert all(np.isfinite(c.divergence_exponent) for c in cells)
+    # the factory once per box
+    assert builds == [60.0, 120.0]
+    # eigenvectors once per window, on the largest box only
+    assert vector_windows == [(120.0, 0.2, 0.6), (120.0, 1.2, 1.7)]
+    n_small, n_big = (line_grid(L, 0.25).n for L in (60.0, 120.0))
+    vectors = [n for n, kw in tridiagonal if not kw["eigvals_only"]]
+    assert vectors == [n_big, n_big]
+    # eigenvalues alone: the smaller box's drift partners over the widened
+    # windows, at full precision, and one Sturm count per window and box;
+    # no count runs a full-precision bisection
+    values = [(n, kw) for n, kw in tridiagonal if kw["eigvals_only"]]
+    partners = [(n, kw["select_range"]) for n, kw in values if "tol" not in kw]
+    reach = 10.0 * oscilab.spectral.DRIFT_TOL
+    assert partners == [
+        (n_small, (lo - reach, hi + reach)) for lo, hi in windows.values()
+    ]
+    counts = [(n, kw["select_range"]) for n, kw in values if "tol" in kw]
+    assert sorted(counts) == sorted(
+        (n, win) for win in windows.values() for n in (n_small, n_big)
+    )
+    assert all(
+        kw["tol"] == kw["select_range"][1] - kw["select_range"][0]
+        for _, kw in values if "tol" in kw
+    )
 
 
 def test_phase_sweep_budget_marks_cells_skipped(tmp_path):

@@ -10,6 +10,7 @@ from oscilab.discretize import (
     WindowSpec,
     build_schrodinger,
     eig_full,
+    eigvals_window,
     halfline_grid,
     line_grid,
     periodic_grid,
@@ -100,6 +101,23 @@ def test_find_embedded_stable_under_grid_refinement():
     # defect against the continuum energy by about four
     assert abs(gf[0].energy - 1.0) <= 0.35 * abs(gc[0].energy - 1.0)
     assert abs(gf[0].energy - 1.0) <= 1e-2
+
+
+def test_find_embedded_keeps_a_genuine_eigenvalue_at_the_window_edge():
+    (bound,) = [
+        c for c in find_embedded(wvn_builder, (0.9, 1.1), (60.0, 120.0))
+        if c.verdict == "genuine"
+    ]
+    small = eigvals_window(wvn_builder(60.0), 0.9, 1.1)
+    partner = small[np.argmin(np.abs(small - bound.energy))]
+    # the window edge halfway between the bound state and its L = 60 partner:
+    # the partner falls outside the window, but the drift must still see it
+    edge = 0.5 * (partner + bound.energy)
+    assert partner < edge < bound.energy
+    cands = find_embedded(wvn_builder, (edge, 1.1), (60.0, 120.0))
+    assert cands[0].energy == pytest.approx(bound.energy, abs=1e-12)
+    assert cands[0].verdict == "genuine"
+    assert cands[0].box_drift == pytest.approx(bound.box_drift, abs=1e-12)
 
 
 def test_find_embedded_validation():
