@@ -123,8 +123,8 @@ _PARAMS = {
         "delta", "gamma", "trials",
     ),
     "compactness-probe": (
-        "mode", "L", "h", "window", "k", "radii", "channel_alphas", "sweep_csv",
-        "n", "smoothing_orders", "p", "alpha", "tol",
+        "mode", "L", "h", "window", "k", "radii", "channel_alphas", "n",
+        "smoothing_orders", "p", "alpha", "tol",
     ),
     "phase-diagram": (
         "windows", "alphas", "betas", "k", "w", "s", "h", "boxes", "budget",
@@ -161,8 +161,10 @@ class RunConfig:
         _check_keys(self.params, _PARAMS[self.command], self.command)
         if self.command == "mourre-check" and self.params.get("phi") is not None:
             _check_keys(self.params["phi"], ("s", "R", "c"), self.command, "phi")
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvariantViolation("seed-type", "seed must be an integer")
+        if not isinstance(self.output_dir, str):
+            raise InvariantViolation("output-dir-type", "output_dir must be a string")
 
 
 def list_commands():
@@ -210,6 +212,17 @@ def _require(params, key):
     if key not in params:
         raise InvariantViolation("param-missing", f"missing required param {key!r}")
     return params[key]
+
+
+def _floats(value, key, pair=False):
+    """A list-valued param as a tuple of floats; a pair when pair is set."""
+    if isinstance(value, (list, tuple)) and (not pair or len(value) == 2):
+        try:
+            return tuple(float(v) for v in value)
+        except (TypeError, ValueError):
+            pass
+    shape = "a pair" if pair else "a list"
+    raise InvariantViolation("params-type", f"param {key!r} must be {shape} of numbers")
 
 
 def _potential(params, key="potential"):
@@ -319,8 +332,8 @@ def _cmd_construct_kg(params, out_dir, seed):
 
 def _cmd_find_embedded(params, out_dir, seed):
     V = _potential(params)
-    window = tuple(float(v) for v in _require(params, "window"))
-    boxes = [float(L) for L in params.get("boxes", (200.0, 400.0))]
+    window = _floats(_require(params, "window"), "window", pair=True)
+    boxes = _floats(params.get("boxes", (200.0, 400.0)), "boxes")
     h = float(params.get("h", 0.05))
     drift_tol = float(params.get("drift_tol", 5e-3))
     factory = schrodinger_line_factory(h)
@@ -346,12 +359,12 @@ def _cmd_lap_scan(params, out_dir, seed):
     V = _potential(params)
     ladder = params.get("im_ladder")
     spec = LapScanSpec(
-        interval=tuple(float(v) for v in _require(params, "interval")),
+        interval=_floats(_require(params, "interval"), "interval", pair=True),
         s=float(params.get("s", 0.51)),
         weight_kind=params.get("weight_kind", "position"),
         re_points=int(params.get("re_points", 5)),
-        im_ladder=None if ladder is None else tuple(float(v) for v in ladder),
-        box_list=tuple(float(L) for L in params.get("boxes", (200.0, 400.0))),
+        im_ladder=None if ladder is None else _floats(ladder, "im_ladder"),
+        box_list=_floats(params.get("boxes", (200.0, 400.0)), "boxes"),
     )
     h = float(params.get("h", 0.1))
     result = lap_scan(schrodinger_line_factory(h), V, spec)
@@ -369,7 +382,7 @@ def _cmd_lap_scan(params, out_dir, seed):
 
 def _cmd_mourre_check(params, out_dir, seed):
     kind = params.get("kind", "strict")
-    window = tuple(float(v) for v in _require(params, "window"))
+    window = _floats(_require(params, "window"), "window", pair=True)
     L = float(params.get("L", 100.0))
     h = float(params.get("h", 0.05))
     grid = line_grid(L, h)
@@ -425,9 +438,9 @@ def _cmd_compactness_probe(params, out_dir, seed):
         L = float(params.get("L", 400.0))
         h = float(params.get("h", 0.025))
         grid = halfline_grid(L, h)
-        window = tuple(float(v) for v in _require(params, "window"))
+        window = _floats(_require(params, "window"), "window", pair=True)
         k = float(_require(params, "k"))
-        radii = [float(R) for R in _require(params, "radii")]
+        radii = _floats(_require(params, "radii"), "radii")
         theta = WindowSpec(window[0], window[1])
         alphas = params.get("channel_alphas")
         if alphas is None:
@@ -435,7 +448,7 @@ def _cmd_compactness_probe(params, out_dir, seed):
         else:
             report = small_plus_decay_probe(
                 grid, theta, k, radii,
-                channel_alphas=tuple(float(a) for a in alphas),
+                channel_alphas=_floats(alphas, "channel_alphas"),
             )
         symbol_max = interference_symbol_check(theta, k)
         doc = tail_report_to_json(report)
@@ -443,21 +456,22 @@ def _cmd_compactness_probe(params, out_dir, seed):
         doc["symbol_predicts"] = (
             "decays_to_zero" if symbol_max == 0.0 else "plateaus"
         )
-        csv_path = os.path.join(out_dir, params.get("sweep_csv", "sweep.csv"))
+        csv_path = os.path.join(out_dir, "sweep.csv")
         append_sweep_csv(csv_path, window[0], window[1], k, report)
         outputs.append(csv_path)
     elif mode == "smoothed_multiplier":
         L = float(params.get("L", 200.0))
         n = int(params.get("n", 65536))
         grid = periodic_grid(L, n)
-        orders = params.get("smoothing_orders", (2, 2))
         report = oscillation_compactness_probe(
             grid,
             float(params.get("p", 1.0)),
             float(_require(params, "alpha")),
             float(_require(params, "k")),
-            smoothing_orders=tuple(float(o) for o in orders),
-            radii=tuple(float(R) for R in params.get("radii", (10, 20, 40, 80, 160))),
+            smoothing_orders=_floats(
+                params.get("smoothing_orders", (2, 2)), "smoothing_orders", pair=True
+            ),
+            radii=_floats(params.get("radii", (10, 20, 40, 80, 160)), "radii"),
             tol=float(params.get("tol", 1e-6)),
             seed=seed,
         )
@@ -471,21 +485,23 @@ def _cmd_compactness_probe(params, out_dir, seed):
 
 
 def _cmd_phase_diagram(params, out_dir, seed):
+    windows = _require(params, "windows")
+    if not isinstance(windows, dict):
+        raise InvariantViolation("params-type", "param 'windows' must be an object")
     windows = {
-        name: tuple(float(v) for v in win)
-        for name, win in _require(params, "windows").items()
+        name: _floats(win, f"windows.{name}", pair=True) for name, win in windows.items()
     }
     csv_path = os.path.join(out_dir, "phase.csv")
     svg_path = os.path.join(out_dir, "phase.svg")
     cells = phase_sweep(
-        [float(a) for a in _require(params, "alphas")],
-        [float(b) for b in _require(params, "betas")],
+        _floats(_require(params, "alphas"), "alphas"),
+        _floats(_require(params, "betas"), "betas"),
         float(params.get("k", 2.0)),
         float(params.get("w", 3.0)),
         windows,
         s=float(params.get("s", 2.0)),
         h=float(params.get("h", 0.1)),
-        box_list=tuple(float(L) for L in params.get("boxes", (200.0, 400.0))),
+        box_list=_floats(params.get("boxes", (200.0, 400.0)), "boxes"),
         budget=int(params.get("budget", 40)),
         out_csv=csv_path,
         out_svg=svg_path,

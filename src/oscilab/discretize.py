@@ -1,14 +1,15 @@
 """Finite Hermitian matrix realizations of the operators under study.
 
 Grids are uniform 1D boxes (line, half-line, or periodic). Matrices carry a
-structured storage tag (tridiagonal, diagonal, imaginary tridiagonal, Fourier
-multiplier, dense) so that large scans can exploit structure while small
-diagnostics may materialize dense entries. Functional calculus (operator
-weights) is exact eigendecomposition, never a series approximation.
+structured storage tag (tridiagonal, diagonal, imaginary tridiagonal,
+dense) so that large scans can exploit structure while small diagnostics
+may materialize dense entries. Functional calculus (operator weights) is
+exact eigendecomposition, never a series approximation.
 
-Boundary conditions are Dirichlet wherever a choice must be made; periodic
-grids exist for the Fourier-multiplier operators (free oracles and the
-relativistic construction).
+Hamiltonians are central differences with Dirichlet ends, on line and
+half-line grids only. Periodic grids carry the Fourier calculus of the
+relativistic construction and the smoothed compactness probe, which work
+on arrays and build no OperatorMatrix.
 """
 
 from dataclasses import dataclass
@@ -180,12 +181,6 @@ def _select(values, window):
     return values[idx], idx
 
 
-def _fourier_modes(n, idx):
-    """Orthonormal plane-wave eigenvectors for the selected FFT mode indices."""
-    k = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(k, np.asarray(idx)) / n) / np.sqrt(n)
-
-
 def _tridiagonal_eig(d, e, window, eigvals_only=False):
     kwargs = {} if window is None else {"select": "v", "select_range": window}
     return eigh_tridiagonal(d, e, eigvals_only=eigvals_only, **kwargs)
@@ -259,27 +254,6 @@ def _itri_eig(T, window):
     return w, np.conj(phase)[:, None] * vb
 
 
-# fourier -- data: multiplier (n) real, FFT mode order
-
-
-def _fourier_entries(T):
-    f = np.fft.fft(np.eye(T.grid.n), axis=0, norm="ortho")
-    return (f.conj().T * T.data["multiplier"]) @ f
-
-
-def _fourier_matvec(T, v):
-    mult = T.data["multiplier"]
-    out = np.fft.ifft(_column(mult, v) * np.fft.fft(v, axis=0), axis=0)
-    if np.isrealobj(v) and np.all(np.isreal(mult)):
-        return out.real
-    return out
-
-
-def _fourier_eig(T, window):
-    w, idx = _select(T.data["multiplier"], window)
-    return w, _fourier_modes(T.grid.n, idx)
-
-
 # dense -- data: mat (n, n) Hermitian
 
 
@@ -298,10 +272,6 @@ def _counted(eigvals):
 
 def _diag_eigvals(T, win):
     return _select(T.data["d"], win)[0]
-
-
-def _fourier_eigvals(T, win):
-    return _select(T.data["multiplier"], win)[0]
 
 
 def _dense_eigvals(T, win):
@@ -331,10 +301,6 @@ _STORAGE = {
         _itri_entries, _itri_matvec, _itri_eig,
         lambda T, win: _tridiagonal_eig(np.zeros(T.grid.n), T.data["s"], win, True),
         lambda T, win: _sturm_count(np.zeros(T.grid.n), T.data["s"], win),
-    ),
-    "fourier": _Storage(
-        _fourier_entries, _fourier_matvec, _fourier_eig,
-        _fourier_eigvals, _counted(_fourier_eigvals),
     ),
     "dense": _Storage(
         lambda T: T.data["mat"], lambda T, v: T.data["mat"] @ v, _dense_eig,
@@ -429,13 +395,18 @@ def eigvals_window(T, lo, hi):
 # builders
 
 
-def build_h0(grid):
-    """Free Hamiltonian |P|^2: central-difference Dirichlet Laplacian, or the
-    exact Fourier multiplier xi^2 on periodic grids."""
+def _require_box(grid):
     if grid.kind == "periodic":
-        return OperatorMatrix(
-            grid, "free", "h0", "fourier", {"multiplier": grid.xi**2}
+        raise InvariantViolation(
+            "hamiltonian-grid",
+            "Hamiltonians are finite differences on line or halfline grids, "
+            "not on periodic grids",
         )
+
+
+def build_h0(grid):
+    """Free Hamiltonian |P|^2: the central-difference Dirichlet Laplacian."""
+    _require_box(grid)
     h = grid.h
     d = np.full(grid.n, 2.0 / h**2)
     e = np.full(grid.n - 1, -1.0 / h**2)
@@ -464,25 +435,12 @@ def build_radial_channel(grid, alpha_channel):
     )
 
 
-def build_schrodinger(grid, V, channel=None):
-    """Hamiltonian H = H0 (+ channel term) + V(Q) as a diagonal perturbation."""
-    if V is None and channel is None:
+def build_schrodinger(grid, V):
+    """Hamiltonian H = H0 + V(Q), V a diagonal perturbation of H0."""
+    if V is None:
         return build_h0(grid)
-    vvals = eval_potential(V, grid.x) if V is not None else np.zeros(grid.n)
-    vvals = np.atleast_1d(np.asarray(vvals, dtype=float))
-    if channel is not None:
-        if grid.kind != "halfline":
-            raise InvariantViolation(
-                "channel-grid", "channel terms need a halfline grid"
-            )
-        vvals = vvals + channel / grid.x**2
-    if grid.kind == "periodic":
-        if not np.any(vvals):
-            return build_h0(grid)
-        f = np.fft.fft(np.eye(grid.n), axis=0, norm="ortho")
-        mat = (f.conj().T * grid.xi**2) @ f + np.diag(vvals).astype(complex)
-        mat = 0.5 * (mat + mat.conj().T)
-        return OperatorMatrix(grid, "hamiltonian", "h", "dense", {"mat": mat})
+    _require_box(grid)
+    vvals = np.atleast_1d(np.asarray(eval_potential(V, grid.x), dtype=float))
     h = grid.h
     d = 2.0 / h**2 + vvals
     e = np.full(grid.n - 1, -1.0 / h**2)

@@ -168,53 +168,39 @@ def _spectral_norm_route(H, W, z):
     return float(np.linalg.norm(M, 2))
 
 
-def weighted_resolvent_norm(H, W, z, method="auto", tol=1e-12, max_iters=600):
+def _require_banded(H, W=None):
+    """Reject any pair the tridiagonal-LU kernel does not take, by name."""
+    if H.storage != "tridiagonal":
+        raise InvariantViolation(
+            "norm-route", f"the LU norm kernel needs tridiagonal H, got {H.storage}"
+        )
+    if W is not None and W.storage not in _BANDED_WEIGHT:
+        raise InvariantViolation(
+            "norm-route",
+            f"the LU norm kernel needs a diagonal or dense W, got {W.storage}",
+        )
+
+
+def weighted_resolvent_norm(H, W, z, tol=1e-12, max_iters=600):
     """Largest singular value of W (H - z)^{-1} W.
 
-    The resolvent is applied exactly, on the matrix: for tridiagonal H
-    (diagonal or dense W) and Fourier H (diagonal W) by subspace iteration
-    on the squared operator with LU or FFT applies; otherwise, and for
-    method="spectral", through a dense eigendecomposition of H. Both routes
-    agree to solver precision and the dense one is kept as a cross-check.
+    H must be tridiagonal and W diagonal or dense; any other pair raises
+    norm-route. The resolvent is applied exactly, by LU solves of H - z,
+    inside a subspace iteration on the squared operator; an iteration that
+    does not converge raises norm-convergence. _spectral_norm_route is the
+    dense cross-check.
     """
     z = complex(z)
     if z.imag == 0.0:
         raise InvariantViolation("imag-z", "need Im z != 0")
+    _require_banded(H, W)
     _check_weight(W)
-    if method not in ("auto", "spectral", "iterative"):
-        raise InvariantViolation("norm-method", f"unknown method {method!r}")
-    if method == "spectral":
-        return _spectral_norm_route(H, W, z)
-    diag_pair = H.storage == "diagonal" and W.storage == "diagonal"
-    if diag_pair:
-        return float(np.max(np.abs(W.data["d"] ** 2 / (H.data["d"] - z))))
-    if H.storage == "tridiagonal" and W.storage in _BANDED_WEIGHT:
-        norm, iters, converged, _ = _banded_norm(
-            H.data["d"], H.data["e"], W.data[_BANDED_WEIGHT[W.storage]], z,
-            tol=tol, max_iters=max_iters,
-        )
-        _blocknorm._require_converged(iters, converged, f"at z={z}")
-        return norm
-    if H.storage == "fourier" and W.storage == "diagonal":
-        coef = 1.0 / (H.data["multiplier"] - z)
-        wdiag = W.data["d"][:, None]
-
-        def apply_mhm(V):
-            Y = wdiag * np.fft.ifft(coef[:, None] * np.fft.fft(wdiag * V, axis=0), axis=0)
-            return wdiag * np.fft.ifft(
-                np.conj(coef)[:, None] * np.fft.fft(wdiag * Y, axis=0), axis=0
-            )
-
-        lam, iters, converged, _ = _blocknorm._subspace_norm_sq(
-            apply_mhm, H.shape[0], tol=tol, max_iters=max_iters
-        )
-        _blocknorm._require_converged(iters, converged, f"at z={z}")
-        return float(np.sqrt(lam))
-    if method == "iterative":
-        raise InvariantViolation(
-            "norm-route", "no iterative route for this storage combination"
-        )
-    return _spectral_norm_route(H, W, z)
+    norm, iters, converged, _ = _banded_norm(
+        H.data["d"], H.data["e"], W.data[_BANDED_WEIGHT[W.storage]], z,
+        tol=tol, max_iters=max_iters,
+    )
+    _blocknorm._require_converged(iters, converged, f"at z={z}")
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +275,6 @@ def _free_dirichlet_eigs(grid):
     return (2.0 - 2.0 * np.cos(j * np.pi / (n + 1))) / h**2
 
 
-def _count_spectrum(H, lo, hi):
-    if H.kind == "free" and H.storage == "tridiagonal":
-        ev = _free_dirichlet_eigs(H.grid)
-        return int(np.searchsorted(ev, hi, "right") - np.searchsorted(ev, lo, "left"))
-    return _STORAGE[H.storage].count(H, (lo, hi))
-
-
 def _standard_ladder(floor, im_max=1.0):
     top = max(im_max, 14.0 * floor)
     K = max(4, int(np.ceil(np.log(top / (1.4 * floor)) / np.log(1.8))) + 1)
@@ -323,13 +302,11 @@ def _verdict(p, stability):
     return "inconclusive"
 
 
-def schrodinger_line_factory(h, kind="line"):
+def schrodinger_line_factory(h):
     """factory(V, L) building H = H0 + V on a symmetric box of half-length L."""
 
     def factory(V, L):
-        if kind == "line":
-            return build_schrodinger(line_grid(L, h), V)
-        raise InvariantViolation("factory-kind", f"unknown grid kind {kind!r}")
+        return build_schrodinger(line_grid(L, h), V)
 
     return factory
 
@@ -337,8 +314,9 @@ def schrodinger_line_factory(h, kind="line"):
 def lap_scan(factory, V, spec):
     """Weighted resolvent scan over (Re z, Im z, box) with exponent fit.
 
-    factory(V, L) must return the Hamiltonian OperatorMatrix on box L. The
-    interval is assumed pre-screened for genuine embedded eigenvalues.
+    factory(V, L) must return the tridiagonal Hamiltonian OperatorMatrix on
+    box L; any other storage raises norm-route. The interval is assumed
+    pre-screened for genuine embedded eigenvalues.
     Norms walk down the Im z ladder with warm-started subspaces; the ladder
     floors at 10x the mean level spacing of H inside the interval (reported
     in the result, together with the spacing itself).
@@ -349,7 +327,8 @@ def lap_scan(factory, V, spec):
 
     spacing = 0.0
     for L, H in hams.items():
-        count = _count_spectrum(H, lo, hi)
+        _require_banded(H)
+        count = _STORAGE[H.storage].count(H, (lo, hi))
         if count == 0:
             raise InvariantViolation(
                 "interval-spectrum", f"no spectrum of H in the interval at L={L:g}"
@@ -377,15 +356,11 @@ def lap_scan(factory, V, spec):
         else:
             W = build_weight(grid, spec.s, operator_basis=build_conjugate_A(grid))
         _check_weight(W)
-        free_fast = (
-            H.kind == "free" and H.storage == "tridiagonal" and spec.s == 0.0
-        )
+        free_fast = H.kind == "free" and spec.s == 0.0
         ev = _free_dirichlet_eigs(grid) if free_fast else None
-        banded = H.storage == "tridiagonal" and W.storage in _BANDED_WEIGHT
-        if banded:
-            w = W.data[_BANDED_WEIGHT[W.storage]]
-            # W^2 for the dense weight, formed once per box
-            w2 = w @ w if w.ndim == 2 else None
+        w = W.data[_BANDED_WEIGHT[W.storage]]
+        # W^2 for the dense weight, formed once per box
+        w2 = w @ w if w.ndim == 2 else None
         box_p = []
         box_sup = 0.0
         for re_z in re_grid:
@@ -399,14 +374,12 @@ def lap_scan(factory, V, spec):
                     near = ev[max(j - 1, 0) : j + 1]
                     dre = float(np.min(np.abs(near - re_z)))
                     val = 1.0 / float(np.hypot(dre, eta))
-                elif banded:
+                else:
                     val, iters, converged, X = _banded_norm(
                         H.data["d"], H.data["e"], w, z, X=X, w2=w2
                     )
                     _blocknorm._require_converged(iters, converged, f"at z={z}")
                     iterations.append(iters)
-                else:
-                    val = weighted_resolvent_norm(H, W, z)
                 norms.append(val)
                 rows.append((float(re_z), float(eta), float(L), float(val)))
             box_p.append(_fit_exponent(ladder, norms, floor))
@@ -487,15 +460,10 @@ def _analytic_commutator(H):
     checks; the analytic realization does not. V' is recovered from the
     stored diagonal by centered differences.
     """
-    if H.storage == "fourier":
-        return OperatorMatrix(
-            H.grid, "hamiltonian", "[H,iA]", "fourier",
-            {"multiplier": 2.0 * H.data["multiplier"]},
-        )
     if H.storage != "tridiagonal":
         raise InvariantViolation(
             "commutator-route",
-            "analytic commutator needs tridiagonal or fourier H; "
+            "analytic commutator needs tridiagonal H; "
             "pass an explicit commutator operator instead",
         )
     grid = H.grid

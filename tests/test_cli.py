@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import oscilab
 import oscilab.lap
 from oscilab.cli import RunConfig, list_commands, main, run
@@ -203,6 +205,67 @@ def test_non_object_phi_exits_2(tmp_path, capsys):
     assert err["error"]["invariant"] == "params-type"
     assert "phi" in err["error"]["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, params, key",
+    [
+        ("find-embedded", {"window": "12"}, "window"),
+        ("find-embedded", {"window": [0.5, 1.0, 1.5]}, "window"),
+        ("lap-scan", {"interval": [0.5, 1.5], "boxes": "400"}, "boxes"),
+        ("lap-scan", {"interval": [0.5, 1.5], "im_ladder": 0.1}, "im_ladder"),
+        ("phase-diagram", {"windows": {"below": [0.2]}, "alphas": [1.0],
+                           "betas": [1.0]}, "windows.below"),
+        ("phase-diagram", {"windows": {"below": [0.2, 0.6]}, "alphas": 1.0,
+                           "betas": [1.0]}, "alphas"),
+        ("compactness-probe", {"mode": "smoothed_multiplier", "alpha": 2.0, "k": 1.0,
+                               "smoothing_orders": [2, 2, 2]}, "smoothing_orders"),
+    ],
+    ids=["window-string", "window-triple", "boxes-string", "im_ladder-number",
+         "windows-entry-single", "alphas-number", "smoothing_orders-triple"],
+)
+def test_list_params_of_the_wrong_shape_exit_2(tmp_path, capsys, command, params, key):
+    doc = {"command": command, "params": params, "output_dir": str(tmp_path / "out")}
+    code = run(write_config(tmp_path, doc))
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err["error"]["invariant"] == "params-type"
+    assert repr(key) in err["error"]["message"]
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, invariant",
+    [("seed", True, "seed-type"), ("output_dir", 5, "output-dir-type")],
+)
+def test_run_config_checks_its_own_fields(tmp_path, capsys, field, value, invariant):
+    doc = {
+        "command": "verify-wvn",
+        "params": {"x_max": 5.0, "step": 0.01},
+        "output_dir": str(tmp_path / "out"),
+        field: value,
+    }
+    code = run(write_config(tmp_path, doc))
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err["error"]["invariant"] == invariant
+    assert field in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_csv_key_is_unknown(tmp_path, capsys):
+    doc = {
+        "command": "compactness-probe",
+        "params": {"window": [0.3, 0.8], "k": 2.0, "radii": [5.0, 10.0], "L": 40.0,
+                   "h": 0.1, "sweep_csv": "../escaped.csv"},
+        "output_dir": str(tmp_path / "out"),
+    }
+    code = run(write_config(tmp_path, doc))
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err["error"]["invariant"] == "param-unknown"
+    assert "'sweep_csv'" in err["error"]["message"]
+    assert not (tmp_path / "escaped.csv").exists()
 
 
 def _benchmark_catalog():

@@ -86,14 +86,6 @@ def test_h0_halfline_box_lowest_eigenvalue():
     assert abs(w[0] - 1.0) < 1e-3
 
 
-def test_h0_periodic_exact_multiplier():
-    g = periodic_grid(6.0, 48)
-    T = build_h0(g)
-    assert T.storage == "fourier"
-    want = (2.0 * np.pi * np.fft.fftfreq(48, d=g.h)) ** 2
-    assert np.array_equal(T.data["multiplier"], want)
-
-
 # ---------------------------------------------------------------------------
 # channel and Schrodinger builders
 
@@ -129,15 +121,14 @@ def test_schrodinger_diagonal_perturbation():
     assert np.array_equal(H0.data["d"], free.data["d"])
 
 
-def test_schrodinger_periodic_with_potential_is_dense_hermitian():
+def test_hamiltonians_reject_a_periodic_grid():
     g = periodic_grid(10.0, 64)
     V = CustomSample(x=(-5.0, 0.0, 5.0), values=(0.0, 1.0, 0.0))
-    H = build_schrodinger(g, V)
-    assert H.storage == "dense"
-    mat = H.entries
-    assert np.linalg.norm(mat - mat.conj().T) <= 1e-14 * np.linalg.norm(mat)
-    H0 = build_schrodinger(g, None)
-    assert H0.storage == "fourier"
+    for build in (lambda: build_h0(g), lambda: build_schrodinger(g, V),
+                  lambda: build_schrodinger(g, None)):
+        with pytest.raises(InvariantViolation) as err:
+            build()
+        assert err.value.invariant == "hamiltonian-grid"
 
 
 def test_schrodinger_constant_shift_moves_spectrum():
@@ -373,13 +364,11 @@ def test_eig_window_subset_of_full():
 
 def _one_operator_per_storage():
     line = line_grid(4.0, 0.25)
-    bump = CustomSample(x=(-5.0, 0.0, 5.0), values=(0.0, 1.0, 0.0))
     return {
         "tridiagonal": build_schrodinger(line, WignerVonNeumann1D()),
         "diagonal": build_weight(line, 0.6),
         "imag_tridiagonal": build_conjugate_A(line),
-        "fourier": build_h0(periodic_grid(6.0, 48)),
-        "dense": build_schrodinger(periodic_grid(10.0, 48), bump),
+        "dense": build_weight(line, 0.6, operator_basis=build_conjugate_A(line)),
     }
 
 

@@ -17,7 +17,6 @@ from oscilab.discretize import (
     build_weight,
     eig_window,
     line_grid,
-    periodic_grid,
 )
 import oscilab.discretize
 import oscilab.lap
@@ -26,6 +25,7 @@ from oscilab.errors import InvariantViolation
 from oscilab.lap import (
     LapScanSpec,
     _banded_norm,
+    _spectral_norm_route,
     lap_scan,
     mourre_at_infinity_check,
     mourre_check,
@@ -49,18 +49,6 @@ from oscilab.potentials import (
 # weighted resolvent norms
 
 
-def test_norm_diagonal_pair_closed_form():
-    grid = periodic_grid(8.0, 16)
-    d = np.linspace(0.0, 7.5, 16)
-    w = np.linspace(0.2, 1.4, 16)
-    H = OperatorMatrix(grid, "hamiltonian", "h", "diagonal", {"d": d})
-    W = OperatorMatrix(grid, "weight", "w", "diagonal", {"d": w})
-    z = 3.3 + 0.1j
-    want = np.max(np.abs(w**2 / (d - z)))
-    got = weighted_resolvent_norm(H, W, z)
-    assert got == pytest.approx(want, rel=1e-13)
-
-
 def test_norm_identity_weight_is_inverse_distance():
     g = line_grid(10.0, 0.25)
     H = build_h0(g)
@@ -78,18 +66,8 @@ def test_norm_banded_and_dense_routes_agree():
     W = build_weight(g, 0.51)
     z = 1.0 + 0.05j
     banded = weighted_resolvent_norm(H, W, z)
-    dense = weighted_resolvent_norm(H, W, z, method="spectral")
+    dense = _spectral_norm_route(H, W, z)
     assert banded == pytest.approx(dense, rel=1e-9)
-
-
-def test_norm_fourier_route_matches_dense():
-    g = periodic_grid(20.0, 128)
-    H = build_h0(g)
-    W = build_weight(g, 0.6)
-    z = 0.7 + 0.03j
-    fast = weighted_resolvent_norm(H, W, z)
-    dense = weighted_resolvent_norm(H, W, z, method="spectral")
-    assert fast == pytest.approx(dense, rel=1e-9)
 
 
 def test_norm_far_z_weight_bound():
@@ -129,13 +107,29 @@ def test_norm_real_z_rejected():
     assert err.value.invariant == "imag-z"
 
 
-def test_norm_unknown_method_rejected():
+def test_norm_rejects_pairs_off_the_lu_kernel():
     g = line_grid(5.0, 0.5)
     H = build_h0(g)
     W = build_weight(g, 0.51)
+    z = 1.0 + 0.1j
+    diagonal_H = OperatorMatrix(g, "hamiltonian", "h", "diagonal", {"d": H.data["d"]})
+    dense_H = OperatorMatrix(g, "hamiltonian", "h", "dense", {"mat": H.entries})
+    A = build_conjugate_A(g)
+    for bad_H, bad_W in ((diagonal_H, W), (dense_H, W), (H, A), (H, H)):
+        with pytest.raises(InvariantViolation) as err:
+            weighted_resolvent_norm(bad_H, bad_W, z)
+        assert err.value.invariant == "norm-route"
+
+
+def test_scan_rejects_a_hamiltonian_off_the_lu_kernel():
+    def dense_factory(V, L):
+        H = schrodinger_line_factory(0.25)(V, L)
+        return OperatorMatrix(H.grid, "hamiltonian", "h", "dense", {"mat": H.entries})
+
+    spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, box_list=(5.0, 10.0))
     with pytest.raises(InvariantViolation) as err:
-        weighted_resolvent_norm(H, W, 1.0 + 0.1j, method="banana")
-    assert err.value.invariant == "norm-method"
+        lap_scan(dense_factory, None, spec)
+    assert err.value.invariant == "norm-route"
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +200,6 @@ def test_norm_iteration_cap_is_reported_and_raises():
     with pytest.raises(InvariantViolation) as err:
         weighted_resolvent_norm(H, W, z, max_iters=2)
     assert err.value.invariant == "norm-convergence"
-    gp = periodic_grid(20.0, 128)
-    with pytest.raises(InvariantViolation) as err:
-        weighted_resolvent_norm(
-            build_h0(gp), build_weight(gp, 0.6), 0.7 + 0.03j, max_iters=2
-        )
-    assert err.value.invariant == "norm-convergence"
 
 
 def test_scan_rows_match_the_dense_route_down_to_the_floor():
@@ -225,7 +213,7 @@ def test_scan_rows_match_the_dense_route_down_to_the_floor():
     picked = (etas[0], etas[len(etas) // 2], etas[-1])
     assert picked[-1] == res.im_floor
     for eta in picked:
-        dense = weighted_resolvent_norm(H, W, complex(1.0, eta), method="spectral")
+        dense = _spectral_norm_route(H, W, complex(1.0, eta))
         assert rows[(1.0, eta)] == pytest.approx(dense, rel=1e-9)
 
 
@@ -258,7 +246,7 @@ def test_conjugate_A_scan_rows_match_the_dense_route(potential):
         assert (H.storage, W.storage) == ("tridiagonal", "dense")
         for re_z, eta, _, norm in (r for r in res.rows if r[2] == L):
             z = complex(re_z, eta)
-            dense = weighted_resolvent_norm(H, W, z, method="spectral")
+            dense = _spectral_norm_route(H, W, z)
             assert norm == pytest.approx(dense, rel=1e-9)
             if eta == res.im_floor:
                 auto = weighted_resolvent_norm(H, W, z)
