@@ -376,6 +376,7 @@ def _cmd_lap_scan(params, out_dir, seed):
         "im_floor": result.im_floor,
         "level_spacing": result.level_spacing,
         "norm_iterations": result.norm_iterations,
+        "norm_residual_max": result.norm_residual_max,
     }
     return [csv_path, json_path], disclosures
 
@@ -434,6 +435,7 @@ def _cmd_mourre_check(params, out_dir, seed):
 def _cmd_compactness_probe(params, out_dir, seed):
     mode = params.get("mode", "windowed_channel")
     outputs = []
+    disclosures = {}
     if mode == "windowed_channel":
         L = float(params.get("L", 400.0))
         h = float(params.get("h", 0.025))
@@ -476,12 +478,16 @@ def _cmd_compactness_probe(params, out_dir, seed):
             seed=seed,
         )
         doc = tail_report_to_json(report)
+        disclosures = {
+            "norm_iterations": list(report.norm_iterations),
+            "norm_residual_max": report.norm_residual_max,
+        }
     else:
         raise InvariantViolation("probe-mode", f"unknown probe mode {mode!r}")
     path = os.path.join(out_dir, "probe.json")
     _write_json(doc, path)
     outputs.append(path)
-    return outputs, {}
+    return outputs, disclosures
 
 
 def _cmd_phase_diagram(params, out_dir, seed):

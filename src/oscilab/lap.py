@@ -122,33 +122,36 @@ def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, seed=0, X=None, w2=None):
     w is W's diagonal (a vector; O(n) per apply) or W itself (a dense
     matrix; one GEMM per weight multiply). For a dense W, w2 = W^2 may be
     passed so that a scan forms it once per box. Returns (norm, iterations,
-    converged, X) as _subspace_norm_sq does.
+    converged, X, residual) as _subspace_norm_sq does.
     """
     solve = _tridiag_solver(d, e, z)
+    # each apply returns (M^H M V, (M V)^H (M V)) for M = W (H - z)^{-1} W
     if w.ndim == 1:
         w = w[:, None]
-        w2 = w * w
 
         def apply_mhm(V):
             V *= w
             V = solve(V, "N")
-            V *= w2
+            V *= w
+            R = _blocknorm._gram(V)
+            V *= w
             V = solve(V, "C")
             V *= w
-            return V
+            return V, R
 
     else:
         w2 = w @ w if w2 is None else w2
 
         def apply_mhm(V):
-            V = solve(w @ V, "N")
-            V = solve(w2 @ V, "C")
-            return w @ V
+            U = solve(w @ V, "N")
+            T = w2 @ U
+            R = _blocknorm._gemm(1.0, U, T, trans_a=2)
+            return w @ solve(T, "C"), R
 
-    lam, iters, converged, X = _blocknorm._subspace_norm_sq(
+    lam, iters, converged, X, residual = _blocknorm._subspace_norm_sq(
         apply_mhm, len(d), tol=tol, max_iters=max_iters, seed=seed, X=X
     )
-    return float(np.sqrt(lam)), iters, converged, X
+    return float(np.sqrt(lam)), iters, converged, X, residual
 
 
 # the data key of W's operand for _banded_norm, per weight storage
@@ -195,7 +198,7 @@ def weighted_resolvent_norm(H, W, z, tol=1e-12, max_iters=600):
         raise InvariantViolation("imag-z", "need Im z != 0")
     _require_banded(H, W)
     _check_weight(W)
-    norm, iters, converged, _ = _banded_norm(
+    norm, iters, converged, _, _ = _banded_norm(
         H.data["d"], H.data["e"], W.data[_BANDED_WEIGHT[W.storage]], z,
         tol=tol, max_iters=max_iters,
     )
@@ -266,6 +269,9 @@ class LapScanResult:
     # block iterations of the tridiagonal-LU norm kernel, summed over the
     # rows and the largest per row: {"total", "max"}
     norm_iterations: dict = None
+    # largest relative Ritz residual the kernel stopped on over the rows
+    # (0.0 when no row ran the kernel)
+    norm_residual_max: float = 0.0
 
 
 def _free_dirichlet_eigs(grid):
@@ -348,6 +354,7 @@ def lap_scan(factory, V, spec):
     p_values = []
     sup_by_box = {}
     iterations = []
+    residuals = []
     for L in spec.box_list:
         H = hams[L]
         grid = H.grid
@@ -375,11 +382,12 @@ def lap_scan(factory, V, spec):
                     dre = float(np.min(np.abs(near - re_z)))
                     val = 1.0 / float(np.hypot(dre, eta))
                 else:
-                    val, iters, converged, X = _banded_norm(
+                    val, iters, converged, X, residual = _banded_norm(
                         H.data["d"], H.data["e"], w, z, X=X, w2=w2
                     )
                     _blocknorm._require_converged(iters, converged, f"at z={z}")
                     iterations.append(iters)
+                    residuals.append(residual)
                 norms.append(val)
                 rows.append((float(re_z), float(eta), float(L), float(val)))
             box_p.append(_fit_exponent(ladder, norms, floor))
@@ -409,6 +417,7 @@ def lap_scan(factory, V, spec):
         level_spacing=float(spacing),
         box_reports=box_reports,
         norm_iterations={"total": sum(iterations), "max": max(iterations, default=0)},
+        norm_residual_max=float(max(residuals, default=0.0)),
     )
 
 

@@ -12,12 +12,12 @@ over growing radii: vanishing tails certify compactness, a plateau measures
 the non-compact part.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 import csv
 import os
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, get_blas_funcs
 
 from . import _blocknorm
 from ._smooth import smoothstep_quintic
@@ -37,6 +37,8 @@ __all__ = [
     "tail_report_to_json",
     "append_sweep_csv",
 ]
+
+(_gemv,) = get_blas_funcs(("gemv",), dtype=complex)
 
 # verdict thresholds for embedded candidates (the numerical reading of
 # "embedded eigenvalue": localized and stable under box doubling)
@@ -139,6 +141,11 @@ class TailDecayReport:
     plateau_estimate: float
     verdict: str
     operator_norm: float = float("nan")
+    # block iterations per radius and the largest relative Ritz residual of
+    # the iterative corner norms (empty and 0.0 for the dense channel probe);
+    # run disclosures, left out of tail_report_to_json
+    norm_iterations: tuple = ()
+    norm_residual_max: float = 0.0
 
 
 def _make_report(radii, norms, op_norm=float("nan")):
@@ -269,7 +276,14 @@ def oscillation_compactness_probe(
     multiplier carries the standard unit cutoff around the origin and a
     seam cutoff that keeps it away from the periodic wrap-around. Corner
     norms use a smooth radial cutoff and a block subspace iteration on the
-    corner's Gram operator (deterministic under the seed).
+    corner's Gram operator, stopped at a relative Ritz residual of
+    sqrt(tol). The first radius starts from a random block (deterministic
+    under the seed, like every random column below). Every later radius is
+    warm-started: it keeps the
+    previous radius's top Ritz directions, which already span the top of a
+    nearby corner, and replaces the last one by a random column, so that a
+    top which moves to where the previous block had decayed is still found.
+    The report carries the iterations per radius and the largest residual.
     """
     if grid.kind != "periodic":
         raise InvariantViolation("probe-grid", "probe needs a periodic grid")
@@ -289,42 +303,86 @@ def oscillation_compactness_probe(
     xi = grid.xi
     wl1 = (1.0 + xi * xi) ** (-l1 / 2.0)
     wl2 = (1.0 + xi * xi) ** (-l2 / 2.0)
-    norms = []
-    for R in radii:
+    # grid-size arrays read no more: freed before the block iteration's own
+    del x, live, seam, xi
+    norms, iterations, residuals = [], [], []
+    rng = np.random.default_rng(seed)
+    # the first start block, orthonormalised in place by CholeskyQR2: numpy's
+    # Householder QR copies an n x 4 block four times, the op's largest
+    # transient at n = 32768
+    X = _blocknorm._random_block(len(mult), _CORNER_BLOCK, rng)
+    X = _blocknorm._orthonormalise(X, _blocknorm._gram(X))
+    for i, R in enumerate(radii):
         chi = smoothstep_quintic((ax - R) / max(0.05 * R, 2.0 * h))
-        norms.append(
-            _fourier_corner_norm(mult, wl1, wl2, chi, tol=tol, iters=max_iters, seed=seed)
+        if i > 0:
+            _replace_last_column_at_random(X, rng)
+        norm, its, residual, X = _fourier_corner_norm(
+            mult, wl1, wl2, chi, tol=tol, iters=max_iters, X=X
         )
-    return _make_report(radii, norms)
+        norms.append(norm)
+        iterations.append(its)
+        residuals.append(residual)
+    return replace(
+        _make_report(radii, norms),
+        norm_iterations=tuple(iterations),
+        norm_residual_max=float(max(residuals)),
+    )
 
 
-def _fourier_corner_norm(mult, wl1, wl2, chi, block=4, iters=200, tol=1e-6, seed=0):
+def _replace_last_column_at_random(X, rng):
+    """Overwrite X's last column by a random unit column orthogonal to the rest.
+
+    X has orthonormal columns; so does the result. Classical Gram-Schmidt,
+    run twice, against the kept columns.
+    """
+    kept = X[:, :-1]
+    g = _blocknorm._random_block(X.shape[0], 1, rng)[:, 0]
+    for _ in range(2):
+        g -= _gemv(1.0, kept, _gemv(1.0, kept, g, trans=2))
+    X[:, -1] = g / np.linalg.norm(g)
+
+
+# columns of the probe's block
+_CORNER_BLOCK = 4
+
+
+def _fourier_corner_norm(mult, wl1, wl2, chi, iters=200, tol=1e-6, X=None):
     """||chi M chi|| for M = W1(P) diag(mult) W2(P), by block subspace iteration.
 
     The iterated operator is the Gram operator chi M^H chi^2 M chi of the
-    corner; raises norm-convergence when iters runs out.
+    corner, applied in place: eight FFTs into the block itself and real
+    multiplies, no n x block temporaries; the Rayleigh quotient is the Gram
+    matrix of the half-way block chi M chi X. X is an optional orthonormal
+    start block (taken over by the kernel). Returns (norm, iterations,
+    residual, X) with the final orthonormal block X, top Ritz direction
+    first; raises norm-convergence when iters runs out.
     """
     fft, ifft = np.fft.fft, np.fft.ifft
     mult, wl1, wl2, chi = (a[:, None] for a in (mult, wl1, wl2, chi))
-    chi2 = chi * chi
+    # the corner chi M chi, and its adjoint, as (Fourier weight, position
+    # factor) stages after a first multiply by chi
+    half = ((wl2, mult), (wl1, chi))
+    adjoint = ((wl1, mult), (wl2, chi))
 
-    def apply_mhm(V):
+    def apply_stages(V, stages):
         V *= chi
-        V = ifft(wl2 * fft(V, axis=0), axis=0)
-        V *= mult
-        V = ifft(wl1 * fft(V, axis=0), axis=0)
-        V *= chi2
-        V = ifft(wl1 * fft(V, axis=0), axis=0)
-        V *= mult
-        V = ifft(wl2 * fft(V, axis=0), axis=0)
-        V *= chi
+        for wl, factor in stages:
+            fft(V, axis=0, out=V)
+            V *= wl
+            ifft(V, axis=0, out=V)
+            V *= factor
         return V
 
-    lam, its, converged, _ = _blocknorm._subspace_norm_sq(
-        apply_mhm, len(mult), block=block, tol=tol, max_iters=iters, seed=seed
+    def apply_mhm(V):
+        V = apply_stages(V, half)
+        R = _blocknorm._gram(V)
+        return apply_stages(V, adjoint), R
+
+    lam, its, converged, X, residual = _blocknorm._subspace_norm_sq(
+        apply_mhm, len(mult), block=_CORNER_BLOCK, tol=tol, max_iters=iters, X=X
     )
     _blocknorm._require_converged(its, converged, "of the corner chi M chi")
-    return float(np.sqrt(lam))
+    return float(np.sqrt(lam)), its, residual, X
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +397,7 @@ def candidate_to_json(c):
 def tail_report_to_json(rep):
     """TailDecayReport as a JSON-compatible dict."""
     d = asdict(rep)
+    del d["norm_iterations"], d["norm_residual_max"]
     d["radii"] = list(d["radii"])
     d["tail_norms"] = list(d["tail_norms"])
     return d

@@ -148,7 +148,7 @@ def test_compute_failure_exits_1(tmp_path, capsys):
 
 def test_norm_convergence_failure_exits_1(tmp_path, capsys, monkeypatch):
     def unconverged(d, e, wdiag, z, **kwargs):
-        return 1.0, 600, False, None
+        return 1.0, 600, False, None, 1.0
 
     monkeypatch.setattr(oscilab.lap, "_banded_norm", unconverged)
     doc = {
@@ -365,6 +365,46 @@ def test_compactness_probe_run_smoothed_multiplier(tmp_path):
     norms = report["tail_norms"]
     assert all(b < a for a, b in zip(norms, norms[1:]))
     assert "verdict" in report
+
+
+_DISCLOSING_RUNS = {
+    "lap-scan": (
+        {"interval": [0.5, 1.5], "s": 0.51, "boxes": [20.0, 40.0], "h": 0.2},
+        "lap_scan.json",
+    ),
+    "compactness-probe": (
+        {"mode": "smoothed_multiplier", "alpha": 1.5, "k": 1.0, "L": 50.0,
+         "n": 2048, "radii": [5.0, 10.0, 20.0]},
+        "probe.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DISCLOSING_RUNS))
+def test_norm_kernel_runs_disclose_their_certificate(tmp_path, command):
+    params, name = _DISCLOSING_RUNS[command]
+    manifests = []
+    for run_dir in ("a", "b"):
+        doc = {"command": command, "params": params,
+               "output_dir": str(tmp_path / run_dir)}
+        assert run(write_config(tmp_path, doc, f"{run_dir}.json")) == 0
+        manifests.append(read_json(tmp_path / run_dir / "manifest.json"))
+        # disclosures sit in the manifest, not in the hashed outputs
+        output = read_json(tmp_path / run_dir / name)
+        assert "norm_residual_max" not in output
+        assert "norm_iterations" not in output
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
+    disclosed = manifests[0]["disclosures"]
+    assert disclosed == manifests[1]["disclosures"]
+    if command == "lap-scan":
+        # relative Ritz residual <= sqrt(tol) with the scan's tol = 1e-12
+        assert 0.0 < disclosed["norm_residual_max"] <= 1e-6
+        assert disclosed["norm_iterations"]["max"] >= 1
+    else:
+        # one iteration count per radius; the probe's tol is 1e-6
+        assert len(disclosed["norm_iterations"]) == len(params["radii"])
+        assert min(disclosed["norm_iterations"]) >= 1
+        assert 0.0 < disclosed["norm_residual_max"] <= 1e-3
 
 
 def test_construct_kg_run_reports_the_eigenvalue(tmp_path):

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from oscilab.discretize import (
@@ -163,12 +165,40 @@ def test_banded_norm_orthonormalises_by_cholesky_qr2(monkeypatch):
     W = build_weight(g, 0.51)
     z = 1.0 + 0.05j
     qr_calls = _counting_qr(monkeypatch)
-    norm, iters, converged, X = _banded_norm(H.data["d"], H.data["e"], W.data["d"], z)
+    norm, iters, converged, X, residual = _banded_norm(
+        H.data["d"], H.data["e"], W.data["d"], z
+    )
     # Householder QR only orthonormalises the random start block
     assert len(qr_calls) == 1
-    assert converged and iters > 4
+    # the kernel stops on its certificate: relative Ritz residual <= sqrt(tol)
+    assert converged and residual <= 1e-6
     assert np.allclose(X.conj().T @ X, np.eye(X.shape[1]), atol=1e-13)
     assert norm == pytest.approx(_dense_svd_norm(H, W, z), rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(16, 80),
+    seed=st.integers(0, 2**32 - 1),
+    conjugate_A=st.booleans(),
+    re_z=st.floats(-0.5, 4.5),
+    eta=st.floats(1e-3, 1.0),
+)
+def test_banded_norm_certifies_its_ritz_residual(n, seed, conjugate_A, re_z, eta):
+    rng = np.random.default_rng(seed)
+    grid = Grid1D("line", 0.1 * n, n)
+    d = rng.uniform(0.0, 4.0, n)
+    e = -rng.uniform(0.2, 1.5, n - 1)
+    H = OperatorMatrix(grid, "hamiltonian", "t", "tridiagonal", {"d": d, "e": e})
+    basis = build_conjugate_A(grid) if conjugate_A else None
+    W = build_weight(grid, rng.uniform(0.0, 2.0), operator_basis=basis)
+    z = complex(re_z, eta)
+    norm, _, converged, _, residual = _banded_norm(
+        d, e, W.data["mat" if conjugate_A else "d"], z
+    )
+    # the stop certifies a relative Ritz residual <= sqrt(tol), tol = 1e-12
+    assert converged and residual <= 1e-6
+    assert norm == pytest.approx(_spectral_norm_route(H, W, z), rel=1e-9)
 
 
 def test_banded_norm_singular_gram_falls_back_to_householder(monkeypatch):
@@ -180,7 +210,7 @@ def test_banded_norm_singular_gram_falls_back_to_householder(monkeypatch):
     # five copies of one column: the Gram matrix of the first block has rank 1
     X = np.repeat((col / np.linalg.norm(col))[:, None], 5, axis=1)
     qr_calls = _counting_qr(monkeypatch)
-    norm, _, converged, _ = _banded_norm(
+    norm, _, converged, _, _ = _banded_norm(
         H.data["d"], H.data["e"], W.data["d"], z, X=X
     )
     assert qr_calls
@@ -193,7 +223,7 @@ def test_norm_iteration_cap_is_reported_and_raises():
     H = build_schrodinger(g, WignerVonNeumann1D())
     W = build_weight(g, 0.51)
     z = 1.0 + 0.05j
-    _, iters, converged, _ = _banded_norm(
+    _, iters, converged, _, _ = _banded_norm(
         H.data["d"], H.data["e"], W.data["d"], z, max_iters=2
     )
     assert (iters, converged) == (2, False)
@@ -286,7 +316,7 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
     H = schrodinger_line_factory(0.2)(None, 10.0)
     W = _conjugate_A_weight(H)
     z = 1.0 + 0.05j
-    _, iters, converged, _ = _banded_norm(
+    _, iters, converged, _, _ = _banded_norm(
         H.data["d"], H.data["e"], W.data["mat"], z, max_iters=2
     )
     assert (iters, converged) == (2, False)
