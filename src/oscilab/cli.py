@@ -9,11 +9,17 @@ Runs are described by a JSON config file::
       "seed": 0
     }
 
-and dispatched to the compute modules. Every run writes its CSV/JSON/SVG
-artifacts plus a manifest with config echo, version, wall time, and a
-sha256 per output. Identical config + seed gives byte-identical outputs
-(the manifest's wall_time and blas_threads fields describe the run, not
-its outputs).
+and dispatched to the compute modules. ``_COMMANDS`` holds, per command, its
+handler, its description and its params table (key -> converter, default).
+``RunConfig`` decodes the params against that table before the output
+directory exists: an unknown key, a missing required key or a value of the
+wrong type exits 2, naming the key by its dotted path (``phi.R``,
+``potential.parts[0].beta``). Handlers read the decoded values only.
+
+Every run writes its CSV/JSON/SVG artifacts plus a manifest with config
+echo, version, wall time, and a sha256 per output. Identical config + seed
+gives byte-identical outputs (the manifest's wall_time and blas_threads
+fields describe the run, not its outputs).
 
 Exit codes: 0 success, 1 compute failure (error JSON on stderr), 2
 validation failure (error JSON on stdout). The error JSON names the violated
@@ -27,7 +33,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 
 from . import __version__
 from .construct import (
@@ -62,7 +68,13 @@ from .lap import (
     schrodinger_line_factory,
     weighted_mourre_check,
 )
-from .potentials import WeightFunctionSpec, potential_from_json
+from .potentials import (
+    WeightFunctionSpec,
+    _decode,
+    _decode_potential,
+    _floats,
+    _missing,
+)
 from .spectral import (
     append_sweep_csv,
     candidate_to_json,
@@ -75,92 +87,24 @@ from .spectral import (
 
 __all__ = ["RunConfig", "run", "list_commands", "main"]
 
-COMMANDS = (
-    "verify-wvn",
-    "construct-dirac",
-    "construct-kg",
-    "find-embedded",
-    "lap-scan",
-    "mourre-check",
-    "compactness-probe",
-    "phase-diagram",
-)
-
-_DESCRIPTIONS = {
-    "verify-wvn": "residual of the explicit bound state in -f'' + V f = E f "
-    "(1d and 3d-radial variants)",
-    "construct-dirac": "inverse construction of a radial Dirac channel whose "
-    "eigenvalue lambda > m sits inside the continuous spectrum",
-    "construct-kg": "square-root Klein-Gordon potential with the eigenvalue "
-    "sqrt(1+m^2) - m embedded in [0, inf)",
-    "find-embedded": "box-stability scan for embedded eigenvalues of H0 + V "
-    "inside an energy window",
-    "lap-scan": "weighted resolvent norms ||W (H - z)^{-1} W|| down an Im z "
-    "ladder with a divergence-exponent verdict",
-    "mourre-check": "commutator positivity on spectral windows: strict, "
-    "rank-deflated, psi-weighted, and localized-at-infinity forms",
-    "compactness-probe": "corner-norm decay ||chi_R M chi_R|| of windowed or "
-    "weight-smoothed oscillation operators",
-    "phase-diagram": "(alpha, beta) sweep of LAP verdicts below and above "
-    "the interference threshold k^2/4, with CSV + SVG",
-}
-
-
-# the top-level params keys each command reads; any other key is rejected
-_PARAMS = {
-    "verify-wvn": ("variant", "x_max", "step", "v_shift"),
-    "construct-dirac": (
-        "m", "lam", "kappa_rho", "u_decay", "match_radius", "phi_el", "L", "step",
-    ),
-    "construct-kg": ("m", "length", "n"),
-    "find-embedded": ("potential", "window", "boxes", "h", "drift_tol"),
-    "lap-scan": (
-        "potential", "interval", "s", "weight_kind", "re_points", "im_ladder",
-        "boxes", "h",
-    ),
-    "mourre-check": (
-        "kind", "window", "L", "h", "potential", "rank_budget", "phi", "s", "R",
-        "delta", "gamma", "trials",
-    ),
-    "compactness-probe": (
-        "mode", "L", "h", "window", "k", "radii", "channel_alphas", "n",
-        "smoothing_orders", "p", "alpha", "tol",
-    ),
-    "phase-diagram": (
-        "windows", "alphas", "betas", "k", "w", "s", "h", "boxes", "budget",
-    ),
-}
-
-
-def _check_keys(doc, known, command, path="params"):
-    """Reject a doc that is not an object or holds a key outside known."""
-    if not isinstance(doc, dict):
-        raise InvariantViolation("params-type", f"{path} must be an object")
-    prefix = "" if path == "params" else path + "."
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise InvariantViolation(
-            "param-unknown",
-            f"unknown {command} param {prefix + unknown[0]!r}; "
-            f"known: {', '.join(prefix + k for k in known)}",
-        )
-
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run; params is the command's params decoded against its table."""
+
     command: str
     params: dict
     output_dir: str
     seed: int = 0
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if not isinstance(self.command, str) or self.command not in _COMMANDS:
             raise InvariantViolation(
                 "command-unknown", f"unknown command {self.command!r}"
             )
-        _check_keys(self.params, _PARAMS[self.command], self.command)
-        if self.command == "mourre-check" and self.params.get("phi") is not None:
-            _check_keys(self.params["phi"], ("s", "R", "c"), self.command, "phi")
+        object.__setattr__(
+            self, "params", _decode(self.params, _COMMANDS[self.command][2])
+        )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvariantViolation("seed-type", "seed must be an integer")
         if not isinstance(self.output_dir, str):
@@ -169,9 +113,11 @@ class RunConfig:
 
 def list_commands():
     """Stable text table of the available commands."""
-    width = max(len(c) for c in COMMANDS)
-    lines = [f"{c.ljust(width)}  {_DESCRIPTIONS[c]}" for c in COMMANDS]
-    return "\n".join(lines)
+    width = max(map(len, _COMMANDS))
+    return "\n".join(
+        f"{name.ljust(width)}  {description}"
+        for name, (_, description, _) in _COMMANDS.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +152,6 @@ def _sha256(path):
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _require(params, key):
-    if key not in params:
-        raise InvariantViolation("param-missing", f"missing required param {key!r}")
-    return params[key]
-
-
-def _floats(value, key, pair=False):
-    """A list-valued param as a tuple of floats; a pair when pair is set."""
-    if isinstance(value, (list, tuple)) and (not pair or len(value) == 2):
-        try:
-            return tuple(float(v) for v in value)
-        except (TypeError, ValueError):
-            pass
-    shape = "a pair" if pair else "a list"
-    raise InvariantViolation("params-type", f"param {key!r} must be {shape} of numbers")
-
-
-def _potential(params, key="potential"):
-    doc = params.get(key)
-    return None if doc is None else potential_from_json(doc)
 
 
 # the thread-count getters an OpenBLAS build may export, by symbol prefix
@@ -270,43 +194,31 @@ def _blas_threads():
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (output paths, disclosures)
+# command handlers; each takes the params decoded against its table and
+# returns (output paths, disclosures)
 
 
-def _cmd_verify_wvn(params, out_dir, seed):
-    variant = params.get("variant", "1d")
-    x_max = float(params.get("x_max", 50.0))
-    step = float(params.get("step", 1e-3))
-    shift = float(params.get("v_shift", 0.0))
-    if variant == "1d":
-        residual = verify_wvn_1d(x_max, step, v_shift=shift)
-    elif variant == "3d":
-        residual = verify_wvn_3d(x_max, step, v_shift=shift)
+def _cmd_verify_wvn(p, out_dir, seed):
+    if p["variant"] == "1d":
+        residual = verify_wvn_1d(p["x_max"], p["step"], v_shift=p["v_shift"])
+    elif p["variant"] == "3d":
+        residual = verify_wvn_3d(p["x_max"], p["step"], v_shift=p["v_shift"])
     else:
-        raise InvariantViolation("wvn-variant", f"unknown variant {variant!r}")
+        raise InvariantViolation("wvn-variant", f"unknown variant {p['variant']!r}")
     path = os.path.join(out_dir, "verify_wvn.json")
-    _write_json(
-        {"variant": variant, "x_max": x_max, "step": step, "v_shift": shift,
-         "residual_max": residual},
-        path,
-    )
+    _write_json({**p, "residual_max": residual}, path)
     return [path], {}
 
 
-def _cmd_construct_dirac(params, out_dir, seed):
+def _cmd_construct_dirac(p, out_dir, seed):
     spec = DiracChannelSpec(
-        m=float(params.get("m", 1.0)),
-        lam=float(_require(params, "lam")),
-        kappa_rho=float(params.get("kappa_rho", 1.0)),
-        u_decay=float(params.get("u_decay", 1.0)),
-        match_radius=float(params.get("match_radius", 1.0)),
-        phi_el=params.get("phi_el", "bracket"),
+        m=p["m"], lam=p["lam"], kappa_rho=p["kappa_rho"], u_decay=p["u_decay"],
+        match_radius=p["match_radius"], phi_el=p["phi_el"],
     )
     grid = None
-    if "L" in params or "step" in params:
-        grid = halfline_grid(
-            float(params.get("L", 200.0)), float(params.get("step", 1e-3))
-        )
+    if p["L"] is not None or p["step"] is not None:
+        L = 200.0 if p["L"] is None else p["L"]
+        grid = halfline_grid(L, 1e-3 if p["step"] is None else p["step"])
     cons = dirac_solve_potential(spec, grid)
     csv_path = os.path.join(out_dir, "dirac_profiles.csv")
     dirac_to_csv(cons, csv_path)
@@ -317,12 +229,8 @@ def _cmd_construct_dirac(params, out_dir, seed):
     return [csv_path, json_path], {}
 
 
-def _cmd_construct_kg(params, out_dir, seed):
-    m = float(params.get("m", 1.0))
-    length = float(params.get("length", 400.0))
-    n = int(params.get("n", 65536))
-    grid = periodic_grid(length / 2.0, n)
-    cons = kg_construct(m, grid)
+def _cmd_construct_kg(p, out_dir, seed):
+    cons = kg_construct(p["m"], periodic_grid(p["length"] / 2.0, p["n"]))
     csv_path = os.path.join(out_dir, "kg_profiles.csv")
     kg_to_csv(cons, csv_path)
     json_path = os.path.join(out_dir, "kg_summary.json")
@@ -330,23 +238,19 @@ def _cmd_construct_kg(params, out_dir, seed):
     return [csv_path, json_path], {}
 
 
-def _cmd_find_embedded(params, out_dir, seed):
-    V = _potential(params)
-    window = _floats(_require(params, "window"), "window", pair=True)
-    boxes = _floats(params.get("boxes", (200.0, 400.0)), "boxes")
-    h = float(params.get("h", 0.05))
-    drift_tol = float(params.get("drift_tol", 5e-3))
-    factory = schrodinger_line_factory(h)
+def _cmd_find_embedded(p, out_dir, seed):
+    factory = schrodinger_line_factory(p["h"])
     found = find_embedded(
-        lambda L: factory(V, L), window, boxes, drift_tol=drift_tol
+        lambda L: factory(p["potential"], L), p["window"], p["boxes"],
+        drift_tol=p["drift_tol"],
     )
     path = os.path.join(out_dir, "embedded.json")
     _write_json(
         {
-            "window": list(window),
-            "boxes": boxes,
-            "h": h,
-            "drift_tol": drift_tol,
+            "window": p["window"],
+            "boxes": p["boxes"],
+            "h": p["h"],
+            "drift_tol": p["drift_tol"],
             "candidates": [candidate_to_json(c) for c in found],
             "genuine_count": sum(1 for c in found if c.verdict == "genuine"),
         },
@@ -355,19 +259,12 @@ def _cmd_find_embedded(params, out_dir, seed):
     return [path], {}
 
 
-def _cmd_lap_scan(params, out_dir, seed):
-    V = _potential(params)
-    ladder = params.get("im_ladder")
+def _cmd_lap_scan(p, out_dir, seed):
     spec = LapScanSpec(
-        interval=_floats(_require(params, "interval"), "interval", pair=True),
-        s=float(params.get("s", 0.51)),
-        weight_kind=params.get("weight_kind", "position"),
-        re_points=int(params.get("re_points", 5)),
-        im_ladder=None if ladder is None else _floats(ladder, "im_ladder"),
-        box_list=_floats(params.get("boxes", (200.0, 400.0)), "boxes"),
+        interval=p["interval"], s=p["s"], weight_kind=p["weight_kind"],
+        re_points=p["re_points"], im_ladder=p["im_ladder"], box_list=p["boxes"],
     )
-    h = float(params.get("h", 0.1))
-    result = lap_scan(schrodinger_line_factory(h), V, spec)
+    result = lap_scan(schrodinger_line_factory(p["h"]), p["potential"], spec)
     csv_path = os.path.join(out_dir, "lap_scan.csv")
     scan_to_csv(result, csv_path)
     json_path = os.path.join(out_dir, "lap_scan.json")
@@ -381,76 +278,53 @@ def _cmd_lap_scan(params, out_dir, seed):
     return [csv_path, json_path], disclosures
 
 
-def _cmd_mourre_check(params, out_dir, seed):
-    kind = params.get("kind", "strict")
-    window = _floats(_require(params, "window"), "window", pair=True)
-    L = float(params.get("L", 100.0))
-    h = float(params.get("h", 0.05))
-    grid = line_grid(L, h)
-    H = build_schrodinger(grid, _potential(params))
+def _cmd_mourre_check(p, out_dir, seed):
+    kind, window = p["kind"], p["window"]
+    grid = line_grid(p["L"], p["h"])
+    H = build_schrodinger(grid, p["potential"])
     if kind in ("strict", "plain"):
-        A = build_conjugate_A(grid)
         result = mourre_check(
-            H, A, window, mode=kind,
-            remainder_rank_budget=int(params.get("rank_budget", 0)),
+            H, build_conjugate_A(grid), window, mode=kind,
+            remainder_rank_budget=p["rank_budget"],
         )
-        doc = asdict(result)
     elif kind == "weighted":
-        A = build_conjugate_A(grid)
-        phi_params = params.get("phi")
-        if phi_params is None:
-            phi = None
-        else:
-            phi = WeightFunctionSpec(
-                kind="psi",
-                s=float(phi_params.get("s", 0.51)),
-                R=float(phi_params.get("R", 1.0)),
-                c=float(phi_params.get("c", 1.0 / window[0])),
-            )
-        result = weighted_mourre_check(
-            H, A, phi, window, float(params.get("s", 0.51))
-        )
-        doc = asdict(result)
+        phi = p["phi"]
+        if phi is not None:
+            c = 1.0 / window[0] if phi["c"] is None else phi["c"]
+            phi = WeightFunctionSpec(kind="psi", s=phi["s"], R=phi["R"], c=c)
+        s = 0.51 if p["s"] is None else p["s"]
+        result = weighted_mourre_check(H, build_conjugate_A(grid), phi, window, s)
     elif kind == "at_infinity":
+        if p["gamma"] is None:
+            raise _missing("gamma")
         result = mourre_at_infinity_check(
-            H,
-            grid,
-            float(params.get("R", 20.0)),
-            float(params.get("delta", 0.1)),
-            float(params.get("s", 0.6)),
-            float(_require(params, "gamma")),
-            window,
-            trials=int(params.get("trials", 64)),
-            seed=seed,
+            H, grid, p["R"], p["delta"], 0.6 if p["s"] is None else p["s"],
+            p["gamma"], window, trials=p["trials"], seed=seed,
         )
-        doc = asdict(result)
     else:
         raise InvariantViolation("mourre-kind", f"unknown check kind {kind!r}")
+    doc = asdict(result)
     doc["kind_requested"] = kind
     path = os.path.join(out_dir, "mourre.json")
     _write_json(doc, path)
     return [path], {}
 
 
-def _cmd_compactness_probe(params, out_dir, seed):
-    mode = params.get("mode", "windowed_channel")
+def _cmd_compactness_probe(p, out_dir, seed):
     outputs = []
     disclosures = {}
-    if mode == "windowed_channel":
-        L = float(params.get("L", 400.0))
-        h = float(params.get("h", 0.025))
-        grid = halfline_grid(L, h)
-        window = _floats(_require(params, "window"), "window", pair=True)
-        k = float(_require(params, "k"))
-        radii = _floats(_require(params, "radii"), "radii")
+    if p["mode"] == "windowed_channel":
+        grid = halfline_grid(400.0 if p["L"] is None else p["L"], p["h"])
+        for key in ("window", "radii"):
+            if p[key] is None:
+                raise _missing(key)
+        window, k = p["window"], p["k"]
         theta = WindowSpec(window[0], window[1])
-        alphas = params.get("channel_alphas")
-        if alphas is None:
-            report = small_plus_decay_probe(grid, theta, k, radii)
+        if p["channel_alphas"] is None:
+            report = small_plus_decay_probe(grid, theta, k, p["radii"])
         else:
             report = small_plus_decay_probe(
-                grid, theta, k, radii,
-                channel_alphas=_floats(alphas, "channel_alphas"),
+                grid, theta, k, p["radii"], channel_alphas=p["channel_alphas"]
             )
         symbol_max = interference_symbol_check(theta, k)
         doc = tail_report_to_json(report)
@@ -461,20 +335,17 @@ def _cmd_compactness_probe(params, out_dir, seed):
         csv_path = os.path.join(out_dir, "sweep.csv")
         append_sweep_csv(csv_path, window[0], window[1], k, report)
         outputs.append(csv_path)
-    elif mode == "smoothed_multiplier":
-        L = float(params.get("L", 200.0))
-        n = int(params.get("n", 65536))
-        grid = periodic_grid(L, n)
+    elif p["mode"] == "smoothed_multiplier":
+        if p["alpha"] is None:
+            raise _missing("alpha")
         report = oscillation_compactness_probe(
-            grid,
-            float(params.get("p", 1.0)),
-            float(_require(params, "alpha")),
-            float(_require(params, "k")),
-            smoothing_orders=_floats(
-                params.get("smoothing_orders", (2, 2)), "smoothing_orders", pair=True
-            ),
-            radii=_floats(params.get("radii", (10, 20, 40, 80, 160)), "radii"),
-            tol=float(params.get("tol", 1e-6)),
+            periodic_grid(200.0 if p["L"] is None else p["L"], p["n"]),
+            p["p"],
+            p["alpha"],
+            p["k"],
+            smoothing_orders=p["smoothing_orders"],
+            radii=(10.0, 20.0, 40.0, 80.0, 160.0) if p["radii"] is None else p["radii"],
+            tol=p["tol"],
             seed=seed,
         )
         doc = tail_report_to_json(report)
@@ -483,49 +354,105 @@ def _cmd_compactness_probe(params, out_dir, seed):
             "norm_residual_max": report.norm_residual_max,
         }
     else:
-        raise InvariantViolation("probe-mode", f"unknown probe mode {mode!r}")
+        raise InvariantViolation("probe-mode", f"unknown probe mode {p['mode']!r}")
     path = os.path.join(out_dir, "probe.json")
     _write_json(doc, path)
     outputs.append(path)
     return outputs, disclosures
 
 
-def _cmd_phase_diagram(params, out_dir, seed):
-    windows = _require(params, "windows")
-    if not isinstance(windows, dict):
-        raise InvariantViolation("params-type", "param 'windows' must be an object")
-    windows = {
-        name: _floats(win, f"windows.{name}", pair=True) for name, win in windows.items()
-    }
+def _cmd_phase_diagram(p, out_dir, seed):
     csv_path = os.path.join(out_dir, "phase.csv")
     svg_path = os.path.join(out_dir, "phase.svg")
     cells = phase_sweep(
-        _floats(_require(params, "alphas"), "alphas"),
-        _floats(_require(params, "betas"), "betas"),
-        float(params.get("k", 2.0)),
-        float(params.get("w", 3.0)),
-        windows,
-        s=float(params.get("s", 2.0)),
-        h=float(params.get("h", 0.1)),
-        box_list=_floats(params.get("boxes", (200.0, 400.0)), "boxes"),
-        budget=int(params.get("budget", 40)),
-        out_csv=csv_path,
-        out_svg=svg_path,
+        p["alphas"], p["betas"], p["k"], p["w"], p["windows"], s=p["s"], h=p["h"],
+        box_list=p["boxes"], budget=p["budget"], out_csv=csv_path, out_svg=svg_path,
     )
     json_path = os.path.join(out_dir, "phase.json")
     _write_json({"cells": [asdict(c) for c in cells]}, json_path)
     return [csv_path, svg_path, json_path], {}
 
 
-_HANDLERS = {
-    "verify-wvn": _cmd_verify_wvn,
-    "construct-dirac": _cmd_construct_dirac,
-    "construct-kg": _cmd_construct_kg,
-    "find-embedded": _cmd_find_embedded,
-    "lap-scan": _cmd_lap_scan,
-    "mourre-check": _cmd_mourre_check,
-    "compactness-probe": _cmd_compactness_probe,
-    "phase-diagram": _cmd_phase_diagram,
+def _pair(value, path):
+    return _floats(value, path, pair=True)
+
+
+def _windows(value, path):
+    """phase-diagram's windows: an object of named Re z pairs."""
+    names = value if isinstance(value, dict) else ()
+    return _decode(value, dict.fromkeys(names, (_pair, MISSING)), path)
+
+
+# Each command: its handler, its --list-commands line, and its params table,
+# key -> (converter, default) as potentials._decode reads it. A key whose
+# default depends on another key defaults to None and its handler resolves it.
+_BOXES = (tuple, (200.0, 400.0))
+_POTENTIAL = (_decode_potential, None)
+_COMMANDS = {
+    "verify-wvn": (
+        _cmd_verify_wvn,
+        "residual of the explicit bound state in -f'' + V f = E f "
+        "(1d and 3d-radial variants)",
+        {"variant": (str, "1d"), "x_max": (float, 50.0), "step": (float, 1e-3),
+         "v_shift": (float, 0.0)},
+    ),
+    "construct-dirac": (
+        _cmd_construct_dirac,
+        "inverse construction of a radial Dirac channel whose "
+        "eigenvalue lambda > m sits inside the continuous spectrum",
+        {"m": (float, 1.0), "lam": (float, MISSING), "kappa_rho": (float, 1.0),
+         "u_decay": (float, 1.0), "match_radius": (float, 1.0),
+         "phi_el": (str, "bracket"), "L": (float, None), "step": (float, None)},
+    ),
+    "construct-kg": (
+        _cmd_construct_kg,
+        "square-root Klein-Gordon potential with the eigenvalue "
+        "sqrt(1+m^2) - m embedded in [0, inf)",
+        {"m": (float, 1.0), "length": (float, 400.0), "n": (int, 65536)},
+    ),
+    "find-embedded": (
+        _cmd_find_embedded,
+        "box-stability scan for embedded eigenvalues of H0 + V "
+        "inside an energy window",
+        {"potential": _POTENTIAL, "window": (_pair, MISSING), "boxes": _BOXES,
+         "h": (float, 0.05), "drift_tol": (float, 5e-3)},
+    ),
+    "lap-scan": (
+        _cmd_lap_scan,
+        "weighted resolvent norms ||W (H - z)^{-1} W|| down an Im z "
+        "ladder with a divergence-exponent verdict",
+        {"potential": _POTENTIAL, "interval": (_pair, MISSING),
+         "s": (float, 0.51), "weight_kind": (str, "position"), "re_points": (int, 5),
+         "im_ladder": (tuple, None), "boxes": _BOXES, "h": (float, 0.1)},
+    ),
+    "mourre-check": (
+        _cmd_mourre_check,
+        "commutator positivity on spectral windows: strict, "
+        "rank-deflated, psi-weighted, and localized-at-infinity forms",
+        {"kind": (str, "strict"), "window": (_pair, MISSING), "L": (float, 100.0),
+         "h": (float, 0.05), "potential": _POTENTIAL, "rank_budget": (int, 0),
+         "phi": ({"s": (float, 0.51), "R": (float, 1.0), "c": (float, None)}, None),
+         "s": (float, None), "R": (float, 20.0), "delta": (float, 0.1),
+         "gamma": (float, None), "trials": (int, 64)},
+    ),
+    "compactness-probe": (
+        _cmd_compactness_probe,
+        "corner-norm decay ||chi_R M chi_R|| of windowed or "
+        "weight-smoothed oscillation operators",
+        {"mode": (str, "windowed_channel"), "L": (float, None), "h": (float, 0.025),
+         "window": (_pair, None), "k": (float, MISSING), "radii": (tuple, None),
+         "channel_alphas": (tuple, None), "n": (int, 65536),
+         "smoothing_orders": (_pair, (2.0, 2.0)), "p": (float, 1.0),
+         "alpha": (float, None), "tol": (float, 1e-6)},
+    ),
+    "phase-diagram": (
+        _cmd_phase_diagram,
+        "(alpha, beta) sweep of LAP verdicts below and above "
+        "the interference threshold k^2/4, with CSV + SVG",
+        {"windows": (_windows, MISSING), "alphas": (tuple, MISSING),
+         "betas": (tuple, MISSING), "k": (float, 2.0), "w": (float, 3.0),
+         "s": (float, 2.0), "h": (float, 0.1), "boxes": _BOXES, "budget": (int, 40)},
+    ),
 }
 
 
@@ -585,7 +512,7 @@ def run(config_path, overrides=()):
     t0 = time.monotonic()
     try:
         os.makedirs(config.output_dir, exist_ok=True)
-        outputs, disclosures = _HANDLERS[config.command](
+        outputs, disclosures = _COMMANDS[config.command][0](
             config.params, config.output_dir, config.seed
         )
     except ComputeFailure as exc:

@@ -9,9 +9,14 @@ the specs of the scalar weight functions used by the commutator diagnostics.
 Derivatives that feed residual checks are hand-derived closed forms (tests
 compare them against Richardson finite differences); none of the evaluators
 differentiate numerically.
+
+A potential spec's fields are also its JSON schema: each field's annotation
+converts the value of its key and the field's default is the key's default.
+The decoder that reads them checks the command-line configs too.
 """
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -178,11 +183,18 @@ class LongRangeSample:
             )
 
 
+def _potentials(value, path):
+    """The converter of SumPotential.parts: a list of potential documents."""
+    if not isinstance(value, (list, tuple)):
+        raise _type_error(path, "a list of potentials")
+    return tuple(_decode_potential(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
 @dataclass(frozen=True)
 class SumPotential:
     """Pointwise sum of a nonempty list of potential specs."""
 
-    parts: tuple
+    parts: _potentials
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -504,7 +516,7 @@ def check_simon_envelope(spec, envelope_x, envelope_values, x):
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip for potential specs
+# JSON round-trip for potential specs, and the config decoder it runs on
 
 _KIND_TO_CLS = {
     "oscillating": OscillatingSpec,
@@ -518,99 +530,133 @@ _KIND_TO_CLS = {
 }
 
 
+def _to_json(value):
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    doc = {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    kinds = [kind for kind, cls in _KIND_TO_CLS.items() if cls is type(value)]
+    return {"kind": kinds[0], **doc} if kinds else doc
+
+
 def potential_to_json(spec):
     """Serialize a potential spec to a JSON-compatible dict with a "kind" tag."""
-    if isinstance(spec, OscillatingSpec):
-        return {
-            "kind": "oscillating",
-            "w": spec.w,
-            "k": spec.k,
-            "alpha": spec.alpha,
-            "beta": spec.beta,
-            "cutoff": {
-                "inner_radius": spec.cutoff.inner_radius,
-                "outer_radius": spec.cutoff.outer_radius,
-            },
-        }
-    if isinstance(spec, WignerVonNeumann1D):
-        return {"kind": "wvn_1d"}
-    if isinstance(spec, WignerVonNeumann3DRadial):
-        return {"kind": "wvn_3d_radial"}
-    if isinstance(spec, SimonSeriesSpec):
-        return {
-            "kind": "simon_series",
-            "kappas": list(spec.kappas),
-            "radii": list(spec.radii),
-            "phases": list(spec.phases),
-            "core_samples": list(spec.core_samples),
-            "truncation_count": spec.truncation_count,
-        }
-    if isinstance(spec, ShortRangeSample):
-        return {
-            "kind": "short_range_sample",
-            "x": list(spec.x),
-            "values": list(spec.values),
-            "rho_sr": spec.rho_sr,
-        }
-    if isinstance(spec, LongRangeSample):
-        return {
-            "kind": "long_range_sample",
-            "x": list(spec.x),
-            "values": list(spec.values),
-            "rho_lr": spec.rho_lr,
-            "rho_lr_prime": spec.rho_lr_prime,
-        }
-    if isinstance(spec, SumPotential):
-        return {"kind": "sum", "parts": [potential_to_json(p) for p in spec.parts]}
-    if isinstance(spec, CustomSample):
-        return {"kind": "custom", "x": list(spec.x), "values": list(spec.values)}
-    raise TypeError(f"not a potential spec: {type(spec).__name__}")
+    if type(spec) not in _KIND_TO_CLS.values():
+        raise TypeError(f"not a potential spec: {type(spec).__name__}")
+    return _to_json(spec)
 
 
 def potential_from_json(doc):
     """Rebuild a potential spec from its JSON dict (inverse of potential_to_json)."""
-    if not isinstance(doc, dict) or "kind" not in doc:
+    return _decode_potential(doc, "potential")
+
+
+def _decode_potential(doc, path):
+    """A potential spec from its kind-tagged JSON object found at path."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind is None:
         raise InvariantViolation(
             "potential-kind", "potential document needs a 'kind' field"
         )
-    kind = doc["kind"]
-    if kind not in _KIND_TO_CLS:
+    if not isinstance(kind, str) or kind not in _KIND_TO_CLS:
         raise InvariantViolation("potential-kind", f"unknown potential kind {kind!r}")
-    if kind == "oscillating":
-        cut = doc.get("cutoff", {})
-        return OscillatingSpec(
-            w=float(doc["w"]),
-            k=float(doc["k"]),
-            alpha=float(doc["alpha"]),
-            beta=float(doc["beta"]),
-            cutoff=CutoffSpec(
-                inner_radius=float(cut.get("inner_radius", 1.0)),
-                outer_radius=float(cut.get("outer_radius", 2.0)),
-            ),
+    fields_doc = {k: v for k, v in doc.items() if k != "kind"}
+    return _spec(_KIND_TO_CLS[kind], fields_doc, path)
+
+
+def _spec(cls, doc, path):
+    """Build a spec dataclass from its JSON object.
+
+    Each field's annotation converts its key's value, and the field's default
+    is the key's default.
+    """
+    table = {}
+    for f in fields(cls):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        table[f.name] = (f.type, default)
+    return cls(**_decode(doc, table, path))
+
+
+def _decode(doc, table, path=""):
+    """The JSON object doc, checked and converted against table.
+
+    table maps each key to (converter, default). A converter is float, int,
+    str or tuple (a JSON number, integer, string or list of numbers), a spec
+    dataclass or a nested table (a JSON object), or a callable
+    (value, path) -> value. An absent or null key takes its default, and a
+    default of dataclasses.MISSING makes the key required. Errors name the key
+    by its dotted path below path: param-unknown, param-missing, params-type.
+    """
+    if not isinstance(doc, dict):
+        what = f"param {path!r}" if path else "params"
+        raise InvariantViolation("params-type", f"{what} must be an object")
+    prefix = path + "." if path else ""
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise InvariantViolation(
+            "param-unknown",
+            f"unknown param {prefix + unknown[0]!r}; "
+            f"known: {', '.join(prefix + k for k in table) or 'none'}",
         )
-    if kind == "wvn_1d":
-        return WignerVonNeumann1D()
-    if kind == "wvn_3d_radial":
-        return WignerVonNeumann3DRadial()
-    if kind == "simon_series":
-        return SimonSeriesSpec(
-            kappas=tuple(doc["kappas"]),
-            radii=tuple(doc["radii"]),
-            phases=tuple(doc["phases"]),
-            core_samples=tuple(doc.get("core_samples", ())),
-            truncation_count=int(doc["truncation_count"]),
-        )
-    if kind == "short_range_sample":
-        return ShortRangeSample(
-            x=tuple(doc["x"]), values=tuple(doc["values"]), rho_sr=float(doc["rho_sr"])
-        )
-    if kind == "long_range_sample":
-        return LongRangeSample(
-            x=tuple(doc["x"]),
-            values=tuple(doc["values"]),
-            rho_lr=float(doc["rho_lr"]),
-            rho_lr_prime=float(doc["rho_lr_prime"]),
-        )
-    if kind == "sum":
-        return SumPotential(parts=tuple(potential_from_json(p) for p in doc["parts"]))
-    return CustomSample(x=tuple(doc["x"]), values=tuple(doc["values"]))
+    decoded = {}
+    for key, (convert, default) in table.items():
+        value = doc.get(key)
+        if value is not None:
+            decoded[key] = _convert(convert, value, prefix + key)
+        elif default is MISSING:
+            raise _missing(prefix + key)
+        else:
+            decoded[key] = default
+    return decoded
+
+
+def _convert(convert, value, path):
+    if isinstance(convert, dict):
+        return _decode(value, convert, path)
+    if is_dataclass(convert):
+        return _spec(convert, value, path)
+    return _CONVERTERS.get(convert, convert)(value, path)
+
+
+def _missing(path):
+    return InvariantViolation("param-missing", f"missing required param {path!r}")
+
+
+def _type_error(path, shape):
+    return InvariantViolation("params-type", f"param {path!r} must be {shape}")
+
+
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number(value, path):
+    if not _is_number(value):
+        raise _type_error(path, "a number")
+    return float(value)
+
+
+def _integer(value, path):
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise _type_error(path, "an integer")
+    return int(value)
+
+
+def _text(value, path):
+    if not isinstance(value, str):
+        raise _type_error(path, "a string")
+    return value
+
+
+def _floats(value, path, pair=False):
+    """A list of numbers as a tuple of floats; a pair when pair is set."""
+    if isinstance(value, (list, tuple)) and (not pair or len(value) == 2):
+        if all(_is_number(v) for v in value):
+            return tuple(float(v) for v in value)
+    raise _type_error(path, f"{'a pair' if pair else 'a list'} of numbers")
+
+
+_CONVERTERS = {float: _number, int: _integer, str: _text, tuple: _floats}

@@ -220,9 +220,13 @@ def test_non_object_phi_exits_2(tmp_path, capsys):
                            "betas": [1.0]}, "alphas"),
         ("compactness-probe", {"mode": "smoothed_multiplier", "alpha": 2.0, "k": 1.0,
                                "smoothing_orders": [2, 2, 2]}, "smoothing_orders"),
+        ("lap-scan", {"interval": [0.5, 1.5], "s": "x"}, "s"),
+        ("lap-scan", {"interval": [0.5, 1.5], "re_points": "five"}, "re_points"),
+        ("construct-kg", {"n": [1]}, "n"),
     ],
     ids=["window-string", "window-triple", "boxes-string", "im_ladder-number",
-         "windows-entry-single", "alphas-number", "smoothing_orders-triple"],
+         "windows-entry-single", "alphas-number", "smoothing_orders-triple",
+         "s-string", "re_points-string", "n-list"],
 )
 def test_list_params_of_the_wrong_shape_exit_2(tmp_path, capsys, command, params, key):
     doc = {"command": command, "params": params, "output_dir": str(tmp_path / "out")}
@@ -231,7 +235,37 @@ def test_list_params_of_the_wrong_shape_exit_2(tmp_path, capsys, command, params
     assert code == 2
     assert err["error"]["invariant"] == "params-type"
     assert repr(key) in err["error"]["message"]
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+_OSCILLATING = {"kind": "oscillating", "w": 3.0, "k": 2.0, "alpha": 1.0, "beta": 1.0}
+
+
+@pytest.mark.parametrize(
+    "potential, invariant, key",
+    [
+        ({k: v for k, v in _OSCILLATING.items() if k != "beta"}, "param-missing",
+         "potential.beta"),
+        ({**_OSCILLATING, "betta": 5}, "param-unknown", "potential.betta"),
+        ({"kind": "sum", "parts": [_OSCILLATING, {"kind": "wvn_1d", "extra": 1}]},
+         "param-unknown", "potential.parts[1].extra"),
+    ],
+    ids=["beta-missing", "betta-unknown", "sum-part-extra"],
+)
+def test_potential_docs_are_checked_before_the_run(
+    tmp_path, capsys, potential, invariant, key
+):
+    doc = {
+        "command": "find-embedded",
+        "params": {"potential": potential, "window": [0.5, 1.5], "boxes": [20, 40]},
+        "output_dir": str(tmp_path / "out"),
+    }
+    code = run(write_config(tmp_path, doc))
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err["error"]["invariant"] == invariant
+    assert repr(key) in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

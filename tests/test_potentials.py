@@ -395,3 +395,15 @@ def test_potential_from_json_rejects_unknown_kind():
     assert err.value.invariant == "potential-kind"
     with pytest.raises(InvariantViolation):
         potential_from_json("not a dict")
+    osc = {"kind": "oscillating", "w": 3.0, "k": 2.0, "alpha": 1.0, "beta": 1.0}
+    for doc, invariant, key in (
+        ({k: v for k, v in osc.items() if k != "beta"}, "param-missing",
+         "potential.beta"),
+        ({**osc, "betta": 5}, "param-unknown", "potential.betta"),
+        ({"kind": "sum", "parts": [{"kind": "wvn_1d", "extra": 1}]}, "param-unknown",
+         "potential.parts[0].extra"),
+    ):
+        with pytest.raises(InvariantViolation) as err:
+            potential_from_json(doc)
+        assert err.value.invariant == invariant
+        assert repr(key) in str(err.value)
