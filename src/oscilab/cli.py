@@ -62,6 +62,8 @@ from .lap import (
     lap_scan,
     mourre_at_infinity_check,
     mourre_check,
+    phase_cells_to_csv,
+    phase_cells_to_svg,
     phase_sweep,
     scan_summary,
     scan_to_csv,
@@ -76,6 +78,7 @@ from .potentials import (
     _missing,
 )
 from .spectral import (
+    DEFAULT_CHANNEL_ALPHAS,
     append_sweep_csv,
     candidate_to_json,
     find_embedded,
@@ -146,6 +149,16 @@ def _write_json(doc, path):
         fh.write(text + "\n")
 
 
+def _output(out_dir, name):
+    """Path of the output file name in out_dir, making out_dir first.
+
+    Every output and the manifest take their path from here, so a run that
+    fails before its first write leaves no directory behind.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -205,7 +218,7 @@ def _cmd_verify_wvn(p, out_dir, seed):
         residual = verify_wvn_3d(p["x_max"], p["step"], v_shift=p["v_shift"])
     else:
         raise InvariantViolation("wvn-variant", f"unknown variant {p['variant']!r}")
-    path = os.path.join(out_dir, "verify_wvn.json")
+    path = _output(out_dir, "verify_wvn.json")
     _write_json({**p, "residual_max": residual}, path)
     return [path], {}
 
@@ -220,20 +233,20 @@ def _cmd_construct_dirac(p, out_dir, seed):
         L = 200.0 if p["L"] is None else p["L"]
         grid = halfline_grid(L, 1e-3 if p["step"] is None else p["step"])
     cons = dirac_solve_potential(spec, grid)
-    csv_path = os.path.join(out_dir, "dirac_profiles.csv")
+    csv_path = _output(out_dir, "dirac_profiles.csv")
     dirac_to_csv(cons, csv_path)
     summary = dirac_summary(cons)
     summary["limits"] = asdict(dirac_check_limits(cons))
-    json_path = os.path.join(out_dir, "dirac_summary.json")
+    json_path = _output(out_dir, "dirac_summary.json")
     _write_json(summary, json_path)
     return [csv_path, json_path], {}
 
 
 def _cmd_construct_kg(p, out_dir, seed):
     cons = kg_construct(p["m"], periodic_grid(p["length"] / 2.0, p["n"]))
-    csv_path = os.path.join(out_dir, "kg_profiles.csv")
+    csv_path = _output(out_dir, "kg_profiles.csv")
     kg_to_csv(cons, csv_path)
-    json_path = os.path.join(out_dir, "kg_summary.json")
+    json_path = _output(out_dir, "kg_summary.json")
     _write_json(kg_summary(cons), json_path)
     return [csv_path, json_path], {}
 
@@ -244,7 +257,7 @@ def _cmd_find_embedded(p, out_dir, seed):
         lambda L: factory(p["potential"], L), p["window"], p["boxes"],
         drift_tol=p["drift_tol"],
     )
-    path = os.path.join(out_dir, "embedded.json")
+    path = _output(out_dir, "embedded.json")
     _write_json(
         {
             "window": p["window"],
@@ -265,9 +278,9 @@ def _cmd_lap_scan(p, out_dir, seed):
         re_points=p["re_points"], im_ladder=p["im_ladder"], box_list=p["boxes"],
     )
     result = lap_scan(schrodinger_line_factory(p["h"]), p["potential"], spec)
-    csv_path = os.path.join(out_dir, "lap_scan.csv")
+    csv_path = _output(out_dir, "lap_scan.csv")
     scan_to_csv(result, csv_path)
-    json_path = os.path.join(out_dir, "lap_scan.json")
+    json_path = _output(out_dir, "lap_scan.json")
     _write_json(scan_summary(result), json_path)
     disclosures = {
         "im_floor": result.im_floor,
@@ -295,17 +308,15 @@ def _cmd_mourre_check(p, out_dir, seed):
         s = 0.51 if p["s"] is None else p["s"]
         result = weighted_mourre_check(H, build_conjugate_A(grid), phi, window, s)
     elif kind == "at_infinity":
-        if p["gamma"] is None:
-            raise _missing("gamma")
         result = mourre_at_infinity_check(
             H, grid, p["R"], p["delta"], 0.6 if p["s"] is None else p["s"],
-            p["gamma"], window, trials=p["trials"], seed=seed,
+            window, trials=p["trials"], seed=seed,
         )
     else:
         raise InvariantViolation("mourre-kind", f"unknown check kind {kind!r}")
     doc = asdict(result)
     doc["kind_requested"] = kind
-    path = os.path.join(out_dir, "mourre.json")
+    path = _output(out_dir, "mourre.json")
     _write_json(doc, path)
     return [path], {}
 
@@ -320,19 +331,16 @@ def _cmd_compactness_probe(p, out_dir, seed):
                 raise _missing(key)
         window, k = p["window"], p["k"]
         theta = WindowSpec(window[0], window[1])
-        if p["channel_alphas"] is None:
-            report = small_plus_decay_probe(grid, theta, k, p["radii"])
-        else:
-            report = small_plus_decay_probe(
-                grid, theta, k, p["radii"], channel_alphas=p["channel_alphas"]
-            )
+        report = small_plus_decay_probe(
+            grid, theta, k, p["radii"], channel_alphas=p["channel_alphas"]
+        )
         symbol_max = interference_symbol_check(theta, k)
         doc = tail_report_to_json(report)
         doc["symbol_max"] = symbol_max
         doc["symbol_predicts"] = (
             "decays_to_zero" if symbol_max == 0.0 else "plateaus"
         )
-        csv_path = os.path.join(out_dir, "sweep.csv")
+        csv_path = _output(out_dir, "sweep.csv")
         append_sweep_csv(csv_path, window[0], window[1], k, report)
         outputs.append(csv_path)
     elif p["mode"] == "smoothed_multiplier":
@@ -355,20 +363,22 @@ def _cmd_compactness_probe(p, out_dir, seed):
         }
     else:
         raise InvariantViolation("probe-mode", f"unknown probe mode {p['mode']!r}")
-    path = os.path.join(out_dir, "probe.json")
+    path = _output(out_dir, "probe.json")
     _write_json(doc, path)
     outputs.append(path)
     return outputs, disclosures
 
 
 def _cmd_phase_diagram(p, out_dir, seed):
-    csv_path = os.path.join(out_dir, "phase.csv")
-    svg_path = os.path.join(out_dir, "phase.svg")
     cells = phase_sweep(
         p["alphas"], p["betas"], p["k"], p["w"], p["windows"], s=p["s"], h=p["h"],
-        box_list=p["boxes"], budget=p["budget"], out_csv=csv_path, out_svg=svg_path,
+        box_list=p["boxes"], budget=p["budget"],
     )
-    json_path = os.path.join(out_dir, "phase.json")
+    csv_path = _output(out_dir, "phase.csv")
+    phase_cells_to_csv(cells, csv_path)
+    svg_path = _output(out_dir, "phase.svg")
+    phase_cells_to_svg(cells, svg_path)
+    json_path = _output(out_dir, "phase.json")
     _write_json({"cells": [asdict(c) for c in cells]}, json_path)
     return [csv_path, svg_path, json_path], {}
 
@@ -433,7 +443,7 @@ _COMMANDS = {
          "h": (float, 0.05), "potential": _POTENTIAL, "rank_budget": (int, 0),
          "phi": ({"s": (float, 0.51), "R": (float, 1.0), "c": (float, None)}, None),
          "s": (float, None), "R": (float, 20.0), "delta": (float, 0.1),
-         "gamma": (float, None), "trials": (int, 64)},
+         "trials": (int, 64)},
     ),
     "compactness-probe": (
         _cmd_compactness_probe,
@@ -441,7 +451,7 @@ _COMMANDS = {
         "weight-smoothed oscillation operators",
         {"mode": (str, "windowed_channel"), "L": (float, None), "h": (float, 0.025),
          "window": (_pair, None), "k": (float, MISSING), "radii": (tuple, None),
-         "channel_alphas": (tuple, None), "n": (int, 65536),
+         "channel_alphas": (tuple, DEFAULT_CHANNEL_ALPHAS), "n": (int, 65536),
          "smoothing_orders": (_pair, (2.0, 2.0)), "p": (float, 1.0),
          "alpha": (float, None), "tol": (float, 1e-6)},
     ),
@@ -511,7 +521,6 @@ def run(config_path, overrides=()):
         return 2
     t0 = time.monotonic()
     try:
-        os.makedirs(config.output_dir, exist_ok=True)
         outputs, disclosures = _COMMANDS[config.command][0](
             config.params, config.output_dir, config.seed
         )
@@ -544,7 +553,7 @@ def run(config_path, overrides=()):
         ],
         "disclosures": disclosures,
     }
-    manifest_path = os.path.join(config.output_dir, "manifest.json")
+    manifest_path = _output(config.output_dir, "manifest.json")
     tmp_path = manifest_path + ".tmp"
     _write_json(manifest, tmp_path)
     os.replace(tmp_path, manifest_path)

@@ -13,10 +13,9 @@ on arrays and build no OperatorMatrix.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from ._smooth import spectral_bump
 from .errors import InvariantViolation
@@ -34,6 +33,7 @@ __all__ = [
     "eig_full",
     "eig_window",
     "eigvals_window",
+    "count_window",
 ]
 
 # largest dimension for which dense entries may be materialized
@@ -162,171 +162,62 @@ class WindowSpec:
 
 
 # ---------------------------------------------------------------------------
-# the storage table: per storage, the dense entries, the matrix-vector product,
-# the eigendecomposition, the eigenvalues alone and their count (window
-# (lo, hi), or None for the full spectrum) of an OperatorMatrix held in that
-# storage
+# operator container
+#
+# The operators the solvers take are real symmetric tridiagonals J up to a
+# diagonal unitary, T = D^H J D; every eigensolve, Sturm count and product
+# runs on (J, D). The diagonal and dense storages hold weights only.
+
+_VALID_KINDS = ("hamiltonian", "free", "conjugate_A", "weight")
 
 
-def _column(a, v):
-    """a broadcast against v: a column when v is a block of column vectors."""
-    return a[:, None] if v.ndim == 2 else a
+def _band(a, sign=1.0):
+    """The n x n matrix with a above the diagonal and sign * a below it."""
+    return np.diag(a, 1) + sign * np.diag(a, -1)
 
 
-def _select(values, window):
-    """(values, indices) of the values in the window, in ascending order."""
-    lo, hi = window or (-np.inf, np.inf)
-    idx = np.where((values >= lo) & (values <= hi))[0]
-    idx = idx[np.argsort(values[idx])]
-    return values[idx], idx
-
-
-def _tridiagonal_eig(d, e, window, eigvals_only=False):
-    kwargs = {} if window is None else {"select": "v", "select_range": window}
-    return eigh_tridiagonal(d, e, eigvals_only=eigvals_only, **kwargs)
-
-
-def _sturm_count(d, e, window):
-    # stebz fixes its count from the Sturm counts at the two window ends; an
-    # absolute tolerance of the window's width ends the bisection right there
-    lo, hi = window
-    return len(
-        eigh_tridiagonal(
-            d, e, eigvals_only=True, select="v", select_range=window, tol=hi - lo
-        )
-    )
-
-
-# tridiagonal -- data: d (n), e (n-1), both real
-
-
-def _tri_entries(T):
-    m = np.diag(T.data["d"].astype(float))
-    m += np.diag(T.data["e"], 1) + np.diag(T.data["e"], -1)
-    return m
-
-
-def _tri_matvec(T, v):
-    d, e = _column(T.data["d"], v), _column(T.data["e"], v)
-    out = d * v
-    out[:-1] += e * v[1:]
-    out[1:] += e * v[:-1]
-    return out
-
-
-# diagonal -- data: d (n) real
-
-
-def _diag_matvec(T, v):
-    return _column(T.data["d"], v) * v
-
-
-def _diag_eig(T, window):
-    w, idx = _select(T.data["d"], window)
-    v = np.zeros((len(T.data["d"]), len(idx)))
-    v[idx, np.arange(len(idx))] = 1.0
-    return w, v
-
-
-# imag_tridiagonal -- data: s (n-1) real; the matrix is i S with S real
-# antisymmetric, S[j, j+1] = s[j]
-
-
-def _itri_entries(T):
-    s = T.data["s"]
-    return 1j * (np.diag(s, 1) - np.diag(s, -1))
-
-
-def _itri_matvec(T, v):
-    s = _column(T.data["s"], v)
-    out = np.zeros(v.shape, dtype=complex)
-    out[:-1] += s * v[1:]
-    out[1:] -= s * v[:-1]
-    return 1j * out
-
-
-def _itri_eig(T, window):
-    # i S = D^H J D with J the real symmetric tridiagonal of off-diagonal s
-    # and D = diag(i^j), so the eigenvectors are those of J rotated by D^H
-    n = T.grid.n
-    w, vb = _tridiagonal_eig(np.zeros(n), T.data["s"], window)
-    phase = np.power(1j, np.arange(n) % 4)
-    return w, np.conj(phase)[:, None] * vb
-
-
-# dense -- data: mat (n, n) Hermitian
-
-
-def _dense_eig(T, window):
-    w, v = eigh(T.entries)
-    if window is None:
-        return w, v
-    keep = (w >= window[0]) & (w <= window[1])
-    return w[keep], v[:, keep]
-
-
-def _counted(eigvals):
-    """The count column of a storage whose eigenvalues cost no more than it."""
-    return lambda T, win: len(eigvals(T, win))
-
-
-def _diag_eigvals(T, win):
-    return _select(T.data["d"], win)[0]
-
-
-def _dense_eigvals(T, win):
-    return _select(eigh(T.entries, eigvals_only=True), win)[0]
-
-
-class _Storage(NamedTuple):
-    entries: Callable
-    matvec: Callable
-    eig: Callable
-    eigvals: Callable
-    count: Callable
-
-
-_STORAGE = {
-    "tridiagonal": _Storage(
-        _tri_entries, _tri_matvec,
-        lambda T, win: _tridiagonal_eig(T.data["d"], T.data["e"], win),
-        lambda T, win: _tridiagonal_eig(T.data["d"], T.data["e"], win, True),
-        lambda T, win: _sturm_count(T.data["d"], T.data["e"], win),
-    ),
-    "diagonal": _Storage(
-        lambda T: np.diag(T.data["d"].astype(float)), _diag_matvec, _diag_eig,
-        _diag_eigvals, _counted(_diag_eigvals),
-    ),
-    "imag_tridiagonal": _Storage(
-        _itri_entries, _itri_matvec, _itri_eig,
-        lambda T, win: _tridiagonal_eig(np.zeros(T.grid.n), T.data["s"], win, True),
-        lambda T, win: _sturm_count(np.zeros(T.grid.n), T.data["s"], win),
-    ),
-    "dense": _Storage(
-        lambda T: T.data["mat"], lambda T, v: T.data["mat"] @ v, _dense_eig,
-        _dense_eigvals, _counted(_dense_eigvals),
-    ),
+# the dense entries per storage, the reference for the tests and the dense
+# routes. Data: tridiagonal d (n), e (n-1); diagonal d (n); imag_tridiagonal
+# s (n-1), the matrix i S with S[j, j+1] = s[j] = -S[j+1, j]; dense mat (n, n)
+_ENTRIES = {
+    "tridiagonal": lambda T: np.diag(T.data["d"].astype(float)) + _band(T.data["e"]),
+    "diagonal": lambda T: np.diag(T.data["d"].astype(float)),
+    "imag_tridiagonal": lambda T: 1j * _band(T.data["s"], -1.0),
+    "dense": lambda T: T.data["mat"],
 }
 
 
-# ---------------------------------------------------------------------------
-# operator container
+def _tridiagonal_form(T):
+    """(d, e, phase) with T = D^H J D, J = tridiag(e, d, e) and D = diag(phase).
 
-_VALID_KINDS = ("hamiltonian", "free", "conjugate_A", "weight")
+    phase is None (D = I) for tridiagonal storage. For imag_tridiagonal,
+    i S = D^H J D with J = tridiag(s, 0, s) and D = diag(i^j). A weight
+    storage has no such form and raises operator-storage.
+    """
+    if T.storage == "tridiagonal":
+        return T.data["d"], T.data["e"], None
+    if T.storage == "imag_tridiagonal":
+        n = T.grid.n
+        return np.zeros(n), T.data["s"], np.power(1j, np.arange(n) % 4)
+    raise InvariantViolation(
+        "operator-storage",
+        f"{T.storage} storage holds a weight; it has no tridiagonal form to solve",
+    )
 
 
 class OperatorMatrix:
     """Hermitian n x n matrix on an n-point grid, with structured storage.
 
     ``entries`` materializes the dense matrix (guarded by MATERIALIZE_MAX);
-    ``matvec`` applies the operator without materializing. All storage
-    variants are Hermitian by construction; dense input is validated.
+    ``matvec`` applies a tridiagonal-form operator without materializing.
+    All storage variants are Hermitian by construction; dense input is
+    validated.
     """
 
     def __init__(self, grid, kind, label, storage, data):
         if kind not in _VALID_KINDS:
             raise InvariantViolation("operator-kind", f"unknown kind {kind!r}")
-        if storage not in _STORAGE:
+        if storage not in _ENTRIES:
             raise InvariantViolation("operator-storage", f"unknown storage {storage!r}")
         self.grid = grid
         self.kind = kind
@@ -358,37 +249,68 @@ class OperatorMatrix:
                 f"refusing to materialize {n}x{n} dense entries "
                 f"(limit {MATERIALIZE_MAX}); use matvec or the structured data",
             )
-        return _STORAGE[self.storage].entries(self)
+        return _ENTRIES[self.storage](self)
 
     def matvec(self, vec):
         """Apply the operator to a vector or a stack of column vectors."""
-        return _STORAGE[self.storage].matvec(self, np.asarray(vec))
+        d, e, phase = _tridiagonal_form(self)
+        v = np.asarray(vec)
+        if v.ndim == 2:  # a block of column vectors
+            d, e = d[:, None], e[:, None]
+            phase = None if phase is None else phase[:, None]
+        if phase is not None:
+            v = phase * v
+        out = d * v
+        out[:-1] += e * v[1:]
+        out[1:] += e * v[:-1]
+        return out if phase is None else np.conj(phase) * out
+
+
+def _eigh(T, window, eigvals_only=False):
+    d, e, phase = _tridiagonal_form(T)
+    kwargs = {} if window is None else {"select": "v", "select_range": window}
+    out = eigh_tridiagonal(d, e, eigvals_only=eigvals_only, **kwargs)
+    if eigvals_only or phase is None:
+        return out
+    # J u = w u gives T (D^H u) = w (D^H u)
+    return out[0], np.conj(phase)[:, None] * out[1]
 
 
 def eig_full(T):
-    """Full eigendecomposition of an OperatorMatrix; returns (w, V).
+    """Full eigendecomposition of a tridiagonal-form OperatorMatrix; (w, V).
 
-    V's columns are orthonormal eigenvectors; V may be complex for storage
-    kinds with complex entries.
+    V's columns are orthonormal eigenvectors; V is complex for
+    imag_tridiagonal storage.
     """
-    return _STORAGE[T.storage].eig(T, None)
+    return _eigh(T, None)
 
 
 def eig_window(T, lo, hi):
     """Eigenpairs of T with eigenvalues in [lo, hi]; returns (w, V).
 
-    Uses the windowed tridiagonal solver where the storage allows, never
-    forming a dense matrix for structured input.
+    Runs the windowed tridiagonal solver, never forming a dense matrix.
     """
-    return _STORAGE[T.storage].eig(T, (lo, hi))
+    return _eigh(T, (lo, hi))
 
 
 def eigvals_window(T, lo, hi):
     """Eigenvalues of T in [lo, hi], ascending, without eigenvectors.
 
-    For tridiagonal storage they are bit-identical to eig_window's.
+    They are bit-identical to eig_window's.
     """
-    return _STORAGE[T.storage].eigvals(T, (lo, hi))
+    return _eigh(T, (lo, hi), eigvals_only=True)
+
+
+def count_window(T, lo, hi):
+    """Number of eigenvalues of T in [lo, hi], by Sturm counts."""
+    d, e, _ = _tridiagonal_form(T)
+    # stebz fixes its count from the Sturm counts at the two window ends; an
+    # absolute tolerance of the window's width ends the bisection right there
+    return len(
+        eigh_tridiagonal(
+            d, e, eigvals_only=True, select="v", select_range=(lo, hi), tol=hi - lo
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,12 @@ from scipy.linalg import eigh, get_lapack_funcs
 
 from . import _blocknorm
 from .discretize import (
-    _STORAGE,
     MATERIALIZE_MAX,
     OperatorMatrix,
     build_conjugate_A,
     build_schrodinger,
     build_weight,
+    count_window,
     eig_full,
     eig_window,
     line_grid,
@@ -79,13 +79,12 @@ def _check_weight(W):
         if np.min(W.data["d"]) < 0:
             raise InvariantViolation("weight-positivity", "weight must be >= 0")
         return
-    if W.shape[0] <= MATERIALIZE_MAX:
-        # W >= -1e-10 iff W + 1e-10 I has a Cholesky factor
-        shifted = np.array(W.entries, order="F")
-        shifted.flat[:: W.shape[0] + 1] += 1e-10
-        (potrf,) = get_lapack_funcs(("potrf",), (shifted,))
-        if potrf(shifted, overwrite_a=1)[1] != 0:
-            raise InvariantViolation("weight-positivity", "weight must be PSD")
+    # W >= -1e-10 iff W + 1e-10 I has a Cholesky factor
+    shifted = np.array(W.data["mat"], order="F")
+    shifted.flat[:: W.shape[0] + 1] += 1e-10
+    (potrf,) = get_lapack_funcs(("potrf",), (shifted,))
+    if potrf(shifted, overwrite_a=1)[1] != 0:
+        raise InvariantViolation("weight-positivity", "weight must be PSD")
 
 
 def _tridiag_solver(d, e, z):
@@ -334,7 +333,7 @@ def lap_scan(factory, V, spec):
     spacing = 0.0
     for L, H in hams.items():
         _require_banded(H)
-        count = _STORAGE[H.storage].count(H, (lo, hi))
+        count = count_window(H, lo, hi)
         if count == 0:
             raise InvariantViolation(
                 "interval-spectrum", f"no spectrum of H in the interval at L={L:g}"
@@ -613,9 +612,7 @@ def _commutator_br_form(H, grid, R, delta):
     return d - low, e
 
 
-def mourre_at_infinity_check(
-    H, grid, R, delta, s, gamma, window, trials=64, seed=0
-):
+def mourre_at_infinity_check(H, grid, R, delta, s, window, trials=64, seed=0):
     """Random-state check of <f, [H, iB_R] f> >= c1 ||chi_R <Q>^-s f||^2 - err.
 
     The commutator is the analytic form 4 P f'P - f''' - 2 f V' with
@@ -624,8 +621,6 @@ def mourre_at_infinity_check(
     decay of the error witness max(0, c1_pred ||.||^2 - <f, C_R f>) / ||.||,
     with c1_pred = 2 inf J.
     """
-    if not gamma > 0.5:
-        raise InvariantViolation("gamma-range", "need gamma > 1/2")
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise InvariantViolation("window-order", "window needs lo < hi")

@@ -302,6 +302,34 @@ def test_sweep_csv_key_is_unknown(tmp_path, capsys):
     assert not (tmp_path / "escaped.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, params, invariant",
+    [
+        ("verify-wvn", {"variant": "2d"}, "wvn-variant"),
+        ("mourre-check", {"kind": "sideways", "window": [0.5, 1.0]}, "mourre-kind"),
+        ("compactness-probe", {"mode": "x", "k": 2.0}, "probe-mode"),
+        ("lap-scan", {"interval": [0.5, 1.5], "weight_kind": "banana"}, "weight-kind"),
+        ("construct-dirac", {"lam": 1.5, "phi_el": "x"}, "phi-el-kind"),
+        ("compactness-probe", {"window": [0.3, 0.6], "k": 2.0}, "param-missing"),
+        ("phase-diagram", {"windows": {}, "alphas": [1.0], "betas": [0.75]},
+         "windows-empty"),
+        ("mourre-check", {"kind": "at_infinity", "window": [0.5, 1.0], "gamma": 0.6},
+         "param-unknown"),
+    ],
+    ids=["variant", "mourre-kind", "probe-mode", "weight-kind", "phi-el",
+         "radii-missing", "windows-empty", "gamma"],
+)
+def test_exit_2_runs_leave_no_output_dir(tmp_path, capsys, command, params, invariant):
+    # checks that depend on the mode run inside the handlers; the output
+    # directory is made at the first write, after all of them
+    doc = {"command": command, "params": params, "output_dir": str(tmp_path / "out")}
+    code = run(write_config(tmp_path, doc))
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err["error"]["invariant"] == invariant
+    assert not (tmp_path / "out").exists()
+
+
 def _benchmark_catalog():
     path = os.path.join(ROOT, "perfbench", "catalog.py")
     spec = importlib.util.spec_from_file_location("perfbench_catalog", path)

@@ -6,7 +6,6 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from oscilab._smooth import smoothstep_quintic
 from oscilab.discretize import (
-    _STORAGE,
     Grid1D,
     OperatorMatrix,
     WindowSpec,
@@ -15,6 +14,7 @@ from oscilab.discretize import (
     build_radial_channel,
     build_schrodinger,
     build_weight,
+    count_window,
     eig_full,
     eig_window,
     eigvals_window,
@@ -290,10 +290,9 @@ def test_window_disjoint_is_zero():
 
 def test_window_functional_calculus_commutes_with_polynomials(rng):
     n = 40
-    raw = rng.normal(size=(n, n))
-    mat = 0.5 * (raw + raw.T)
-    g = Grid1D("line", 1.0, n)
-    T = OperatorMatrix(g, "hamiltonian", "t", "dense", {"mat": mat})
+    d, e = rng.normal(size=n), rng.normal(size=n - 1)
+    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "t", "tridiagonal",
+                       {"d": d, "e": e})
     w, v = eig_full(T)
     spec = WindowSpec(float(np.percentile(w, 30)), float(np.percentile(w, 70)))
     vw, th = _window_factors(T, spec)
@@ -372,8 +371,9 @@ def _one_operator_per_storage():
     }
 
 
-@pytest.mark.parametrize("storage", sorted(_one_operator_per_storage()))
+@pytest.mark.parametrize("storage", ["imag_tridiagonal", "tridiagonal"])
 def test_storage_table_routes_agree_with_dense(storage, rng):
+    # every solver runs on the tridiagonal form; entries is the reference
     T = _one_operator_per_storage()[storage]
     assert T.storage == storage
     mat = T.entries
@@ -393,7 +393,26 @@ def test_storage_table_routes_agree_with_dense(storage, rng):
     assert np.allclose(wv, w[(w >= lo) & (w <= hi)], atol=1e-10 * scale)
     assert np.max(np.abs(mat @ Vv - Vv * wv)) <= 1e-10 * scale
     assert np.allclose(eigvals_window(T, lo, hi), wv, atol=1e-10 * scale)
-    assert _STORAGE[storage].count(T, (lo, hi)) == len(wv)
+    assert count_window(T, lo, hi) == len(wv)
+
+
+@pytest.mark.parametrize("storage", ["dense", "diagonal"])
+def test_weight_storages_have_no_tridiagonal_form(storage):
+    W = _one_operator_per_storage()[storage]
+    assert W.kind == "weight"
+    n = W.shape[0]
+    solves = (
+        lambda: W.matvec(np.ones(n)),
+        lambda: eig_full(W),
+        lambda: eig_window(W, 0.0, 1.0),
+        lambda: eigvals_window(W, 0.0, 1.0),
+        lambda: count_window(W, 0.0, 1.0),
+    )
+    for solve in solves:
+        with pytest.raises(InvariantViolation) as err:
+            solve()
+        assert err.value.invariant == "operator-storage"
+    assert W.entries.shape == (n, n)
 
 
 def test_tridiagonal_eigvals_match_eig_window_bit_for_bit():
@@ -422,7 +441,7 @@ def test_sturm_count_column_matches_dense_count(n, seed, ends):
     assume(hi > lo)
     assume(np.min(np.abs(np.concatenate((ev - lo, ev - hi)))) >= 1e-8)
     want = int(np.count_nonzero((ev >= lo) & (ev <= hi)))
-    assert _STORAGE["tridiagonal"].count(T, (lo, hi)) == want
+    assert count_window(T, lo, hi) == want
     full = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi))
     assert len(full) == want
 

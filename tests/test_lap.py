@@ -351,6 +351,20 @@ def test_weight_psd_check_agrees_with_the_dense_spectrum(wmin, rng):
         assert err.value.invariant == "weight-positivity"
 
 
+def test_weight_psd_check_runs_at_every_size(monkeypatch, rng):
+    # a dense W larger than the materialization limit is still checked
+    monkeypatch.setattr(oscilab.lap, "MATERIALIZE_MAX", 8)
+    g = line_grid(4.25, 0.5)
+    assert g.n == 16
+    q, _ = np.linalg.qr(rng.normal(size=(g.n, g.n)))
+    vals = np.linspace(-0.5, 1.0, g.n)
+    mat = (q * vals) @ q.T
+    W = OperatorMatrix(g, "weight", "w", "dense", {"mat": 0.5 * (mat + mat.T)})
+    with pytest.raises(InvariantViolation) as err:
+        weighted_resolvent_norm(build_h0(g), W, 1.0 + 0.1j)
+    assert err.value.invariant == "weight-positivity"
+
+
 # ---------------------------------------------------------------------------
 # scan specs
 
@@ -615,7 +629,7 @@ def test_mourre_at_infinity_free_lower_bound():
     g = line_grid(120.0, 0.1)
     H = build_h0(g)
     rep = mourre_at_infinity_check(
-        H, g, R=10.0, delta=0.1, s=0.51, gamma=0.6, window=(0.5, 1.0)
+        H, g, R=10.0, delta=0.1, s=0.51, window=(0.5, 1.0)
     )
     assert rep.R_values == (10.0, 20.0)
     assert rep.c1_predicted == pytest.approx(1.0)
@@ -628,7 +642,7 @@ def test_mourre_at_infinity_empty_window():
     g = line_grid(40.0, 0.1)
     H = build_h0(g)
     rep = mourre_at_infinity_check(
-        H, g, R=8.0, delta=0.1, s=0.51, gamma=0.6, window=(-2.0, -1.0)
+        H, g, R=8.0, delta=0.1, s=0.51, window=(-2.0, -1.0)
     )
     assert rep.c1_values == (np.inf, np.inf)
     assert rep.trials_used == (0, 0)
@@ -638,9 +652,9 @@ def test_mourre_at_infinity_empty_window():
 @pytest.mark.parametrize(
     "kwargs, slug",
     [
-        (dict(R=8.0, gamma=0.4), "gamma-range"),
-        (dict(R=30.0, gamma=0.6), "BR-radius"),
-        (dict(R=8.0, gamma=0.6, window=(1.0, 1.0)), "window-order"),
+        (dict(R=45.0), "BR-radius"),
+        (dict(R=30.0), "BR-radius"),
+        (dict(R=8.0, window=(1.0, 1.0)), "window-order"),
     ],
 )
 def test_mourre_at_infinity_guards(kwargs, slug):

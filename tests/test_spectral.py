@@ -55,10 +55,10 @@ def test_eig_rejects_non_hermitian():
 
 def test_eig_sorted_orthonormal_residuals(rng):
     n = 60
-    raw = rng.normal(size=(n, n))
-    mat = 0.5 * (raw + raw.T)
-    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "t", "dense",
-                       {"mat": mat})
+    d, e = rng.normal(size=n), rng.normal(size=n - 1)
+    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "t", "tridiagonal",
+                       {"d": d, "e": e})
+    mat = T.entries
     w, v = eig_full(T)
     assert np.all(np.diff(w) >= 0.0)
     assert np.allclose(v.T @ v, np.eye(n), atol=1e-10)
