@@ -27,7 +27,6 @@ invariant wherever one applies.
 """
 
 import argparse
-import ctypes
 import hashlib
 import json
 import os
@@ -35,7 +34,7 @@ import sys
 import time
 from dataclasses import MISSING, asdict, dataclass
 
-from . import __version__
+from . import __version__, _pool
 from .construct import (
     DiracChannelSpec,
     dirac_check_limits,
@@ -167,45 +166,6 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-# the thread-count getters an OpenBLAS build may export, by symbol prefix
-_GET_NUM_THREADS = (
-    "openblas_get_num_threads",
-    "openblas_get_num_threads64_",
-    "scipy_openblas_get_num_threads",
-    "scipy_openblas_get_num_threads64_",
-)
-
-
-def _blas_threads():
-    """BLAS threads in effect, per package that loaded its own OpenBLAS.
-
-    The numpy and scipy wheels each bundle an OpenBLAS (under numpy.libs/ and
-    scipy.libs/); each copy found mapped into this process reports its own
-    count. A package whose count cannot be read maps to None.
-    """
-    found = {"numpy": None, "scipy": None}
-    try:
-        with open("/proc/self/maps") as fh:
-            maps = [line.split(None, 5) for line in fh]
-    except OSError:
-        return found
-    paths = {m[5].strip() for m in maps if len(m) == 6 and "openblas" in m[5]}
-    for path in sorted(paths):
-        owner = os.path.basename(os.path.dirname(path)).removesuffix(".libs")
-        if owner not in found:
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _GET_NUM_THREADS:
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                found[owner] = int(getter())
-                break
-    return found
-
-
 # ---------------------------------------------------------------------------
 # command handlers; each takes the params decoded against its table and
 # returns (output paths, disclosures)
@@ -287,6 +247,7 @@ def _cmd_lap_scan(p, out_dir, seed):
         "level_spacing": result.level_spacing,
         "norm_iterations": result.norm_iterations,
         "norm_residual_max": result.norm_residual_max,
+        "workers": result.workers,
     }
     return [csv_path, json_path], disclosures
 
@@ -380,7 +341,7 @@ def _cmd_phase_diagram(p, out_dir, seed):
     phase_cells_to_svg(cells, svg_path)
     json_path = _output(out_dir, "phase.json")
     _write_json({"cells": [asdict(c) for c in cells]}, json_path)
-    return [csv_path, svg_path, json_path], {}
+    return [csv_path, svg_path, json_path], {"workers": cells.workers}
 
 
 def _pair(value, path):
@@ -546,7 +507,7 @@ def run(config_path, overrides=()):
         "config": doc,
         "version": __version__,
         "wall_time_s": wall,
-        "blas_threads": _blas_threads(),
+        "blas_threads": _pool.blas_threads(),
         "outputs": [
             {"path": os.path.relpath(p, config.output_dir), "sha256": _sha256(p)}
             for p in outputs

@@ -13,6 +13,11 @@ class InvariantViolation(ValueError):
         self.invariant = invariant
         super().__init__(message)
 
+    def __reduce__(self):
+        # the default rebuilds from self.args, which lacks the invariant; a
+        # failure raised in a forked worker must reach the caller whole
+        return type(self), (self.invariant, str(self))
+
 
 class ComputeFailure(InvariantViolation):
     """A computation on a valid input could not produce a trustworthy number.

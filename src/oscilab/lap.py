@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 from scipy.linalg import eigh, get_lapack_funcs
 
-from . import _blocknorm
+from . import _blocknorm, _pool
 from .discretize import (
     MATERIALIZE_MAX,
     OperatorMatrix,
@@ -271,6 +271,8 @@ class LapScanResult:
     # largest relative Ritz residual the kernel stopped on over the rows
     # (0.0 when no row ran the kernel)
     norm_residual_max: float = 0.0
+    # processes the (box, Re z) chains ran in; 1 for an in-process scan
+    workers: int = 1
 
 
 def _free_dirichlet_eigs(grid):
@@ -324,7 +326,9 @@ def lap_scan(factory, V, spec):
     pre-screened for genuine embedded eigenvalues.
     Norms walk down the Im z ladder with warm-started subspaces; the ladder
     floors at 10x the mean level spacing of H inside the interval (reported
-    in the result, together with the spacing itself).
+    in the result, together with the spacing itself). Each (box, Re z)
+    chain walks its own ladder, so the chains run in forked workers when
+    they are large enough (_pool.pool_map); the rows are the same either way.
     """
     lo, hi = spec.interval
     re_grid = np.linspace(lo, hi, spec.re_points)
@@ -348,12 +352,9 @@ def lap_scan(factory, V, spec):
     else:
         ladder = _standard_ladder(floor)
 
-    rows = []
-    box_reports = []
-    p_values = []
-    sup_by_box = {}
-    iterations = []
-    residuals = []
+    # per box: H, W's kernel operand, W^2 for a dense W (formed once per
+    # box) and, for the unweighted free control, the closed-form spectrum
+    operands = {}
     for L in spec.box_list:
         H = hams[L]
         grid = H.grid
@@ -365,30 +366,57 @@ def lap_scan(factory, V, spec):
         free_fast = H.kind == "free" and spec.s == 0.0
         ev = _free_dirichlet_eigs(grid) if free_fast else None
         w = W.data[_BANDED_WEIGHT[W.storage]]
-        # W^2 for the dense weight, formed once per box
-        w2 = w @ w if w.ndim == 2 else None
+        operands[L] = (H, w, w @ w if w.ndim == 2 else None, ev)
+
+    def chain(task):
+        """Norms down the Im z ladder at one (box, Re z), warm-started."""
+        L, re_z = task
+        H, w, w2, ev = operands[L]
+        norms, iterations, residuals = [], [], []
+        X = None
+        for eta in ladder:
+            z = complex(re_z, eta)
+            if ev is not None:
+                # W = I: the norm is exactly 1/dist(z, spec(H))
+                j = np.searchsorted(ev, re_z)
+                near = ev[max(j - 1, 0) : j + 1]
+                dre = float(np.min(np.abs(near - re_z)))
+                val = 1.0 / float(np.hypot(dre, eta))
+            else:
+                val, iters, converged, X, residual = _banded_norm(
+                    H.data["d"], H.data["e"], w, z, X=X, w2=w2
+                )
+                _blocknorm._require_converged(iters, converged, f"at z={z}")
+                iterations.append(iters)
+                residuals.append(residual)
+            norms.append(val)
+        return norms, iterations, residuals
+
+    # largest box first, so the longest chains start first in a pool; the
+    # closed-form chains are not worth a fork
+    tasks = [(L, re_z) for L in reversed(spec.box_list) for re_z in re_grid]
+    rows_max = max(
+        (H.shape[0] for H, _, _, ev in operands.values() if ev is None), default=0
+    )
+    walked = dict(zip(tasks, _pool.pool_map(chain, tasks, rows_max)))
+
+    rows = []
+    box_reports = []
+    p_values = []
+    sup_by_box = {}
+    iterations = []
+    residuals = []
+    for L in spec.box_list:
         box_p = []
         box_sup = 0.0
         for re_z in re_grid:
-            norms = []
-            X = None
-            for eta in ladder:
-                z = complex(re_z, eta)
-                if free_fast:
-                    # W = I: the norm is exactly 1/dist(z, spec(H))
-                    j = np.searchsorted(ev, re_z)
-                    near = ev[max(j - 1, 0) : j + 1]
-                    dre = float(np.min(np.abs(near - re_z)))
-                    val = 1.0 / float(np.hypot(dre, eta))
-                else:
-                    val, iters, converged, X, residual = _banded_norm(
-                        H.data["d"], H.data["e"], w, z, X=X, w2=w2
-                    )
-                    _blocknorm._require_converged(iters, converged, f"at z={z}")
-                    iterations.append(iters)
-                    residuals.append(residual)
-                norms.append(val)
-                rows.append((float(re_z), float(eta), float(L), float(val)))
+            norms, chain_iterations, chain_residuals = walked[L, re_z]
+            iterations.extend(chain_iterations)
+            residuals.extend(chain_residuals)
+            rows.extend(
+                (float(re_z), float(eta), float(L), float(val))
+                for eta, val in zip(ladder, norms)
+            )
             box_p.append(_fit_exponent(ladder, norms, floor))
             box_sup = max(box_sup, max(norms))
         p_box = max(box_p)
@@ -417,6 +445,7 @@ def lap_scan(factory, V, spec):
         box_reports=box_reports,
         norm_iterations={"total": sum(iterations), "max": max(iterations, default=0)},
         norm_residual_max=float(max(residuals, default=0.0)),
+        workers=_pool.workers(len(tasks), rows_max),
     )
 
 
@@ -690,6 +719,13 @@ class PhaseDiagramCell:
     note: str = ""
 
 
+class PhaseSweep(list):
+    """The cells of a sweep in order; workers is the processes the
+    (cell, window) tasks ran in, 1 for an in-process sweep."""
+
+    workers = 1
+
+
 def phase_sweep(
     alphas,
     betas,
@@ -708,57 +744,59 @@ def phase_sweep(
     ``windows`` maps names ("below", "above") to energy intervals on either
     side of the interference threshold k^2/4. Each live cell builds H once
     per box; each window is screened on its own for genuine embedded
-    eigenvalues, and a window without one is LAP-scanned. Cells beyond the
-    budget are emitted as skipped. A window straddling k^2/4 is reported
-    inconclusive by policy.
+    eigenvalues, and a window without one is LAP-scanned. The (cell, window)
+    tasks run in forked workers when they are large enough (_pool.pool_map),
+    and a lap_scan inside a worker runs its chains in-process. Cells beyond
+    the budget are emitted as skipped. A window straddling k^2/4 is reported
+    inconclusive by policy. Returns a PhaseSweep, a list of the cells.
     """
     if not windows:
         raise InvariantViolation("windows-empty", "need at least one named window")
-    names = list(windows.keys())
     factory = schrodinger_line_factory(h)
     threshold = k * k / 4.0
     boxes = tuple(float(L) for L in box_list)
-    cells = []
     pairs = list(itertools.product(alphas, betas))
-    for idx, (alpha, beta) in enumerate(pairs):
-        if idx >= budget:
-            for nm in names:
-                cells.append(
-                    PhaseDiagramCell(
-                        float(alpha), float(beta), nm,
-                        tuple(map(float, windows[nm])),
-                        "skipped", float("nan"), 0, "over budget",
-                    )
-                )
-            continue
+    live = max(budget, 0)
+    # one task per (live cell, window); each cell's H is built once per box
+    tasks = []
+    for alpha, beta in pairs[:live]:
         V = OscillatingSpec(w=w, k=k, alpha=alpha, beta=beta)
         hams = {L: factory(V, L) for L in boxes}
-        for nm in names:
-            win = tuple(map(float, windows[nm]))
-            found = find_embedded(hams.__getitem__, win, boxes)
-            genuine = [c for c in found if c.verdict == "genuine"]
-            if genuine:
-                cells.append(
-                    PhaseDiagramCell(
-                        float(alpha), float(beta), nm, win,
-                        "inconclusive", float("nan"), len(genuine),
-                        "genuine embedded eigenvalue inside the window",
-                    )
-                )
-                continue
-            scan = lap_scan(
-                lambda _, L: hams[L], V,
-                LapScanSpec(interval=win, s=s, box_list=boxes),
+        tasks.extend((alpha, beta, V, hams, nm) for nm in windows)
+
+    def window_cell(task):
+        alpha, beta, V, hams, nm = task
+        win = tuple(map(float, windows[nm]))
+        found = find_embedded(hams.__getitem__, win, boxes)
+        genuine = [c for c in found if c.verdict == "genuine"]
+        if genuine:
+            return PhaseDiagramCell(
+                float(alpha), float(beta), nm, win,
+                "inconclusive", float("nan"), len(genuine),
+                "genuine embedded eigenvalue inside the window",
             )
-            verdict = scan.verdict
-            note = ""
-            if win[0] < threshold < win[1]:
-                verdict = "inconclusive"
-                note = "window straddles k^2/4; inconclusive by policy"
+        scan = lap_scan(
+            lambda _, L: hams[L], V, LapScanSpec(interval=win, s=s, box_list=boxes)
+        )
+        verdict = scan.verdict
+        note = ""
+        if win[0] < threshold < win[1]:
+            verdict = "inconclusive"
+            note = "window straddles k^2/4; inconclusive by policy"
+        return PhaseDiagramCell(
+            float(alpha), float(beta), nm, win, verdict,
+            scan.divergence_exponent, 0, note,
+        )
+
+    rows = max((H.shape[0] for t in tasks for H in t[3].values()), default=0)
+    cells = PhaseSweep(_pool.pool_map(window_cell, tasks, rows))
+    cells.workers = _pool.workers(len(tasks), rows)
+    for alpha, beta in pairs[live:]:
+        for nm in windows:
             cells.append(
                 PhaseDiagramCell(
-                    float(alpha), float(beta), nm, win, verdict,
-                    scan.divergence_exponent, 0, note,
+                    float(alpha), float(beta), nm, tuple(map(float, windows[nm])),
+                    "skipped", float("nan"), 0, "over budget",
                 )
             )
     if out_csv is not None:

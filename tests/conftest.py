@@ -1,14 +1,33 @@
 """Shared fixtures and small helpers for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
 
+from oscilab import _pool
 from oscilab.potentials import SimonSeriesSpec
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs in the affinity mask, whatever the host has, so that
+    _pool.pool_map forks for tasks of at least _pool.MIN_ROWS rows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def one_blas_thread():
+    """This process at one BLAS thread, as every pooled worker runs."""
+    before = _pool.blas_threads()
+    _pool.set_blas_threads(1)
+    yield
+    _pool.set_blas_threads(max((n for n in before.values() if n), default=1))
 
 
 def demo_simon():

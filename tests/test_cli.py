@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import oscilab
+import oscilab._pool
 import oscilab.lap
 from oscilab.cli import RunConfig, list_commands, main, run
 
@@ -154,6 +155,26 @@ def test_norm_convergence_failure_exits_1(tmp_path, capsys, monkeypatch):
     doc = {
         "command": "lap-scan",
         "params": {"interval": [0.5, 1.5], "boxes": [20.0, 40.0], "h": 0.2},
+        "output_dir": str(tmp_path / "out"),
+    }
+    code = run(write_config(tmp_path, doc))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"]["invariant"] == "norm-convergence"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_norm_convergence_failure_in_a_worker_exits_1(
+    tmp_path, capsys, monkeypatch, two_cpus
+):
+    def unconverged(d, e, wdiag, z, **kwargs):
+        return 1.0, 600, False, None, 1.0
+
+    # the forked workers inherit the patch and raise in the pooled chains
+    monkeypatch.setattr(oscilab.lap, "_banded_norm", unconverged)
+    doc = {
+        "command": "lap-scan",
+        "params": {"interval": [0.5, 1.5], "boxes": [60.0, 120.0], "h": 0.05},
         "output_dir": str(tmp_path / "out"),
     }
     code = run(write_config(tmp_path, doc))
@@ -459,6 +480,8 @@ def test_norm_kernel_runs_disclose_their_certificate(tmp_path, command):
     disclosed = manifests[0]["disclosures"]
     assert disclosed == manifests[1]["disclosures"]
     if command == "lap-scan":
+        # n <= 200 rows: the chains ran in-process
+        assert disclosed["workers"] == 1
         # relative Ritz residual <= sqrt(tol) with the scan's tol = 1e-12
         assert 0.0 < disclosed["norm_residual_max"] <= 1e-6
         assert disclosed["norm_iterations"]["max"] >= 1
@@ -516,6 +539,24 @@ def test_phase_diagram_run_with_zero_budget(tmp_path):
     assert cells[0]["verdict"] == "skipped"
     for name in ("phase.csv", "phase.svg", "manifest.json"):
         assert (out_dir / name).exists()
+
+
+def test_phase_diagram_discloses_its_workers_outside_the_outputs(
+    tmp_path, monkeypatch, two_cpus, one_blas_thread
+):
+    params = {"alphas": [1.5], "betas": [0.75], "h": 0.05, "boxes": [60.0, 120.0],
+              "windows": {"below": [0.2, 0.6], "above": [1.2, 1.7]}}
+    manifests = []
+    for run_dir, min_rows in (("pooled", oscilab._pool.MIN_ROWS), ("serial", 10**9)):
+        monkeypatch.setattr(oscilab._pool, "MIN_ROWS", min_rows)
+        doc = {"command": "phase-diagram", "params": params,
+               "output_dir": str(tmp_path / run_dir)}
+        assert run(write_config(tmp_path, doc, f"{run_dir}.json")) == 0
+        manifests.append(read_json(tmp_path / run_dir / "manifest.json"))
+    pooled, serial = manifests
+    assert pooled["disclosures"] == {"workers": 2}
+    assert serial["disclosures"] == {"workers": 1}
+    assert pooled["outputs"] == serial["outputs"]
 
 
 def test_main_list_commands(capsys):

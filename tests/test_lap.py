@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import json
 import os
 
 import numpy as np
@@ -20,6 +21,7 @@ from oscilab.discretize import (
     eig_window,
     line_grid,
 )
+import oscilab._pool
 import oscilab.discretize
 import oscilab.lap
 import oscilab.spectral
@@ -489,6 +491,89 @@ def test_scan_summary_fields(free_unweighted_scan):
     assert doc["verdict"] == "lap_fails"
     assert len(doc["boxes"]) == 2
     assert set(doc["boxes"][0]) == {"box_L", "p", "sup_norm", "verdict"}
+
+
+# ---------------------------------------------------------------------------
+# scans in forked workers
+
+_S12_OSCILLATION = OscillatingSpec(w=3.0, k=2.0, alpha=1.0, beta=1.0)
+
+
+def test_pooled_scan_equals_a_serial_walk_of_the_same_ladder(
+    two_cpus, one_blas_thread
+):
+    h, spec = 0.05, LapScanSpec(interval=(0.5, 1.5), s=1.0, re_points=3,
+                                box_list=(60.0, 120.0))
+    factory = schrodinger_line_factory(h)
+    assert factory(None, 60.0).shape[0] >= oscilab._pool.MIN_ROWS
+    res = lap_scan(factory, _S12_OSCILLATION, spec)
+    assert res.workers == 2
+    ladder = oscilab.lap._standard_ladder(res.im_floor)
+    rows, iterations = [], []
+    for L in spec.box_list:
+        H = factory(_S12_OSCILLATION, L)
+        w = build_weight(H.grid, spec.s).data["d"]
+        for re_z in np.linspace(0.5, 1.5, spec.re_points):
+            X = None
+            for eta in ladder:
+                val, iters, _, X, _ = _banded_norm(
+                    H.data["d"], H.data["e"], w, complex(re_z, eta), X=X
+                )
+                rows.append((float(re_z), float(eta), L, val))
+                iterations.append(iters)
+    # bit for bit: same kernels, same seeds, same order within each chain
+    assert res.rows == tuple(rows)
+    assert res.norm_iterations == {"total": sum(iterations), "max": max(iterations)}
+
+
+def test_scans_below_the_pool_threshold_run_in_process(two_cpus):
+    res = lap_scan(
+        schrodinger_line_factory(0.4), None,
+        LapScanSpec(interval=(0.5, 1.5), s=1.0, re_points=3, box_list=(20.0, 40.0)),
+    )
+    assert res.workers == 1
+
+
+def test_pooled_phase_sweep_builds_in_the_parent_and_screens_in_workers(
+    two_cpus, one_blas_thread, monkeypatch, tmp_path
+):
+    log = tmp_path / "calls.jsonl"
+    build = oscilab.lap.build_schrodinger
+    eig_window_ = oscilab.spectral.eig_window
+
+    def record(*entry):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), *entry]) + "\n")
+
+    def counted_build(grid, V):
+        record("build", grid.L)
+        return build(grid, V)
+
+    def counted_eig_window(T, lo, hi):
+        record("eig_window", T.grid.L, lo, hi)
+        return eig_window_(T, lo, hi)
+
+    monkeypatch.setattr(oscilab.lap, "build_schrodinger", counted_build)
+    monkeypatch.setattr(oscilab.spectral, "eig_window", counted_eig_window)
+    windows = {"below": (0.2, 0.6), "above": (1.2, 1.7)}
+    args = ((1.0,), (0.75,), 2.0, 3.0, windows)
+    kwargs = dict(h=0.05, box_list=(60.0, 120.0))
+    cells = phase_sweep(*args, **kwargs)
+    assert cells.workers == 2
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    builds = [c for c in calls if c[1] == "build"]
+    screens = [c for c in calls if c[1] == "eig_window"]
+    # H once per box, in the parent
+    assert [c[2] for c in builds] == [60.0, 120.0]
+    assert {c[0] for c in builds} == {os.getpid()}
+    # eigenvectors once per window, on the largest box, in the workers
+    assert sorted(c[2:] for c in screens) == [[120.0, 0.2, 0.6], [120.0, 1.2, 1.7]]
+    assert os.getpid() not in {c[0] for c in screens}
+    # the same cells as an in-process sweep
+    monkeypatch.setattr(oscilab._pool, "MIN_ROWS", 10**9)
+    serial = phase_sweep(*args, **kwargs)
+    assert serial.workers == 1
+    assert serial == cells
 
 
 # ---------------------------------------------------------------------------
