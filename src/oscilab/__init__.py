@@ -1,20 +1,5 @@
 """oscilab: a numerical laboratory for oscillating potentials and spectral
 diagnostics of one-dimensional and radial Schrodinger/Dirac operators.
-
-The thread-count environment knob must be applied before numpy first loads
-its BLAS, so it lives here at the top of the package.
 """
-
-import os as _os
-
-_threads = _os.environ.get("OSCILAB_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        _os.environ[_var] = _threads
 
 __version__ = "0.1.0"

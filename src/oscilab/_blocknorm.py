@@ -137,10 +137,8 @@ def _subspace_norm_sq(apply_mhm, n, block=5, tol=1e-12, max_iters=600, seed=0, X
         rel = float(np.sqrt(max(res_sq, 0.0)) / max(theta, np.finfo(float).tiny))
         if converged:
             # the same span, ordered: Z's images of the Ritz vectors, top
-            # first; rotated in place, a few thousand rows at a time, by
-            # scipy's BLAS like every block product here (a numpy matmul
-            # wakes numpy's own OpenBLAS threads, which on two threads then
-            # slow the next trsm severalfold)
+            # first; rotated in place, a few thousand rows at a time, so
+            # that no second n x k block is allocated
             for i in range(0, n, _ROTATE_ROWS):
                 Z[i : i + _ROTATE_ROWS] = _gemm(1.0, Z[i : i + _ROTATE_ROWS], Y)
             G = np.asfortranarray(Y.conj().T @ G_full @ Y)

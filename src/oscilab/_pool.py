@@ -20,8 +20,13 @@ task raises is re-raised in the caller.
 numpy and scipy each bundle their own OpenBLAS (under numpy.libs/ and
 scipy.libs/). Both copies are found among the libraries mapped into the
 process and are read and set through their exported thread-count symbols.
+``one_blas_thread()`` holds both at one thread for its scope, or for the
+function it decorates, and then gives each package back its own count. Every
+CLI run and every entry point of the block-norm kernel runs in it, so no
+output depends on the thread count the environment asks OpenBLAS for.
 """
 
+import contextlib
 import ctypes
 import os
 
@@ -45,33 +50,41 @@ _SYMBOLS = {
     for verb in ("get", "set")
 }
 
+_PACKAGES = ("numpy", "scipy")
+# package -> (get, set) thread-count symbols of its OpenBLAS, once found
+_found = {}
+
 # set in a forked worker: a pool_map it calls runs in-process
 _in_worker = False
 _fn = _tasks = None
 
 
 def _openblas():
-    """{"numpy": lib or None, "scipy": lib or None}: each package's OpenBLAS."""
-    found = {"numpy": None, "scipy": None}
+    """{package: (get, set)} for each package's OpenBLAS mapped into the
+    process (a symbol is None where not exported). A library is opened once;
+    a package not mapped in yet is looked for again on the next call."""
+    if len(_found) == len(_PACKAGES):
+        return _found
     try:
         with open("/proc/self/maps") as fh:
             maps = [line.split(None, 5) for line in fh]
     except OSError:
-        return found
+        return _found
     paths = {m[5].strip() for m in maps if len(m) == 6 and "openblas" in m[5]}
     for path in sorted(paths):
         owner = os.path.basename(os.path.dirname(path)).removesuffix(".libs")
-        if owner in found:
+        if owner in _PACKAGES and owner not in _found:
             try:
-                found[owner] = ctypes.CDLL(path)
+                lib = ctypes.CDLL(path)
             except OSError:
-                pass
-    return found
+                continue
+            _found[owner] = (_symbol(lib, "get"), _symbol(lib, "set"))
+    return _found
 
 
 def _symbol(lib, verb):
     """lib's exported openblas_{verb}_num_threads, or None."""
-    for name in _SYMBOLS[verb] if lib is not None else ():
+    for name in _SYMBOLS[verb]:
         fn = getattr(lib, name, None)
         if fn is not None:
             return fn
@@ -80,19 +93,29 @@ def _symbol(lib, verb):
 
 def blas_threads():
     """BLAS threads in effect per package; None where the count is unreadable."""
-    counts = {}
-    for owner, lib in _openblas().items():
-        getter = _symbol(lib, "get")
+    counts = dict.fromkeys(_PACKAGES)
+    for owner, (getter, _) in _openblas().items():
         counts[owner] = None if getter is None else int(getter())
     return counts
 
 
-def set_blas_threads(count):
-    """Set every bundled OpenBLAS's thread count that can be set."""
-    for lib in _openblas().values():
-        setter = _symbol(lib, "set")
-        if setter is not None:
-            setter(int(count))
+def set_blas_threads(counts):
+    """Set each package's OpenBLAS to its count in counts, where both exist."""
+    for owner, (_, setter) in _openblas().items():
+        if setter is not None and counts.get(owner):
+            setter(int(counts[owner]))
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Every bundled OpenBLAS at one thread inside the scope, each package's
+    own count back on exit; also a function decorator."""
+    before = blas_threads()
+    set_blas_threads(dict.fromkeys(_PACKAGES, 1))
+    try:
+        yield
+    finally:
+        set_blas_threads(before)
 
 
 def workers(n_tasks, rows):
@@ -105,7 +128,7 @@ def workers(n_tasks, rows):
 def _start_worker(fn, tasks, cpus, started):
     global _in_worker, _fn, _tasks
     _in_worker, _fn, _tasks = True, fn, tasks
-    set_blas_threads(1)
+    set_blas_threads(dict.fromkeys(_PACKAGES, 1))
     with started.get_lock():
         slot = started.value
         started.value += 1

@@ -18,8 +18,9 @@ wrong type exits 2, naming the key by its dotted path (``phi.R``,
 
 Every run writes its CSV/JSON/SVG artifacts plus a manifest with config
 echo, version, wall time, and a sha256 per output. Identical config + seed
-gives byte-identical outputs (the manifest's wall_time and blas_threads
-fields describe the run, not its outputs).
+gives byte-identical outputs at any BLAS thread count the environment asks
+for, since a run holds every bundled OpenBLAS at one thread (the manifest's
+wall_time and blas_threads fields describe the run, not its outputs).
 
 Exit codes: 0 success, 1 compute failure (error JSON on stderr), 2
 validation failure (error JSON on stdout). The error JSON names the violated
@@ -470,6 +471,7 @@ def _load_config(config_path, overrides):
     ), doc
 
 
+@_pool.one_blas_thread()
 def run(config_path, overrides=()):
     """Execute one configured run; returns the process exit code."""
     try:

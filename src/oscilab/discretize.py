@@ -214,14 +214,13 @@ class OperatorMatrix:
     validated.
     """
 
-    def __init__(self, grid, kind, label, storage, data):
+    def __init__(self, grid, kind, storage, data):
         if kind not in _VALID_KINDS:
             raise InvariantViolation("operator-kind", f"unknown kind {kind!r}")
         if storage not in _ENTRIES:
             raise InvariantViolation("operator-storage", f"unknown storage {storage!r}")
         self.grid = grid
         self.kind = kind
-        self.label = label
         self.storage = storage
         self.data = data
         if storage == "dense":
@@ -332,7 +331,7 @@ def build_h0(grid):
     h = grid.h
     d = np.full(grid.n, 2.0 / h**2)
     e = np.full(grid.n - 1, -1.0 / h**2)
-    return OperatorMatrix(grid, "free", "h0", "tridiagonal", {"d": d, "e": e})
+    return OperatorMatrix(grid, "free", "tridiagonal", {"d": d, "e": e})
 
 
 def build_radial_channel(grid, alpha_channel):
@@ -348,13 +347,7 @@ def build_radial_channel(grid, alpha_channel):
     h = grid.h
     d = 2.0 / h**2 + alpha_channel / grid.x**2
     e = np.full(grid.n - 1, -1.0 / h**2)
-    return OperatorMatrix(
-        grid,
-        "hamiltonian",
-        f"h_alpha[{alpha_channel:g}]",
-        "tridiagonal",
-        {"d": d, "e": e},
-    )
+    return OperatorMatrix(grid, "hamiltonian", "tridiagonal", {"d": d, "e": e})
 
 
 def build_schrodinger(grid, V):
@@ -366,7 +359,7 @@ def build_schrodinger(grid, V):
     h = grid.h
     d = 2.0 / h**2 + vvals
     e = np.full(grid.n - 1, -1.0 / h**2)
-    return OperatorMatrix(grid, "hamiltonian", "h", "tridiagonal", {"d": d, "e": e})
+    return OperatorMatrix(grid, "hamiltonian", "tridiagonal", {"d": d, "e": e})
 
 
 def build_conjugate_A(grid):
@@ -383,7 +376,7 @@ def build_conjugate_A(grid):
         )
     x = grid.x
     s = -(x[:-1] + x[1:]) / (4.0 * grid.h)
-    return OperatorMatrix(grid, "conjugate_A", "A", "imag_tridiagonal", {"s": s})
+    return OperatorMatrix(grid, "conjugate_A", "imag_tridiagonal", {"s": s})
 
 
 def build_weight(grid, s, operator_basis=None):
@@ -396,7 +389,7 @@ def build_weight(grid, s, operator_basis=None):
         raise InvariantViolation("weight-exponent", f"need s >= 0, got {s}")
     if operator_basis is None:
         d = (1.0 + grid.x**2) ** (-s / 2.0)
-        return OperatorMatrix(grid, "weight", f"<Q>^-{s:g}", "diagonal", {"d": d})
+        return OperatorMatrix(grid, "weight", "diagonal", {"d": d})
     if operator_basis.shape[0] > MATERIALIZE_MAX:
         raise InvariantViolation(
             "materialization-size",
@@ -406,10 +399,4 @@ def build_weight(grid, s, operator_basis=None):
     vals = (1.0 + w**2) ** (-s / 2.0)
     mat = (v * vals) @ v.conj().T
     mat = 0.5 * (mat + mat.conj().T)
-    return OperatorMatrix(
-        operator_basis.grid,
-        "weight",
-        f"<{operator_basis.label}>^-{s:g}",
-        "dense",
-        {"mat": mat},
-    )
+    return OperatorMatrix(operator_basis.grid, "weight", "dense", {"mat": mat})

@@ -183,6 +183,7 @@ def _require_banded(H, W=None):
         )
 
 
+@_pool.one_blas_thread()
 def weighted_resolvent_norm(H, W, z, tol=1e-12, max_iters=600):
     """Largest singular value of W (H - z)^{-1} W.
 
@@ -318,6 +319,7 @@ def schrodinger_line_factory(h):
     return factory
 
 
+@_pool.one_blas_thread()
 def lap_scan(factory, V, spec):
     """Weighted resolvent scan over (Re z, Im z, box) with exponent fit.
 
@@ -512,8 +514,7 @@ def _analytic_commutator(H):
         vprime = np.gradient(vdiag, grid.x)
         d = d - grid.x * vprime
     return OperatorMatrix(
-        H.grid, "hamiltonian", "[H,iA]", "tridiagonal",
-        {"d": d, "e": 2.0 * H.data["e"]},
+        H.grid, "hamiltonian", "tridiagonal", {"d": d, "e": 2.0 * H.data["e"]}
     )
 
 

@@ -19,7 +19,7 @@ import os
 import numpy as np
 from scipy.linalg import eigh, get_blas_funcs
 
-from . import _blocknorm
+from . import _blocknorm, _pool
 from ._smooth import smoothstep_quintic
 from .discretize import build_radial_channel, eig_window, eigvals_window
 from .errors import InvariantViolation
@@ -259,6 +259,7 @@ def small_plus_decay_probe(grid, theta, k, radii, channel_alphas=DEFAULT_CHANNEL
 # oscillation compactness probe (periodic Fourier calculus)
 
 
+@_pool.one_blas_thread()
 def oscillation_compactness_probe(
     grid,
     p,

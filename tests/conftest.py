@@ -21,13 +21,13 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-@pytest.fixture
-def one_blas_thread():
-    """This process at one BLAS thread, as every pooled worker runs."""
+@pytest.fixture(autouse=True)
+def blas_threads_restored():
+    """Every test leaves the BLAS thread counts as it found them, so a scope
+    that forgets to restore fails here instead of changing later tests."""
     before = _pool.blas_threads()
-    _pool.set_blas_threads(1)
     yield
-    _pool.set_blas_threads(max((n for n in before.values() if n), default=1))
+    assert _pool.blas_threads() == before
 
 
 def demo_simon():

@@ -542,7 +542,7 @@ def test_phase_diagram_run_with_zero_budget(tmp_path):
 
 
 def test_phase_diagram_discloses_its_workers_outside_the_outputs(
-    tmp_path, monkeypatch, two_cpus, one_blas_thread
+    tmp_path, monkeypatch, two_cpus
 ):
     params = {"alphas": [1.5], "betas": [0.75], "h": 0.05, "boxes": [60.0, 120.0],
               "windows": {"below": [0.2, 0.6], "above": [1.2, 1.7]}}
@@ -602,6 +602,19 @@ def test_module_invocation_subprocess():
     assert "verify-wvn" in proc.stdout
 
 
+def _run_cli(config, blas_threads):
+    """Run the CLI on config in a fresh process whose environment asks
+    OpenBLAS for blas_threads threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscilab.cli", config],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_manifest_reports_the_blas_threads_in_effect(tmp_path):
     out_dir = tmp_path / "out"
     config = write_config(tmp_path, {
@@ -609,15 +622,23 @@ def test_manifest_reports_the_blas_threads_in_effect(tmp_path):
         "params": {"x_max": 10.0, "step": 0.01},
         "output_dir": str(out_dir),
     })
-    src = os.path.join(ROOT, "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "oscilab.cli", config],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run_cli(config, blas_threads=2)
     manifest = read_json(out_dir / "manifest.json")
-    # numpy and scipy each load their own OpenBLAS; both report the pinned 1
+    # numpy and scipy each load their own OpenBLAS; a run holds both at 1
     assert manifest["blas_threads"] == {"numpy": 1, "scipy": 1}
     assert "blas_threads" not in manifest["disclosures"]
+
+
+def test_outputs_do_not_depend_on_the_blas_threads_of_the_environment(tmp_path):
+    # a conjugate-A weighted scan: dense <A>^-s weight, W^2 and GEMMs at
+    # n ~ 100-200, whose bytes differed at two OpenBLAS threads
+    params = {"interval": [0.5, 1.5], "s": 0.51, "h": 0.2,
+              "weight_kind": "conjugate_A", "boxes": [9.9, 19.8]}
+    hashes = []
+    for threads in (2, 1):
+        out_dir = tmp_path / f"threads{threads}"
+        doc = {"command": "lap-scan", "params": params, "output_dir": str(out_dir)}
+        _run_cli(write_config(tmp_path, doc, f"threads{threads}.json"), threads)
+        hashes.append(read_json(out_dir / "manifest.json")["outputs"])
+    assert hashes[0] == hashes[1]
+    assert [o["path"] for o in hashes[0]] == ["lap_scan.csv", "lap_scan.json"]

@@ -291,7 +291,7 @@ def test_window_disjoint_is_zero():
 def test_window_functional_calculus_commutes_with_polynomials(rng):
     n = 40
     d, e = rng.normal(size=n), rng.normal(size=n - 1)
-    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "t", "tridiagonal",
+    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "tridiagonal",
                        {"d": d, "e": e})
     w, v = eig_full(T)
     spec = WindowSpec(float(np.percentile(w, 30)), float(np.percentile(w, 70)))
@@ -432,7 +432,7 @@ def test_sturm_count_column_matches_dense_count(n, seed, ends):
     rng = np.random.default_rng(seed)
     d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
     e = rng.normal(size=n - 1) * (rng.random(n - 1) > 0.1)  # some split blocks
-    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "t", "tridiagonal",
+    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "tridiagonal",
                        {"d": d, "e": e})
     ev = np.linalg.eigvalsh(T.entries)
     span = ev[-1] - ev[0] + 2.0
@@ -450,7 +450,7 @@ def test_dense_input_must_be_hermitian():
     g = Grid1D("line", 1.0, 16)
     bad = np.triu(np.ones((16, 16)))
     with pytest.raises(InvariantViolation) as err:
-        OperatorMatrix(g, "hamiltonian", "bad", "dense", {"mat": bad})
+        OperatorMatrix(g, "hamiltonian", "dense", {"mat": bad})
     assert err.value.invariant == "operator-hermiticity"
 
 

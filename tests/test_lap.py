@@ -116,8 +116,8 @@ def test_norm_rejects_pairs_off_the_lu_kernel():
     H = build_h0(g)
     W = build_weight(g, 0.51)
     z = 1.0 + 0.1j
-    diagonal_H = OperatorMatrix(g, "hamiltonian", "h", "diagonal", {"d": H.data["d"]})
-    dense_H = OperatorMatrix(g, "hamiltonian", "h", "dense", {"mat": H.entries})
+    diagonal_H = OperatorMatrix(g, "hamiltonian", "diagonal", {"d": H.data["d"]})
+    dense_H = OperatorMatrix(g, "hamiltonian", "dense", {"mat": H.entries})
     A = build_conjugate_A(g)
     for bad_H, bad_W in ((diagonal_H, W), (dense_H, W), (H, A), (H, H)):
         with pytest.raises(InvariantViolation) as err:
@@ -128,7 +128,7 @@ def test_norm_rejects_pairs_off_the_lu_kernel():
 def test_scan_rejects_a_hamiltonian_off_the_lu_kernel():
     def dense_factory(V, L):
         H = schrodinger_line_factory(0.25)(V, L)
-        return OperatorMatrix(H.grid, "hamiltonian", "h", "dense", {"mat": H.entries})
+        return OperatorMatrix(H.grid, "hamiltonian", "dense", {"mat": H.entries})
 
     spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, box_list=(5.0, 10.0))
     with pytest.raises(InvariantViolation) as err:
@@ -191,7 +191,7 @@ def test_banded_norm_certifies_its_ritz_residual(n, seed, conjugate_A, re_z, eta
     grid = Grid1D("line", 0.1 * n, n)
     d = rng.uniform(0.0, 4.0, n)
     e = -rng.uniform(0.2, 1.5, n - 1)
-    H = OperatorMatrix(grid, "hamiltonian", "t", "tridiagonal", {"d": d, "e": e})
+    H = OperatorMatrix(grid, "hamiltonian", "tridiagonal", {"d": d, "e": e})
     basis = build_conjugate_A(grid) if conjugate_A else None
     W = build_weight(grid, rng.uniform(0.0, 2.0), operator_basis=basis)
     z = complex(re_z, eta)
@@ -341,7 +341,7 @@ def test_weight_psd_check_agrees_with_the_dense_spectrum(wmin, rng):
     vals[: n // 2] = 0.0
     vals[0] = wmin
     mat = (q * vals) @ q.conj().T
-    W = OperatorMatrix(Grid1D("line", 1.0, n), "weight", "w", "dense",
+    W = OperatorMatrix(Grid1D("line", 1.0, n), "weight", "dense",
                        {"mat": 0.5 * (mat + mat.conj().T)})
     psd = np.linalg.eigvalsh(W.entries)[0] >= -1e-10
     assert psd == (wmin > -1e-10)
@@ -361,7 +361,7 @@ def test_weight_psd_check_runs_at_every_size(monkeypatch, rng):
     q, _ = np.linalg.qr(rng.normal(size=(g.n, g.n)))
     vals = np.linspace(-0.5, 1.0, g.n)
     mat = (q * vals) @ q.T
-    W = OperatorMatrix(g, "weight", "w", "dense", {"mat": 0.5 * (mat + mat.T)})
+    W = OperatorMatrix(g, "weight", "dense", {"mat": 0.5 * (mat + mat.T)})
     with pytest.raises(InvariantViolation) as err:
         weighted_resolvent_norm(build_h0(g), W, 1.0 + 0.1j)
     assert err.value.invariant == "weight-positivity"
@@ -499,9 +499,7 @@ def test_scan_summary_fields(free_unweighted_scan):
 _S12_OSCILLATION = OscillatingSpec(w=3.0, k=2.0, alpha=1.0, beta=1.0)
 
 
-def test_pooled_scan_equals_a_serial_walk_of_the_same_ladder(
-    two_cpus, one_blas_thread
-):
+def test_pooled_scan_equals_a_serial_walk_of_the_same_ladder(two_cpus):
     h, spec = 0.05, LapScanSpec(interval=(0.5, 1.5), s=1.0, re_points=3,
                                 box_list=(60.0, 120.0))
     factory = schrodinger_line_factory(h)
@@ -510,17 +508,18 @@ def test_pooled_scan_equals_a_serial_walk_of_the_same_ladder(
     assert res.workers == 2
     ladder = oscilab.lap._standard_ladder(res.im_floor)
     rows, iterations = [], []
-    for L in spec.box_list:
-        H = factory(_S12_OSCILLATION, L)
-        w = build_weight(H.grid, spec.s).data["d"]
-        for re_z in np.linspace(0.5, 1.5, spec.re_points):
-            X = None
-            for eta in ladder:
-                val, iters, _, X, _ = _banded_norm(
-                    H.data["d"], H.data["e"], w, complex(re_z, eta), X=X
-                )
-                rows.append((float(re_z), float(eta), L, val))
-                iterations.append(iters)
+    with oscilab._pool.one_blas_thread():
+        for L in spec.box_list:
+            H = factory(_S12_OSCILLATION, L)
+            w = build_weight(H.grid, spec.s).data["d"]
+            for re_z in np.linspace(0.5, 1.5, spec.re_points):
+                X = None
+                for eta in ladder:
+                    val, iters, _, X, _ = _banded_norm(
+                        H.data["d"], H.data["e"], w, complex(re_z, eta), X=X
+                    )
+                    rows.append((float(re_z), float(eta), L, val))
+                    iterations.append(iters)
     # bit for bit: same kernels, same seeds, same order within each chain
     assert res.rows == tuple(rows)
     assert res.norm_iterations == {"total": sum(iterations), "max": max(iterations)}
@@ -535,7 +534,7 @@ def test_scans_below_the_pool_threshold_run_in_process(two_cpus):
 
 
 def test_pooled_phase_sweep_builds_in_the_parent_and_screens_in_workers(
-    two_cpus, one_blas_thread, monkeypatch, tmp_path
+    two_cpus, monkeypatch, tmp_path
 ):
     log = tmp_path / "calls.jsonl"
     build = oscilab.lap.build_schrodinger
@@ -558,7 +557,8 @@ def test_pooled_phase_sweep_builds_in_the_parent_and_screens_in_workers(
     windows = {"below": (0.2, 0.6), "above": (1.2, 1.7)}
     args = ((1.0,), (0.75,), 2.0, 3.0, windows)
     kwargs = dict(h=0.05, box_list=(60.0, 120.0))
-    cells = phase_sweep(*args, **kwargs)
+    with oscilab._pool.one_blas_thread():
+        cells = phase_sweep(*args, **kwargs)
     assert cells.workers == 2
     calls = [json.loads(line) for line in log.read_text().splitlines()]
     builds = [c for c in calls if c[1] == "build"]
@@ -571,7 +571,8 @@ def test_pooled_phase_sweep_builds_in_the_parent_and_screens_in_workers(
     assert os.getpid() not in {c[0] for c in screens}
     # the same cells as an in-process sweep
     monkeypatch.setattr(oscilab._pool, "MIN_ROWS", 10**9)
-    serial = phase_sweep(*args, **kwargs)
+    with oscilab._pool.one_blas_thread():
+        serial = phase_sweep(*args, **kwargs)
     assert serial.workers == 1
     assert serial == cells
 
@@ -627,7 +628,7 @@ def test_mourre_rank_budget_deflates_a_localized_defect():
     A = build_conjugate_A(g)
     w, _ = eig_window(H, 0.5, 1.5)
     C = OperatorMatrix(
-        g, "hamiltonian", "[H,iA]", "tridiagonal",
+        g, "hamiltonian", "tridiagonal",
         {"d": 2.0 * H.data["d"] - 10.0 * np.exp(-g.x**2), "e": 2.0 * H.data["e"]},
     )
     best = []

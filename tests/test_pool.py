@@ -101,20 +101,10 @@ def test_a_dead_worker_breaks_the_pool_instead_of_hanging(two_cpus):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the CPU count"
-)
-def test_pooled_tasks_run_one_blas_thread_and_the_parent_keeps_its_own():
-    script = (
-        "import json, os\n"
-        "import oscilab.lap  # loads numpy's and scipy's OpenBLAS\n"
-        "from oscilab import _pool\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "tasks = _pool.pool_map(lambda _: _pool.blas_threads(), [0, 1], _pool.MIN_ROWS)\n"
-        "print(json.dumps({'tasks': tasks, 'parent': _pool.blas_threads()}))\n"
-    )
+def _python_at_two_blas_threads(script):
+    """The last stdout line of script, run in a fresh process whose
+    environment asks OpenBLAS for two threads, parsed as JSON."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-    env.pop("OSCILAB_THREADS", None)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -122,6 +112,79 @@ def test_pooled_tasks_run_one_blas_thread_and_the_parent_keeps_its_own():
         timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+two_blas_threads = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the CPU count"
+)
+
+
+@two_blas_threads
+def test_pooled_tasks_run_one_blas_thread_and_the_parent_keeps_its_own():
+    out = _python_at_two_blas_threads(
+        "import json, os\n"
+        "import oscilab.lap  # loads numpy's and scipy's OpenBLAS\n"
+        "from oscilab import _pool\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "tasks = _pool.pool_map(lambda _: _pool.blas_threads(), [0, 1], _pool.MIN_ROWS)\n"
+        "print(json.dumps({'tasks': tasks, 'parent': _pool.blas_threads()}))\n"
+    )
     assert out["tasks"] == [{"numpy": 1, "scipy": 1}] * 2
     assert out["parent"] == {"numpy": 2, "scipy": 2}
+
+
+@two_blas_threads
+def test_a_library_scan_runs_one_blas_thread_and_gives_the_caller_back_its_own():
+    out = _python_at_two_blas_threads(
+        "import json\n"
+        "from oscilab import _pool\n"
+        "from oscilab.lap import LapScanSpec, lap_scan, schrodinger_line_factory\n"
+        "build, inside = schrodinger_line_factory(0.2), []\n"
+        "def factory(V, L):\n"
+        "    inside.append(_pool.blas_threads())\n"
+        "    return build(V, L)\n"
+        "before = _pool.blas_threads()\n"
+        "spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, weight_kind='conjugate_A',\n"
+        "                   box_list=(9.9, 19.8))\n"
+        "lap_scan(factory, None, spec)\n"
+        "print(json.dumps({'before': before, 'inside': inside,\n"
+        "                  'after': _pool.blas_threads()}))\n"
+    )
+    assert out["before"] == out["after"] == {"numpy": 2, "scipy": 2}
+    assert out["inside"] == [{"numpy": 1, "scipy": 1}] * 2
+
+
+def test_the_scope_restores_each_package_to_its_own_count(monkeypatch):
+    counts = {"numpy": 3, "scipy": 2}
+
+    def symbols(owner):
+        def set_(n):
+            counts[owner] = n
+
+        return (lambda: counts[owner], set_)
+
+    monkeypatch.setattr(_pool, "_found", {o: symbols(o) for o in counts})
+    with _pool.one_blas_thread():
+        assert _pool.blas_threads() == {"numpy": 1, "scipy": 1}
+    assert counts == {"numpy": 3, "scipy": 2}
+
+
+def test_each_openblas_is_opened_once_and_a_missing_one_is_looked_for_again(
+    monkeypatch,
+):
+    _pool.blas_threads()
+    found = dict(_pool._found)
+    assert set(found) == {"numpy", "scipy"}
+    # scipy's OpenBLAS not found yet: the next call looks for it
+    monkeypatch.setattr(_pool, "_found", {"numpy": found["numpy"]})
+    _pool.blas_threads()
+    assert set(_pool._found) == {"numpy", "scipy"}
+    # both found: no scan and no open from here on
+    opened = []
+    monkeypatch.setattr(_pool.ctypes, "CDLL", lambda path: opened.append(path))
+    monkeypatch.setattr(_pool, "open", lambda *a: opened.append(a), raising=False)
+    with _pool.one_blas_thread():
+        _pool.blas_threads()
+    assert opened == []
+    assert _pool._found["numpy"] == found["numpy"]

@@ -48,7 +48,7 @@ def test_eig_rejects_non_hermitian():
     n = 16
     mat = np.triu(np.ones((n, n)))
     with pytest.raises(InvariantViolation) as err:
-        OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "t", "dense",
+        OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "dense",
                        {"mat": mat})
     assert err.value.invariant == "operator-hermiticity"
 
@@ -56,7 +56,7 @@ def test_eig_rejects_non_hermitian():
 def test_eig_sorted_orthonormal_residuals(rng):
     n = 60
     d, e = rng.normal(size=n), rng.normal(size=n - 1)
-    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "t", "tridiagonal",
+    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "tridiagonal",
                        {"d": d, "e": e})
     mat = T.entries
     w, v = eig_full(T)
