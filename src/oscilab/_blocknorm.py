@@ -1,7 +1,8 @@
 """Block subspace iteration for the largest eigenvalue of a PSD operator M^H M.
 
 The one iterative-norm kernel of the package: the LAP resolvent norms and
-the periodic compactness probe both call it with their own apply of M^H M.
+the periodic compactness probe both call it with their own apply of M^H M,
+the former on complex blocks, the latter on real ones.
 
 Stopping rule: the residual of the top Ritz pair. With X orthonormal and
 Z = M^H M X, the Rayleigh quotient R = X^H Z = (M X)^H (M X) has the top
@@ -29,9 +30,14 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import ComputeFailure
 
-# BLAS/LAPACK kernels of the block iteration, bound once for complex blocks
-_gemm, _herk, _trsm = get_blas_funcs(("gemm", "herk", "trsm"), dtype=complex)
-(_potrf,) = get_lapack_funcs(("potrf",), dtype=complex)
+# BLAS/LAPACK kernels of the block iteration, bound once per block dtype:
+# (gemm, Gram product, trsm, potrf), the Gram product Z^H Z being herk for
+# complex blocks (the LAP resolvents) and syrk for real ones (the probe)
+_KERNELS = {
+    np.dtype(dtype): get_blas_funcs(("gemm", gram, "trsm"), dtype=dtype)
+    + get_lapack_funcs(("potrf",), dtype=dtype)
+    for dtype, gram in ((complex, "herk"), (float, "syrk"))
+}
 
 # entries of the unit-column block below this are raised to it. Repeated
 # applies of a decaying resolvent push the block's far tail toward zero; a
@@ -48,9 +54,15 @@ _CHOLQR_DRIFT = 0.1
 _ROTATE_ROWS = 4096
 
 
+def _gemm(A, B, trans_a=0):
+    """A B, or A^H B for trans_a=2, by the gemm of A's dtype."""
+    return _KERNELS[A.dtype][0](1.0, A, B, trans_a=trans_a)
+
+
 def _gram(Z):
-    """Z^H Z by herk; only the upper triangle is filled."""
-    return _herk(1.0, Z, trans=2)
+    """Z^H Z by herk (complex Z) or syrk (real Z); only the upper triangle
+    is filled."""
+    return _KERNELS[Z.dtype][1](1.0, Z, trans=2)
 
 
 def _orthonormalise(Z, G):
@@ -64,11 +76,12 @@ def _orthonormalise(Z, G):
     Householder QR takes over for this block.
     """
     k = Z.shape[1]
+    _, _, trsm, potrf = _KERNELS[Z.dtype]
     for first in (True, False):
-        R, info = _potrf(G, lower=0, clean=1, overwrite_a=1)
+        R, info = potrf(G, lower=0, clean=1, overwrite_a=1)
         if info != 0:
             break
-        Z = _trsm(1.0, R, Z, side=1, lower=0, overwrite_b=1)
+        Z = trsm(1.0, R, Z, side=1, lower=0, overwrite_b=1)
         if not first:
             return Z
         G = _gram(Z)
@@ -77,12 +90,13 @@ def _orthonormalise(Z, G):
     return np.asfortranarray(np.linalg.qr(Z)[0])
 
 
-def _random_block(n, k, rng):
-    """Complex Gaussian n x k block, Fortran-ordered, filled part by part
-    (no complex temporaries beside the block)."""
-    X = np.empty((n, k), dtype=complex, order="F")
+def _random_block(n, k, rng, dtype):
+    """Gaussian n x k block of the given dtype, Fortran-ordered; a complex
+    one is filled part by part (no complex temporaries beside the block)."""
+    X = np.empty((n, k), dtype=dtype, order="F")
     X.real = rng.standard_normal((n, k))
-    X.imag = rng.standard_normal((n, k))
+    if X.dtype.kind == "c":
+        X.imag = rng.standard_normal((n, k))
     return X
 
 
@@ -112,7 +126,9 @@ def _subspace_norm_sq(apply_mhm, n, block=5, tol=1e-12, max_iters=600, seed=0, X
     r = ||Z y - theta X y|| / theta <= sqrt(tol).
 
     A start block X (orthonormal columns) is taken over: the kernel may
-    overwrite it. Without one, the start block is random under the seed.
+    overwrite it, and it iterates in X's dtype, complex or float64, with the
+    BLAS of that dtype; apply_mhm keeps the dtype. Without one, the start
+    block is complex and random under the seed.
     Returns (lam, iterations, converged, X, r). X is the last orthonormal
     block, so callers can warm-start the next spectral parameter from it;
     once converged, its columns follow the Ritz vectors, the top one first.
@@ -121,8 +137,10 @@ def _subspace_norm_sq(apply_mhm, n, block=5, tol=1e-12, max_iters=600, seed=0, X
     says how far it was.
     """
     if X is None:
-        X, _ = np.linalg.qr(_random_block(n, block, np.random.default_rng(seed)))
-    X = np.asfortranarray(X, dtype=complex)
+        X, _ = np.linalg.qr(
+            _random_block(n, block, np.random.default_rng(seed), complex)
+        )
+    X = np.asfortranarray(X)
     lam, rel = 0.0, np.inf
     converged = False
     it = 0
@@ -140,7 +158,7 @@ def _subspace_norm_sq(apply_mhm, n, block=5, tol=1e-12, max_iters=600, seed=0, X
             # first; rotated in place, a few thousand rows at a time, so
             # that no second n x k block is allocated
             for i in range(0, n, _ROTATE_ROWS):
-                Z[i : i + _ROTATE_ROWS] = _gemm(1.0, Z[i : i + _ROTATE_ROWS], Y)
+                Z[i : i + _ROTATE_ROWS] = _gemm(Z[i : i + _ROTATE_ROWS], Y)
             G = np.asfortranarray(Y.conj().T @ G_full @ Y)
         X = _orthonormalise(Z, G)
         X[np.abs(X) < _TAIL_FLOOR] = _TAIL_FLOOR

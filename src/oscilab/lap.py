@@ -144,7 +144,7 @@ def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, seed=0, X=None, w2=None):
         def apply_mhm(V):
             U = solve(w @ V, "N")
             T = w2 @ U
-            R = _blocknorm._gemm(1.0, U, T, trans_a=2)
+            R = _blocknorm._gemm(U, T, trans_a=2)
             return w @ solve(T, "C"), R
 
     lam, iters, converged, X, residual = _blocknorm._subspace_norm_sq(

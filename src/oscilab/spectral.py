@@ -17,7 +17,7 @@ import csv
 import os
 
 import numpy as np
-from scipy.linalg import eigh, get_blas_funcs
+from scipy.linalg import eigh
 
 from . import _blocknorm, _pool
 from ._smooth import smoothstep_quintic
@@ -37,8 +37,6 @@ __all__ = [
     "tail_report_to_json",
     "append_sweep_csv",
 ]
-
-(_gemv,) = get_blas_funcs(("gemv",), dtype=complex)
 
 # verdict thresholds for embedded candidates (the numerical reading of
 # "embedded eigenvalue": localized and stable under box doubling)
@@ -278,12 +276,14 @@ def oscillation_compactness_probe(
     seam cutoff that keeps it away from the periodic wrap-around. Corner
     norms use a smooth radial cutoff and a block subspace iteration on the
     corner's Gram operator, stopped at a relative Ritz residual of
-    sqrt(tol). The first radius starts from a random block (deterministic
-    under the seed, like every random column below). Every later radius is
-    warm-started: it keeps the
-    previous radius's top Ritz directions, which already span the top of a
-    nearby corner, and replaces the last one by a random column, so that a
-    top which moves to where the previous block had decayed is still found.
+    sqrt(tol). Every factor of the corner is real, so it maps real vectors
+    to real vectors, and the iteration runs in real arithmetic: real blocks,
+    real-input FFTs and real BLAS. The first radius starts from a random
+    real block (deterministic under the seed, like every random column
+    below). Every later radius is warm-started: it keeps the previous
+    radius's top Ritz directions, which already span the top of a nearby
+    corner, and replaces the last one by a random column, so that a top
+    which moves to where the previous block had decayed is still found.
     The report carries the iterations per radius and the largest residual.
     """
     if grid.kind != "periodic":
@@ -308,11 +308,7 @@ def oscillation_compactness_probe(
     del x, live, seam, xi
     norms, iterations, residuals = [], [], []
     rng = np.random.default_rng(seed)
-    # the first start block, orthonormalised in place by CholeskyQR2: numpy's
-    # Householder QR copies an n x 4 block four times, the op's largest
-    # transient at n = 32768
-    X = _blocknorm._random_block(len(mult), _CORNER_BLOCK, rng)
-    X = _blocknorm._orthonormalise(X, _blocknorm._gram(X))
+    X = _random_start_block(len(mult), rng)
     for i, R in enumerate(radii):
         chi = smoothstep_quintic((ax - R) / max(0.05 * R, 2.0 * h))
         if i > 0:
@@ -333,13 +329,13 @@ def oscillation_compactness_probe(
 def _replace_last_column_at_random(X, rng):
     """Overwrite X's last column by a random unit column orthogonal to the rest.
 
-    X has orthonormal columns; so does the result. Classical Gram-Schmidt,
-    run twice, against the kept columns.
+    X has orthonormal columns; so does the result, in X's dtype. Classical
+    Gram-Schmidt, run twice, against the kept columns.
     """
     kept = X[:, :-1]
-    g = _blocknorm._random_block(X.shape[0], 1, rng)[:, 0]
+    g = _blocknorm._random_block(X.shape[0], 1, rng, X.dtype)[:, 0]
     for _ in range(2):
-        g -= _gemv(1.0, kept, _gemv(1.0, kept, g, trans=2))
+        g -= kept @ (kept.conj().T @ g)
     X[:, -1] = g / np.linalg.norm(g)
 
 
@@ -347,19 +343,39 @@ def _replace_last_column_at_random(X, rng):
 _CORNER_BLOCK = 4
 
 
+def _random_start_block(n, rng):
+    """Random real n x _CORNER_BLOCK block with orthonormal columns.
+
+    Orthonormalised in place by CholeskyQR2: numpy's Householder QR copies
+    an n x 4 block four times, the probe's largest transient at n = 32768.
+    """
+    X = _blocknorm._random_block(n, _CORNER_BLOCK, rng, float)
+    return _blocknorm._orthonormalise(X, _blocknorm._gram(X))
+
+
 def _fourier_corner_norm(mult, wl1, wl2, chi, iters=200, tol=1e-6, X=None):
     """||chi M chi|| for M = W1(P) diag(mult) W2(P), by block subspace iteration.
 
-    The iterated operator is the Gram operator chi M^H chi^2 M chi of the
-    corner, applied in place: eight FFTs into the block itself and real
-    multiplies, no n x block temporaries; the Rayleigh quotient is the Gram
-    matrix of the half-way block chi M chi X. X is an optional orthonormal
-    start block (taken over by the kernel). Returns (norm, iterations,
-    residual, X) with the final orthonormal block X, top Ritz direction
-    first; raises norm-convergence when iters runs out.
+    mult, chi and the even weights wl1, wl2 (np.fft.fftfreq order) are real,
+    so the block stays real. The iterated operator is the Gram operator
+    chi M^H chi^2 M chi of the corner, applied in place: each Fourier stage
+    is an rfft into one half-spectrum buffer, a multiply by the weight's
+    half spectrum and an irfft back into the block, so no n x block
+    temporaries; the Rayleigh quotient is the Gram matrix of the half-way
+    block chi M chi X. X is an optional real orthonormal start block (taken
+    over by the kernel; without one, a random block seeded with 0). Returns
+    (norm, iterations, residual, X) with the final orthonormal block X, top
+    Ritz direction first; raises norm-convergence when iters runs out.
     """
-    fft, ifft = np.fft.fft, np.fft.ifft
-    mult, wl1, wl2, chi = (a[:, None] for a in (mult, wl1, wl2, chi))
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    n = len(mult)
+    if X is None:
+        X = _random_start_block(n, np.random.default_rng(0))
+    half_n = n // 2 + 1
+    mult, chi = mult[:, None], chi[:, None]
+    # an even weight's spectrum on the rfft frequencies 0..n//2
+    wl1, wl2 = wl1[:half_n, None], wl2[:half_n, None]
+    buf = np.empty((half_n, X.shape[1]), dtype=complex, order="F")
     # the corner chi M chi, and its adjoint, as (Fourier weight, position
     # factor) stages after a first multiply by chi
     half = ((wl2, mult), (wl1, chi))
@@ -368,9 +384,9 @@ def _fourier_corner_norm(mult, wl1, wl2, chi, iters=200, tol=1e-6, X=None):
     def apply_stages(V, stages):
         V *= chi
         for wl, factor in stages:
-            fft(V, axis=0, out=V)
-            V *= wl
-            ifft(V, axis=0, out=V)
+            rfft(V, axis=0, out=buf)
+            np.multiply(buf, wl, out=buf)
+            irfft(buf, n=n, axis=0, out=V)
             V *= factor
         return V
 
@@ -380,7 +396,7 @@ def _fourier_corner_norm(mult, wl1, wl2, chi, iters=200, tol=1e-6, X=None):
         return apply_stages(V, adjoint), R
 
     lam, its, converged, X, residual = _blocknorm._subspace_norm_sq(
-        apply_mhm, len(mult), block=_CORNER_BLOCK, tol=tol, max_iters=iters, X=X
+        apply_mhm, n, tol=tol, max_iters=iters, X=X
     )
     _blocknorm._require_converged(its, converged, "of the corner chi M chi")
     return float(np.sqrt(lam)), its, residual, X

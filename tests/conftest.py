@@ -30,6 +30,19 @@ def blas_threads_restored():
     assert _pool.blas_threads() == before
 
 
+def counting_qr(monkeypatch):
+    """Record the shape of every np.linalg.qr call; returns the list."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.shape)
+        return qr(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
 def demo_simon():
     """Three-tail truncated series plus a monotone envelope that bounds it.
 

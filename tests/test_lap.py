@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from conftest import counting_qr
 from oscilab.discretize import (
     Grid1D,
     OperatorMatrix,
@@ -149,24 +150,12 @@ def _dense_svd_norm(H, W, z):
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-def _counting_qr(monkeypatch):
-    calls = []
-    qr = np.linalg.qr
-
-    def counted(A, *args, **kwargs):
-        calls.append(A.shape)
-        return qr(A, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counted)
-    return calls
-
-
 def test_banded_norm_orthonormalises_by_cholesky_qr2(monkeypatch):
     g = line_grid(10.0, 0.25)
     H = build_schrodinger(g, WignerVonNeumann1D())
     W = build_weight(g, 0.51)
     z = 1.0 + 0.05j
-    qr_calls = _counting_qr(monkeypatch)
+    qr_calls = counting_qr(monkeypatch)
     norm, iters, converged, X, residual = _banded_norm(
         H.data["d"], H.data["e"], W.data["d"], z
     )
@@ -211,7 +200,7 @@ def test_banded_norm_singular_gram_falls_back_to_householder(monkeypatch):
     col = np.random.default_rng(1).standard_normal(g.n) + 0j
     # five copies of one column: the Gram matrix of the first block has rank 1
     X = np.repeat((col / np.linalg.norm(col))[:, None], 5, axis=1)
-    qr_calls = _counting_qr(monkeypatch)
+    qr_calls = counting_qr(monkeypatch)
     norm, _, converged, _, _ = _banded_norm(
         H.data["d"], H.data["e"], W.data["d"], z, X=X
     )

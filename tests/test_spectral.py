@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import oscilab._blocknorm
 import oscilab.spectral
 from oscilab._smooth import smoothstep_quintic
 from oscilab.discretize import (
@@ -193,8 +194,8 @@ def test_tail_decay_radii_validation():
     assert err.value.invariant == "radii-increasing"
 
 
-def _fourier_corner_setup():
-    grid = periodic_grid(20.0, 512)
+def _fourier_corner_setup(n=512):
+    grid = periodic_grid(20.0, n)
     ax = np.abs(grid.x)
     wl = 1.0 / (1.0 + grid.xi**2)
     chi = smoothstep_quintic((ax - 5.0) / 5.0)
@@ -209,6 +210,52 @@ def test_fourier_corner_norm_matches_dense():
     want = np.linalg.norm(corner, 2)
     assert want == pytest.approx(0.001406, abs=5e-7)
     assert _fourier_corner_norm(mult, wl, wl, chi)[0] == pytest.approx(want, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [512, 515])
+def test_fourier_corner_norm_is_real_and_matches_dense(n):
+    # an odd n has no Nyquist bin in its half spectrum
+    grid, mult, wl, chi = _fourier_corner_setup(n)
+    f = np.fft.fft(np.eye(n), axis=0, norm="ortho")
+    W = (f.conj().T * wl) @ f
+    want = np.linalg.norm(chi[:, None] * (W @ (mult[:, None] * W)) * chi[None, :], 2)
+    start = np.linalg.qr(np.random.default_rng(3).standard_normal((n, 4)))[0]
+    for X in (None, start):
+        norm, _, _, X = _fourier_corner_norm(mult, wl, wl, chi, X=X)
+        assert X.dtype == np.float64
+        assert norm == pytest.approx(want, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [512, 515])
+def test_real_gram_apply_equals_the_complex_fft_apply(monkeypatch, n):
+    grid, mult, _, chi = _fourier_corner_setup(n)
+    wl1 = (1.0 + grid.xi**2) ** -1.0
+    wl2 = (1.0 + grid.xi**2) ** -0.5
+    V = np.random.default_rng(5).standard_normal((n, 4))
+    applied = []
+
+    def one_apply(apply_mhm, n, X, **kwargs):
+        applied.append(apply_mhm(V.copy(order="F")))
+        return 0.0, 1, True, X, 0.0
+
+    monkeypatch.setattr(oscilab._blocknorm, "_subspace_norm_sq", one_apply)
+    _fourier_corner_norm(mult, wl1, wl2, chi)
+    Z, R = applied[0]
+
+    # the same stages by full complex FFTs: chi, then (Fourier weight,
+    # position factor) pairs
+    def stages(U, steps):
+        U = chi[:, None] * U
+        for wl, factor in steps:
+            U = factor[:, None] * np.fft.ifft(wl[:, None] * np.fft.fft(U, axis=0), axis=0)
+        return U
+
+    half = stages(V, ((wl2, mult), (wl1, chi)))
+    want_Z = stages(half, ((wl1, mult), (wl2, chi)))
+    want_R = half.conj().T @ half
+    assert Z.dtype == R.dtype == np.float64
+    assert np.linalg.norm(Z - want_Z) <= 1e-12 * np.linalg.norm(want_Z)
+    assert np.linalg.norm(np.triu(R - want_R)) <= 1e-12 * np.linalg.norm(want_R)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
