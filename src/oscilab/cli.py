@@ -315,7 +315,6 @@ def _cmd_compactness_probe(p, out_dir, seed):
             p["k"],
             smoothing_orders=p["smoothing_orders"],
             radii=(10.0, 20.0, 40.0, 80.0, 160.0) if p["radii"] is None else p["radii"],
-            tol=p["tol"],
             seed=seed,
         )
         doc = tail_report_to_json(report)
@@ -415,7 +414,7 @@ _COMMANDS = {
          "window": (_pair, None), "k": (float, MISSING), "radii": (tuple, None),
          "channel_alphas": (tuple, DEFAULT_CHANNEL_ALPHAS), "n": (int, 65536),
          "smoothing_orders": (_pair, (2.0, 2.0)), "p": (float, 1.0),
-         "alpha": (float, None), "tol": (float, 1e-6)},
+         "alpha": (float, None)},
     ),
     "phase-diagram": (
         _cmd_phase_diagram,

@@ -92,7 +92,7 @@ def _tridiag_solver(d, e, z):
 
     solver(B, trans) solves (H - z) X = B for trans='N' and the conjugate
     transpose system for trans='C', overwriting B when it is a complex
-    Fortran-ordered block.
+    vector.
     """
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(2, dtype=complex),))
     dl = np.asarray(e, dtype=complex)
@@ -115,42 +115,35 @@ def _tridiag_solver(d, e, z):
     return solve
 
 
-def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, seed=0, X=None, w2=None):
+def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, seed=0, X=None):
     """||W (H - z)^{-1} W|| for tridiagonal H by LU applies of (H - z)^{-1}.
 
     w is W's diagonal (a vector; O(n) per apply) or W itself (a dense
-    matrix; one GEMM per weight multiply). For a dense W, w2 = W^2 may be
-    passed so that a scan forms it once per box. Returns (norm, iterations,
-    converged, X, residual) as _subspace_norm_sq does.
+    matrix; one matrix-vector product per weight multiply). X is the start
+    vector, a random complex one under the seed when None. Returns (norm,
+    steps, converged, x, residual) as _blocknorm._gkl_norm does.
     """
     solve = _tridiag_solver(d, e, z)
-    # each apply returns (M^H M V, (M V)^H (M V)) for M = W (H - z)^{-1} W
+    # M = W (H - z)^{-1} W and M^H = W (H - z)^{-H} W, W being Hermitian
     if w.ndim == 1:
-        w = w[:, None]
 
-        def apply_mhm(V):
-            V *= w
-            V = solve(V, "N")
-            V *= w
-            R = _blocknorm._gram(V)
-            V *= w
-            V = solve(V, "C")
-            V *= w
-            return V, R
+        def apply(v, trans):
+            x = solve(w * v, trans)
+            x *= w
+            return x
 
     else:
-        w2 = w @ w if w2 is None else w2
 
-        def apply_mhm(V):
-            U = solve(w @ V, "N")
-            T = w2 @ U
-            R = _blocknorm._gemm(U, T, trans_a=2)
-            return w @ solve(T, "C"), R
+        def apply(v, trans):
+            return w @ solve(w @ v, trans)
 
-    lam, iters, converged, X, residual = _blocknorm._subspace_norm_sq(
-        apply_mhm, len(d), tol=tol, max_iters=max_iters, seed=seed, X=X
+    if X is None:
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal(len(d)) + 1j * rng.standard_normal(len(d))
+    return _blocknorm._gkl_norm(
+        lambda v: apply(v, "N"), lambda u: apply(u, "C"), X,
+        tol=tol, max_steps=max_iters,
     )
-    return float(np.sqrt(lam)), iters, converged, X, residual
 
 
 # the data key of W's operand for _banded_norm, per weight storage
@@ -189,20 +182,20 @@ def weighted_resolvent_norm(H, W, z, tol=1e-12, max_iters=600):
 
     H must be tridiagonal and W diagonal or dense; any other pair raises
     norm-route. The resolvent is applied exactly, by LU solves of H - z,
-    inside a subspace iteration on the squared operator; an iteration that
-    does not converge raises norm-convergence. _spectral_norm_route is the
-    dense cross-check.
+    inside Golub-Kahan-Lanczos bidiagonalisation; a run that does not
+    converge raises norm-convergence. _spectral_norm_route is the dense
+    cross-check.
     """
     z = complex(z)
     if z.imag == 0.0:
         raise InvariantViolation("imag-z", "need Im z != 0")
     _require_banded(H, W)
     _check_weight(W)
-    norm, iters, converged, _, _ = _banded_norm(
+    norm, steps, converged, _, _ = _banded_norm(
         H.data["d"], H.data["e"], W.data[_BANDED_WEIGHT[W.storage]], z,
         tol=tol, max_iters=max_iters,
     )
-    _blocknorm._require_converged(iters, converged, f"at z={z}")
+    _blocknorm._require_converged(steps, converged, f"at z={z}")
     return norm
 
 
@@ -266,8 +259,8 @@ class LapScanResult:
     im_floor: float
     level_spacing: float
     box_reports: tuple  # (box_L, p, sup_norm, verdict) per box
-    # block iterations of the tridiagonal-LU norm kernel, summed over the
-    # rows and the largest per row: {"total", "max"}
+    # Golub-Kahan-Lanczos steps of the tridiagonal-LU norm kernel, summed
+    # over the rows and the largest per row: {"total", "max"}
     norm_iterations: dict = None
     # largest relative Ritz residual the kernel stopped on over the rows
     # (0.0 when no row ran the kernel)
@@ -326,9 +319,10 @@ def lap_scan(factory, V, spec):
     factory(V, L) must return the tridiagonal Hamiltonian OperatorMatrix on
     box L; any other storage raises norm-route. The interval is assumed
     pre-screened for genuine embedded eigenvalues.
-    Norms walk down the Im z ladder with warm-started subspaces; the ladder
-    floors at 10x the mean level spacing of H inside the interval (reported
-    in the result, together with the spacing itself). Each (box, Re z)
+    Norms walk down the Im z ladder, each rung warm-started from the top
+    right Ritz vector of the rung before; the ladder floors at 10x the mean
+    level spacing of H inside the interval (reported in the result,
+    together with the spacing itself). Each (box, Re z)
     chain walks its own ladder, so the chains run in forked workers when
     they are large enough (_pool.pool_map); the rows are the same either way.
     """
@@ -354,8 +348,8 @@ def lap_scan(factory, V, spec):
     else:
         ladder = _standard_ladder(floor)
 
-    # per box: H, W's kernel operand, W^2 for a dense W (formed once per
-    # box) and, for the unweighted free control, the closed-form spectrum
+    # per box: H, W's kernel operand and, for the unweighted free control,
+    # the closed-form spectrum
     operands = {}
     for L in spec.box_list:
         H = hams[L]
@@ -368,13 +362,13 @@ def lap_scan(factory, V, spec):
         free_fast = H.kind == "free" and spec.s == 0.0
         ev = _free_dirichlet_eigs(grid) if free_fast else None
         w = W.data[_BANDED_WEIGHT[W.storage]]
-        operands[L] = (H, w, w @ w if w.ndim == 2 else None, ev)
+        operands[L] = (H, w, ev)
 
     def chain(task):
         """Norms down the Im z ladder at one (box, Re z), warm-started."""
         L, re_z = task
-        H, w, w2, ev = operands[L]
-        norms, iterations, residuals = [], [], []
+        H, w, ev = operands[L]
+        norms, steps, residuals = [], [], []
         X = None
         for eta in ladder:
             z = complex(re_z, eta)
@@ -385,20 +379,20 @@ def lap_scan(factory, V, spec):
                 dre = float(np.min(np.abs(near - re_z)))
                 val = 1.0 / float(np.hypot(dre, eta))
             else:
-                val, iters, converged, X, residual = _banded_norm(
-                    H.data["d"], H.data["e"], w, z, X=X, w2=w2
+                val, n_steps, converged, X, residual = _banded_norm(
+                    H.data["d"], H.data["e"], w, z, X=X
                 )
-                _blocknorm._require_converged(iters, converged, f"at z={z}")
-                iterations.append(iters)
+                _blocknorm._require_converged(n_steps, converged, f"at z={z}")
+                steps.append(n_steps)
                 residuals.append(residual)
             norms.append(val)
-        return norms, iterations, residuals
+        return norms, steps, residuals
 
     # largest box first, so the longest chains start first in a pool; the
     # closed-form chains are not worth a fork
     tasks = [(L, re_z) for L in reversed(spec.box_list) for re_z in re_grid]
     rows_max = max(
-        (H.shape[0] for H, _, _, ev in operands.values() if ev is None), default=0
+        (H.shape[0] for H, _, ev in operands.values() if ev is None), default=0
     )
     walked = dict(zip(tasks, _pool.pool_map(chain, tasks, rows_max)))
 
@@ -406,14 +400,14 @@ def lap_scan(factory, V, spec):
     box_reports = []
     p_values = []
     sup_by_box = {}
-    iterations = []
+    steps = []
     residuals = []
     for L in spec.box_list:
         box_p = []
         box_sup = 0.0
         for re_z in re_grid:
-            norms, chain_iterations, chain_residuals = walked[L, re_z]
-            iterations.extend(chain_iterations)
+            norms, chain_steps, chain_residuals = walked[L, re_z]
+            steps.extend(chain_steps)
             residuals.extend(chain_residuals)
             rows.extend(
                 (float(re_z), float(eta), float(L), float(val))
@@ -445,7 +439,7 @@ def lap_scan(factory, V, spec):
         im_floor=float(floor),
         level_spacing=float(spacing),
         box_reports=box_reports,
-        norm_iterations={"total": sum(iterations), "max": max(iterations, default=0)},
+        norm_iterations={"total": sum(steps), "max": max(steps, default=0)},
         norm_residual_max=float(max(residuals, default=0.0)),
         workers=_pool.workers(len(tasks), rows_max),
     )

@@ -139,9 +139,9 @@ class TailDecayReport:
     plateau_estimate: float
     verdict: str
     operator_norm: float = float("nan")
-    # block iterations per radius and the largest relative Ritz residual of
-    # the iterative corner norms (empty and 0.0 for the dense channel probe);
-    # run disclosures, left out of tail_report_to_json
+    # Golub-Kahan-Lanczos steps per radius and the largest relative Ritz
+    # residual of the iterative corner norms (empty and 0.0 for the dense
+    # channel probe); run disclosures, left out of tail_report_to_json
     norm_iterations: tuple = ()
     norm_residual_max: float = 0.0
 
@@ -257,6 +257,19 @@ def small_plus_decay_probe(grid, theta, k, radii, channel_alphas=DEFAULT_CHANNEL
 # oscillation compactness probe (periodic Fourier calculus)
 
 
+# the probe's corner norms stop at a relative M^H M residual of
+# sqrt(_PROBE_TOL) = 1e-4. A single vector resolves a clustered top more
+# slowly than a block did: on periodic_grid(100, 8192), a warm start
+# stopped at 1e-3 on a lower Ritz value, 2.9e-3 low at alpha = 2 (R = 10)
+# and 24.22 instead of 29.28 at alpha = 1 (R = 80). At 1e-4 a top can
+# still be read off a singular value just below it: 6.3e-5 low at alpha = 2,
+# n = 16384, R = 5
+_PROBE_TOL = 1e-8
+
+# weight of the seeded random unit vector mixed into each warm start
+_WARM_MIX = 0.01
+
+
 @_pool.one_blas_thread()
 def oscillation_compactness_probe(
     grid,
@@ -265,7 +278,6 @@ def oscillation_compactness_probe(
     k,
     smoothing_orders=(2, 2),
     radii=(10.0, 20.0, 40.0, 80.0, 160.0),
-    tol=1e-6,
     max_iters=200,
     seed=0,
 ):
@@ -274,17 +286,18 @@ def oscillation_compactness_probe(
     Periodic Fourier calculus realizes the smoothing weights exactly; the
     multiplier carries the standard unit cutoff around the origin and a
     seam cutoff that keeps it away from the periodic wrap-around. Corner
-    norms use a smooth radial cutoff and a block subspace iteration on the
-    corner's Gram operator, stopped at a relative Ritz residual of
-    sqrt(tol). Every factor of the corner is real, so it maps real vectors
-    to real vectors, and the iteration runs in real arithmetic: real blocks,
-    real-input FFTs and real BLAS. The first radius starts from a random
-    real block (deterministic under the seed, like every random column
-    below). Every later radius is warm-started: it keeps the previous
-    radius's top Ritz directions, which already span the top of a nearby
-    corner, and replaces the last one by a random column, so that a top
-    which moves to where the previous block had decayed is still found.
-    The report carries the iterations per radius and the largest residual.
+    norms use a smooth radial cutoff and Golub-Kahan-Lanczos
+    bidiagonalisation of the corner, stopped at a relative Ritz residual of
+    sqrt(_PROBE_TOL), at most max_iters steps. Every factor of the corner is
+    real, so it maps real vectors to real vectors, and the iteration runs
+    in real arithmetic: real vectors and real-input FFTs. The first radius
+    starts from a random real vector (deterministic under the seed, like
+    every random vector below). Every later radius is warm-started from the
+    previous radius's top right Ritz vector, which already points along the
+    top of a nearby corner, plus _WARM_MIX times a random unit vector, so
+    that a top which moves to where the previous vector had decayed is
+    still found. The report carries the steps per radius and the largest
+    residual.
     """
     if grid.kind != "periodic":
         raise InvariantViolation("probe-grid", "probe needs a periodic grid")
@@ -304,102 +317,73 @@ def oscillation_compactness_probe(
     xi = grid.xi
     wl1 = (1.0 + xi * xi) ** (-l1 / 2.0)
     wl2 = (1.0 + xi * xi) ** (-l2 / 2.0)
-    # grid-size arrays read no more: freed before the block iteration's own
+    # grid-size arrays read no more: freed before the iteration's own
     del x, live, seam, xi
-    norms, iterations, residuals = [], [], []
+    norms, steps, residuals = [], [], []
     rng = np.random.default_rng(seed)
-    X = _random_start_block(len(mult), rng)
+    X = rng.standard_normal(len(mult))
     for i, R in enumerate(radii):
         chi = smoothstep_quintic((ax - R) / max(0.05 * R, 2.0 * h))
         if i > 0:
-            _replace_last_column_at_random(X, rng)
-        norm, its, residual, X = _fourier_corner_norm(
-            mult, wl1, wl2, chi, tol=tol, iters=max_iters, X=X
+            g = rng.standard_normal(len(mult))
+            X += _WARM_MIX / np.linalg.norm(g) * g
+        norm, n_steps, residual, X = _fourier_corner_norm(
+            mult, wl1, wl2, chi, iters=max_iters, tol=_PROBE_TOL, X=X
         )
         norms.append(norm)
-        iterations.append(its)
+        steps.append(n_steps)
         residuals.append(residual)
     return replace(
         _make_report(radii, norms),
-        norm_iterations=tuple(iterations),
+        norm_iterations=tuple(steps),
         norm_residual_max=float(max(residuals)),
     )
 
 
-def _replace_last_column_at_random(X, rng):
-    """Overwrite X's last column by a random unit column orthogonal to the rest.
-
-    X has orthonormal columns; so does the result, in X's dtype. Classical
-    Gram-Schmidt, run twice, against the kept columns.
-    """
-    kept = X[:, :-1]
-    g = _blocknorm._random_block(X.shape[0], 1, rng, X.dtype)[:, 0]
-    for _ in range(2):
-        g -= kept @ (kept.conj().T @ g)
-    X[:, -1] = g / np.linalg.norm(g)
-
-
-# columns of the probe's block
-_CORNER_BLOCK = 4
-
-
-def _random_start_block(n, rng):
-    """Random real n x _CORNER_BLOCK block with orthonormal columns.
-
-    Orthonormalised in place by CholeskyQR2: numpy's Householder QR copies
-    an n x 4 block four times, the probe's largest transient at n = 32768.
-    """
-    X = _blocknorm._random_block(n, _CORNER_BLOCK, rng, float)
-    return _blocknorm._orthonormalise(X, _blocknorm._gram(X))
-
-
-def _fourier_corner_norm(mult, wl1, wl2, chi, iters=200, tol=1e-6, X=None):
-    """||chi M chi|| for M = W1(P) diag(mult) W2(P), by block subspace iteration.
+def _fourier_corner_norm(mult, wl1, wl2, chi, iters=200, tol=1e-12, X=None):
+    """||chi M chi|| for M = W1(P) diag(mult) W2(P), by Golub-Kahan-Lanczos.
 
     mult, chi and the even weights wl1, wl2 (np.fft.fftfreq order) are real,
-    so the block stays real. The iterated operator is the Gram operator
-    chi M^H chi^2 M chi of the corner, applied in place: each Fourier stage
-    is an rfft into one half-spectrum buffer, a multiply by the weight's
-    half spectrum and an irfft back into the block, so no n x block
-    temporaries; the Rayleigh quotient is the Gram matrix of the half-way
-    block chi M chi X. X is an optional real orthonormal start block (taken
-    over by the kernel; without one, a random block seeded with 0). Returns
-    (norm, iterations, residual, X) with the final orthonormal block X, top
-    Ritz direction first; raises norm-convergence when iters runs out.
+    so the vectors stay real. The corner chi M chi and its adjoint are
+    applied as an rfft into one half-spectrum buffer, a multiply by the
+    weight's half spectrum and an irfft back, per Fourier stage. X is an
+    optional real start vector (of a start block, its first column is
+    taken); without one, a random vector seeded with 0. The kernel stops at
+    a relative residual of sqrt(tol). Returns (norm, steps, residual, x)
+    with x the top right Ritz vector; raises norm-convergence when iters
+    steps run out.
     """
     rfft, irfft = np.fft.rfft, np.fft.irfft
     n = len(mult)
     if X is None:
-        X = _random_start_block(n, np.random.default_rng(0))
+        X = np.random.default_rng(0).standard_normal(n)
     half_n = n // 2 + 1
-    mult, chi = mult[:, None], chi[:, None]
     # an even weight's spectrum on the rfft frequencies 0..n//2
-    wl1, wl2 = wl1[:half_n, None], wl2[:half_n, None]
-    buf = np.empty((half_n, X.shape[1]), dtype=complex, order="F")
+    wl1, wl2 = wl1[:half_n], wl2[:half_n]
+    buf = np.empty(half_n, dtype=complex)
     # the corner chi M chi, and its adjoint, as (Fourier weight, position
     # factor) stages after a first multiply by chi
     half = ((wl2, mult), (wl1, chi))
     adjoint = ((wl1, mult), (wl2, chi))
 
-    def apply_stages(V, stages):
-        V *= chi
+    def apply_stages(v, stages):
+        v = v * chi
         for wl, factor in stages:
-            rfft(V, axis=0, out=buf)
+            rfft(v, out=buf)
             np.multiply(buf, wl, out=buf)
-            irfft(buf, n=n, axis=0, out=V)
-            V *= factor
-        return V
+            irfft(buf, n=n, out=v)
+            v *= factor
+        return v
 
-    def apply_mhm(V):
-        V = apply_stages(V, half)
-        R = _blocknorm._gram(V)
-        return apply_stages(V, adjoint), R
-
-    lam, its, converged, X, residual = _blocknorm._subspace_norm_sq(
-        apply_mhm, n, tol=tol, max_iters=iters, X=X
+    norm, steps, converged, x, residual = _blocknorm._gkl_norm(
+        lambda v: apply_stages(v, half),
+        lambda u: apply_stages(u, adjoint),
+        X[:, 0] if X.ndim == 2 else X,
+        tol=tol,
+        max_steps=iters,
     )
-    _blocknorm._require_converged(its, converged, "of the corner chi M chi")
-    return float(np.sqrt(lam)), its, residual, X
+    _blocknorm._require_converged(steps, converged, "of the corner chi M chi")
+    return norm, steps, residual, x
 
 
 # ---------------------------------------------------------------------------

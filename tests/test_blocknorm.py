@@ -1,52 +1,63 @@
-"""Tests for the block subspace iteration on real blocks."""
+"""Tests for the Golub-Kahan-Lanczos norm kernel on dense operators."""
 
 import numpy as np
 import pytest
 
-from conftest import counting_qr
 from oscilab import _blocknorm
 
 N = 60
 
 
-def _gram_apply(A):
-    """The apply of the real PSD operator A^T A, with its Rayleigh quotient,
-    as _subspace_norm_sq takes it."""
-
-    def apply_mhm(V):
-        U = A @ V
-        return A.T @ U, U.T @ U
-
-    return apply_mhm
-
-
-def test_real_block_finds_the_top_eigenvalue():
-    A = np.random.default_rng(0).standard_normal((N, N))
-    start = np.linalg.qr(np.random.default_rng(1).standard_normal((N, 5)))[0]
-    lam, _, converged, X, residual = _blocknorm._subspace_norm_sq(
-        _gram_apply(A), N, X=start
-    )
-    assert converged and residual <= 1e-6
-    assert lam == pytest.approx(np.linalg.eigvalsh(A.T @ A)[-1], rel=1e-9)
-    # the block stays real, and orthonormal
-    assert X.dtype == np.float64
-    assert np.allclose(X.T @ X, np.eye(5), atol=1e-13)
-
-
-def test_real_singular_gram_falls_back_to_householder(monkeypatch):
-    rng = np.random.default_rng(1)
+def _dense(dtype):
+    """A non-normal n x n matrix of the given dtype."""
+    rng = np.random.default_rng(0)
     A = rng.standard_normal((N, N))
-    # A maps e_1..e_4 to zero; the start block is e_1..e_4 beside a unit
-    # column orthogonal to them. It is orthonormal, as the kernel requires,
-    # and the Gram matrix of its image has rank 1
-    A[:, 1:5] = 0.0
-    col = rng.standard_normal(N)
-    col[1:5] = 0.0
-    X = np.eye(N, 5, order="F")
-    X[:, 0] = col / np.linalg.norm(col)
-    qr_calls = counting_qr(monkeypatch)
-    lam, _, converged, X, _ = _blocknorm._subspace_norm_sq(_gram_apply(A), N, X=X)
-    assert qr_calls
-    assert converged
-    assert X.dtype == np.float64
-    assert lam == pytest.approx(np.linalg.eigvalsh(A.T @ A)[-1], rel=1e-9)
+    if dtype == complex:
+        A = A + 1j * rng.standard_normal((N, N))
+    return A
+
+
+def _norm(A, x0, **kwargs):
+    return _blocknorm._gkl_norm(lambda v: A @ v, lambda u: A.conj().T @ u, x0, **kwargs)
+
+
+def _start(dtype, scale=1.0):
+    x0 = np.random.default_rng(1).standard_normal(N).astype(dtype)
+    return scale * x0 / np.linalg.norm(x0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_kernel_finds_the_top_singular_value(dtype):
+    A = _dense(dtype)
+    want = np.linalg.svd(A, compute_uv=False)[0]
+    norm, steps, converged, x, residual = _norm(A, _start(dtype))
+    assert converged and residual <= 1e-6
+    assert norm == pytest.approx(want, rel=1e-9)
+    # x is the unit top right Ritz vector, in the start vector's dtype
+    assert x.dtype == np.dtype(dtype)
+    assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(A @ x) == pytest.approx(want, rel=1e-9)
+    # an unnormalised start vector gives the same norm
+    assert _norm(A, _start(dtype, 7.0))[0] == pytest.approx(norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_start_vector_outside_the_squared_range_gives_the_same_norm(dtype, scale):
+    # the entries' squares underflow or overflow; the start is still scaled
+    A = _dense(dtype)
+    want = _norm(A, _start(dtype))[0]
+    assert _norm(A, _start(dtype, scale))[0] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_zero_operator_returns_zero_after_one_step(dtype):
+    norm, steps, converged, _, residual = _norm(np.zeros((N, N), dtype), _start(dtype))
+    assert (norm, steps, converged, residual) == (0.0, 1, True, 0.0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_step_cap_is_reported(dtype):
+    _, steps, converged, _, residual = _norm(_dense(dtype), _start(dtype), max_steps=2)
+    assert (steps, converged) == (2, False)
+    assert residual > 1e-6

@@ -336,9 +336,12 @@ def test_sweep_csv_key_is_unknown(tmp_path, capsys):
          "windows-empty"),
         ("mourre-check", {"kind": "at_infinity", "window": [0.5, 1.0], "gamma": 0.6},
          "param-unknown"),
+        ("compactness-probe",
+         {"mode": "smoothed_multiplier", "alpha": 2.0, "k": 1.0, "tol": 1e-6},
+         "param-unknown"),
     ],
     ids=["variant", "mourre-kind", "probe-mode", "weight-kind", "phi-el",
-         "radii-missing", "windows-empty", "gamma"],
+         "radii-missing", "windows-empty", "gamma", "probe-tol"],
 )
 def test_exit_2_runs_leave_no_output_dir(tmp_path, capsys, command, params, invariant):
     # checks that depend on the mode run inside the handlers; the output
@@ -450,6 +453,25 @@ def test_compactness_probe_run_smoothed_multiplier(tmp_path):
     assert "verdict" in report
 
 
+def test_probe_at_alpha_one_and_a_half_converges_within_the_cap(tmp_path):
+    # default L = 200 and radii 10-160: the first radius needs about 50
+    # Golub-Kahan-Lanczos steps, under the cap of 200
+    out_dir = tmp_path / "out"
+    doc = {
+        "command": "compactness-probe",
+        "params": {"mode": "smoothed_multiplier", "alpha": 1.5, "k": 1.0, "n": 4096},
+        "output_dir": str(out_dir),
+    }
+    assert run(write_config(tmp_path, doc)) == 0
+    report = read_json(out_dir / "probe.json")
+    assert report["verdict"] == "plateaus"
+    assert report["tail_norms"] == pytest.approx(
+        [0.3129, 0.3129, 0.3129, 0.31285, 0.28736], rel=1e-3
+    )
+    steps = read_json(out_dir / "manifest.json")["disclosures"]["norm_iterations"]
+    assert max(steps) <= 200
+
+
 _DISCLOSING_RUNS = {
     "lap-scan": (
         {"interval": [0.5, 1.5], "s": 0.51, "boxes": [20.0, 40.0], "h": 0.2},
@@ -486,10 +508,10 @@ def test_norm_kernel_runs_disclose_their_certificate(tmp_path, command):
         assert 0.0 < disclosed["norm_residual_max"] <= 1e-6
         assert disclosed["norm_iterations"]["max"] >= 1
     else:
-        # one iteration count per radius; the probe's tol is 1e-6
+        # one step count per radius; the probe stops at a residual of 1e-4
         assert len(disclosed["norm_iterations"]) == len(params["radii"])
         assert min(disclosed["norm_iterations"]) >= 1
-        assert 0.0 < disclosed["norm_residual_max"] <= 1e-3
+        assert 0.0 < disclosed["norm_residual_max"] <= 1e-4
 
 
 def test_construct_kg_run_reports_the_eigenvalue(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from conftest import counting_qr
 from oscilab.discretize import (
     Grid1D,
     OperatorMatrix,
@@ -138,33 +137,7 @@ def test_scan_rejects_a_hamiltonian_off_the_lu_kernel():
 
 
 # ---------------------------------------------------------------------------
-# the block-norm kernel
-
-
-def _dense_svd_norm(H, W, z):
-    """sigma_max of W (H - z)^{-1} W from explicit dense matrices."""
-    d, e = H.data["d"], H.data["e"]
-    Hd = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    Wd = np.diag(W.data["d"])
-    M = Wd @ np.linalg.inv(Hd - z * np.eye(len(d))) @ Wd
-    return float(np.linalg.svd(M, compute_uv=False)[0])
-
-
-def test_banded_norm_orthonormalises_by_cholesky_qr2(monkeypatch):
-    g = line_grid(10.0, 0.25)
-    H = build_schrodinger(g, WignerVonNeumann1D())
-    W = build_weight(g, 0.51)
-    z = 1.0 + 0.05j
-    qr_calls = counting_qr(monkeypatch)
-    norm, iters, converged, X, residual = _banded_norm(
-        H.data["d"], H.data["e"], W.data["d"], z
-    )
-    # Householder QR only orthonormalises the random start block
-    assert len(qr_calls) == 1
-    # the kernel stops on its certificate: relative Ritz residual <= sqrt(tol)
-    assert converged and residual <= 1e-6
-    assert np.allclose(X.conj().T @ X, np.eye(X.shape[1]), atol=1e-13)
-    assert norm == pytest.approx(_dense_svd_norm(H, W, z), rel=1e-9)
+# the norm kernel
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,23 +163,6 @@ def test_banded_norm_certifies_its_ritz_residual(n, seed, conjugate_A, re_z, eta
     # the stop certifies a relative Ritz residual <= sqrt(tol), tol = 1e-12
     assert converged and residual <= 1e-6
     assert norm == pytest.approx(_spectral_norm_route(H, W, z), rel=1e-9)
-
-
-def test_banded_norm_singular_gram_falls_back_to_householder(monkeypatch):
-    g = line_grid(10.0, 0.25)
-    H = build_schrodinger(g, WignerVonNeumann1D())
-    W = build_weight(g, 0.51)
-    z = 1.0 + 0.05j
-    col = np.random.default_rng(1).standard_normal(g.n) + 0j
-    # five copies of one column: the Gram matrix of the first block has rank 1
-    X = np.repeat((col / np.linalg.norm(col))[:, None], 5, axis=1)
-    qr_calls = counting_qr(monkeypatch)
-    norm, _, converged, _, _ = _banded_norm(
-        H.data["d"], H.data["e"], W.data["d"], z, X=X
-    )
-    assert qr_calls
-    assert converged
-    assert norm == pytest.approx(_dense_svd_norm(H, W, z), rel=1e-9)
 
 
 def test_norm_iteration_cap_is_reported_and_raises():

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -232,15 +233,20 @@ def test_real_gram_apply_equals_the_complex_fft_apply(monkeypatch, n):
     wl1 = (1.0 + grid.xi**2) ** -1.0
     wl2 = (1.0 + grid.xi**2) ** -0.5
     V = np.random.default_rng(5).standard_normal((n, 4))
-    applied = []
+    applies = []
 
-    def one_apply(apply_mhm, n, X, **kwargs):
-        applied.append(apply_mhm(V.copy(order="F")))
-        return 0.0, 1, True, X, 0.0
+    def no_steps(apply_m, apply_mh, x0, **kwargs):
+        applies.append((apply_m, apply_mh))
+        return 0.0, 1, True, x0, 0.0
 
-    monkeypatch.setattr(oscilab._blocknorm, "_subspace_norm_sq", one_apply)
+    monkeypatch.setattr(oscilab._blocknorm, "_gkl_norm", no_steps)
     _fourier_corner_norm(mult, wl1, wl2, chi)
-    Z, R = applied[0]
+    apply_m, apply_mh = applies[0]
+    given = V.copy()
+    U = np.column_stack([apply_m(v) for v in V.T])
+    Z = np.column_stack([apply_mh(u) for u in U.T])
+    # the applies leave their argument as it is
+    assert np.array_equal(V, given)
 
     # the same stages by full complex FFTs: chi, then (Fourier weight,
     # position factor) pairs
@@ -250,12 +256,11 @@ def test_real_gram_apply_equals_the_complex_fft_apply(monkeypatch, n):
             U = factor[:, None] * np.fft.ifft(wl[:, None] * np.fft.fft(U, axis=0), axis=0)
         return U
 
-    half = stages(V, ((wl2, mult), (wl1, chi)))
-    want_Z = stages(half, ((wl1, mult), (wl2, chi)))
-    want_R = half.conj().T @ half
-    assert Z.dtype == R.dtype == np.float64
+    want_U = stages(V, ((wl2, mult), (wl1, chi)))
+    want_Z = stages(want_U, ((wl1, mult), (wl2, chi)))
+    assert U.dtype == Z.dtype == np.float64
+    assert np.linalg.norm(U - want_U) <= 1e-12 * np.linalg.norm(want_U)
     assert np.linalg.norm(Z - want_Z) <= 1e-12 * np.linalg.norm(want_Z)
-    assert np.linalg.norm(np.triu(R - want_R)) <= 1e-12 * np.linalg.norm(want_R)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
@@ -281,6 +286,20 @@ def test_probe_warm_start_keeps_the_cold_norms(monkeypatch, alpha):
     if alpha == 1.0:
         # the plateau's corners share their top: later radii start converged
         assert 2 * sum(warm.norm_iterations) <= sum(cold.norm_iterations)
+
+
+def test_probe_corner_past_the_box_is_zero():
+    # the last radius leaves chi = 0 on the whole grid: the first image of
+    # the start vector is exactly 0, and the kernel returns 0 at step 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = oscillation_compactness_probe(
+            periodic_grid(20.0, 1024), 1.0, 2.0, 1.0, radii=(5.0, 10.0, 30.0)
+        )
+    assert rep.tail_norms[:2] == pytest.approx((0.0210, 0.0120), rel=1e-2)
+    assert rep.tail_norms[2] == 0.0
+    assert rep.norm_iterations[2] == 1
+    assert rep.verdict == "decays_to_zero"
 
 
 def test_fourier_corner_norm_iteration_cap_raises():
