@@ -271,7 +271,7 @@ def _cmd_mourre_check(p, out_dir, seed):
         result = weighted_mourre_check(H, build_conjugate_A(grid), phi, window, s)
     elif kind == "at_infinity":
         result = mourre_at_infinity_check(
-            H, grid, p["R"], p["delta"], 0.6 if p["s"] is None else p["s"],
+            H, p["R"], p["delta"], 0.6 if p["s"] is None else p["s"],
             window, trials=p["trials"], seed=seed,
         )
     else:

@@ -1,10 +1,11 @@
 """Finite Hermitian matrix realizations of the operators under study.
 
-Grids are uniform 1D boxes (line, half-line, or periodic). Matrices carry a
-structured storage tag (tridiagonal, diagonal, imaginary tridiagonal,
-dense) so that large scans can exploit structure while small diagnostics
-may materialize dense entries. Functional calculus (operator weights) is
-exact eigendecomposition, never a series approximation.
+Grids are uniform 1D boxes (line, half-line, or periodic). Every operator
+is held in one form, a real symmetric tridiagonal J up to a diagonal phase,
+so that large scans can exploit structure while small diagnostics may
+materialize dense entries. Weights are plain arrays: a diagonal, or a dense
+matrix built by exact functional calculus (eigendecomposition, never a
+series approximation).
 
 Hamiltonians are central differences with Dirichlet ends, on line and
 half-line grids only. Periodic grids carry the Fourier calculus of the
@@ -56,7 +57,6 @@ class Grid1D:
     kind: str
     L: float
     n: int
-    boundary: str = ""
 
     def __post_init__(self):
         if self.kind not in ("line", "halfline", "periodic"):
@@ -65,14 +65,6 @@ class Grid1D:
             raise InvariantViolation("grid-extent", f"L must be > 0, got {self.L}")
         if self.n < 16:
             raise InvariantViolation("grid-size", f"need n >= 16, got {self.n}")
-        expected = "periodic" if self.kind == "periodic" else "dirichlet"
-        if self.boundary == "":
-            object.__setattr__(self, "boundary", expected)
-        elif self.boundary != expected:
-            raise InvariantViolation(
-                "grid-boundary",
-                f"{self.kind} grid requires {expected} boundary, got {self.boundary!r}",
-            )
 
     @property
     def h(self):
@@ -163,77 +155,22 @@ class WindowSpec:
 
 # ---------------------------------------------------------------------------
 # operator container
-#
-# The operators the solvers take are real symmetric tridiagonals J up to a
-# diagonal unitary, T = D^H J D; every eigensolve, Sturm count and product
-# runs on (J, D). The diagonal and dense storages hold weights only.
-
-_VALID_KINDS = ("hamiltonian", "free", "conjugate_A", "weight")
 
 
-def _band(a, sign=1.0):
-    """The n x n matrix with a above the diagonal and sign * a below it."""
-    return np.diag(a, 1) + sign * np.diag(a, -1)
-
-
-# the dense entries per storage, the reference for the tests and the dense
-# routes. Data: tridiagonal d (n), e (n-1); diagonal d (n); imag_tridiagonal
-# s (n-1), the matrix i S with S[j, j+1] = s[j] = -S[j+1, j]; dense mat (n, n)
-_ENTRIES = {
-    "tridiagonal": lambda T: np.diag(T.data["d"].astype(float)) + _band(T.data["e"]),
-    "diagonal": lambda T: np.diag(T.data["d"].astype(float)),
-    "imag_tridiagonal": lambda T: 1j * _band(T.data["s"], -1.0),
-    "dense": lambda T: T.data["mat"],
-}
-
-
-def _tridiagonal_form(T):
-    """(d, e, phase) with T = D^H J D, J = tridiag(e, d, e) and D = diag(phase).
-
-    phase is None (D = I) for tridiagonal storage. For imag_tridiagonal,
-    i S = D^H J D with J = tridiag(s, 0, s) and D = diag(i^j). A weight
-    storage has no such form and raises operator-storage.
-    """
-    if T.storage == "tridiagonal":
-        return T.data["d"], T.data["e"], None
-    if T.storage == "imag_tridiagonal":
-        n = T.grid.n
-        return np.zeros(n), T.data["s"], np.power(1j, np.arange(n) % 4)
-    raise InvariantViolation(
-        "operator-storage",
-        f"{T.storage} storage holds a weight; it has no tridiagonal form to solve",
-    )
-
-
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Hermitian n x n matrix on an n-point grid, with structured storage.
+    """Hermitian n x n matrix T = D^H J D on an n-point grid.
 
-    ``entries`` materializes the dense matrix (guarded by MATERIALIZE_MAX);
-    ``matvec`` applies a tridiagonal-form operator without materializing.
-    All storage variants are Hermitian by construction; dense input is
-    validated.
+    J = tridiag(e, d, e) is real symmetric and D = diag(phase) is a diagonal
+    unitary; phase None means D = I. Every eigensolve, Sturm count and
+    product runs on (J, D). ``entries`` materializes the dense matrix
+    (guarded by MATERIALIZE_MAX); ``matvec`` applies T without it.
     """
 
-    def __init__(self, grid, kind, storage, data):
-        if kind not in _VALID_KINDS:
-            raise InvariantViolation("operator-kind", f"unknown kind {kind!r}")
-        if storage not in _ENTRIES:
-            raise InvariantViolation("operator-storage", f"unknown storage {storage!r}")
-        self.grid = grid
-        self.kind = kind
-        self.storage = storage
-        self.data = data
-        if storage == "dense":
-            mat = data["mat"]
-            if mat.shape != self.shape:
-                raise InvariantViolation(
-                    "operator-dimension", "dense matrix does not match grid size"
-                )
-            scale = max(np.linalg.norm(mat), 1.0)
-            if np.linalg.norm(mat - mat.conj().T) > 1e-12 * scale:
-                raise InvariantViolation(
-                    "operator-hermiticity", "dense matrix is not Hermitian to 1e-12"
-                )
+    grid: Grid1D
+    d: np.ndarray
+    e: np.ndarray
+    phase: np.ndarray = None
 
     @property
     def shape(self):
@@ -246,13 +183,16 @@ class OperatorMatrix:
             raise InvariantViolation(
                 "materialization-size",
                 f"refusing to materialize {n}x{n} dense entries "
-                f"(limit {MATERIALIZE_MAX}); use matvec or the structured data",
+                f"(limit {MATERIALIZE_MAX}); use matvec or d, e and phase",
             )
-        return _ENTRIES[self.storage](self)
+        J = np.diag(self.d) + np.diag(self.e, 1) + np.diag(self.e, -1)
+        if self.phase is None:
+            return J
+        return np.conj(self.phase)[:, None] * J * self.phase
 
     def matvec(self, vec):
         """Apply the operator to a vector or a stack of column vectors."""
-        d, e, phase = _tridiagonal_form(self)
+        d, e, phase = self.d, self.e, self.phase
         v = np.asarray(vec)
         if v.ndim == 2:  # a block of column vectors
             d, e = d[:, None], e[:, None]
@@ -266,20 +206,19 @@ class OperatorMatrix:
 
 
 def _eigh(T, window, eigvals_only=False):
-    d, e, phase = _tridiagonal_form(T)
     kwargs = {} if window is None else {"select": "v", "select_range": window}
-    out = eigh_tridiagonal(d, e, eigvals_only=eigvals_only, **kwargs)
-    if eigvals_only or phase is None:
+    out = eigh_tridiagonal(T.d, T.e, eigvals_only=eigvals_only, **kwargs)
+    if eigvals_only or T.phase is None:
         return out
     # J u = w u gives T (D^H u) = w (D^H u)
-    return out[0], np.conj(phase)[:, None] * out[1]
+    return out[0], np.conj(T.phase)[:, None] * out[1]
 
 
 def eig_full(T):
-    """Full eigendecomposition of a tridiagonal-form OperatorMatrix; (w, V).
+    """Full eigendecomposition of an OperatorMatrix; (w, V).
 
-    V's columns are orthonormal eigenvectors; V is complex for
-    imag_tridiagonal storage.
+    V's columns are orthonormal eigenvectors; V is complex when T carries a
+    phase.
     """
     return _eigh(T, None)
 
@@ -302,12 +241,11 @@ def eigvals_window(T, lo, hi):
 
 def count_window(T, lo, hi):
     """Number of eigenvalues of T in [lo, hi], by Sturm counts."""
-    d, e, _ = _tridiagonal_form(T)
     # stebz fixes its count from the Sturm counts at the two window ends; an
     # absolute tolerance of the window's width ends the bisection right there
     return len(
         eigh_tridiagonal(
-            d, e, eigvals_only=True, select="v", select_range=(lo, hi), tol=hi - lo
+            T.d, T.e, eigvals_only=True, select="v", select_range=(lo, hi), tol=hi - lo
         )
     )
 
@@ -331,7 +269,7 @@ def build_h0(grid):
     h = grid.h
     d = np.full(grid.n, 2.0 / h**2)
     e = np.full(grid.n - 1, -1.0 / h**2)
-    return OperatorMatrix(grid, "free", "tridiagonal", {"d": d, "e": e})
+    return OperatorMatrix(grid, d, e)
 
 
 def build_radial_channel(grid, alpha_channel):
@@ -347,7 +285,7 @@ def build_radial_channel(grid, alpha_channel):
     h = grid.h
     d = 2.0 / h**2 + alpha_channel / grid.x**2
     e = np.full(grid.n - 1, -1.0 / h**2)
-    return OperatorMatrix(grid, "hamiltonian", "tridiagonal", {"d": d, "e": e})
+    return OperatorMatrix(grid, d, e)
 
 
 def build_schrodinger(grid, V):
@@ -359,37 +297,37 @@ def build_schrodinger(grid, V):
     h = grid.h
     d = 2.0 / h**2 + vvals
     e = np.full(grid.n - 1, -1.0 / h**2)
-    return OperatorMatrix(grid, "hamiltonian", "tridiagonal", {"d": d, "e": e})
+    return OperatorMatrix(grid, d, e)
 
 
 def build_conjugate_A(grid):
     """Generator of dilations (P x + x P)/2 via the central difference.
 
-    Realized as the purely off-diagonal Hermitian matrix with
-    A[j, j+1] = -i (x_j + x_{j+1}) / (4h); the sign is fixed by requiring
-    <f, [H0, iA] f> approximately equal to <f, 2 H0 f> on interior wave
-    packets.
+    Realized as the purely off-diagonal Hermitian matrix i S with
+    S[j, j+1] = s[j] = -S[j+1, j], s[j] = -(x_j + x_{j+1}) / (4h); the sign
+    is fixed by requiring <f, [H0, iA] f> approximately equal to
+    <f, 2 H0 f> on interior wave packets. i S = D^H J D with
+    J = tridiag(s, 0, s) and D = diag(i^j).
     """
     if grid.kind == "periodic":
         raise InvariantViolation(
             "conjugate-grid", "the dilation generator needs a non-periodic grid"
         )
-    x = grid.x
+    x, n = grid.x, grid.n
     s = -(x[:-1] + x[1:]) / (4.0 * grid.h)
-    return OperatorMatrix(grid, "conjugate_A", "imag_tridiagonal", {"s": s})
+    return OperatorMatrix(grid, np.zeros(n), s, np.power(1j, np.arange(n) % 4))
 
 
 def build_weight(grid, s, operator_basis=None):
-    """Weight <Q>^(-s) as a diagonal matrix, or <T>^(-s) for a supplied T.
+    """Weight <Q>^(-s) as its diagonal (a vector), or <T>^(-s) for a supplied T.
 
     With an operator basis the weight is exact functional calculus on T's
-    eigendecomposition (dense result).
+    eigendecomposition: a dense Hermitian matrix.
     """
     if s < 0:
         raise InvariantViolation("weight-exponent", f"need s >= 0, got {s}")
     if operator_basis is None:
-        d = (1.0 + grid.x**2) ** (-s / 2.0)
-        return OperatorMatrix(grid, "weight", "diagonal", {"d": d})
+        return (1.0 + grid.x**2) ** (-s / 2.0)
     if operator_basis.shape[0] > MATERIALIZE_MAX:
         raise InvariantViolation(
             "materialization-size",
@@ -398,5 +336,4 @@ def build_weight(grid, s, operator_basis=None):
     w, v = eig_full(operator_basis)
     vals = (1.0 + w**2) ** (-s / 2.0)
     mat = (v * vals) @ v.conj().T
-    mat = 0.5 * (mat + mat.conj().T)
-    return OperatorMatrix(operator_basis.grid, "weight", "dense", {"mat": mat})
+    return 0.5 * (mat + mat.conj().T)

@@ -75,12 +75,18 @@ _POSINF = float("inf")
 
 
 def _check_weight(W):
-    if W.storage == "diagonal":
-        if np.min(W.data["d"]) < 0:
+    """Reject a weight that is not Hermitian PSD; W is a diagonal or a matrix."""
+    if W.ndim == 1:
+        if np.min(W) < 0:
             raise InvariantViolation("weight-positivity", "weight must be >= 0")
         return
+    scale = max(np.linalg.norm(W), 1.0)
+    if np.linalg.norm(W - W.conj().T) > 1e-12 * scale:
+        raise InvariantViolation(
+            "operator-hermiticity", "dense weight is not Hermitian to 1e-12"
+        )
     # W >= -1e-10 iff W + 1e-10 I has a Cholesky factor
-    shifted = np.array(W.data["mat"], order="F")
+    shifted = np.array(W, order="F")
     shifted.flat[:: W.shape[0] + 1] += 1e-10
     (potrf,) = get_lapack_funcs(("potrf",), (shifted,))
     if potrf(shifted, overwrite_a=1)[1] != 0:
@@ -115,12 +121,12 @@ def _tridiag_solver(d, e, z):
     return solve
 
 
-def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, seed=0, X=None):
+def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, X=None):
     """||W (H - z)^{-1} W|| for tridiagonal H by LU applies of (H - z)^{-1}.
 
     w is W's diagonal (a vector; O(n) per apply) or W itself (a dense
     matrix; one matrix-vector product per weight multiply). X is the start
-    vector, a random complex one under the seed when None. Returns (norm,
+    vector, a random complex one seeded with 0 when None. Returns (norm,
     steps, converged, x, residual) as _blocknorm._gkl_norm does.
     """
     solve = _tridiag_solver(d, e, z)
@@ -138,16 +144,12 @@ def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, seed=0, X=None):
             return w @ solve(w @ v, trans)
 
     if X is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         X = rng.standard_normal(len(d)) + 1j * rng.standard_normal(len(d))
     return _blocknorm._gkl_norm(
         lambda v: apply(v, "N"), lambda u: apply(u, "C"), X,
         tol=tol, max_steps=max_iters,
     )
-
-
-# the data key of W's operand for _banded_norm, per weight storage
-_BANDED_WEIGHT = {"diagonal": "d", "dense": "mat"}
 
 
 def _spectral_norm_route(H, W, z):
@@ -157,43 +159,29 @@ def _spectral_norm_route(H, W, z):
             "materialization-size", "dense resolvent route needs a small matrix"
         )
     w, v = eig_full(H)
-    wm = W.entries
-    u = wm @ v
+    u = (np.diag(W) if W.ndim == 1 else W) @ v
     M = (u * (1.0 / (w - z))) @ u.conj().T
     return float(np.linalg.norm(M, 2))
-
-
-def _require_banded(H, W=None):
-    """Reject any pair the tridiagonal-LU kernel does not take, by name."""
-    if H.storage != "tridiagonal":
-        raise InvariantViolation(
-            "norm-route", f"the LU norm kernel needs tridiagonal H, got {H.storage}"
-        )
-    if W is not None and W.storage not in _BANDED_WEIGHT:
-        raise InvariantViolation(
-            "norm-route",
-            f"the LU norm kernel needs a diagonal or dense W, got {W.storage}",
-        )
 
 
 @_pool.one_blas_thread()
 def weighted_resolvent_norm(H, W, z, tol=1e-12, max_iters=600):
     """Largest singular value of W (H - z)^{-1} W.
 
-    H must be tridiagonal and W diagonal or dense; any other pair raises
-    norm-route. The resolvent is applied exactly, by LU solves of H - z,
-    inside Golub-Kahan-Lanczos bidiagonalisation; a run that does not
-    converge raises norm-convergence. _spectral_norm_route is the dense
-    cross-check.
+    H must be a real tridiagonal (one with a phase raises norm-route) and
+    W an array: W's diagonal, or W itself as a dense Hermitian PSD matrix.
+    The resolvent is applied exactly, by LU solves of H - z, inside
+    Golub-Kahan-Lanczos bidiagonalisation; a run that does not converge
+    raises norm-convergence. _spectral_norm_route is the dense cross-check.
     """
     z = complex(z)
     if z.imag == 0.0:
         raise InvariantViolation("imag-z", "need Im z != 0")
-    _require_banded(H, W)
+    if H.phase is not None:
+        raise InvariantViolation("norm-route", "LU norm kernel needs H with no phase")
     _check_weight(W)
     norm, steps, converged, _, _ = _banded_norm(
-        H.data["d"], H.data["e"], W.data[_BANDED_WEIGHT[W.storage]], z,
-        tol=tol, max_iters=max_iters,
+        H.d, H.e, W, z, tol=tol, max_iters=max_iters
     )
     _blocknorm._require_converged(steps, converged, f"at z={z}")
     return norm
@@ -316,9 +304,11 @@ def schrodinger_line_factory(h):
 def lap_scan(factory, V, spec):
     """Weighted resolvent scan over (Re z, Im z, box) with exponent fit.
 
-    factory(V, L) must return the tridiagonal Hamiltonian OperatorMatrix on
-    box L; any other storage raises norm-route. The interval is assumed
-    pre-screened for genuine embedded eigenvalues.
+    factory(V, L) must return the Hamiltonian OperatorMatrix on box L, a real
+    tridiagonal; one with a phase raises norm-route. The interval is assumed
+    pre-screened for genuine embedded eigenvalues. At s = 0 on the free
+    Laplacian (d = 2/h^2 and e = -1/h^2 exactly) the norms are read off
+    its closed-form spectrum.
     Norms walk down the Im z ladder, each rung warm-started from the top
     right Ritz vector of the rung before; the ladder floors at 10x the mean
     level spacing of H inside the interval (reported in the result,
@@ -332,7 +322,10 @@ def lap_scan(factory, V, spec):
 
     spacing = 0.0
     for L, H in hams.items():
-        _require_banded(H)
+        if H.phase is not None:
+            raise InvariantViolation(
+                "norm-route", "LU norm kernel needs H with no phase"
+            )
         count = count_window(H, lo, hi)
         if count == 0:
             raise InvariantViolation(
@@ -348,8 +341,8 @@ def lap_scan(factory, V, spec):
     else:
         ladder = _standard_ladder(floor)
 
-    # per box: H, W's kernel operand and, for the unweighted free control,
-    # the closed-form spectrum
+    # per box: H, W and, for the unweighted free control, the closed-form
+    # spectrum
     operands = {}
     for L in spec.box_list:
         H = hams[L]
@@ -359,15 +352,17 @@ def lap_scan(factory, V, spec):
         else:
             W = build_weight(grid, spec.s, operator_basis=build_conjugate_A(grid))
         _check_weight(W)
-        free_fast = H.kind == "free" and spec.s == 0.0
+        h2 = grid.h**2
+        free_fast = (
+            spec.s == 0.0 and np.all(H.d == 2.0 / h2) and np.all(H.e == -1.0 / h2)
+        )
         ev = _free_dirichlet_eigs(grid) if free_fast else None
-        w = W.data[_BANDED_WEIGHT[W.storage]]
-        operands[L] = (H, w, ev)
+        operands[L] = (H, W, ev)
 
     def chain(task):
         """Norms down the Im z ladder at one (box, Re z), warm-started."""
         L, re_z = task
-        H, w, ev = operands[L]
+        H, W, ev = operands[L]
         norms, steps, residuals = [], [], []
         X = None
         for eta in ladder:
@@ -380,7 +375,7 @@ def lap_scan(factory, V, spec):
                 val = 1.0 / float(np.hypot(dre, eta))
             else:
                 val, n_steps, converged, X, residual = _banded_norm(
-                    H.data["d"], H.data["e"], w, z, X=X
+                    H.d, H.e, W, z, X=X
                 )
                 _blocknorm._require_converged(n_steps, converged, f"at z={z}")
                 steps.append(n_steps)
@@ -493,23 +488,21 @@ def _analytic_commutator(H):
     checks; the analytic realization does not. V' is recovered from the
     stored diagonal by centered differences.
     """
-    if H.storage != "tridiagonal":
+    if H.phase is not None:
         raise InvariantViolation(
             "commutator-route",
-            "analytic commutator needs tridiagonal H; "
+            "analytic commutator needs a real tridiagonal H; "
             "pass an explicit commutator operator instead",
         )
     grid = H.grid
     h = grid.h
     kin_d = 2.0 / h**2
-    vdiag = H.data["d"] - kin_d
+    vdiag = H.d - kin_d
     d = np.full(grid.n, 2.0 * kin_d)
     if np.any(vdiag):
         vprime = np.gradient(vdiag, grid.x)
         d = d - grid.x * vprime
-    return OperatorMatrix(
-        H.grid, "hamiltonian", "tridiagonal", {"d": d, "e": 2.0 * H.data["e"]}
-    )
+    return OperatorMatrix(grid, d, 2.0 * H.e)
 
 
 def mourre_check(H, A, J, mode="strict", remainder_rank_budget=0, commutator=None):
@@ -608,7 +601,7 @@ def _br_profile(x, R, delta):
     return f, fp
 
 
-def _commutator_br_form(H, grid, R, delta):
+def _commutator_br_form(H, R, delta):
     """Analytic [H, iB_R] = 4 P f'P - f''' - 2 f V' as tridiagonal arrays.
 
     The literal matrix commutator vanishes identically on exact eigenvectors
@@ -617,26 +610,27 @@ def _commutator_br_form(H, grid, R, delta):
     with the plain Mourre check. P f'P uses midpoint weights, which keeps it
     exactly PSD whenever f' >= 0.
     """
-    if H.storage != "tridiagonal":
+    if H.phase is not None:
         raise InvariantViolation(
-            "commutator-route", "the localized commutator form needs tridiagonal H"
+            "commutator-route",
+            "the localized commutator form needs a real tridiagonal H",
         )
-    x = grid.x
-    h = grid.h
+    x = H.grid.x
+    h = H.grid.h
     xm = np.concatenate(([x[0] - h / 2.0], (x[:-1] + x[1:]) / 2.0, [x[-1] + h / 2.0]))
     _, fpm = _br_profile(xm, R, delta)
     d = 4.0 * (fpm[:-1] + fpm[1:]) / h**2
     e = -4.0 * fpm[1:-1] / h**2
     f, fp = _br_profile(x, R, delta)
     fppp = np.gradient(np.gradient(fp, x), x)
-    vdiag = H.data["d"] - 2.0 / h**2
+    vdiag = H.d - 2.0 / h**2
     low = fppp.copy()
     if np.any(vdiag):
         low = low + 2.0 * f * np.gradient(vdiag, x)
     return d - low, e
 
 
-def mourre_at_infinity_check(H, grid, R, delta, s, window, trials=64, seed=0):
+def mourre_at_infinity_check(H, R, delta, s, window, trials=64, seed=0):
     """Random-state check of <f, [H, iB_R] f> >= c1 ||chi_R <Q>^-s f||^2 - err.
 
     The commutator is the analytic form 4 P f'P - f''' - 2 f V' with
@@ -654,6 +648,7 @@ def mourre_at_infinity_check(H, grid, R, delta, s, window, trials=64, seed=0):
             (lo, hi), (float(R), 2.0 * R), (_POSINF, _POSINF),
             2.0 * lo, (0.0, 0.0), True, (0, 0),
         )
+    grid = H.grid
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((len(wE), trials))
     c1_pred = 2.0 * lo
@@ -664,7 +659,7 @@ def mourre_at_infinity_check(H, grid, R, delta, s, window, trials=64, seed=0):
     for R_val in (float(R), 2.0 * float(R)):
         if not R_val < grid.L:
             raise InvariantViolation("BR-radius", "2R must stay inside the box")
-        cd, ce = _commutator_br_form(H, grid, R_val, delta)
+        cd, ce = _commutator_br_form(H, R_val, delta)
         chi = smoothstep_quintic(np.abs(grid.x) / R_val - 1.0)
         wloc = chi * br_x ** (-s)
         c1_best = _POSINF

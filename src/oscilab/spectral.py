@@ -347,11 +347,10 @@ def _fourier_corner_norm(mult, wl1, wl2, chi, iters=200, tol=1e-12, X=None):
     so the vectors stay real. The corner chi M chi and its adjoint are
     applied as an rfft into one half-spectrum buffer, a multiply by the
     weight's half spectrum and an irfft back, per Fourier stage. X is an
-    optional real start vector (of a start block, its first column is
-    taken); without one, a random vector seeded with 0. The kernel stops at
-    a relative residual of sqrt(tol). Returns (norm, steps, residual, x)
-    with x the top right Ritz vector; raises norm-convergence when iters
-    steps run out.
+    optional real start vector; without one, a random vector seeded with 0.
+    The kernel stops at a relative residual of sqrt(tol). Returns (norm,
+    steps, residual, x) with x the top right Ritz vector; raises
+    norm-convergence when iters steps run out.
     """
     rfft, irfft = np.fft.rfft, np.fft.irfft
     n = len(mult)
@@ -378,7 +377,7 @@ def _fourier_corner_norm(mult, wl1, wl2, chi, iters=200, tol=1e-12, X=None):
     norm, steps, converged, x, residual = _blocknorm._gkl_norm(
         lambda v: apply_stages(v, half),
         lambda u: apply_stages(u, adjoint),
-        X[:, 0] if X.ndim == 2 else X,
+        X,
         tol=tol,
         max_steps=iters,
     )

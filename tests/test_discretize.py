@@ -23,7 +23,7 @@ from oscilab.discretize import (
     periodic_grid,
 )
 from oscilab.errors import InvariantViolation
-from oscilab.lap import _br_profile
+from oscilab.lap import _br_profile, weighted_resolvent_norm
 from oscilab.potentials import CustomSample, WignerVonNeumann1D
 
 
@@ -94,15 +94,15 @@ def test_radial_channel_alpha_zero_is_free():
     g = halfline_grid(10.0, 0.1)
     free = build_h0(g)
     chan = build_radial_channel(g, 0.0)
-    assert np.array_equal(chan.data["d"], free.data["d"])
-    assert np.array_equal(chan.data["e"], free.data["e"])
+    assert np.array_equal(chan.d, free.d)
+    assert np.array_equal(chan.e, free.e)
 
 
 def test_radial_channel_adds_inverse_square():
     g = halfline_grid(10.0, 0.1)
     chan = build_radial_channel(g, 2.0)
     free = build_h0(g)
-    assert np.allclose(chan.data["d"] - free.data["d"], 2.0 / g.x**2, rtol=1e-14)
+    assert np.allclose(chan.d - free.d, 2.0 / g.x**2, rtol=1e-14)
     with pytest.raises(InvariantViolation) as err:
         build_radial_channel(line_grid(10.0, 0.1), 2.0)
     assert err.value.invariant == "channel-grid"
@@ -114,11 +114,9 @@ def test_schrodinger_diagonal_perturbation():
     free = build_h0(g)
     from oscilab.potentials import eval_wvn_potential
 
-    assert np.allclose(
-        H.data["d"] - free.data["d"], eval_wvn_potential(g.x), rtol=1e-14
-    )
+    assert np.allclose(H.d - free.d, eval_wvn_potential(g.x), rtol=1e-14)
     H0 = build_schrodinger(g, None)
-    assert np.array_equal(H0.data["d"], free.data["d"])
+    assert np.array_equal(H0.d, free.d)
 
 
 def test_hamiltonians_reject_a_periodic_grid():
@@ -156,10 +154,14 @@ def test_discretization_error_is_second_order():
 def test_conjugate_A_structure():
     g = line_grid(10.0, 0.1)
     A = build_conjugate_A(g)
-    assert A.storage == "imag_tridiagonal"
     mat = A.entries
     assert np.all(np.diag(mat) == 0.0)
     assert np.linalg.norm(mat - mat.conj().T) == 0.0
+    # A = D^H J D with J = tridiag(s, 0, s) and D = diag(i^j) is exactly i S
+    s = -(g.x[:-1] + g.x[1:]) / (4.0 * g.h)
+    assert np.array_equal(A.d, np.zeros(g.n))
+    assert np.array_equal(A.e, s)
+    assert np.array_equal(mat, 1j * (np.diag(s, 1) - np.diag(s, -1)))
     with pytest.raises(InvariantViolation) as err:
         build_conjugate_A(periodic_grid(10.0, 32))
     assert err.value.invariant == "conjugate-grid"
@@ -220,11 +222,12 @@ def test_B_R_delta_zero_weight():
 def test_weight_position_basics():
     g = line_grid(10.0, 0.1)
     W0 = build_weight(g, 0.0)
-    assert np.all(W0.data["d"] == 1.0)
+    assert np.all(W0 == 1.0)
     W = build_weight(g, 0.51)
+    assert W.shape == (g.n,)
     center = np.argmin(np.abs(g.x))
-    assert W.data["d"][center] == pytest.approx(1.0)
-    assert np.linalg.norm(W.entries, 2) <= 1.0 + 1e-15
+    assert W[center] == pytest.approx(1.0)
+    assert np.max(np.abs(W)) <= 1.0 + 1e-15
     with pytest.raises(InvariantViolation) as err:
         build_weight(g, -0.5)
     assert err.value.invariant == "weight-exponent"
@@ -234,11 +237,12 @@ def test_weight_operator_basis_commutes():
     g = line_grid(6.4, 0.1)
     A = build_conjugate_A(g)
     W = build_weight(g, 0.6, operator_basis=A)
-    assert W.storage == "dense"
-    wa = W.entries @ A.entries
-    aw = A.entries @ W.entries
+    assert W.shape == (g.n, g.n)
+    assert np.array_equal(W, W.conj().T)
+    wa = W @ A.entries
+    aw = A.entries @ W
     assert np.linalg.norm(wa - aw, 2) <= 1e-10 * np.linalg.norm(A.entries, 2)
-    assert np.linalg.norm(W.entries, 2) <= 1.0 + 1e-12
+    assert np.linalg.norm(W, 2) <= 1.0 + 1e-12
 
 
 def test_window_spec_validation():
@@ -291,8 +295,7 @@ def test_window_disjoint_is_zero():
 def test_window_functional_calculus_commutes_with_polynomials(rng):
     n = 40
     d, e = rng.normal(size=n), rng.normal(size=n - 1)
-    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "tridiagonal",
-                       {"d": d, "e": e})
+    T = OperatorMatrix(Grid1D("line", 1.0, n), d, e)
     w, v = eig_full(T)
     spec = WindowSpec(float(np.percentile(w, 30)), float(np.percentile(w, 70)))
     vw, th = _window_factors(T, spec)
@@ -330,7 +333,7 @@ def test_window_commutator_with_A_is_small():
     comm_norm = np.sqrt(lam)
     # A = i S with S real antisymmetric tridiagonal, so ||A|| is the top
     # eigenvalue of the symmetric tridiagonal with off-diagonal |s|
-    s = np.abs(A.data["s"])
+    s = np.abs(A.e)
     a_norm = eigvalsh_tridiagonal(
         np.zeros(g.n), s, select="i", select_range=(g.n - 1, g.n - 1)
     )[0]
@@ -361,21 +364,16 @@ def test_eig_window_subset_of_full():
     assert v_win.shape == (g.n, len(w_win))
 
 
-def _one_operator_per_storage():
-    line = line_grid(4.0, 0.25)
-    return {
-        "tridiagonal": build_schrodinger(line, WignerVonNeumann1D()),
-        "diagonal": build_weight(line, 0.6),
-        "imag_tridiagonal": build_conjugate_A(line),
-        "dense": build_weight(line, 0.6, operator_basis=build_conjugate_A(line)),
-    }
-
-
 @pytest.mark.parametrize("storage", ["imag_tridiagonal", "tridiagonal"])
 def test_storage_table_routes_agree_with_dense(storage, rng):
-    # every solver runs on the tridiagonal form; entries is the reference
-    T = _one_operator_per_storage()[storage]
-    assert T.storage == storage
+    # every solver runs on (d, e, phase), with a phase (A) or without (H);
+    # entries is the reference
+    line = line_grid(4.0, 0.25)
+    if storage == "tridiagonal":
+        T = build_schrodinger(line, WignerVonNeumann1D())
+    else:
+        T = build_conjugate_A(line)
+    assert (T.phase is None) == (storage == "tridiagonal")
     mat = T.entries
     scale = np.linalg.norm(mat, 2)
     n = T.shape[0]
@@ -396,25 +394,6 @@ def test_storage_table_routes_agree_with_dense(storage, rng):
     assert count_window(T, lo, hi) == len(wv)
 
 
-@pytest.mark.parametrize("storage", ["dense", "diagonal"])
-def test_weight_storages_have_no_tridiagonal_form(storage):
-    W = _one_operator_per_storage()[storage]
-    assert W.kind == "weight"
-    n = W.shape[0]
-    solves = (
-        lambda: W.matvec(np.ones(n)),
-        lambda: eig_full(W),
-        lambda: eig_window(W, 0.0, 1.0),
-        lambda: eigvals_window(W, 0.0, 1.0),
-        lambda: count_window(W, 0.0, 1.0),
-    )
-    for solve in solves:
-        with pytest.raises(InvariantViolation) as err:
-            solve()
-        assert err.value.invariant == "operator-storage"
-    assert W.entries.shape == (n, n)
-
-
 def test_tridiagonal_eigvals_match_eig_window_bit_for_bit():
     H = build_schrodinger(line_grid(60.0, 0.1), WignerVonNeumann1D())
     w, _ = eig_window(H, 0.2, 1.7)
@@ -432,8 +411,7 @@ def test_sturm_count_column_matches_dense_count(n, seed, ends):
     rng = np.random.default_rng(seed)
     d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
     e = rng.normal(size=n - 1) * (rng.random(n - 1) > 0.1)  # some split blocks
-    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "tridiagonal",
-                       {"d": d, "e": e})
+    T = OperatorMatrix(Grid1D("line", 1.0, n), d, e)
     ev = np.linalg.eigvalsh(T.entries)
     span = ev[-1] - ev[0] + 2.0
     lo, hi = sorted(ev[0] - 1.0 + span * np.asarray(ends))
@@ -447,10 +425,11 @@ def test_sturm_count_column_matches_dense_count(n, seed, ends):
 
 
 def test_dense_input_must_be_hermitian():
-    g = Grid1D("line", 1.0, 16)
+    # a dense weight is checked where the norm kernel takes it
+    H = build_h0(Grid1D("line", 1.0, 16))
     bad = np.triu(np.ones((16, 16)))
     with pytest.raises(InvariantViolation) as err:
-        OperatorMatrix(g, "hamiltonian", "dense", {"mat": bad})
+        weighted_resolvent_norm(H, bad, 1.0 + 0.5j)
     assert err.value.invariant == "operator-hermiticity"
 
 

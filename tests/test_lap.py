@@ -41,6 +41,7 @@ from oscilab.lap import (
     weighted_resolvent_norm,
 )
 from oscilab.potentials import (
+    CustomSample,
     OscillatingSpec,
     ShortRangeSample,
     SumPotential,
@@ -57,7 +58,7 @@ def test_norm_identity_weight_is_inverse_distance():
     g = line_grid(10.0, 0.25)
     H = build_h0(g)
     W = build_weight(g, 0.0)
-    ev = eigh_tridiagonal(H.data["d"], H.data["e"], eigvals_only=True)
+    ev = eigh_tridiagonal(H.d, H.e, eigvals_only=True)
     for z in (1.0 + 0.01j, 0.4 + 0.2j):
         dist = np.min(np.abs(ev - z))
         got = weighted_resolvent_norm(H, W, z)
@@ -80,7 +81,7 @@ def test_norm_far_z_weight_bound():
     W = build_weight(g, 0.51)
     z = 1.0 + 50.0j
     got = weighted_resolvent_norm(H, W, z)
-    wmax = float(np.max(W.data["d"]))
+    wmax = float(np.max(W))
     assert got <= wmax**2 / 50.0 * (1.0 + 1e-6)
 
 
@@ -112,27 +113,24 @@ def test_norm_real_z_rejected():
 
 
 def test_norm_rejects_pairs_off_the_lu_kernel():
+    # an H with a phase (the dilation generator) is off the real LU kernel,
+    # under either weight
     g = line_grid(5.0, 0.5)
-    H = build_h0(g)
-    W = build_weight(g, 0.51)
-    z = 1.0 + 0.1j
-    diagonal_H = OperatorMatrix(g, "hamiltonian", "diagonal", {"d": H.data["d"]})
-    dense_H = OperatorMatrix(g, "hamiltonian", "dense", {"mat": H.entries})
     A = build_conjugate_A(g)
-    for bad_H, bad_W in ((diagonal_H, W), (dense_H, W), (H, A), (H, H)):
+    z = 1.0 + 0.1j
+    for W in (build_weight(g, 0.51), build_weight(g, 0.51, operator_basis=A)):
         with pytest.raises(InvariantViolation) as err:
-            weighted_resolvent_norm(bad_H, bad_W, z)
+            weighted_resolvent_norm(A, W, z)
         assert err.value.invariant == "norm-route"
 
 
 def test_scan_rejects_a_hamiltonian_off_the_lu_kernel():
-    def dense_factory(V, L):
-        H = schrodinger_line_factory(0.25)(V, L)
-        return OperatorMatrix(H.grid, "hamiltonian", "dense", {"mat": H.entries})
+    def dilation_factory(V, L):
+        return build_conjugate_A(line_grid(L, 0.25))
 
     spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, box_list=(5.0, 10.0))
     with pytest.raises(InvariantViolation) as err:
-        lap_scan(dense_factory, None, spec)
+        lap_scan(dilation_factory, None, spec)
     assert err.value.invariant == "norm-route"
 
 
@@ -153,13 +151,11 @@ def test_banded_norm_certifies_its_ritz_residual(n, seed, conjugate_A, re_z, eta
     grid = Grid1D("line", 0.1 * n, n)
     d = rng.uniform(0.0, 4.0, n)
     e = -rng.uniform(0.2, 1.5, n - 1)
-    H = OperatorMatrix(grid, "hamiltonian", "tridiagonal", {"d": d, "e": e})
+    H = OperatorMatrix(grid, d, e)
     basis = build_conjugate_A(grid) if conjugate_A else None
     W = build_weight(grid, rng.uniform(0.0, 2.0), operator_basis=basis)
     z = complex(re_z, eta)
-    norm, _, converged, _, residual = _banded_norm(
-        d, e, W.data["mat" if conjugate_A else "d"], z
-    )
+    norm, _, converged, _, residual = _banded_norm(d, e, W, z)
     # the stop certifies a relative Ritz residual <= sqrt(tol), tol = 1e-12
     assert converged and residual <= 1e-6
     assert norm == pytest.approx(_spectral_norm_route(H, W, z), rel=1e-9)
@@ -170,9 +166,7 @@ def test_norm_iteration_cap_is_reported_and_raises():
     H = build_schrodinger(g, WignerVonNeumann1D())
     W = build_weight(g, 0.51)
     z = 1.0 + 0.05j
-    _, iters, converged, _, _ = _banded_norm(
-        H.data["d"], H.data["e"], W.data["d"], z, max_iters=2
-    )
+    _, iters, converged, _, _ = _banded_norm(H.d, H.e, W, z, max_iters=2)
     assert (iters, converged) == (2, False)
     with pytest.raises(InvariantViolation) as err:
         weighted_resolvent_norm(H, W, z, max_iters=2)
@@ -220,7 +214,7 @@ def test_conjugate_A_scan_rows_match_the_dense_route(potential):
     for L in _CONJUGATE_A_SPEC.box_list:
         H = factory(V, L)
         W = _conjugate_A_weight(H)
-        assert (H.storage, W.storage) == ("tridiagonal", "dense")
+        assert H.phase is None and W.shape == H.shape
         for re_z, eta, _, norm in (r for r in res.rows if r[2] == L):
             z = complex(re_z, eta)
             dense = _spectral_norm_route(H, W, z)
@@ -263,9 +257,7 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
     H = schrodinger_line_factory(0.2)(None, 10.0)
     W = _conjugate_A_weight(H)
     z = 1.0 + 0.05j
-    _, iters, converged, _, _ = _banded_norm(
-        H.data["d"], H.data["e"], W.data["mat"], z, max_iters=2
-    )
+    _, iters, converged, _, _ = _banded_norm(H.d, H.e, W, z, max_iters=2)
     assert (iters, converged) == (2, False)
     with pytest.raises(InvariantViolation) as err:
         weighted_resolvent_norm(H, W, z, max_iters=2)
@@ -286,9 +278,8 @@ def test_weight_psd_check_agrees_with_the_dense_spectrum(wmin, rng):
     vals[: n // 2] = 0.0
     vals[0] = wmin
     mat = (q * vals) @ q.conj().T
-    W = OperatorMatrix(Grid1D("line", 1.0, n), "weight", "dense",
-                       {"mat": 0.5 * (mat + mat.conj().T)})
-    psd = np.linalg.eigvalsh(W.entries)[0] >= -1e-10
+    W = 0.5 * (mat + mat.conj().T)
+    psd = np.linalg.eigvalsh(W)[0] >= -1e-10
     assert psd == (wmin > -1e-10)
     if psd:
         oscilab.lap._check_weight(W)
@@ -306,7 +297,7 @@ def test_weight_psd_check_runs_at_every_size(monkeypatch, rng):
     q, _ = np.linalg.qr(rng.normal(size=(g.n, g.n)))
     vals = np.linspace(-0.5, 1.0, g.n)
     mat = (q * vals) @ q.T
-    W = OperatorMatrix(g, "weight", "dense", {"mat": 0.5 * (mat + mat.T)})
+    W = 0.5 * (mat + mat.T)
     with pytest.raises(InvariantViolation) as err:
         weighted_resolvent_norm(build_h0(g), W, 1.0 + 0.1j)
     assert err.value.invariant == "weight-positivity"
@@ -359,6 +350,16 @@ def test_scan_unweighted_free_diverges_like_a_pole(free_unweighted_scan):
     for _, p_box, _, verdict in res.box_reports:
         assert p_box == pytest.approx(1.0, abs=0.02)
         assert verdict == "lap_fails"
+
+
+def test_scan_on_a_zero_potential_takes_the_closed_form(free_unweighted_scan):
+    # a zero potential leaves d = 2/h^2 and e = -1/h^2 exactly, so the s = 0
+    # control reads its norms off the closed-form spectrum, as V = None does
+    zero = CustomSample(x=(-1.0, 1.0), values=(0.0, 0.0))
+    spec = LapScanSpec(interval=(0.5, 1.5), s=0.0, box_list=(400.0, 800.0))
+    res = lap_scan(schrodinger_line_factory(0.2), zero, spec)
+    assert res.norm_iterations == {"total": 0, "max": 0}
+    assert res.rows == free_unweighted_scan.rows
 
 
 def test_scan_row_grid_shape(free_unweighted_scan):
@@ -456,12 +457,12 @@ def test_pooled_scan_equals_a_serial_walk_of_the_same_ladder(two_cpus):
     with oscilab._pool.one_blas_thread():
         for L in spec.box_list:
             H = factory(_S12_OSCILLATION, L)
-            w = build_weight(H.grid, spec.s).data["d"]
+            w = build_weight(H.grid, spec.s)
             for re_z in np.linspace(0.5, 1.5, spec.re_points):
                 X = None
                 for eta in ladder:
                     val, iters, _, X, _ = _banded_norm(
-                        H.data["d"], H.data["e"], w, complex(re_z, eta), X=X
+                        H.d, H.e, w, complex(re_z, eta), X=X
                     )
                     rows.append((float(re_z), float(eta), L, val))
                     iterations.append(iters)
@@ -572,10 +573,7 @@ def test_mourre_rank_budget_deflates_a_localized_defect():
     H = build_h0(g)
     A = build_conjugate_A(g)
     w, _ = eig_window(H, 0.5, 1.5)
-    C = OperatorMatrix(
-        g, "hamiltonian", "tridiagonal",
-        {"d": 2.0 * H.data["d"] - 10.0 * np.exp(-g.x**2), "e": 2.0 * H.data["e"]},
-    )
+    C = OperatorMatrix(g, 2.0 * H.d - 10.0 * np.exp(-g.x**2), 2.0 * H.e)
     best = []
     for k in range(5):
         res = mourre_check(
@@ -602,6 +600,24 @@ def test_mourre_empty_window_reports_infinite_constant():
     assert res.best_c == np.inf
     assert res.commutator_form_min_eig == np.inf
     assert res.remainder_rank == 0
+
+
+def test_commutator_forms_reject_the_dilation_generator_as_H():
+    # the analytic commutators read V off the diagonal of a real H; the
+    # dilation generator carries a phase, so each check refuses it by name
+    g = line_grid(40.0, 0.1)
+    A = build_conjugate_A(g)
+    J = (0.5, 1.5)
+    assert len(eig_window(A, *J)[0]) > 0
+    checks = (
+        lambda: mourre_check(A, A, J),
+        lambda: weighted_mourre_check(A, A, None, J, 0.51),
+        lambda: mourre_at_infinity_check(A, R=8.0, delta=0.1, s=0.51, window=J),
+    )
+    for check in checks:
+        with pytest.raises(InvariantViolation) as err:
+            check()
+        assert err.value.invariant == "commutator-route"
 
 
 @pytest.mark.parametrize(
@@ -659,9 +675,7 @@ def test_weighted_mourre_wrong_weight_kind_rejected():
 def test_mourre_at_infinity_free_lower_bound():
     g = line_grid(120.0, 0.1)
     H = build_h0(g)
-    rep = mourre_at_infinity_check(
-        H, g, R=10.0, delta=0.1, s=0.51, window=(0.5, 1.0)
-    )
+    rep = mourre_at_infinity_check(H, R=10.0, delta=0.1, s=0.51, window=(0.5, 1.0))
     assert rep.R_values == (10.0, 20.0)
     assert rep.c1_predicted == pytest.approx(1.0)
     assert rep.c1_values[0] > 0.0 and rep.c1_values[1] > 0.0
@@ -672,9 +686,7 @@ def test_mourre_at_infinity_free_lower_bound():
 def test_mourre_at_infinity_empty_window():
     g = line_grid(40.0, 0.1)
     H = build_h0(g)
-    rep = mourre_at_infinity_check(
-        H, g, R=8.0, delta=0.1, s=0.51, window=(-2.0, -1.0)
-    )
+    rep = mourre_at_infinity_check(H, R=8.0, delta=0.1, s=0.51, window=(-2.0, -1.0))
     assert rep.c1_values == (np.inf, np.inf)
     assert rep.trials_used == (0, 0)
     assert rep.decay_ok
@@ -694,7 +706,7 @@ def test_mourre_at_infinity_guards(kwargs, slug):
     base = dict(delta=0.1, s=0.51, window=(0.5, 1.0))
     base.update(kwargs)
     with pytest.raises(InvariantViolation) as err:
-        mourre_at_infinity_check(H, g, **base)
+        mourre_at_infinity_check(H, **base)
     assert err.value.invariant == slug
 
 

@@ -312,7 +312,7 @@ def test_weight_g_delta_bounds_hold_everywhere(delta, t):
 
 def test_weight_bracket_power():
     g = line_grid(12.0, 0.5)
-    d = build_weight(g, 0.5).data["d"]
+    d = build_weight(g, 0.5)
     assert d[np.argmin(np.abs(g.x))] == 1.0
     assert np.allclose(d, (1.0 + g.x * g.x) ** (-0.25), rtol=1e-15)
 

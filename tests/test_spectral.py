@@ -11,7 +11,9 @@ from oscilab.discretize import (
     Grid1D,
     OperatorMatrix,
     WindowSpec,
+    build_conjugate_A,
     build_schrodinger,
+    build_weight,
     eig_full,
     eigvals_window,
     halfline_grid,
@@ -19,6 +21,7 @@ from oscilab.discretize import (
     periodic_grid,
 )
 from oscilab.errors import ComputeFailure, InvariantViolation
+from oscilab.lap import weighted_resolvent_norm
 from oscilab.potentials import WignerVonNeumann1D
 from oscilab.spectral import (
     _fourier_corner_norm,
@@ -47,19 +50,24 @@ def free_builder(L):
 
 
 def test_eig_rejects_non_hermitian():
-    n = 16
-    mat = np.triu(np.ones((n, n)))
+    # a dense weight off Hermitian by more than 1e-12 relative is refused
+    # before the norm kernel runs; one off by rounding passes
+    g = line_grid(4.25, 0.5)
+    H = build_schrodinger(g, None)
+    W = build_weight(g, 0.6, operator_basis=build_conjugate_A(g))
+    skew = np.zeros_like(W)
+    skew[0, 1] = 1e-9
     with pytest.raises(InvariantViolation) as err:
-        OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "dense",
-                       {"mat": mat})
+        weighted_resolvent_norm(H, W + skew, 1.0 + 0.5j)
     assert err.value.invariant == "operator-hermiticity"
+    skew[0, 1] = 1e-15
+    assert weighted_resolvent_norm(H, W + skew, 1.0 + 0.5j) > 0.0
 
 
 def test_eig_sorted_orthonormal_residuals(rng):
     n = 60
     d, e = rng.normal(size=n), rng.normal(size=n - 1)
-    T = OperatorMatrix(Grid1D("line", 1.0, n), "hamiltonian", "tridiagonal",
-                       {"d": d, "e": e})
+    T = OperatorMatrix(Grid1D("line", 1.0, n), d, e)
     mat = T.entries
     w, v = eig_full(T)
     assert np.all(np.diff(w) >= 0.0)
@@ -221,7 +229,7 @@ def test_fourier_corner_norm_is_real_and_matches_dense(n):
     W = (f.conj().T * wl) @ f
     want = np.linalg.norm(chi[:, None] * (W @ (mult[:, None] * W)) * chi[None, :], 2)
     start = np.linalg.qr(np.random.default_rng(3).standard_normal((n, 4)))[0]
-    for X in (None, start):
+    for X in (None, start[:, 0]):
         norm, _, _, X = _fourier_corner_norm(mult, wl, wl, chi, X=X)
         assert X.dtype == np.float64
         assert norm == pytest.approx(want, rel=1e-5)
