@@ -16,10 +16,10 @@ on arrays and build no OperatorMatrix.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs, qr
 
 from ._smooth import spectral_bump
-from .errors import InvariantViolation
+from .errors import ComputeFailure, InvariantViolation
 from .potentials import eval_potential
 
 __all__ = [
@@ -205,9 +205,136 @@ class OperatorMatrix:
         return out if phase is None else np.conj(phase) * out
 
 
+# windowed eigenpairs (_window_pairs): stebz bisects to an absolute
+# tolerance of _BISECT_TOL mean level spacings; coarse values less than
+# _GROUP_GAP tolerances apart share a group; a residual is certified when
+# it is at most _RESIDUAL_EPS * eps * ||T||_1 times its group's size; a
+# group that is not certified within _MAX_SWEEPS solves per vector raises
+# eig-window-convergence
+_BISECT_TOL = 1e-4
+_GROUP_GAP = 1e3
+_RESIDUAL_EPS = 16.0
+_MAX_SWEEPS = 12
+
+
+def _rayleigh_ritz(J, X):
+    """Orthonormalise X's columns and rotate them onto J's Ritz vectors.
+
+    Returns (theta, X, J X): the Ritz values, ascending, and the Ritz
+    vectors as contiguous columns.
+    """
+    if X.shape[1] == 1:
+        X = X / np.linalg.norm(X)
+        JX = J.matvec(X)
+        return np.einsum("ij,ij->j", X, JX), X, JX
+    X = qr(X, mode="economic", check_finite=False)[0]
+    theta, Y = np.linalg.eigh(X.T @ J.matvec(X))
+    X = np.asfortranarray(X @ Y)
+    return theta, X, J.matvec(X)
+
+
+def _window_pairs(T, lo, hi, vectors=True):
+    """Eigenpairs (w, V) of J = tridiag(e, d, e) with eigenvalues in [lo, hi].
+
+    The count is Sturm-exact (count_window). stebz bisects each eigenvalue
+    only to tol, a fraction of the mean level spacing, inside the window
+    and within reach = _GROUP_GAP * tol outside it. Coarse values closer
+    than reach form a group, so a singleton's vector contracts onto its
+    eigenvector by at least 1/_GROUP_GAP a solve, and a close pair, also
+    one split by a window end, is orthonormalised and separated by
+    Rayleigh-Ritz on its own span (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4). Each coarse value w_j shifts its own LU factorization
+    of J - w_j, from one seeded start vector. A sweep solves once per
+    vector, then Rayleigh-Ritz gives the group's values w; the group's
+    eigenvalues are the w of the first sweep whose every residual
+    ||J v - w v|| is at most the bound, times the group's size. A vector
+    certified so is still off by up to residual/gap, so the vectors take
+    further sweeps until they are certified against those eigenvalues
+    (LAPACK's stein runs two extra solves); with vectors False the group
+    stops at its eigenvalues, the same bits. A group not certified within
+    _MAX_SWEEPS raises eig-window-convergence.
+    """
+    d, e = T.d, T.e
+    n = len(d)
+    k = count_window(T, lo, hi)
+    if k == 0:
+        return np.empty(0), np.empty((n, 0))
+    rows = np.abs(d)
+    rows[:-1] += np.abs(e)
+    rows[1:] += np.abs(e)
+    norm = rows.max()
+    unit = np.finfo(float).eps * norm
+    # the spacing of the spectrum, not of a window reaching past it
+    tol = _BISECT_TOL * (min(hi, norm) - max(lo, -norm)) / k
+    reach = _GROUP_GAP * tol
+    # stebz counts each range from the Sturm counts at its ends, so the
+    # three ranges split the spectrum exactly at lo and hi
+    edges = (lo - reach, lo, hi, hi + reach)
+    below, inside, above = (
+        eigh_tridiagonal(
+            d, e, eigvals_only=True, select="v", select_range=span, tol=tol
+        )
+        for span in zip(edges, edges[1:])
+    )
+    coarse = np.concatenate((below, inside, above))
+    keep = slice(len(below), len(below) + k)
+    J = T if T.phase is None else OperatorMatrix(T.grid, d, e)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
+    rng = np.random.default_rng(0)
+    w, V = np.empty(len(coarse)), np.empty((n, len(coarse)))
+    splits = np.flatnonzero(np.diff(coarse) > reach) + 1
+    for group in np.split(np.arange(len(coarse)), splits):
+        if group[-1] < keep.start or group[0] >= keep.stop:
+            continue  # a neighbour outside the window, alone
+        lus = []
+        for shift in coarse[group]:
+            dl, dd, du, du2, ipiv, _ = gttrf(e, d - shift, e)
+            # an exactly singular J - shift: a tiny pivot keeps the solve
+            # finite and its direction right
+            dd[dd == 0.0] = unit
+            lus.append((dl, dd, du, du2, ipiv))
+        X = rng.standard_normal((len(group), n)).T  # contiguous columns
+        # orthonormalising and rotating k vectors rounds k-fold
+        bound = _RESIDUAL_EPS * len(group) * unit
+        values = None
+        for _ in range(_MAX_SWEEPS):
+            for j, lu in enumerate(lus):
+                X[:, j] = gttrs(*lu, X[:, j], overwrite_b=1)[0]
+            theta, X, JX = _rayleigh_ritz(J, X)
+            R = JX - X * (theta if values is None else values)
+            certified = np.max(np.einsum("ij,ij->j", R, R)) <= bound**2
+            if certified and values is None:
+                values = theta
+                if vectors:
+                    continue
+            if certified:
+                break
+        else:
+            raise ComputeFailure(
+                "eig-window-convergence",
+                f"inverse iteration left {len(group)} eigenpair(s) near "
+                f"{coarse[group[0]]:.17g} above the residual bound "
+                f"{bound:.3g} after {_MAX_SWEEPS} solves",
+            )
+        w[group], V[:, group] = values, X
+    return w[keep], V[:, keep]
+
+
 def _eigh(T, window, eigvals_only=False):
-    kwargs = {} if window is None else {"select": "v", "select_range": window}
-    out = eigh_tridiagonal(T.d, T.e, eigvals_only=eigvals_only, **kwargs)
+    """Eigenpairs of T = D^H J D, all of them (window None) or in a window.
+
+    The full spectrum is LAPACK's, through eigh_tridiagonal. A window runs
+    _window_pairs: coarse bisection, inverse iteration in gap groups and a
+    residual certificate, raising eig-window-convergence when the
+    certificate is not reached. eigvals_only drops the vectors, so a
+    window's eigenvalues are the same bits either way.
+    """
+    if window is None:
+        out = eigh_tridiagonal(T.d, T.e, eigvals_only=eigvals_only)
+    else:
+        out = _window_pairs(T, *window, vectors=not eigvals_only)
+        if eigvals_only:
+            return out[0]
     if eigvals_only or T.phase is None:
         return out
     # J u = w u gives T (D^H u) = w (D^H u)
@@ -226,7 +353,14 @@ def eig_full(T):
 def eig_window(T, lo, hi):
     """Eigenpairs of T with eigenvalues in [lo, hi]; returns (w, V).
 
-    Runs the windowed tridiagonal solver, never forming a dense matrix.
+    Never forms a dense matrix. The count is Sturm-exact (count_window);
+    stebz bisects the eigenvalues only to a fraction of the level spacing,
+    and inverse iteration on J - w refines them, group by group: values
+    closer than a gap threshold are orthonormalised and separated by
+    Rayleigh-Ritz together, the rest one at a time. Every residual
+    ||T v - w v|| is certified at most 16 eps ||T||_1, times the size of
+    its group; a group that does not get there within the sweep cap raises
+    ComputeFailure eig-window-convergence.
     """
     return _eigh(T, (lo, hi))
 
@@ -234,7 +368,8 @@ def eig_window(T, lo, hi):
 def eigvals_window(T, lo, hi):
     """Eigenvalues of T in [lo, hi], ascending, without eigenvectors.
 
-    They are bit-identical to eig_window's.
+    They come from eig_window's solver and are bit-identical to its
+    eigenvalues.
     """
     return _eigh(T, (lo, hi), eigvals_only=True)
 

@@ -27,7 +27,6 @@ from scipy.linalg import eigh, get_lapack_funcs
 
 from . import _blocknorm, _pool
 from .discretize import (
-    MATERIALIZE_MAX,
     OperatorMatrix,
     build_conjugate_A,
     build_schrodinger,
@@ -74,8 +73,14 @@ _POSINF = float("inf")
 # weighted resolvent norms
 
 
-def _check_weight(W):
-    """Reject a weight that is not Hermitian PSD; W is a diagonal or a matrix."""
+def _check_weight(W, n):
+    """Reject a weight that is not an n-vector (a diagonal) or a Hermitian
+    PSD n x n matrix, n being the size of H."""
+    if W.shape not in ((n,), (n, n)):
+        raise InvariantViolation(
+            "weight-shape",
+            f"weight of shape {W.shape} for an operator of size {n}",
+        )
     if W.ndim == 1:
         if np.min(W) < 0:
             raise InvariantViolation("weight-positivity", "weight must be >= 0")
@@ -152,34 +157,23 @@ def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, X=None):
     )
 
 
-def _spectral_norm_route(H, W, z):
-    """Dense route: resolvent applied exactly on H's eigendecomposition."""
-    if H.shape[0] > MATERIALIZE_MAX:
-        raise InvariantViolation(
-            "materialization-size", "dense resolvent route needs a small matrix"
-        )
-    w, v = eig_full(H)
-    u = (np.diag(W) if W.ndim == 1 else W) @ v
-    M = (u * (1.0 / (w - z))) @ u.conj().T
-    return float(np.linalg.norm(M, 2))
-
-
 @_pool.one_blas_thread()
 def weighted_resolvent_norm(H, W, z, tol=1e-12, max_iters=600):
     """Largest singular value of W (H - z)^{-1} W.
 
     H must be a real tridiagonal (one with a phase raises norm-route) and
-    W an array: W's diagonal, or W itself as a dense Hermitian PSD matrix.
+    W an array of H's size (weight-shape otherwise): W's diagonal, or W
+    itself as a dense Hermitian PSD matrix.
     The resolvent is applied exactly, by LU solves of H - z, inside
     Golub-Kahan-Lanczos bidiagonalisation; a run that does not converge
-    raises norm-convergence. _spectral_norm_route is the dense cross-check.
+    raises norm-convergence.
     """
     z = complex(z)
     if z.imag == 0.0:
         raise InvariantViolation("imag-z", "need Im z != 0")
     if H.phase is not None:
         raise InvariantViolation("norm-route", "LU norm kernel needs H with no phase")
-    _check_weight(W)
+    _check_weight(W, H.shape[0])
     norm, steps, converged, _, _ = _banded_norm(
         H.d, H.e, W, z, tol=tol, max_iters=max_iters
     )
@@ -351,7 +345,7 @@ def lap_scan(factory, V, spec):
             W = build_weight(grid, spec.s)
         else:
             W = build_weight(grid, spec.s, operator_basis=build_conjugate_A(grid))
-        _check_weight(W)
+        _check_weight(W, grid.n)
         h2 = grid.h**2
         free_fast = (
             spec.s == 0.0 and np.all(H.d == 2.0 / h2) and np.all(H.e == -1.0 / h2)

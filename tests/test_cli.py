@@ -12,6 +12,7 @@ import pytest
 
 import oscilab
 import oscilab._pool
+import oscilab.discretize
 import oscilab.lap
 from oscilab.cli import RunConfig, list_commands, main, run
 
@@ -161,6 +162,27 @@ def test_norm_convergence_failure_exits_1(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert json.loads(captured.err)["error"]["invariant"] == "norm-convergence"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_eig_window_convergence_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # a group of the windowed eigensolver stops at its second certified
+    # sweep, so a cap of one sweep is never met
+    monkeypatch.setattr(oscilab.discretize, "_MAX_SWEEPS", 1)
+    doc = {
+        "command": "find-embedded",
+        "params": {
+            "potential": {"kind": "wvn_1d"},
+            "window": [0.8, 1.2],
+            "boxes": [60.0, 120.0],
+            "h": 0.05,
+        },
+        "output_dir": str(tmp_path / "out"),
+    }
+    code = run(write_config(tmp_path, doc))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"]["invariant"] == "eig-window-convergence"
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
@@ -371,6 +393,27 @@ def test_known_configs_pass_the_params_check():
     assert len(docs) > 1
     for doc in docs:
         RunConfig(doc["command"], doc["params"], doc["output_dir"], doc["seed"])
+
+
+@pytest.mark.parametrize("entry_id", ["phase-cells/a1/b1", "phase-cells/a2/b0.6"])
+def test_phase_cells_reproduce_the_benchmark_references(tmp_path, entry_id):
+    # a1/b1 holds the one inconclusive "above" window of the phase cells;
+    # the references are the benchmark's record, read and never written here
+    catalog = _benchmark_catalog()
+    entry = next(e for e in catalog.all_entries() if e.id == entry_id)
+    with open(os.path.join(ROOT, "perfbench", "references.json")) as fh:
+        reference = json.load(fh)[entry_id]
+    out_dir = tmp_path / "out"
+    doc = catalog.config_doc(entry, str(out_dir))
+    assert run(write_config(tmp_path, doc)) == 0
+    assert sha256_of(out_dir / "phase.csv") == reference["phase_csv_sha256"]
+    cells = read_json(out_dir / "phase.json")["cells"]
+    assert [[c["window_name"], c["verdict"]] for c in cells] == reference[
+        "cell_verdicts"
+    ]
+    assert [c["divergence_exponent"] for c in cells] == pytest.approx(
+        reference["cell_exponents"], abs=0.05, nan_ok=True
+    )
 
 
 def test_find_embedded_run_finds_the_bound_state(tmp_path):

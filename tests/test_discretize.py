@@ -22,9 +22,10 @@ from oscilab.discretize import (
     line_grid,
     periodic_grid,
 )
-from oscilab.errors import InvariantViolation
+import oscilab.discretize
+from oscilab.errors import ComputeFailure, InvariantViolation
 from oscilab.lap import _br_profile, weighted_resolvent_norm
-from oscilab.potentials import CustomSample, WignerVonNeumann1D
+from oscilab.potentials import CustomSample, OscillatingSpec, WignerVonNeumann1D
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +400,137 @@ def test_tridiagonal_eigvals_match_eig_window_bit_for_bit():
     w, _ = eig_window(H, 0.2, 1.7)
     assert len(w) > 10
     assert np.array_equal(eigvals_window(H, 0.2, 1.7), w)
+
+
+# ---------------------------------------------------------------------------
+# the windowed eigensolver
+
+
+def _norm1(T):
+    rows = np.abs(T.d)
+    rows[:-1] += np.abs(T.e)
+    rows[1:] += np.abs(T.e)
+    return rows.max()
+
+
+def _check_window_pairs(T, lo, hi, dense):
+    """eig_window on [lo, hi] against the dense spectrum of T."""
+    norm = _norm1(T)
+    w, V = eig_window(T, lo, hi)
+    want = dense[(dense >= lo) & (dense <= hi)]
+    assert len(w) == len(want) == count_window(T, lo, hi)
+    assert V.shape == (T.shape[0], len(w))
+    assert np.max(np.abs(w - want), initial=0.0) <= 1e-12 * norm
+    residuals = np.linalg.norm(T.matvec(V) - V * w, axis=0)
+    assert np.max(residuals, initial=0.0) <= 16.0 * np.finfo(float).eps * norm
+    gram = V.conj().T @ V - np.eye(len(w))
+    assert np.max(np.abs(gram), initial=0.0) <= 1e-8
+    return w, V
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(16, 600),
+    seed=st.integers(0, 2**32 - 1),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_window_pairs_match_the_dense_spectrum_of_random_tridiagonals(n, seed, ends):
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+    e = rng.normal(size=n - 1) * (rng.random(n - 1) > 0.1)  # some split blocks
+    T = OperatorMatrix(Grid1D("line", 1.0, n), d, e)
+    dense = np.linalg.eigvalsh(T.entries)
+    lo, hi = sorted(dense[0] + (dense[-1] - dense[0]) * np.asarray(ends))
+    # a proper window whose ends are not ambiguous to a dense count
+    assume(hi > lo)
+    gaps = np.abs(np.concatenate((dense - lo, dense - hi)))
+    assume(np.min(gaps) >= 1e-10 * _norm1(T))
+    _check_window_pairs(T, lo, hi, dense)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.6), (1.5, 1.0), (2.0, 0.75)])
+@pytest.mark.parametrize("window", [(0.2, 0.6), (1.2, 1.7), (-1.0, 3.0)])
+def test_window_pairs_match_the_dense_spectrum_of_oscillating_potentials(
+    alpha, beta, window
+):
+    V = OscillatingSpec(w=3.0, k=2.0, alpha=alpha, beta=beta)
+    H = build_schrodinger(line_grid(30.0, 0.1), V)
+    assert H.shape[0] <= 600
+    _check_window_pairs(H, *window, np.linalg.eigvalsh(H.entries))
+
+
+def test_window_pairs_keep_a_close_pair_apart():
+    # scenario 02's box holds two eigenvalues 3.2e-11 apart in (0.9, 1.1)
+    H = build_schrodinger(line_grid(400.0, 0.05), WignerVonNeumann1D())
+    w, V = eig_window(H, 0.9, 1.1)
+    i = int(np.argmin(np.diff(w)))
+    assert w[i + 1] - w[i] < 1e-10
+    assert np.max(np.abs(V.T @ V - np.eye(len(w)))) <= 1e-10
+    bound = 16.0 * np.finfo(float).eps * _norm1(H)
+    assert np.max(np.linalg.norm(H.matvec(V) - V * w, axis=0)) <= bound
+    # a window end between the two takes one each, both still certified
+    mid = 0.5 * (w[i] + w[i + 1])
+    below, v_below = eig_window(H, 0.9, mid)
+    above, v_above = eig_window(H, mid, 1.1)
+    assert len(below) == i + 1 and len(above) == len(w) - i - 1
+    assert np.allclose(np.concatenate((below, above)), w, rtol=0.0, atol=bound)
+    for wj, vj in ((below[-1], v_below[:, -1]), (above[0], v_above[:, 0])):
+        assert np.linalg.norm(H.matvec(vj) - wj * vj) <= bound
+
+
+def test_window_pairs_of_a_multiple_eigenvalue():
+    # 20 uncoupled copies of one 3 x 3 block: every eigenvalue is 20-fold,
+    # one group whose residuals may round 20-fold
+    block_d, block_e = np.array([1.0, -2.0, 0.5]), np.array([1.0, 1.0, 0.0])
+    d, e = np.tile(block_d, 20), np.tile(block_e, 20)[:-1]
+    T = OperatorMatrix(Grid1D("line", 1.0, 60), d, e)
+    want = np.linalg.eigvalsh(T.entries)
+    assert np.unique(np.round(want, 12)).size == 3
+    lo, hi = want[20] - 0.5, want[20] + 0.5
+    w, V = eig_window(T, lo, hi)
+    assert len(w) == count_window(T, lo, hi) == 20
+    assert np.max(np.abs(w - want[20:40])) <= 1e-12 * _norm1(T)
+    assert np.max(np.abs(V.T @ V - np.eye(20))) <= 1e-8
+    bound = 20 * 16.0 * np.finfo(float).eps * _norm1(T)
+    assert np.max(np.linalg.norm(T.matvec(V) - V * w, axis=0)) <= bound
+
+
+def test_window_pairs_of_an_empty_window():
+    H = build_h0(line_grid(10.0, 0.1))
+    w, V = eig_window(H, -2.0, -1.0)
+    assert w.shape == (0,) and V.shape == (H.shape[0], 0)
+    assert eigvals_window(H, -2.0, -1.0).shape == (0,)
+
+
+def test_window_pairs_of_a_phased_operator_match_eig_full():
+    A = build_conjugate_A(line_grid(10.0, 0.1))
+    w_all, V_all = eig_full(A)
+    mids = 0.5 * (w_all[:-1] + w_all[1:])
+    lo, hi = mids[len(mids) // 4], mids[len(mids) // 2]
+    w, V = _check_window_pairs(A, lo, hi, w_all)
+    assert np.iscomplexobj(V)
+    # the same invariant subspace as the full decomposition's
+    inside = V_all[:, (w_all >= lo) & (w_all <= hi)]
+    assert np.allclose(V @ V.conj().T, inside @ inside.conj().T, atol=1e-8)
+
+
+def test_window_pairs_rerun_to_the_same_bytes():
+    H = build_schrodinger(line_grid(60.0, 0.1), WignerVonNeumann1D())
+    w, V = eig_window(H, 0.2, 1.7)
+    again_w, again_V = eig_window(H, 0.2, 1.7)
+    assert np.array_equal(w, again_w) and np.array_equal(V, again_V)
+
+
+def test_window_pairs_raise_when_the_sweep_cap_is_reached(monkeypatch):
+    # a group stops only at its second certified sweep, so one sweep never
+    # suffices
+    monkeypatch.setattr(oscilab.discretize, "_MAX_SWEEPS", 1)
+    H = build_h0(line_grid(10.0, 0.1))
+    with pytest.raises(ComputeFailure) as err:
+        eig_window(H, 0.5, 1.5)
+    assert err.value.invariant == "eig-window-convergence"
+    with pytest.raises(ComputeFailure):
+        eigvals_window(H, 0.5, 1.5)
 
 
 @settings(max_examples=80, deadline=None)

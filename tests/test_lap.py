@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from oscilab.discretize import (
+    MATERIALIZE_MAX,
     Grid1D,
     OperatorMatrix,
     build_conjugate_A,
     build_h0,
     build_schrodinger,
     build_weight,
+    eig_full,
     eig_window,
     line_grid,
 )
@@ -29,7 +31,6 @@ from oscilab.errors import InvariantViolation
 from oscilab.lap import (
     LapScanSpec,
     _banded_norm,
-    _spectral_norm_route,
     lap_scan,
     mourre_at_infinity_check,
     mourre_check,
@@ -52,6 +53,19 @@ from oscilab.potentials import (
 
 # ---------------------------------------------------------------------------
 # weighted resolvent norms
+
+
+def _spectral_norm_route(H, W, z):
+    """Dense route: resolvent applied exactly on H's eigendecomposition."""
+    if H.shape[0] > MATERIALIZE_MAX:
+        raise InvariantViolation(
+            "materialization-size", "dense resolvent route needs a small matrix"
+        )
+    w, v = eig_full(H)
+    u = (np.diag(W) if W.ndim == 1 else W) @ v
+    M = (u * (1.0 / (w - z))) @ u.conj().T
+    return float(np.linalg.norm(M, 2))
+
 
 
 def test_norm_identity_weight_is_inverse_distance():
@@ -225,8 +239,8 @@ def test_conjugate_A_scan_rows_match_the_dense_route(potential):
 
 
 def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
-    calls = {"eigh": 0, "potrf": 0, "spectral": 0}
-    eigh, spectral = oscilab.lap.eigh, oscilab.lap._spectral_norm_route
+    calls = {"eigh": 0, "potrf": 0}
+    eigh = oscilab.lap.eigh
     get_lapack_funcs = oscilab.lap.get_lapack_funcs
 
     def counted(key, fn):
@@ -244,14 +258,11 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
 
     monkeypatch.setattr(oscilab.lap, "eigh", counted("eigh", eigh))
     monkeypatch.setattr(oscilab.lap, "get_lapack_funcs", counting_get)
-    monkeypatch.setattr(
-        oscilab.lap, "_spectral_norm_route", counted("spectral", spectral)
-    )
     res = lap_scan(schrodinger_line_factory(0.2), None, _CONJUGATE_A_SPEC)
     assert len(res.rows) > 2
-    # the PSD check of W (a Cholesky factorisation), once per box; no dense
-    # eigendecomposition and no dense resolvent route
-    assert calls == {"eigh": 0, "potrf": 2, "spectral": 0}
+    # the PSD check of W (a Cholesky factorisation), once per box, and no
+    # dense eigendecomposition
+    assert calls == {"eigh": 0, "potrf": 2}
 
     # the iteration cap still raises on the dense-weight path
     H = schrodinger_line_factory(0.2)(None, 10.0)
@@ -282,16 +293,16 @@ def test_weight_psd_check_agrees_with_the_dense_spectrum(wmin, rng):
     psd = np.linalg.eigvalsh(W)[0] >= -1e-10
     assert psd == (wmin > -1e-10)
     if psd:
-        oscilab.lap._check_weight(W)
+        oscilab.lap._check_weight(W, n)
     else:
         with pytest.raises(InvariantViolation) as err:
-            oscilab.lap._check_weight(W)
+            oscilab.lap._check_weight(W, n)
         assert err.value.invariant == "weight-positivity"
 
 
 def test_weight_psd_check_runs_at_every_size(monkeypatch, rng):
     # a dense W larger than the materialization limit is still checked
-    monkeypatch.setattr(oscilab.lap, "MATERIALIZE_MAX", 8)
+    monkeypatch.setattr(oscilab.discretize, "MATERIALIZE_MAX", 8)
     g = line_grid(4.25, 0.5)
     assert g.n == 16
     q, _ = np.linalg.qr(rng.normal(size=(g.n, g.n)))
@@ -301,6 +312,16 @@ def test_weight_psd_check_runs_at_every_size(monkeypatch, rng):
     with pytest.raises(InvariantViolation) as err:
         weighted_resolvent_norm(build_h0(g), W, 1.0 + 0.1j)
     assert err.value.invariant == "weight-positivity"
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_weight_of_another_size_is_named(kind):
+    H = build_h0(line_grid(5.0, 0.5))
+    n = H.shape[0]
+    W = np.ones(n + 1) if kind == "diagonal" else np.eye(n + 1)
+    with pytest.raises(InvariantViolation) as err:
+        weighted_resolvent_norm(H, W, 1.0 + 0.5j)
+    assert err.value.invariant == "weight-shape"
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +770,11 @@ def test_phase_sweep_lite_cell_structure(tmp_path):
 
 
 def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
-    builds, vector_windows, tridiagonal = [], [], []
+    builds, vector_windows, kernel, counts, bisections = [], [], [], [], []
     build = oscilab.lap.build_schrodinger
     eig_window_ = oscilab.spectral.eig_window
+    window_pairs = oscilab.discretize._window_pairs
+    count_window = oscilab.discretize.count_window
     eigh_tridiagonal_ = oscilab.discretize.eigh_tridiagonal
 
     def counted_build(grid, V):
@@ -762,12 +785,26 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
         vector_windows.append((T.grid.L, lo, hi))
         return eig_window_(T, lo, hi)
 
+    def counted_kernel(T, lo, hi, vectors=True):
+        kernel.append((T.shape[0], lo, hi, vectors))
+        return window_pairs(T, lo, hi, vectors)
+
+    def counted(caller):
+        def count(T, lo, hi):
+            counts.append((caller, T.shape[0], (lo, hi)))
+            return count_window(T, lo, hi)
+
+        return count
+
     def counted_tridiagonal(d, e, **kwargs):
-        tridiagonal.append((len(d), kwargs))
+        bisections.append(kwargs)
         return eigh_tridiagonal_(d, e, **kwargs)
 
     monkeypatch.setattr(oscilab.lap, "build_schrodinger", counted_build)
     monkeypatch.setattr(oscilab.spectral, "eig_window", counted_eig_window)
+    monkeypatch.setattr(oscilab.discretize, "_window_pairs", counted_kernel)
+    monkeypatch.setattr(oscilab.lap, "count_window", counted("scan"))
+    monkeypatch.setattr(oscilab.discretize, "count_window", counted("kernel"))
     monkeypatch.setattr(oscilab.discretize, "eigh_tridiagonal", counted_tridiagonal)
     windows = {"below": (0.2, 0.6), "above": (1.2, 1.7)}
     cells = phase_sweep(
@@ -781,26 +818,39 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
     assert builds == [60.0, 120.0]
     # eigenvectors once per window, on the largest box only
     assert vector_windows == [(120.0, 0.2, 0.6), (120.0, 1.2, 1.7)]
+    # the windowed kernel: per window, the smaller box's drift partners over
+    # the widened window, without vectors, then the largest box's eigenpairs
     n_small, n_big = (line_grid(L, 0.25).n for L in (60.0, 120.0))
-    vectors = [n for n, kw in tridiagonal if not kw["eigvals_only"]]
-    assert vectors == [n_big, n_big]
-    # eigenvalues alone: the smaller box's drift partners over the widened
-    # windows, at full precision, and one Sturm count per window and box;
-    # no count runs a full-precision bisection
-    values = [(n, kw) for n, kw in tridiagonal if kw["eigvals_only"]]
-    partners = [(n, kw["select_range"]) for n, kw in values if "tol" not in kw]
     reach = 10.0 * oscilab.spectral.DRIFT_TOL
-    assert partners == [
-        (n_small, (lo - reach, hi + reach)) for lo, hi in windows.values()
+    assert kernel == [
+        call
+        for lo, hi in windows.values()
+        for call in (
+            (n_small, lo - reach, hi + reach, False),
+            (n_big, lo, hi, True),
+        )
     ]
-    counts = [(n, kw["select_range"]) for n, kw in values if "tol" in kw]
-    assert sorted(counts) == sorted(
+    # one Sturm count per window and box in the scan, and one per kernel
+    # call, which sets the kernel's bisection tolerance
+    assert sorted(c[1:] for c in counts if c[0] == "scan") == sorted(
         (n, win) for win in windows.values() for n in (n_small, n_big)
     )
-    assert all(
-        kw["tol"] == kw["select_range"][1] - kw["select_range"][0]
-        for _, kw in values if "tol" in kw
-    )
+    assert [c[1:] for c in counts if c[0] == "kernel"] == [
+        (n, (lo, hi)) for n, lo, hi, _ in kernel
+    ]
+    # no LAPACK eigenvectors and no full-precision bisection: a count stops
+    # at the window's width, and each kernel call bisects its window and the
+    # two ranges beyond its ends at one tolerance, below the level spacing
+    assert all(kw["eigvals_only"] and kw["tol"] > 0.0 for kw in bisections)
+    ranges = [(kw["select_range"], kw["tol"]) for kw in bisections]
+    coarse = [(r, tol) for r, tol in ranges if tol != r[1] - r[0]]
+    assert len(ranges) - len(coarse) == len(counts)
+    assert len(coarse) == 3 * len(kernel)
+    for i, (_, lo, hi, _) in enumerate(kernel):
+        below, inside, above = coarse[3 * i : 3 * i + 3]
+        assert inside[0] == (lo, hi)
+        assert below[0][1] == lo and above[0][0] == hi
+        assert below[1] == inside[1] == above[1] <= 1e-4 * (hi - lo)
 
 
 def test_phase_sweep_budget_marks_cells_skipped(tmp_path):
