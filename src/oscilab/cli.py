@@ -127,24 +127,8 @@ def list_commands():
 # serialization helpers
 
 
-def _to_plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON emission."""
-    if isinstance(obj, dict):
-        return {k: _to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_plain(v) for v in obj]
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        try:
-            return obj.item()
-        except (AttributeError, ValueError):
-            pass
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    return obj
-
-
 def _write_json(doc, path):
-    text = json.dumps(_to_plain(doc), sort_keys=True, indent=2)
+    text = json.dumps(doc, sort_keys=True, indent=2, default=lambda o: o.tolist())
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -259,8 +243,7 @@ def _cmd_mourre_check(p, out_dir, seed):
     H = build_schrodinger(grid, p["potential"])
     if kind in ("strict", "plain"):
         result = mourre_check(
-            H, build_conjugate_A(grid), window, mode=kind,
-            remainder_rank_budget=p["rank_budget"],
+            H, None, window, mode=kind, remainder_rank_budget=p["rank_budget"]
         )
     elif kind == "weighted":
         phi = p["phi"]

@@ -474,29 +474,34 @@ class MourreCheckResult:
     kind: str
 
 
+def _potential_slope(H):
+    """V' read off the diagonal d = 2/h^2 + V of a real tridiagonal H by
+    centered differences; an H with a phase raises commutator-route."""
+    if H.phase is not None:
+        raise InvariantViolation(
+            "commutator-route", "the analytic commutator needs a real tridiagonal H"
+        )
+    return np.gradient(H.d - 2.0 / H.grid.h**2, H.grid.x)
+
+
 def _analytic_commutator(H):
     """[H, iA] realized analytically: 2 H0 - x V'(x).
 
     The literal finite-difference commutator compressed to a spectral
     window has identically vanishing trace, which poisons positivity
-    checks; the analytic realization does not. V' is recovered from the
-    stored diagonal by centered differences.
+    checks; the analytic realization does not.
     """
-    if H.phase is not None:
-        raise InvariantViolation(
-            "commutator-route",
-            "analytic commutator needs a real tridiagonal H; "
-            "pass an explicit commutator operator instead",
-        )
     grid = H.grid
-    h = grid.h
-    kin_d = 2.0 / h**2
-    vdiag = H.d - kin_d
-    d = np.full(grid.n, 2.0 * kin_d)
-    if np.any(vdiag):
-        vprime = np.gradient(vdiag, grid.x)
-        d = d - grid.x * vprime
+    d = 4.0 / grid.h**2 - grid.x * _potential_slope(H)
     return OperatorMatrix(grid, d, 2.0 * H.e)
+
+
+def _mourre_window(H, J):
+    """The window (lo, hi) of J = (lo, hi) and eig_window's pairs on it."""
+    lo, hi = float(J[0]), float(J[1])
+    if not lo < hi:
+        raise InvariantViolation("window-order", "window needs lo < hi")
+    return (lo, hi), *eig_window(H, lo, hi)
 
 
 def mourre_check(H, A, J, mode="strict", remainder_rank_budget=0, commutator=None):
@@ -505,32 +510,29 @@ def mourre_check(H, A, J, mode="strict", remainder_rank_budget=0, commutator=Non
     strict: best_c is the smallest eigenvalue of E_J [H, iA] E_J on the
     window's range. plain: the remainder_rank_budget most negative
     directions are deflated first (the finite-rank stand-in for a compact
-    error term). An empty window reports +inf.
+    error term). An empty window reports +inf. A is not read: the
+    commutator is the analytic form 2 H0 - x V' unless one is passed.
     """
-    lo, hi = float(J[0]), float(J[1])
-    if not lo < hi:
-        raise InvariantViolation("window-order", "window needs lo < hi")
     if mode not in ("strict", "plain"):
         raise InvariantViolation("mourre-mode", f"unknown mode {mode!r}")
     if remainder_rank_budget < 0:
         raise InvariantViolation("rank-budget", "rank budget must be >= 0")
-    w, v = eig_window(H, lo, hi)
-    if len(w) == 0:
-        return MourreCheckResult((lo, hi), _POSINF, _POSINF, 0, mode)
     C = commutator if commutator is not None else _analytic_commutator(H)
-    cv = C.matvec(v)
-    F = v.conj().T @ cv
+    win, w, v = _mourre_window(H, J)
+    if len(w) == 0:
+        return MourreCheckResult(win, _POSINF, _POSINF, 0, mode)
+    F = v.conj().T @ C.matvec(v)
     F = 0.5 * (F + F.conj().T)
     eigs = eigh(F, eigvals_only=True)
     min_eig = float(eigs[0])
     if mode == "strict":
-        return MourreCheckResult((lo, hi), min_eig, min_eig, 0, "strict")
+        return MourreCheckResult(win, min_eig, min_eig, 0, "strict")
     k = min(remainder_rank_budget, len(eigs))
     best = _POSINF if k == len(eigs) else float(eigs[k])
-    return MourreCheckResult((lo, hi), min_eig, best, k, "plain")
+    return MourreCheckResult(win, min_eig, best, k, "plain")
 
 
-def weighted_mourre_check(H, S, phi, J, s, commutator=None):
+def weighted_mourre_check(H, S, phi, J, s):
     """Window positivity of [H, i psi(S)] - <S>^{-2s}, exact calculus on S.
 
     The commutator with the bounded weight psi(S) is realized as
@@ -539,12 +541,10 @@ def weighted_mourre_check(H, S, phi, J, s, commutator=None):
     eigenvalue of the full form, commutator_form_min_eig that of the
     commutator part alone.
     """
-    lo, hi = float(J[0]), float(J[1])
-    if not lo < hi:
-        raise InvariantViolation("window-order", "window needs lo < hi")
-    wE, vE = eig_window(H, lo, hi)
+    C = _analytic_commutator(H)
+    win, wE, vE = _mourre_window(H, J)
     if len(wE) == 0:
-        return MourreCheckResult((lo, hi), _POSINF, _POSINF, 0, "weighted")
+        return MourreCheckResult(win, _POSINF, _POSINF, 0, "weighted")
     a, vA = eig_full(S)
     Y = vA.conj().T @ vE
     wt = (1.0 + a**2) ** (-s)
@@ -552,21 +552,15 @@ def weighted_mourre_check(H, S, phi, J, s, commutator=None):
     if phi is None:
         psi_prime = np.zeros_like(a)
     else:
-        if phi.kind != "psi":
-            raise InvariantViolation(
-                "weight-kind", "weighted Mourre check needs a psi weight spec"
-            )
         psi_prime = phi.c * phi.R * (1.0 + a**2) ** (-phi.s)
     Z = vA @ (np.sqrt(psi_prime)[:, None] * Y)
-    C = commutator if commutator is not None else _analytic_commutator(H)
-    CZ = C.matvec(Z)
-    M1 = Z.conj().T @ CZ
+    M1 = Z.conj().T @ C.matvec(Z)
     M1 = 0.5 * (M1 + M1.conj().T)
     M = M1 - M2
     M = 0.5 * (M + M.conj().T)
     best_c = float(eigh(M, eigvals_only=True)[0])
     comm_min = float(eigh(M1, eigvals_only=True)[0])
-    return MourreCheckResult((lo, hi), comm_min, best_c, 0, "weighted")
+    return MourreCheckResult(win, comm_min, best_c, 0, "weighted")
 
 
 @dataclass(frozen=True)
@@ -596,7 +590,7 @@ def _br_profile(x, R, delta):
 
 
 def _commutator_br_form(H, R, delta):
-    """Analytic [H, iB_R] = 4 P f'P - f''' - 2 f V' as tridiagonal arrays.
+    """Analytic [H, iB_R] = 4 P f'P - f''' - 2 f V'.
 
     The literal matrix commutator vanishes identically on exact eigenvectors
     of H (the finite-matrix virial identity kills every diagonal element of
@@ -604,86 +598,58 @@ def _commutator_br_form(H, R, delta):
     with the plain Mourre check. P f'P uses midpoint weights, which keeps it
     exactly PSD whenever f' >= 0.
     """
-    if H.phase is not None:
-        raise InvariantViolation(
-            "commutator-route",
-            "the localized commutator form needs a real tridiagonal H",
-        )
-    x = H.grid.x
-    h = H.grid.h
+    vprime = _potential_slope(H)
+    grid = H.grid
+    x, h = grid.x, grid.h
     xm = np.concatenate(([x[0] - h / 2.0], (x[:-1] + x[1:]) / 2.0, [x[-1] + h / 2.0]))
     _, fpm = _br_profile(xm, R, delta)
     d = 4.0 * (fpm[:-1] + fpm[1:]) / h**2
     e = -4.0 * fpm[1:-1] / h**2
     f, fp = _br_profile(x, R, delta)
     fppp = np.gradient(np.gradient(fp, x), x)
-    vdiag = H.d - 2.0 / h**2
-    low = fppp.copy()
-    if np.any(vdiag):
-        low = low + 2.0 * f * np.gradient(vdiag, x)
-    return d - low, e
+    return OperatorMatrix(grid, d - (fppp + 2.0 * f * vprime), e)
 
 
 def mourre_at_infinity_check(H, R, delta, s, window, trials=64, seed=0):
     """Random-state check of <f, [H, iB_R] f> >= c1 ||chi_R <Q>^-s f||^2 - err.
 
     The commutator is the analytic form 4 P f'P - f''' - 2 f V' with
-    f = chi_R^2 g_delta x. Trial states are Gaussian combinations in the
-    window eigenbasis (fixed seed). Evaluated at R and 2R to expose the
-    decay of the error witness max(0, c1_pred ||.||^2 - <f, C_R f>) / ||.||,
-    with c1_pred = 2 inf J.
+    f = chi_R^2 g_delta x, 0 < delta < 1. The trial states are one block of
+    trials >= 1 Gaussian combinations in the window eigenbasis (fixed seed).
+    Evaluated at R and 2R (R > 0, 2R < L) to expose the decay of the error
+    witness max(0, c1_pred ||.||^2 - <f, C_R f>) / ||.||, with
+    c1_pred = 2 inf J.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise InvariantViolation("window-order", "window needs lo < hi")
-    wE, vE = eig_window(H, lo, hi)
+    if not trials >= 1:
+        raise InvariantViolation("trials-range", f"need trials >= 1, got {trials}")
+    if not 0.0 < R < H.grid.L / 2.0:
+        raise InvariantViolation("BR-radius", "need R > 0 and 2R inside the box")
+    if not 0.0 < delta < 1.0:
+        raise InvariantViolation("delta-range", f"delta must lie in (0,1), got {delta}")
+    R_values = (float(R), 2.0 * float(R))
+    forms = [_commutator_br_form(H, R_val, delta) for R_val in R_values]
+    win, wE, vE = _mourre_window(H, window)
+    c1_pred = 2.0 * win[0]
     if len(wE) == 0:
         return MourreInfinityReport(
-            (lo, hi), (float(R), 2.0 * R), (_POSINF, _POSINF),
-            2.0 * lo, (0.0, 0.0), True, (0, 0),
+            win, R_values, (_POSINF, _POSINF), c1_pred, (0.0, 0.0), True, (0, 0)
         )
-    grid = H.grid
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal((len(wE), trials))
-    c1_pred = 2.0 * lo
-    br_x = np.sqrt(1.0 + grid.x**2)
-    c1_vals = []
-    witnesses = []
-    used = []
-    for R_val in (float(R), 2.0 * float(R)):
-        if not R_val < grid.L:
-            raise InvariantViolation("BR-radius", "2R must stay inside the box")
-        cd, ce = _commutator_br_form(H, R_val, delta)
-        chi = smoothstep_quintic(np.abs(grid.x) / R_val - 1.0)
-        wloc = chi * br_x ** (-s)
-        c1_best = _POSINF
-        witness = 0.0
-        n_used = 0
-        for t in range(trials):
-            f = vE @ coeffs[:, t]
-            f = f / np.linalg.norm(f)
-            cf = cd * f
-            cf[:-1] += ce * f[1:]
-            cf[1:] += ce * f[:-1]
-            num = float(f @ cf)
-            den = float(np.linalg.norm(wloc * f))
-            if den < 1e-12:
-                continue
-            n_used += 1
-            c1_best = min(c1_best, num / den**2)
-            witness = max(witness, max(0.0, c1_pred * den**2 - num) / den)
-        c1_vals.append(c1_best)
-        witnesses.append(witness)
-        used.append(n_used)
-    decay_ok = witnesses[1] <= witnesses[0] + 1e-12
+    x = H.grid.x
+    F = vE @ np.random.default_rng(seed).standard_normal((len(wE), trials))
+    F /= np.linalg.norm(F, axis=0)
+    c1_vals, witnesses, used = [], [], []
+    for R_val, C in zip(R_values, forms):
+        num = np.einsum("ij,ij->j", F, C.matvec(F))
+        wloc = smoothstep_quintic(np.abs(x) / R_val - 1.0) * np.sqrt(1.0 + x**2) ** (-s)
+        den = np.linalg.norm(wloc[:, None] * F, axis=0)
+        kept = den >= 1e-12
+        num, den = num[kept], den[kept]
+        c1_vals.append(float(np.min(num / den**2, initial=_POSINF)))
+        witnesses.append(float(np.max((c1_pred * den**2 - num) / den, initial=0.0)))
+        used.append(int(np.count_nonzero(kept)))
     return MourreInfinityReport(
-        (lo, hi),
-        (float(R), 2.0 * float(R)),
-        tuple(c1_vals),
-        c1_pred,
-        tuple(witnesses),
-        decay_ok,
-        tuple(used),
+        win, R_values, tuple(c1_vals), c1_pred, tuple(witnesses),
+        witnesses[1] <= witnesses[0] + 1e-12, tuple(used),
     )
 
 

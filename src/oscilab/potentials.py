@@ -4,7 +4,7 @@ Everything here is a pure function of an immutable spec: oscillating tails
 w(1-kappa(|x|))|x|^(-beta) sin(k|x|^alpha), the explicit 1D and 3D-radial
 potentials with a known bound state embedded at energy 1, truncated
 resonant-bump series on the half-line, sampled short/long-range parts, and
-the specs of the scalar weight functions used by the commutator diagnostics.
+the spec of the psi weight of the weighted commutator check.
 
 Derivatives that feed residual checks are hand-derived closed forms (tests
 compare them against Richardson finite differences); none of the evaluators
@@ -12,7 +12,7 @@ differentiate numerically.
 
 A potential spec's fields are also its JSON schema: each field's annotation
 converts the value of its key and the field's default is the key's default.
-The decoder that reads them checks the command-line configs too.
+The decoder that reads them checks the command-line configs.
 """
 
 import numbers
@@ -44,8 +44,6 @@ __all__ = [
     "eval_simon_series",
     "eval_potential",
     "check_simon_envelope",
-    "potential_to_json",
-    "potential_from_json",
 ]
 
 
@@ -239,38 +237,28 @@ def _check_samples(x, values):
 
 @dataclass(frozen=True)
 class WeightFunctionSpec:
-    """Scalar weight function: one of g_delta, psi, or bracket_power.
+    """The weight of the weighted Mourre check (kind "psi", the only kind).
 
-    * g_delta(x) = (2 - <x>^(-delta)) <x>^(-1), delta in (0, 1); always >= <x>^(-1).
-    * psi(t) = c R int_{-inf}^t <tau>^(-2s) dtau, s > 1/2, R >= 1, c > 0;
-      bounded and nondecreasing.
-    * bracket_power(s)(t) = (1 + t^2)^(-s/2).
+    psi(t) = c R int_{-inf}^t <tau>^(-2s) dtau, s > 1/2, R >= 1, c > 0;
+    bounded and nondecreasing.
     """
 
     kind: str
-    delta: float = 0.5
     s: float = 1.0
     R: float = 1.0
     c: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("g_delta", "psi", "bracket_power"):
+        if self.kind != "psi":
             raise InvariantViolation(
                 "weight-kind", f"unknown weight kind {self.kind!r}"
             )
-        if self.kind == "g_delta" and not (0.0 < self.delta < 1.0):
-            raise InvariantViolation(
-                "delta-range", f"delta must lie in (0,1), got {self.delta}"
-            )
-        if self.kind == "psi":
-            if not self.s > 0.5:
-                raise InvariantViolation(
-                    "s-range", f"psi needs s > 1/2, got {self.s}"
-                )
-            if not self.R >= 1.0:
-                raise InvariantViolation("R-range", f"psi needs R >= 1, got {self.R}")
-            if not self.c > 0.0:
-                raise InvariantViolation("c-positivity", f"psi needs c > 0, got {self.c}")
+        if not self.s > 0.5:
+            raise InvariantViolation("s-range", f"psi needs s > 1/2, got {self.s}")
+        if not self.R >= 1.0:
+            raise InvariantViolation("R-range", f"psi needs R >= 1, got {self.R}")
+        if not self.c > 0.0:
+            raise InvariantViolation("c-positivity", f"psi needs c > 0, got {self.c}")
 
 
 # ---------------------------------------------------------------------------
@@ -528,28 +516,6 @@ _KIND_TO_CLS = {
     "sum": SumPotential,
     "custom": CustomSample,
 }
-
-
-def _to_json(value):
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
-    if not is_dataclass(value):
-        return value
-    doc = {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
-    kinds = [kind for kind, cls in _KIND_TO_CLS.items() if cls is type(value)]
-    return {"kind": kinds[0], **doc} if kinds else doc
-
-
-def potential_to_json(spec):
-    """Serialize a potential spec to a JSON-compatible dict with a "kind" tag."""
-    if type(spec) not in _KIND_TO_CLS.values():
-        raise TypeError(f"not a potential spec: {type(spec).__name__}")
-    return _to_json(spec)
-
-
-def potential_from_json(doc):
-    """Rebuild a potential spec from its JSON dict (inverse of potential_to_json)."""
-    return _decode_potential(doc, "potential")
 
 
 def _decode_potential(doc, path):

@@ -361,9 +361,12 @@ def test_sweep_csv_key_is_unknown(tmp_path, capsys):
         ("compactness-probe",
          {"mode": "smoothed_multiplier", "alpha": 2.0, "k": 1.0, "tol": 1e-6},
          "param-unknown"),
+        ("mourre-check",
+         {"kind": "at_infinity", "window": [0.5, 1.0], "h": 0.1, "trials": 0},
+         "trials-range"),
     ],
     ids=["variant", "mourre-kind", "probe-mode", "weight-kind", "phi-el",
-         "radii-missing", "windows-empty", "gamma", "probe-tol"],
+         "radii-missing", "windows-empty", "gamma", "probe-tol", "trials-zero"],
 )
 def test_exit_2_runs_leave_no_output_dir(tmp_path, capsys, command, params, invariant):
     # checks that depend on the mode run inside the handlers; the output
@@ -473,6 +476,84 @@ def test_mourre_check_run_reports_the_constant(tmp_path):
     assert report["kind"] == "strict"
     assert report["kind_requested"] == "strict"
     assert report["best_c"] >= 0.9
+
+
+@pytest.mark.parametrize("phi", [{"s": 0.6, "R": 4.0}, None], ids=["psi", "no-phi"])
+def test_mourre_check_weighted_run(tmp_path, phi):
+    # without phi, psi = 0 and the form is -<S>^{-2s} alone: the failing control
+    out_dir = tmp_path / "out"
+    doc = _weighted_mourre_doc(tmp_path, phi)
+    assert run(write_config(tmp_path, doc)) == 0
+    report = read_json(out_dir / "mourre.json")
+    assert report["kind"] == "weighted"
+    assert report["kind_requested"] == "weighted"
+    assert report["window"] == [0.5, 1.5]
+    if phi is None:
+        assert report["commutator_form_min_eig"] == 0.0
+        assert report["best_c"] < 0.0
+    else:
+        assert report["commutator_form_min_eig"] > 0.0
+        assert report["best_c"] > 0.0
+
+
+def test_mourre_check_at_infinity_run(tmp_path):
+    out_dir = tmp_path / "out"
+    doc = {
+        "command": "mourre-check",
+        "params": {"kind": "at_infinity", "window": [0.5, 1.0], "L": 100.0, "h": 0.1,
+                   "R": 10.0, "trials": 16},
+        "output_dir": str(out_dir),
+    }
+    assert run(write_config(tmp_path, doc)) == 0
+    report = read_json(out_dir / "mourre.json")
+    assert report["kind_requested"] == "at_infinity"
+    assert report["R_values"] == [10.0, 20.0]
+    assert report["c1_predicted"] == 1.0
+    assert report["trials_used"] == [16, 16]
+    assert all(c > 0.0 for c in report["c1_values"])
+    assert report["decay_ok"] is True
+
+
+def test_compactness_probe_windowed_channel_appends_to_the_sweep(tmp_path):
+    out_dir = tmp_path / "out"
+    doc = {
+        "command": "compactness-probe",
+        "params": {"window": [0.3, 0.8], "k": 2.0, "radii": [5.0, 10.0], "L": 40.0,
+                   "h": 0.1},
+        "output_dir": str(out_dir),
+    }
+    config = write_config(tmp_path, doc)
+    header = ["window_lo", "window_hi", "k", "verdict", "plateau"]
+    for runs in (1, 2):
+        assert run(config) == 0
+        with open(out_dir / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == header
+        assert len(rows) == 1 + runs
+    assert rows[1] == rows[2]
+    assert rows[1][:3] == ["0.29999999999999999", "0.80000000000000004", "2"]
+    assert rows[1][3] == read_json(out_dir / "probe.json")["verdict"]
+
+
+def test_lap_scan_run_walks_the_given_ladder_down_to_the_floor(tmp_path):
+    out_dir = tmp_path / "out"
+    ladder = [2.0, 1.0, 0.6, 0.4, 0.01]
+    doc = {
+        "command": "lap-scan",
+        "params": {"interval": [0.5, 1.5], "boxes": [100.0, 200.0], "h": 0.2,
+                   "im_ladder": ladder},
+        "output_dir": str(out_dir),
+    }
+    assert run(write_config(tmp_path, doc)) == 0
+    floor = read_json(out_dir / "lap_scan.json")["im_floor"]
+    expected = [eta for eta in ladder if eta > floor] + [floor]
+    assert len(expected) >= 4
+    with open(out_dir / "lap_scan.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 5 * len(expected)
+    for i in range(0, len(rows), len(expected)):
+        chain = rows[i : i + len(expected)]
+        assert [float(r["im_z"]) for r in chain] == expected
 
 
 def test_compactness_probe_run_smoothed_multiplier(tmp_path):

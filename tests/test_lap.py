@@ -625,20 +625,22 @@ def test_mourre_empty_window_reports_infinite_constant():
 
 def test_commutator_forms_reject_the_dilation_generator_as_H():
     # the analytic commutators read V off the diagonal of a real H; the
-    # dilation generator carries a phase, so each check refuses it by name
+    # dilation generator carries a phase, so each check refuses it by name,
+    # on a window holding part of A's spectrum and on one above all of it
     g = line_grid(40.0, 0.1)
     A = build_conjugate_A(g)
-    J = (0.5, 1.5)
-    assert len(eig_window(A, *J)[0]) > 0
-    checks = (
-        lambda: mourre_check(A, A, J),
-        lambda: weighted_mourre_check(A, A, None, J, 0.51),
-        lambda: mourre_at_infinity_check(A, R=8.0, delta=0.1, s=0.51, window=J),
-    )
-    for check in checks:
-        with pytest.raises(InvariantViolation) as err:
-            check()
-        assert err.value.invariant == "commutator-route"
+    assert len(eig_window(A, 0.5, 1.5)[0]) > 0
+    assert len(eig_window(A, 1e3, 1e3 + 1.0)[0]) == 0
+    for J in ((0.5, 1.5), (1e3, 1e3 + 1.0)):
+        checks = (
+            lambda: mourre_check(A, A, J),
+            lambda: weighted_mourre_check(A, A, None, J, 0.51),
+            lambda: mourre_at_infinity_check(A, R=8.0, delta=0.1, s=0.51, window=J),
+        )
+        for check in checks:
+            with pytest.raises(InvariantViolation) as err:
+                check()
+            assert err.value.invariant == "commutator-route"
 
 
 @pytest.mark.parametrize(
@@ -683,16 +685,6 @@ def test_weighted_mourre_zero_weight_control_fails():
     assert res.kind == "weighted"
 
 
-def test_weighted_mourre_wrong_weight_kind_rejected():
-    g = line_grid(10.0, 0.25)
-    H = build_h0(g)
-    S = build_conjugate_A(g)
-    phi = WeightFunctionSpec(kind="g_delta", delta=0.5)
-    with pytest.raises(InvariantViolation) as err:
-        weighted_mourre_check(H, S, phi, (0.5, 1.0), 0.51)
-    assert err.value.invariant == "weight-kind"
-
-
 def test_mourre_at_infinity_free_lower_bound():
     g = line_grid(120.0, 0.1)
     H = build_h0(g)
@@ -713,12 +705,46 @@ def test_mourre_at_infinity_empty_window():
     assert rep.decay_ok
 
 
+def test_mourre_at_infinity_block_matches_trial_by_trial():
+    # each column of the trial block reads as that one trial state would
+    # alone: <f, C f> / ||w f||^2 on the dense commutator form
+    # (c1 < 0 at R, and both error witnesses are positive)
+    g = line_grid(100.0, 0.1)
+    H = build_schrodinger(g, OscillatingSpec(w=3.0, k=2.0, alpha=1.0, beta=1.0))
+    R, delta, s, J = 10.0, 0.1, 0.51, (0.5, 1.0)
+    rep = mourre_at_infinity_check(H, R, delta, s, J, trials=16, seed=3)
+    _, vE = eig_window(H, *J)
+    coeffs = np.random.default_rng(3).standard_normal((vE.shape[1], 16))
+    for R_val, c1, witness in zip(rep.R_values, rep.c1_values, rep.error_witness):
+        C = oscilab.lap._commutator_br_form(H, R_val, delta).entries
+        chi = oscilab.lap.smoothstep_quintic(np.abs(g.x) / R_val - 1.0)
+        ratios, gaps = [], []
+        for t in range(16):
+            f = vE @ coeffs[:, t]
+            f /= np.linalg.norm(f)
+            num = f @ C @ f
+            den = np.linalg.norm(chi * (1.0 + g.x**2) ** (-s / 2.0) * f)
+            ratios.append(num / den**2)
+            gaps.append(max(0.0, rep.c1_predicted * den**2 - num) / den)
+        assert c1 == pytest.approx(min(ratios), rel=1e-10)
+        assert witness == pytest.approx(max(gaps), rel=1e-10)
+        assert witness > 0.0
+    assert rep.c1_values[0] < 0.0
+    assert rep.trials_used == (16, 16)
+
+
 @pytest.mark.parametrize(
     "kwargs, slug",
     [
         (dict(R=45.0), "BR-radius"),
         (dict(R=30.0), "BR-radius"),
         (dict(R=8.0, window=(1.0, 1.0)), "window-order"),
+        (dict(R=8.0, trials=0), "trials-range"),
+        (dict(R=8.0, trials=-1), "trials-range"),
+        (dict(R=-5.0), "BR-radius"),
+        (dict(R=0.0), "BR-radius"),
+        (dict(R=8.0, delta=-0.5), "delta-range"),
+        (dict(R=8.0, delta=1.0), "delta-range"),
     ],
 )
 def test_mourre_at_infinity_guards(kwargs, slug):

@@ -27,8 +27,7 @@ from oscilab.potentials import (
     eval_wvn_3d,
     eval_wvn_bound_state,
     eval_wvn_potential,
-    potential_from_json,
-    potential_to_json,
+    _decode_potential,
 )
 
 from conftest import demo_simon, richardson_derivative
@@ -321,16 +320,17 @@ def test_weight_spec_validation_slugs():
     with pytest.raises(InvariantViolation) as err:
         WeightFunctionSpec(kind="nope")
     assert err.value.invariant == "weight-kind"
+    # g_delta enters only through the B_R profile, so psi is the one kind
     with pytest.raises(InvariantViolation) as err:
-        WeightFunctionSpec(kind="g_delta", delta=1.0)
-    assert err.value.invariant == "delta-range"
+        WeightFunctionSpec(kind="g_delta")
+    assert err.value.invariant == "weight-kind"
     with pytest.raises(InvariantViolation) as err:
         WeightFunctionSpec(kind="psi", s=0.5)
     assert err.value.invariant == "s-range"
 
 
 # ---------------------------------------------------------------------------
-# generic evaluation and serialization
+# generic evaluation and config decoding
 
 
 def test_eval_potential_dispatch_matches_specialized():
@@ -363,38 +363,66 @@ def test_sample_spec_validation():
     assert err.value.invariant == "sum-nonempty"
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
+# one config document per potential kind and the spec it decodes to
+_POTENTIAL_DOCS = [
+    (
+        {"kind": "oscillating", "w": 3.0, "k": 2.0, "alpha": 1.5, "beta": 0.75,
+         "cutoff": {"inner_radius": 0.5, "outer_radius": 2.5}},
         OscillatingSpec(w=3.0, k=2.0, alpha=1.5, beta=0.75,
                         cutoff=CutoffSpec(0.5, 2.5)),
-        WignerVonNeumann1D(),
-        WignerVonNeumann3DRadial(),
+    ),
+    ({"kind": "wvn_1d"}, WignerVonNeumann1D()),
+    ({"kind": "wvn_3d_radial"}, WignerVonNeumann3DRadial()),
+    (
+        {"kind": "simon_series", "kappas": [1.0, 2.0], "radii": [1.0, 8.0],
+         "phases": [0.1, 0.2], "core_samples": [0.0, 0.5, 0.0],
+         "truncation_count": 2},
         SimonSeriesSpec(kappas=(1.0, 2.0), radii=(1.0, 8.0), phases=(0.1, 0.2),
                         core_samples=(0.0, 0.5, 0.0), truncation_count=2),
+    ),
+    (
+        {"kind": "short_range_sample", "x": [-1.0, 1.0], "values": [0.5, 0.5],
+         "rho_sr": 1.5},
         ShortRangeSample(x=(-1.0, 1.0), values=(0.5, 0.5), rho_sr=1.5),
+    ),
+    (
+        {"kind": "long_range_sample", "x": [-1.0, 1.0], "values": [0.5, 0.5],
+         "rho_lr": 0.6, "rho_lr_prime": 1.0},
         LongRangeSample(x=(-1.0, 1.0), values=(0.5, 0.5), rho_lr=0.6,
                         rho_lr_prime=1.0),
+    ),
+    (
+        {"kind": "custom", "x": [0.0, 2.0], "values": [1.0, -1.0]},
         CustomSample(x=(0.0, 2.0), values=(1.0, -1.0)),
+    ),
+    (
+        {"kind": "sum", "parts": [
+            {"kind": "wvn_1d"},
+            {"kind": "custom", "x": [0.0, 1.0], "values": [1.0, 0.0]},
+        ]},
         SumPotential(parts=(WignerVonNeumann1D(),
                             CustomSample(x=(0.0, 1.0), values=(1.0, 0.0)))),
-    ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, spec", _POTENTIAL_DOCS, ids=[f"spec{i}" for i in range(len(_POTENTIAL_DOCS))]
 )
-def test_potential_json_round_trip(spec):
-    doc = potential_to_json(spec)
-    json.dumps(doc)
-    back = potential_from_json(doc)
+def test_potential_json_round_trip(doc, spec):
+    # the JSON text of a config document decodes to the spec it describes
+    back = _decode_potential(json.loads(json.dumps(doc)), "potential")
     assert back == spec
     x = np.linspace(-5.0, 5.0, 101)
     assert np.array_equal(eval_potential(back, x), eval_potential(spec, x))
 
 
-def test_potential_from_json_rejects_unknown_kind():
+def test_decode_potential_rejects_unknown_kind():
     with pytest.raises(InvariantViolation) as err:
-        potential_from_json({"kind": "mystery"})
+        _decode_potential({"kind": "mystery"}, "potential")
     assert err.value.invariant == "potential-kind"
     with pytest.raises(InvariantViolation):
-        potential_from_json("not a dict")
+        _decode_potential("not a dict", "potential")
     osc = {"kind": "oscillating", "w": 3.0, "k": 2.0, "alpha": 1.0, "beta": 1.0}
     for doc, invariant, key in (
         ({k: v for k, v in osc.items() if k != "beta"}, "param-missing",
@@ -404,6 +432,6 @@ def test_potential_from_json_rejects_unknown_kind():
          "potential.parts[0].extra"),
     ):
         with pytest.raises(InvariantViolation) as err:
-            potential_from_json(doc)
+            _decode_potential(doc, "potential")
         assert err.value.invariant == invariant
         assert repr(key) in str(err.value)
