@@ -530,9 +530,6 @@ def main(argv=None):
         print(list_commands())
         return 0
     config_path = args.config_flag or args.config
-    if config_path == "list-commands":
-        print(list_commands())
-        return 0
     if config_path is None:
         parser.print_usage()
         return 2

@@ -14,10 +14,10 @@ Three families:
 """
 
 from dataclasses import dataclass, replace
-import csv
 
 import numpy as np
 
+from ._csv import write_csv
 from ._smooth import smoothstep_quintic, smoothstep_quintic_prime
 from .discretize import Grid1D, halfline_grid
 from .errors import InvariantViolation
@@ -355,22 +355,20 @@ def dirac_solve_from_profiles(spec, grid, u1, u2, u1p, u2p):
         f2=v2,
         residual_max=0.0,
     )
-    return replace(cons, residual_max=dirac_residual(cons, spec))
+    return replace(cons, residual_max=dirac_residual(cons))
 
 
-def dirac_residual(cons, spec):
+def dirac_residual(cons):
     """Max over the grid of |D f - lambda f| (Euclidean norm of the 2-vector).
 
     D is the first-order channel system with the constructed potentials;
-    f' is analytic: f' = M f + exp(rM) u'.
+    f' is analytic: f' = M f + exp(rM) u' = M f + (-w2, w1).
     """
+    spec = cons.spec
     r = cons.grid.x
-    c, kps, kms = _exp_rM_arrays(spec, r)
-    z1 = c * cons.u1p + kps * cons.u2p
-    z2 = kms * cons.u1p + c * cons.u2p
     kp, km = spec.m + spec.lam, spec.m - spec.lam
-    df1 = kp * cons.f2 + z1
-    df2 = km * cons.f1 + z2
+    df1 = kp * cons.f2 - cons.w2
+    df2 = km * cons.f1 + cons.w1
     kap = float(spec.kappa_rho)
     lam = spec.lam
     m = spec.m
@@ -426,48 +424,17 @@ def dirac_check_limits(cons):
 
 def dirac_to_csv(cons, path):
     """Write the construction arrays as CSV."""
-    cols = (
-        "r",
-        "u1",
-        "u2",
-        "v1",
-        "v2",
-        "w1",
-        "w2",
-        "phi_sc",
-        "phi_am",
-        "phi_el",
-        "f1",
-        "f2",
-    )
-    arrays = (
-        cons.grid.x,
-        cons.u1,
-        cons.u2,
-        cons.v1,
-        cons.v2,
-        cons.w1,
-        cons.w2,
-        cons.phi_sc,
-        cons.phi_am,
-        cons.phi_el,
-        cons.f1,
-        cons.f2,
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in zip(*arrays):
-            writer.writerow([f"{val:.17g}" for val in row])
+    cols = ("r", "u1", "u2", "v1", "v2", "w1", "w2", "phi_sc", "phi_am", "phi_el",
+            "f1", "f2")
+    arrays = (cons.grid.x, cons.u1, cons.u2, cons.v1, cons.v2, cons.w1, cons.w2,
+              cons.phi_sc, cons.phi_am, cons.phi_el, cons.f1, cons.f2)
+    write_csv(path, cols, zip(*(a.tolist() for a in arrays)))
 
 
 def kg_to_csv(cons, path):
     """Write the construction arrays as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("x", "h", "k_fn", "f", "V"))
-        for row in zip(cons.grid.x, cons.h, cons.k_fn, cons.f, cons.V):
-            writer.writerow([f"{val:.17g}" for val in row])
+    arrays = (cons.grid.x, cons.h, cons.k_fn, cons.f, cons.V)
+    write_csv(path, ("x", "h", "k_fn", "f", "V"), zip(*(a.tolist() for a in arrays)))
 
 
 def dirac_summary(cons):

@@ -116,23 +116,19 @@ def periodic_grid(L, n):
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Spectral window on an interval J = [a, b].
+    """Smooth spectral window on an interval J = [a, b].
 
-    smooth_bump: C-infinity theta, 1 on J, 0 outside [a - margin, b + margin].
-    sharp_projector: spectral projector onto J.
+    A C-infinity theta, 1 on J, 0 outside [a - margin, b + margin].
     margin defaults to 0.1 |J|.
     """
 
     a: float
     b: float
     margin: float = None
-    kind: str = "smooth_bump"
 
     def __post_init__(self):
         if not self.a < self.b:
             raise InvariantViolation("window-order", "window needs a < b")
-        if self.kind not in ("smooth_bump", "sharp_projector"):
-            raise InvariantViolation("window-kind", f"unknown window kind {self.kind!r}")
         if self.margin is None:
             object.__setattr__(self, "margin", 0.1 * (self.b - self.a))
         if not self.margin > 0:
@@ -140,16 +136,11 @@ class WindowSpec:
 
     def weights(self, energies):
         """Evaluate the window function at the given energies."""
-        energies = np.asarray(energies, dtype=float)
-        if self.kind == "sharp_projector":
-            return ((energies >= self.a) & (energies <= self.b)).astype(float)
         return spectral_bump(energies, self.a, self.b, self.margin)
 
     @property
     def support(self):
         """Interval outside which the window vanishes."""
-        if self.kind == "sharp_projector":
-            return (self.a, self.b)
         return (self.a - self.margin, self.b + self.margin)
 
 

@@ -19,7 +19,6 @@ compressions and is not used here).
 """
 
 from dataclasses import dataclass
-import csv
 import itertools
 
 import numpy as np
@@ -38,6 +37,7 @@ from .discretize import (
 )
 from .errors import ComputeFailure, InvariantViolation
 from .potentials import OscillatingSpec
+from ._csv import write_csv
 from ._smooth import smoothstep_quintic, smoothstep_quintic_prime
 from .spectral import find_embedded
 
@@ -312,10 +312,12 @@ def lap_scan(factory, V, spec):
     """
     lo, hi = spec.interval
     re_grid = np.linspace(lo, hi, spec.re_points)
-    hams = {L: factory(V, L) for L in spec.box_list}
-
+    # per box: H, W and, for the unweighted free control, the closed-form
+    # spectrum
+    operands = {}
     spacing = 0.0
-    for L, H in hams.items():
+    for L in spec.box_list:
+        H = factory(V, L)
         if H.phase is not None:
             raise InvariantViolation(
                 "norm-route", "LU norm kernel needs H with no phase"
@@ -326,20 +328,6 @@ def lap_scan(factory, V, spec):
                 "interval-spectrum", f"no spectrum of H in the interval at L={L:g}"
             )
         spacing = max(spacing, (hi - lo) / count)
-    floor = 10.0 * spacing
-
-    if spec.im_ladder is not None:
-        ladder = [v for v in spec.im_ladder if v > floor * (1.0 + 1e-12)] + [floor]
-        if len(ladder) < 4:
-            ladder = _standard_ladder(floor)
-    else:
-        ladder = _standard_ladder(floor)
-
-    # per box: H, W and, for the unweighted free control, the closed-form
-    # spectrum
-    operands = {}
-    for L in spec.box_list:
-        H = hams[L]
         grid = H.grid
         if spec.weight_kind == "position":
             W = build_weight(grid, spec.s)
@@ -352,6 +340,10 @@ def lap_scan(factory, V, spec):
         )
         ev = _free_dirichlet_eigs(grid) if free_fast else None
         operands[L] = (H, W, ev)
+    floor = 10.0 * spacing
+    ladder = [v for v in spec.im_ladder or () if v > floor * (1.0 + 1e-12)] + [floor]
+    if len(ladder) < 4:
+        ladder = _standard_ladder(floor)
 
     def chain(task):
         """Norms down the Im z ladder at one (box, Re z), warm-started."""
@@ -436,13 +428,7 @@ def lap_scan(factory, V, spec):
 
 def scan_to_csv(result, path):
     """Write the raw scan grid as CSV with columns re_z, im_z, box_L, norm."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("re_z", "im_z", "box_L", "norm"))
-        for re_z, im_z, L, norm in result.rows:
-            writer.writerow(
-                (f"{re_z:.17g}", f"{im_z:.17g}", f"{L:.17g}", f"{norm:.17g}")
-            )
+    write_csv(path, ("re_z", "im_z", "box_L", "norm"), result.rows)
 
 
 def scan_summary(result):
@@ -504,20 +490,20 @@ def _mourre_window(H, J):
     return (lo, hi), *eig_window(H, lo, hi)
 
 
-def mourre_check(H, A, J, mode="strict", remainder_rank_budget=0, commutator=None):
+def mourre_check(H, A, J, mode="strict", remainder_rank_budget=0):
     """Positivity of the commutator form on the sharp spectral window J.
 
     strict: best_c is the smallest eigenvalue of E_J [H, iA] E_J on the
     window's range. plain: the remainder_rank_budget most negative
     directions are deflated first (the finite-rank stand-in for a compact
     error term). An empty window reports +inf. A is not read: the
-    commutator is the analytic form 2 H0 - x V' unless one is passed.
+    commutator is the analytic form 2 H0 - x V'.
     """
     if mode not in ("strict", "plain"):
         raise InvariantViolation("mourre-mode", f"unknown mode {mode!r}")
     if remainder_rank_budget < 0:
         raise InvariantViolation("rank-budget", "rank budget must be >= 0")
-    C = commutator if commutator is not None else _analytic_commutator(H)
+    C = _analytic_commutator(H)
     win, w, v = _mourre_window(H, J)
     if len(w) == 0:
         return MourreCheckResult(win, _POSINF, _POSINF, 0, mode)
@@ -758,11 +744,8 @@ def phase_sweep(
 
 def phase_cells_to_csv(cells, path):
     """Phase-diagram CSV with columns alpha, beta, window, verdict."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("alpha", "beta", "window", "verdict"))
-        for c in cells:
-            writer.writerow((f"{c.alpha:.17g}", f"{c.beta:.17g}", c.window_name, c.verdict))
+    rows = ((c.alpha, c.beta, c.window_name, c.verdict) for c in cells)
+    write_csv(path, ("alpha", "beta", "window", "verdict"), rows)
 
 
 _SVG_COLORS = {

@@ -13,13 +13,12 @@ the non-compact part.
 """
 
 from dataclasses import dataclass, asdict, replace
-import csv
-import os
 
 import numpy as np
 from scipy.linalg import eigh
 
 from . import _blocknorm, _pool
+from ._csv import write_csv
 from ._smooth import smoothstep_quintic
 from .discretize import build_radial_channel, eig_window, eigvals_window
 from .errors import InvariantViolation
@@ -405,17 +404,6 @@ def tail_report_to_json(rep):
 
 def append_sweep_csv(path, window_lo, window_hi, k, report):
     """Append one sweep row (window, k, verdict, plateau) to a CSV file."""
-    exists = os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if not exists:
-            writer.writerow(("window_lo", "window_hi", "k", "verdict", "plateau"))
-        writer.writerow(
-            (
-                f"{window_lo:.17g}",
-                f"{window_hi:.17g}",
-                f"{k:.17g}",
-                report.verdict,
-                f"{report.plateau_estimate:.17g}",
-            )
-        )
+    header = ("window_lo", "window_hi", "k", "verdict", "plateau")
+    row = (window_lo, window_hi, k, report.verdict, report.plateau_estimate)
+    write_csv(path, header, [row], append=True)

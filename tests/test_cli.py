@@ -14,6 +14,7 @@ import oscilab
 import oscilab._pool
 import oscilab.discretize
 import oscilab.lap
+from oscilab._csv import write_csv
 from oscilab.cli import RunConfig, list_commands, main, run
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -533,6 +534,25 @@ def test_compactness_probe_windowed_channel_appends_to_the_sweep(tmp_path):
     assert rows[1] == rows[2]
     assert rows[1][:3] == ["0.29999999999999999", "0.80000000000000004", "2"]
     assert rows[1][3] == read_json(out_dir / "probe.json")["verdict"]
+
+
+def test_csv_writer_quotes_strings_keeps_floats_and_writes_the_header_once(tmp_path):
+    path = str(tmp_path / "table.csv")
+    values = [0.1, 1.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308, 2.0**0.5]
+    for name in ("below, low", "above"):
+        write_csv(
+            path, ("window", "value"), ((name, v) for v in values), append=True
+        )
+    with open(path, newline="") as fh:
+        text = fh.read()
+    assert text.count("window,value") == 1
+    assert '"below, low",' in text
+    rows = list(csv.reader(text.splitlines()))
+    assert rows[0] == ["window", "value"]
+    assert [r[0] for r in rows[1:]] == ["below, low"] * 6 + ["above"] * 6
+    for (_, text_value), value in zip(rows[1:], values * 2):
+        assert float(text_value) == value
+        assert repr(float(text_value)) == repr(value)
 
 
 def test_lap_scan_run_walks_the_given_ladder_down_to_the_floor(tmp_path):

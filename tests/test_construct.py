@@ -226,9 +226,9 @@ def test_dirac_default_grid_shape():
 
 
 def test_dirac_residual_below_target(default_cons):
-    spec, cons = default_cons
+    _, cons = default_cons
     assert cons.residual_max < 1e-8
-    assert dirac_residual(cons, spec) == cons.residual_max
+    assert dirac_residual(cons) == cons.residual_max
 
 
 def test_dirac_potentials_finite_at_origin(default_cons):
@@ -286,9 +286,9 @@ def test_dirac_mirrored_lambda():
 
 
 def test_dirac_perturbed_scalar_potential_fails(default_cons):
-    spec, cons = default_cons
+    _, cons = default_cons
     bumped = dataclasses.replace(cons, phi_sc=cons.phi_sc + 0.01)
-    res = dirac_residual(bumped, spec)
+    res = dirac_residual(bumped)
     floor = 0.01 * np.min(np.hypot(cons.f1, cons.f2))
     assert res >= floor
     assert res > 100.0 * cons.residual_max

@@ -589,17 +589,16 @@ def test_mourre_fails_at_the_interference_threshold():
     assert wvn.best_c < -1.0
 
 
-def test_mourre_rank_budget_deflates_a_localized_defect():
+def test_mourre_rank_budget_deflates_a_localized_defect(monkeypatch):
     g = line_grid(60.0, 0.05)
     H = build_h0(g)
     A = build_conjugate_A(g)
     w, _ = eig_window(H, 0.5, 1.5)
     C = OperatorMatrix(g, 2.0 * H.d - 10.0 * np.exp(-g.x**2), 2.0 * H.e)
+    monkeypatch.setattr(oscilab.lap, "_analytic_commutator", lambda _: C)
     best = []
     for k in range(5):
-        res = mourre_check(
-            H, A, (0.5, 1.5), mode="plain", remainder_rank_budget=k, commutator=C
-        )
+        res = mourre_check(H, A, (0.5, 1.5), mode="plain", remainder_rank_budget=k)
         assert res.kind == "plain"
         assert res.remainder_rank == k
         best.append(res.best_c)
@@ -607,7 +606,7 @@ def test_mourre_rank_budget_deflates_a_localized_defect():
     assert all(a <= b + 1e-12 for a, b in zip(best, best[1:]))
     assert best[1] >= 0.5
     everything = mourre_check(
-        H, A, (0.5, 1.5), mode="plain", remainder_rank_budget=len(w), commutator=C
+        H, A, (0.5, 1.5), mode="plain", remainder_rank_budget=len(w)
     )
     assert everything.best_c == np.inf
     assert everything.remainder_rank == len(w)
