@@ -444,22 +444,39 @@ def build_conjugate_A(grid):
     return OperatorMatrix(grid, np.zeros(n), s, np.power(1j, np.arange(n) % 4))
 
 
+def _weight_factor(T, s):
+    """F = <J>^(-s) for T = D^H J D: a dense real symmetric n x n matrix.
+
+    Exact functional calculus on J's eigendecomposition (eigh_tridiagonal,
+    real vectors V), F = V diag(<w>^(-s)) V^T by one real GEMM and then
+    symmetrised exactly. <T>^(-s) is D^H F D, so a caller that can move D
+    onto the other factors works on F in real arithmetic. Refuses a T
+    above MATERIALIZE_MAX (materialization-size).
+    """
+    if T.shape[0] > MATERIALIZE_MAX:
+        raise InvariantViolation(
+            "materialization-size",
+            "operator-basis weights produce dense matrices; grid too large",
+        )
+    w, v = eigh_tridiagonal(T.d, T.e)
+    F = (v * (1.0 + w**2) ** (-s / 2.0)) @ v.T
+    return 0.5 * (F + F.T)
+
+
 def build_weight(grid, s, operator_basis=None):
     """Weight <Q>^(-s) as its diagonal (a vector), or <T>^(-s) for a supplied T.
 
-    With an operator basis the weight is exact functional calculus on T's
-    eigendecomposition: a dense Hermitian matrix.
+    With an operator basis T = D^H J D the weight is exact functional
+    calculus, D^H F D with F = <J>^(-s) from _weight_factor: a dense
+    Hermitian matrix, exactly Hermitian, complex when T carries a phase.
     """
     if s < 0:
         raise InvariantViolation("weight-exponent", f"need s >= 0, got {s}")
     if operator_basis is None:
         return (1.0 + grid.x**2) ** (-s / 2.0)
-    if operator_basis.shape[0] > MATERIALIZE_MAX:
-        raise InvariantViolation(
-            "materialization-size",
-            "operator-basis weights produce dense matrices; grid too large",
-        )
-    w, v = eig_full(operator_basis)
-    vals = (1.0 + w**2) ** (-s / 2.0)
-    mat = (v * vals) @ v.conj().T
+    F = _weight_factor(operator_basis, s)
+    phase = operator_basis.phase
+    if phase is None:
+        return F
+    mat = np.conj(phase)[:, None] * F * phase
     return 0.5 * (mat + mat.conj().T)

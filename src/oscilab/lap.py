@@ -22,16 +22,16 @@ from dataclasses import dataclass
 import itertools
 
 import numpy as np
-from scipy.linalg import eigh, get_lapack_funcs
+from scipy.linalg import eigh, eigh_tridiagonal, get_lapack_funcs
 
 from . import _blocknorm, _pool
 from .discretize import (
     OperatorMatrix,
+    _weight_factor,
     build_conjugate_A,
     build_schrodinger,
     build_weight,
     count_window,
-    eig_full,
     eig_window,
     line_grid,
 )
@@ -101,13 +101,14 @@ def _check_weight(W, n):
 def _tridiag_solver(d, e, z):
     """LU factorization of the complex tridiagonal H - z, returning a solver.
 
-    solver(B, trans) solves (H - z) X = B for trans='N' and the conjugate
-    transpose system for trans='C', overwriting B when it is a complex
-    vector.
+    H is Hermitian with real diagonal d and upper off-diagonal e, real or
+    complex (the lower one is conj(e)). solver(B, trans) solves
+    (H - z) X = B for trans='N' and the conjugate transpose system for
+    trans='C', overwriting B when it is a complex vector.
     """
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(2, dtype=complex),))
-    dl = np.asarray(e, dtype=complex)
     du = np.asarray(e, dtype=complex)
+    dl = np.conj(du)
     dd = np.asarray(d, dtype=complex) - z
     dl, dd, du, du2, ipiv, info = gttrf(dl, dd, du)
     if info != 0:
@@ -126,13 +127,31 @@ def _tridiag_solver(d, e, z):
     return solve
 
 
+def _real_times(F, X):
+    """F X for a real matrix F and a complex vector or C-ordered matrix X.
+
+    One real GEMM on X's float view, whose rows hold each entry's real and
+    imaginary parts side by side: F @ X would copy F to complex first.
+    """
+    Y = F @ X.view(np.float64).reshape(len(X), -1)
+    return Y.view(complex).reshape((len(F),) + X.shape[1:])
+
+
+def _start_vector(n):
+    """The seeded complex start vector of a norm run with no warm start."""
+    rng = np.random.default_rng(0)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
 def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, X=None):
     """||W (H - z)^{-1} W|| for tridiagonal H by LU applies of (H - z)^{-1}.
 
-    w is W's diagonal (a vector; O(n) per apply) or W itself (a dense
-    matrix; one matrix-vector product per weight multiply). X is the start
-    vector, a random complex one seeded with 0 when None. Returns (norm,
-    steps, converged, x, residual) as _blocknorm._gkl_norm does.
+    H has diagonal d and upper off-diagonal e (see _tridiag_solver). w is
+    W's diagonal (a vector; O(n) per apply) or W itself, a dense matrix: a
+    real one is applied by one real GEMM (_real_times), a complex one by a
+    complex matrix-vector product. X is the start vector, _start_vector
+    when None. Returns (norm, steps, converged, x, residual) as
+    _blocknorm._gkl_norm does.
     """
     solve = _tridiag_solver(d, e, z)
     # M = W (H - z)^{-1} W and M^H = W (H - z)^{-H} W, W being Hermitian
@@ -143,14 +162,18 @@ def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, X=None):
             x *= w
             return x
 
-    else:
+    elif np.iscomplexobj(w):
 
         def apply(v, trans):
             return w @ solve(w @ v, trans)
 
+    else:
+
+        def apply(v, trans):
+            return _real_times(w, solve(_real_times(w, v), trans))
+
     if X is None:
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal(len(d)) + 1j * rng.standard_normal(len(d))
+        X = _start_vector(len(d))
     return _blocknorm._gkl_norm(
         lambda v: apply(v, "N"), lambda u: apply(u, "C"), X,
         tol=tol, max_steps=max_iters,
@@ -163,7 +186,8 @@ def weighted_resolvent_norm(H, W, z, tol=1e-12, max_iters=600):
 
     H must be a real tridiagonal (one with a phase raises norm-route) and
     W an array of H's size (weight-shape otherwise): W's diagonal, or W
-    itself as a dense Hermitian PSD matrix.
+    itself as a dense Hermitian PSD matrix, real or complex; a real W is
+    applied in real arithmetic.
     The resolvent is applied exactly, by LU solves of H - z, inside
     Golub-Kahan-Lanczos bidiagonalisation; a run that does not converge
     raises norm-convergence.
@@ -312,8 +336,9 @@ def lap_scan(factory, V, spec):
     """
     lo, hi = spec.interval
     re_grid = np.linspace(lo, hi, spec.re_points)
-    # per box: H, W and, for the unweighted free control, the closed-form
-    # spectrum
+    # per box: the diagonal and upper off-diagonal the resolvent is taken
+    # of, the weight, for the unweighted free control the closed-form
+    # spectrum, and the first rung's start vector
     operands = {}
     spacing = 0.0
     for L in spec.box_list:
@@ -330,16 +355,24 @@ def lap_scan(factory, V, spec):
         spacing = max(spacing, (hi - lo) / count)
         grid = H.grid
         if spec.weight_kind == "position":
-            W = build_weight(grid, spec.s)
+            W, e, X0 = build_weight(grid, spec.s), H.e, None
         else:
-            W = build_weight(grid, spec.s, operator_basis=build_conjugate_A(grid))
+            # W = <A>^(-s) = D^H F D with D = diag(A.phase) and F real, so
+            # ||W R W|| = ||F (D R D^H) F||, R = (H - z)^(-1); D R D^H is the
+            # resolvent of D H D^H, whose upper off-diagonal is
+            # e_j ph_j conj(ph_{j+1}). From D x0 the chains take the Krylov
+            # spaces of the unrotated run, turned by D, and its step counts
+            A = build_conjugate_A(grid)
+            W = _weight_factor(A, spec.s)
+            e = H.e * A.phase[:-1] * np.conj(A.phase[1:])
+            X0 = A.phase * _start_vector(grid.n)
         _check_weight(W, grid.n)
         h2 = grid.h**2
         free_fast = (
             spec.s == 0.0 and np.all(H.d == 2.0 / h2) and np.all(H.e == -1.0 / h2)
         )
         ev = _free_dirichlet_eigs(grid) if free_fast else None
-        operands[L] = (H, W, ev)
+        operands[L] = (H.d, e, W, ev, X0)
     floor = 10.0 * spacing
     ladder = [v for v in spec.im_ladder or () if v > floor * (1.0 + 1e-12)] + [floor]
     if len(ladder) < 4:
@@ -348,9 +381,8 @@ def lap_scan(factory, V, spec):
     def chain(task):
         """Norms down the Im z ladder at one (box, Re z), warm-started."""
         L, re_z = task
-        H, W, ev = operands[L]
+        d, e, W, ev, X = operands[L]
         norms, steps, residuals = [], [], []
-        X = None
         for eta in ladder:
             z = complex(re_z, eta)
             if ev is not None:
@@ -361,7 +393,7 @@ def lap_scan(factory, V, spec):
                 val = 1.0 / float(np.hypot(dre, eta))
             else:
                 val, n_steps, converged, X, residual = _banded_norm(
-                    H.d, H.e, W, z, X=X
+                    d, e, W, z, X=X
                 )
                 _blocknorm._require_converged(n_steps, converged, f"at z={z}")
                 steps.append(n_steps)
@@ -373,7 +405,7 @@ def lap_scan(factory, V, spec):
     # closed-form chains are not worth a fork
     tasks = [(L, re_z) for L in reversed(spec.box_list) for re_z in re_grid]
     rows_max = max(
-        (H.shape[0] for H, _, ev in operands.values() if ev is None), default=0
+        (len(d) for d, _, _, ev, _ in operands.values() if ev is None), default=0
     )
     walked = dict(zip(tasks, _pool.pool_map(chain, tasks, rows_max)))
 
@@ -531,15 +563,19 @@ def weighted_mourre_check(H, S, phi, J, s):
     win, wE, vE = _mourre_window(H, J)
     if len(wE) == 0:
         return MourreCheckResult(win, _POSINF, _POSINF, 0, "weighted")
-    a, vA = eig_full(S)
-    Y = vA.conj().T @ vE
+    # S = D^H J_S D with J_S = V diag(a) V^T real, so S's eigenvectors are
+    # D^H V: Y = V^T D vE and Z = D^H V (sqrt(psi') Y), with the n x n V
+    # kept real
+    a, V = eigh_tridiagonal(S.d, S.e)
+    ph = np.ones(len(a), complex) if S.phase is None else S.phase
+    Y = _real_times(V.T, ph[:, None] * vE)
     wt = (1.0 + a**2) ** (-s)
     M2 = Y.conj().T @ (wt[:, None] * Y)
     if phi is None:
         psi_prime = np.zeros_like(a)
     else:
         psi_prime = phi.c * phi.R * (1.0 + a**2) ** (-phi.s)
-    Z = vA @ (np.sqrt(psi_prime)[:, None] * Y)
+    Z = np.conj(ph)[:, None] * _real_times(V, np.sqrt(psi_prime)[:, None] * Y)
     M1 = Z.conj().T @ C.matvec(Z)
     M1 = 0.5 * (M1 + M1.conj().T)
     M = M1 - M2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oscilab import _blocknorm
+from oscilab.errors import ComputeFailure
 
 N = 60
 
@@ -61,3 +62,42 @@ def test_step_cap_is_reported(dtype):
     _, steps, converged, _, residual = _norm(_dense(dtype), _start(dtype), max_steps=2)
     assert (steps, converged) == (2, False)
     assert residual > 1e-6
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_top_triplet_matches_the_svd_of_the_bidiagonal(k):
+    rng = np.random.default_rng(k)
+    alphas, betas = rng.uniform(0.1, 2.0, k), rng.uniform(0.1, 2.0, k - 1)
+    B = np.diag(alphas) + np.diag(betas, 1)
+    P, s, Qh = np.linalg.svd(B)
+    sigma, p, q = _blocknorm._top_triplet(alphas, betas)
+    assert sigma == pytest.approx(s[0], rel=1e-14)
+    # the stopping rule reads |p_k|; q is the top right singular vector
+    assert abs(p[-1]) == pytest.approx(abs(P[-1, 0]), abs=1e-10)
+    assert abs(q @ Qh[0]) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_run_past_the_initial_basis_rows_finds_the_top_singular_value(
+    dtype, monkeypatch
+):
+    A = _dense(dtype)
+    want = _norm(A, _start(dtype))
+    monkeypatch.setattr(_blocknorm, "_BASIS_ROWS", 2)
+    norm, steps, converged, x, _ = _norm(A, _start(dtype))
+    # the basis doubled at least twice: 2 -> 4 -> 8 rows
+    assert converged and steps > 4
+    assert norm == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-9)
+    # the same run as with the default rows, to rounding
+    assert steps == want[1] and norm == pytest.approx(want[0], rel=1e-14)
+    assert np.allclose(x, want[3], rtol=0, atol=1e-12)
+
+
+def test_a_failed_bidiagonal_eigensolve_raises(monkeypatch):
+    def failing(d, e, **kwargs):
+        return d, np.eye(len(d)), 1
+
+    monkeypatch.setattr(_blocknorm, "dstev", failing)
+    with pytest.raises(ComputeFailure) as err:
+        _norm(_dense(float), _start(float))
+    assert err.value.invariant == "norm-bidiagonal"

@@ -246,6 +246,20 @@ def test_weight_operator_basis_commutes():
     assert np.linalg.norm(W, 2) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("s", [0.0, 0.51, 1.3])
+def test_operator_basis_weight_matches_the_complex_eigenbasis_construction(s):
+    # D^H F D with F = <J>^(-s) real, against <A>^(-s) on A's complex
+    # eigenvectors
+    g = line_grid(6.4, 0.1)
+    A = build_conjugate_A(g)
+    W = build_weight(g, s, operator_basis=A)
+    assert np.array_equal(W, W.conj().T)
+    w, v = eig_full(A)
+    mat = (v * (1.0 + w**2) ** (-s / 2.0)) @ v.conj().T
+    old = 0.5 * (mat + mat.conj().T)
+    assert np.linalg.norm(W - old) <= 1e-14 * np.linalg.norm(old)
+
+
 def test_window_spec_validation():
     with pytest.raises(InvariantViolation) as err:
         WindowSpec(1.0, 0.5)

@@ -175,6 +175,30 @@ def test_banded_norm_certifies_its_ritz_residual(n, seed, conjugate_A, re_z, eta
     assert norm == pytest.approx(_spectral_norm_route(H, W, z), rel=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(16, 120),
+    s=st.floats(0.0, 2.0),
+    re_z=st.floats(-0.5, 4.5),
+    eta=st.floats(1e-3, 1.0),
+)
+def test_real_factor_route_matches_the_complex_weight(n, s, re_z, eta):
+    # ||W R W|| for W = D^H F D equals ||F (D R D^H) F||, D R D^H being the
+    # resolvent of the tridiagonal with upper off-diagonal e_j ph_j
+    # conj(ph_{j+1}); started from D x0, the real-F run repeats the complex one
+    grid = Grid1D("line", 0.1 * n, n)
+    H = build_schrodinger(grid, WignerVonNeumann1D())
+    A = build_conjugate_A(grid)
+    F = oscilab.discretize._weight_factor(A, s)
+    assert F.dtype == np.float64 and np.array_equal(F, F.T)
+    z = complex(re_z, eta)
+    e = H.e * A.phase[:-1] * np.conj(A.phase[1:])
+    x0 = A.phase * oscilab.lap._start_vector(n)
+    norm, _, converged, _, _ = _banded_norm(H.d, e, F, z, X=x0)
+    want = weighted_resolvent_norm(H, build_weight(grid, s, operator_basis=A), z)
+    assert converged and norm == pytest.approx(want, rel=1e-12)
+
+
 def test_norm_iteration_cap_is_reported_and_raises():
     g = line_grid(10.0, 0.25)
     H = build_schrodinger(g, WignerVonNeumann1D())
@@ -238,6 +262,28 @@ def test_conjugate_A_scan_rows_match_the_dense_route(potential):
                 assert auto == pytest.approx(dense, rel=1e-9)
 
 
+def test_conjugate_A_scan_takes_the_steps_of_the_complex_weight():
+    # the scan runs on W's real factor from D x0; the complex W from x0
+    # walks the same Krylov spaces turned by D. At these boxes a start of
+    # x0 on the real factor takes 453 steps in place of 448
+    spec = LapScanSpec(
+        interval=(0.5, 1.5), s=0.51, weight_kind="conjugate_A", box_list=(9.9, 19.8)
+    )
+    factory = schrodinger_line_factory(0.2)
+    res = lap_scan(factory, None, spec)
+    ladder = oscilab.lap._standard_ladder(res.im_floor)
+    steps = []
+    for L in spec.box_list:
+        H = factory(None, L)
+        W = _conjugate_A_weight(H)
+        for re_z in np.linspace(0.5, 1.5, spec.re_points):
+            X = None
+            for eta in ladder:
+                _, n_steps, _, X, _ = _banded_norm(H.d, H.e, W, complex(re_z, eta), X=X)
+                steps.append(n_steps)
+    assert res.norm_iterations == {"total": sum(steps), "max": max(steps)}
+
+
 def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
     calls = {"eigh": 0, "potrf": 0}
     eigh = oscilab.lap.eigh
@@ -278,6 +324,14 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         lap_scan(schrodinger_line_factory(0.2), None, _CONJUGATE_A_SPEC)
     assert err.value.invariant == "norm-convergence"
+
+
+def test_conjugate_A_scan_past_the_materialization_limit_is_refused(monkeypatch):
+    # the dense weight of the smaller box (n = 99) is over the limit
+    monkeypatch.setattr(oscilab.discretize, "MATERIALIZE_MAX", 50)
+    with pytest.raises(InvariantViolation) as err:
+        lap_scan(schrodinger_line_factory(0.2), None, _CONJUGATE_A_SPEC)
+    assert err.value.invariant == "materialization-size"
 
 
 @pytest.mark.parametrize("wmin", [-1e-9, -1e-12, 0.0])
@@ -673,6 +727,31 @@ def test_weighted_mourre_constant_grows_with_R():
         best.append(res.best_c)
     assert best[0] <= best[1] + 1e-12
     assert best[1] <= best[2] + 1e-12
+
+
+@pytest.mark.parametrize("R", [None, 1.0, 16.0])
+def test_weighted_mourre_matches_the_complex_eigenbasis_construction(R):
+    # the form on S's complex eigenvectors, as built before S's vectors were
+    # kept real
+    g = line_grid(30.0, 0.1)
+    H = build_schrodinger(g, WignerVonNeumann1D())
+    S = build_conjugate_A(g)
+    phi = None if R is None else WeightFunctionSpec(kind="psi", s=0.51, R=R, c=2.0)
+    res = weighted_mourre_check(H, S, phi, (0.5, 1.0), 0.51)
+    _, vE = eig_window(H, 0.5, 1.0)
+    a, vA = eig_full(S)
+    Y = vA.conj().T @ vE
+    M2 = Y.conj().T @ ((1.0 + a**2)[:, None] ** -0.51 * Y)
+    psi_prime = np.zeros_like(a) if phi is None else 2.0 * R * (1.0 + a**2) ** -0.51
+    Z = vA @ (np.sqrt(psi_prime)[:, None] * Y)
+    C = oscilab.lap._analytic_commutator(H)
+    M1 = Z.conj().T @ C.matvec(Z)
+    M1 = 0.5 * (M1 + M1.conj().T)
+    M = M1 - M2
+    best = np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0]
+    comm = np.linalg.eigvalsh(M1)[0]
+    assert res.best_c == pytest.approx(best, rel=1e-12)
+    assert res.commutator_form_min_eig == pytest.approx(comm, rel=1e-12)
 
 
 def test_weighted_mourre_zero_weight_control_fails():
