@@ -355,7 +355,7 @@ def lap_scan(factory, V, spec):
         spacing = max(spacing, (hi - lo) / count)
         grid = H.grid
         if spec.weight_kind == "position":
-            W, e, X0 = build_weight(grid, spec.s), H.e, None
+            W, e, X0 = build_weight(grid, spec.s), H.e, _start_vector(grid.n)
         else:
             # W = <A>^(-s) = D^H F D with D = diag(A.phase) and F real, so
             # ||W R W|| = ||F (D R D^H) F||, R = (H - z)^(-1); D R D^H is the

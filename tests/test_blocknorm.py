@@ -101,3 +101,35 @@ def test_a_failed_bidiagonal_eigensolve_raises(monkeypatch):
     with pytest.raises(ComputeFailure) as err:
         _norm(_dense(float), _start(float))
     assert err.value.invariant == "norm-bidiagonal"
+
+
+def _operator_with_a_gap(dtype, seed):
+    """U diag(s) V^H with random unitary U and V, a top singular value of 2
+    and the rest in [0, 1)."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        G = rng.standard_normal((N, N))
+        if dtype == complex:
+            G = G + 1j * rng.standard_normal((N, N))
+        return np.linalg.qr(G)[0]
+
+    s = rng.uniform(0.0, 1.0, N)
+    s[0] = 2.0
+    return (unitary() * s) @ unitary().conj().T
+
+
+@pytest.mark.parametrize("rows", [_blocknorm._BASIS_ROWS, 2])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_random_operators_give_the_top_singular_value_of_the_svd(
+    dtype, seed, rows, monkeypatch
+):
+    # the in-place BLAS step on real and complex vectors; at 2 basis rows
+    # the run goes past them and the basis grows
+    monkeypatch.setattr(_blocknorm, "_BASIS_ROWS", rows)
+    A = _operator_with_a_gap(dtype, seed)
+    norm, steps, converged, x, _ = _norm(A, _start(dtype), tol=1e-16)
+    assert converged and steps > 2
+    assert x.dtype == np.dtype(dtype)
+    assert norm == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-12)

@@ -554,6 +554,35 @@ def test_scans_below_the_pool_threshold_run_in_process(two_cpus):
     assert res.workers == 1
 
 
+def test_a_position_scan_draws_one_start_vector_per_box(monkeypatch):
+    draw = oscilab.lap._start_vector
+    drawn = []
+
+    def counted(n):
+        drawn.append(n)
+        return draw(n)
+
+    monkeypatch.setattr(oscilab.lap, "_start_vector", counted)
+    factory = schrodinger_line_factory(0.4)
+    spec = LapScanSpec(interval=(0.5, 1.5), s=1.0, re_points=3, box_list=(20.0, 40.0))
+    res = lap_scan(factory, _S12_OSCILLATION, spec)
+    sizes = [factory(None, L).shape[0] for L in spec.box_list]
+    assert drawn == sizes
+    # the same rows, bit for bit, as chains that each draw their own
+    ladder = oscilab.lap._standard_ladder(res.im_floor)
+    rows = []
+    with oscilab._pool.one_blas_thread():
+        for L in spec.box_list:
+            H = factory(_S12_OSCILLATION, L)
+            w = build_weight(H.grid, spec.s)
+            for re_z in np.linspace(0.5, 1.5, spec.re_points):
+                X = draw(H.shape[0])
+                for eta in ladder:
+                    val, _, _, X, _ = _banded_norm(H.d, H.e, w, complex(re_z, eta), X=X)
+                    rows.append((float(re_z), float(eta), L, val))
+    assert res.rows == tuple(rows)
+
+
 def test_pooled_phase_sweep_builds_in_the_parent_and_screens_in_workers(
     two_cpus, monkeypatch, tmp_path
 ):

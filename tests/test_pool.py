@@ -1,11 +1,14 @@
 """Tests for the forked task pool and the OpenBLAS thread-count table."""
 
+import contextlib
 import json
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -101,10 +104,96 @@ def test_a_dead_worker_breaks_the_pool_instead_of_hanging(two_cpus):
     assert multiprocessing.active_children() == []
 
 
-def _python_at_two_blas_threads(script):
-    """The last stdout line of script, run in a fresh process whose
-    environment asks OpenBLAS for two threads, parsed as JSON."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _sleeps_on_zero(task):
+    if task == 0:
+        time.sleep(0.5)
+    return os.getpid()
+
+
+def test_tasks_are_handed_out_as_workers_come_free(two_cpus):
+    pids = _pool.pool_map(_sleeps_on_zero, range(8), _pool.MIN_ROWS)
+    # while one worker sleeps on task 0, the other takes tasks 1-7
+    assert len(set(pids[1:])) == 1
+    assert pids[0] not in pids[1:]
+    _no_child_is_left()
+
+
+def test_no_task_starts_once_one_has_failed(two_cpus, tmp_path):
+    log = tmp_path / "started"
+
+    def task(i):
+        with open(log, "a") as fh:
+            fh.write(f"{i}\n")
+        if i == 0:
+            time.sleep(0.2)
+            raise ComputeFailure("norm-convergence", "task 0")
+        time.sleep(0.5)
+        return i
+
+    with pytest.raises(ComputeFailure, match="task 0"):
+        _pool.pool_map(task, range(8), _pool.MIN_ROWS)
+    # task 1 may have begun before task 0 failed; tasks 2-7 never start
+    started = {int(line) for line in log.read_text().split()}
+    assert 0 in started and started <= {0, 1}
+    _no_child_is_left()
+
+
+def _fails_or_dies(task):
+    if task == 1:
+        raise ComputeFailure("norm-convergence", f"task {task}")
+    if task == 2:
+        os._exit(3)
+    return task
+
+
+@pytest.mark.parametrize(
+    "tasks, error", [([0, 3], None), ([0, 1], ComputeFailure), ([0, 2], BrokenProcessPool)]
+)
+def test_no_worker_outlives_a_call(two_cpus, tasks, error):
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        _pool.pool_map(_fails_or_dies, tasks, _pool.MIN_ROWS)
+    _no_child_is_left()
+
+
+def test_an_interrupt_in_the_wait_kills_and_reaps_the_workers(two_cpus):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        with pytest.raises(KeyboardInterrupt):
+            _pool.pool_map(time.sleep, [30, 30], _pool.MIN_ROWS)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 10
+    _no_child_is_left()
+
+
+def test_text_printed_before_a_pooled_call_is_written_once():
+    # stdout is a pipe, so the first line sits in the parent's buffer when
+    # the workers fork
+    out = _python(
+        "import os\n"
+        "from oscilab import _pool\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "print('before')\n"
+        "print(_pool.pool_map(abs, [-1, -2, -3], _pool.MIN_ROWS))\n"
+    )
+    assert out == "before\n[1, 2, 3]\n"
+
+
+def _python(script, **env):
+    """The stdout of script, run in a fresh process with oscilab importable
+    and env added to the environment."""
+    env = dict(os.environ, **env)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -112,7 +201,14 @@ def _python_at_two_blas_threads(script):
         timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout
+
+
+def _python_at_two_blas_threads(script):
+    """The last stdout line of script, run in a fresh process whose
+    environment asks OpenBLAS for two threads, parsed as JSON."""
+    out = _python(script, OPENBLAS_NUM_THREADS="2")
+    return json.loads(out.strip().splitlines()[-1])
 
 
 two_blas_threads = pytest.mark.skipif(
