@@ -2,10 +2,10 @@
 
 Grids are uniform 1D boxes (line, half-line, or periodic). Every operator
 is held in one form, a real symmetric tridiagonal J up to a diagonal phase,
-so that large scans can exploit structure while small diagnostics may
-materialize dense entries. Weights are plain arrays: a diagonal, or a dense
-matrix built by exact functional calculus (eigendecomposition, never a
-series approximation).
+and every solver and product runs on that form; none forms a dense matrix
+of an operator. Weights are plain arrays: the diagonal of <Q>^(-s), or the
+dense real factor of <A>^(-s) built by exact functional calculus
+(eigendecomposition, never a series approximation).
 
 Hamiltonians are central differences with Dirichlet ends, on line and
 half-line grids only. Periodic grids carry the Fourier calculus of the
@@ -31,13 +31,12 @@ __all__ = [
     "build_schrodinger",
     "build_conjugate_A",
     "build_weight",
-    "eig_full",
     "eig_window",
     "eigvals_window",
     "count_window",
 ]
 
-# largest dimension for which dense entries may be materialized
+# largest dimension for which a dense weight factor may be materialized
 MATERIALIZE_MAX = 6000
 
 
@@ -154,8 +153,7 @@ class OperatorMatrix:
 
     J = tridiag(e, d, e) is real symmetric and D = diag(phase) is a diagonal
     unitary; phase None means D = I. Every eigensolve, Sturm count and
-    product runs on (J, D). ``entries`` materializes the dense matrix
-    (guarded by MATERIALIZE_MAX); ``matvec`` applies T without it.
+    product runs on (J, D); ``matvec`` applies T.
     """
 
     grid: Grid1D
@@ -166,20 +164,6 @@ class OperatorMatrix:
     @property
     def shape(self):
         return (self.grid.n, self.grid.n)
-
-    @property
-    def entries(self):
-        n = self.grid.n
-        if n > MATERIALIZE_MAX:
-            raise InvariantViolation(
-                "materialization-size",
-                f"refusing to materialize {n}x{n} dense entries "
-                f"(limit {MATERIALIZE_MAX}); use matvec or d, e and phase",
-            )
-        J = np.diag(self.d) + np.diag(self.e, 1) + np.diag(self.e, -1)
-        if self.phase is None:
-            return J
-        return np.conj(self.phase)[:, None] * J * self.phase
 
     def matvec(self, vec):
         """Apply the operator to a vector or a stack of column vectors."""
@@ -311,36 +295,6 @@ def _window_pairs(T, lo, hi, vectors=True):
     return w[keep], V[:, keep]
 
 
-def _eigh(T, window, eigvals_only=False):
-    """Eigenpairs of T = D^H J D, all of them (window None) or in a window.
-
-    The full spectrum is LAPACK's, through eigh_tridiagonal. A window runs
-    _window_pairs: coarse bisection, inverse iteration in gap groups and a
-    residual certificate, raising eig-window-convergence when the
-    certificate is not reached. eigvals_only drops the vectors, so a
-    window's eigenvalues are the same bits either way.
-    """
-    if window is None:
-        out = eigh_tridiagonal(T.d, T.e, eigvals_only=eigvals_only)
-    else:
-        out = _window_pairs(T, *window, vectors=not eigvals_only)
-        if eigvals_only:
-            return out[0]
-    if eigvals_only or T.phase is None:
-        return out
-    # J u = w u gives T (D^H u) = w (D^H u)
-    return out[0], np.conj(T.phase)[:, None] * out[1]
-
-
-def eig_full(T):
-    """Full eigendecomposition of an OperatorMatrix; (w, V).
-
-    V's columns are orthonormal eigenvectors; V is complex when T carries a
-    phase.
-    """
-    return _eigh(T, None)
-
-
 def eig_window(T, lo, hi):
     """Eigenpairs of T with eigenvalues in [lo, hi]; returns (w, V).
 
@@ -353,7 +307,11 @@ def eig_window(T, lo, hi):
     its group; a group that does not get there within the sweep cap raises
     ComputeFailure eig-window-convergence.
     """
-    return _eigh(T, (lo, hi))
+    w, V = _window_pairs(T, lo, hi)
+    if T.phase is None:
+        return w, V
+    # J u = w u gives T (D^H u) = w (D^H u)
+    return w, np.conj(T.phase)[:, None] * V
 
 
 def eigvals_window(T, lo, hi):
@@ -362,7 +320,7 @@ def eigvals_window(T, lo, hi):
     They come from eig_window's solver and are bit-identical to its
     eigenvalues.
     """
-    return _eigh(T, (lo, hi), eigvals_only=True)
+    return _window_pairs(T, lo, hi, vectors=False)[0]
 
 
 def count_window(T, lo, hi):
@@ -463,20 +421,8 @@ def _weight_factor(T, s):
     return 0.5 * (F + F.T)
 
 
-def build_weight(grid, s, operator_basis=None):
-    """Weight <Q>^(-s) as its diagonal (a vector), or <T>^(-s) for a supplied T.
-
-    With an operator basis T = D^H J D the weight is exact functional
-    calculus, D^H F D with F = <J>^(-s) from _weight_factor: a dense
-    Hermitian matrix, exactly Hermitian, complex when T carries a phase.
-    """
+def build_weight(grid, s):
+    """Weight <Q>^(-s) as its diagonal, a vector."""
     if s < 0:
         raise InvariantViolation("weight-exponent", f"need s >= 0, got {s}")
-    if operator_basis is None:
-        return (1.0 + grid.x**2) ** (-s / 2.0)
-    F = _weight_factor(operator_basis, s)
-    phase = operator_basis.phase
-    if phase is None:
-        return F
-    mat = np.conj(phase)[:, None] * F * phase
-    return 0.5 * (mat + mat.conj().T)
+    return (1.0 + grid.x**2) ** (-s / 2.0)

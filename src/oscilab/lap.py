@@ -47,7 +47,6 @@ __all__ = [
     "MourreCheckResult",
     "MourreInfinityReport",
     "PhaseDiagramCell",
-    "weighted_resolvent_norm",
     "lap_scan",
     "schrodinger_line_factory",
     "mourre_check",
@@ -143,29 +142,24 @@ def _start_vector(n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, X=None):
+def _banded_norm(d, e, w, z, max_iters=600, X=None):
     """||W (H - z)^{-1} W|| for tridiagonal H by LU applies of (H - z)^{-1}.
 
-    H has diagonal d and upper off-diagonal e (see _tridiag_solver). w is
-    W's diagonal (a vector; O(n) per apply) or W itself, a dense matrix: a
-    real one is applied by one real GEMM (_real_times), a complex one by a
-    complex matrix-vector product. X is the start vector, _start_vector
-    when None. Returns (norm, steps, converged, x, residual) as
-    _blocknorm._gkl_norm does.
+    H has diagonal d and upper off-diagonal e (see _tridiag_solver). W is
+    real: w is its diagonal (a vector; O(n) per apply) or W itself, a dense
+    symmetric matrix applied by one real GEMM (_real_times). X is the start
+    vector, _start_vector when None. The kernel runs at its default tol,
+    1e-12: it stops at a relative Ritz residual of 1e-6. Returns (norm,
+    steps, converged, x, residual) as _blocknorm._gkl_norm does.
     """
     solve = _tridiag_solver(d, e, z)
-    # M = W (H - z)^{-1} W and M^H = W (H - z)^{-H} W, W being Hermitian
+    # M = W (H - z)^{-1} W and M^H = W (H - z)^{-H} W, W being symmetric
     if w.ndim == 1:
 
         def apply(v, trans):
             x = solve(w * v, trans)
             x *= w
             return x
-
-    elif np.iscomplexobj(w):
-
-        def apply(v, trans):
-            return w @ solve(w @ v, trans)
 
     else:
 
@@ -175,34 +169,8 @@ def _banded_norm(d, e, w, z, tol=1e-12, max_iters=600, X=None):
     if X is None:
         X = _start_vector(len(d))
     return _blocknorm._gkl_norm(
-        lambda v: apply(v, "N"), lambda u: apply(u, "C"), X,
-        tol=tol, max_steps=max_iters,
+        lambda v: apply(v, "N"), lambda u: apply(u, "C"), X, max_steps=max_iters
     )
-
-
-@_pool.one_blas_thread()
-def weighted_resolvent_norm(H, W, z, tol=1e-12, max_iters=600):
-    """Largest singular value of W (H - z)^{-1} W.
-
-    H must be a real tridiagonal (one with a phase raises norm-route) and
-    W an array of H's size (weight-shape otherwise): W's diagonal, or W
-    itself as a dense Hermitian PSD matrix, real or complex; a real W is
-    applied in real arithmetic.
-    The resolvent is applied exactly, by LU solves of H - z, inside
-    Golub-Kahan-Lanczos bidiagonalisation; a run that does not converge
-    raises norm-convergence.
-    """
-    z = complex(z)
-    if z.imag == 0.0:
-        raise InvariantViolation("imag-z", "need Im z != 0")
-    if H.phase is not None:
-        raise InvariantViolation("norm-route", "LU norm kernel needs H with no phase")
-    _check_weight(W, H.shape[0])
-    norm, steps, converged, _, _ = _banded_norm(
-        H.d, H.e, W, z, tol=tol, max_iters=max_iters
-    )
-    _blocknorm._require_converged(steps, converged, f"at z={z}")
-    return norm
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,8 @@ def small_plus_decay_probe(grid, theta, k, radii, channel_alphas=DEFAULT_CHANNEL
 # still be read off a singular value just below it: 6.3e-5 low at alpha = 2,
 # n = 16384, R = 5
 _PROBE_TOL = 1e-8
+# Golub-Kahan-Lanczos steps a corner norm may take before norm-convergence
+_PROBE_ITERS = 200
 
 # weight of the seeded random unit vector mixed into each warm start
 _WARM_MIX = 0.01
@@ -277,7 +279,6 @@ def oscillation_compactness_probe(
     k,
     smoothing_orders=(2, 2),
     radii=(10.0, 20.0, 40.0, 80.0, 160.0),
-    max_iters=200,
     seed=0,
 ):
     """Corner-norm decay of <P>^-l1 <Q>^p (1-kappa) sin(k |Q|^alpha) <P>^-l2.
@@ -287,16 +288,16 @@ def oscillation_compactness_probe(
     seam cutoff that keeps it away from the periodic wrap-around. Corner
     norms use a smooth radial cutoff and Golub-Kahan-Lanczos
     bidiagonalisation of the corner, stopped at a relative Ritz residual of
-    sqrt(_PROBE_TOL), at most max_iters steps. Every factor of the corner is
-    real, so it maps real vectors to real vectors, and the iteration runs
-    in real arithmetic: real vectors and real-input FFTs. The first radius
-    starts from a random real vector (deterministic under the seed, like
-    every random vector below). Every later radius is warm-started from the
-    previous radius's top right Ritz vector, which already points along the
-    top of a nearby corner, plus _WARM_MIX times a random unit vector, so
-    that a top which moves to where the previous vector had decayed is
-    still found. The report carries the steps per radius and the largest
-    residual.
+    sqrt(_PROBE_TOL), at most _PROBE_ITERS steps. Every factor of the
+    corner is real, so it maps real vectors to real vectors, and the
+    iteration runs in real arithmetic: real vectors and real-input FFTs.
+    The first radius starts from a random real vector (deterministic under
+    the seed, like every random vector below). Every later radius is
+    warm-started from the previous radius's top right Ritz vector, which
+    already points along the top of a nearby corner, plus _WARM_MIX times
+    a random unit vector, so that a top which moves to where the previous
+    vector had decayed is still found. The report carries the steps per
+    radius and the largest residual.
     """
     if grid.kind != "periodic":
         raise InvariantViolation("probe-grid", "probe needs a periodic grid")
@@ -327,7 +328,7 @@ def oscillation_compactness_probe(
             g = rng.standard_normal(len(mult))
             X += _WARM_MIX / np.linalg.norm(g) * g
         norm, n_steps, residual, X = _fourier_corner_norm(
-            mult, wl1, wl2, chi, iters=max_iters, tol=_PROBE_TOL, X=X
+            mult, wl1, wl2, chi, iters=_PROBE_ITERS, tol=_PROBE_TOL, X=X
         )
         norms.append(norm)
         steps.append(n_steps)

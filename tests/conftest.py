@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oscilab import _pool
+from oscilab.discretize import _weight_factor, build_conjugate_A
 from oscilab.potentials import SimonSeriesSpec
 
 
@@ -57,3 +58,20 @@ def richardson_derivative(fn, x, h):
         return (fn(x + step) - fn(x - step)) / (2.0 * step)
 
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+def dense(T):
+    """The dense matrix D^H J D of an OperatorMatrix, J = tridiag(e, d, e)."""
+    J = np.diag(T.d) + np.diag(T.e, 1) + np.diag(T.e, -1)
+    if T.phase is None:
+        return J
+    return np.conj(T.phase)[:, None] * J * T.phase
+
+
+def conjugate_A_weight(grid, s):
+    """<A>^(-s) for the dilation generator A = D^H J D as the dense complex
+    matrix D^H F D, F = <J>^(-s) the real factor the scan runs on; exactly
+    Hermitian."""
+    A = build_conjugate_A(grid)
+    mat = np.conj(A.phase)[:, None] * _weight_factor(A, s) * A.phase
+    return 0.5 * (mat + mat.conj().T)

@@ -15,7 +15,6 @@ from oscilab.discretize import (
     build_schrodinger,
     build_weight,
     count_window,
-    eig_full,
     eig_window,
     eigvals_window,
     halfline_grid,
@@ -23,9 +22,12 @@ from oscilab.discretize import (
     periodic_grid,
 )
 import oscilab.discretize
+import oscilab.lap
 from oscilab.errors import ComputeFailure, InvariantViolation
-from oscilab.lap import _br_profile, weighted_resolvent_norm
+from oscilab.lap import _br_profile
 from oscilab.potentials import CustomSample, OscillatingSpec, WignerVonNeumann1D
+
+from conftest import conjugate_A_weight, dense
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +74,7 @@ def test_grid_validation_slugs():
 def test_h0_line_spectrum_closed_form():
     g = line_grid(4.0, 0.25)
     T = build_h0(g)
-    w, _ = eig_full(T)
+    w = eigvalsh_tridiagonal(T.d, T.e)
     j = np.arange(1, g.n + 1)
     want = (2.0 - 2.0 * np.cos(j * np.pi / (g.n + 1))) / g.h**2
     assert np.allclose(np.sort(w), np.sort(want), rtol=1e-12)
@@ -133,8 +135,8 @@ def test_hamiltonians_reject_a_periodic_grid():
 def test_schrodinger_constant_shift_moves_spectrum():
     g = line_grid(5.0, 0.125)
     V = CustomSample(x=(-10.0, 10.0), values=(0.7, 0.7))
-    w0, _ = eig_full(build_schrodinger(g, None))
-    w1, _ = eig_full(build_schrodinger(g, V))
+    w0 = np.linalg.eigvalsh(dense(build_schrodinger(g, None)))
+    w1 = np.linalg.eigvalsh(dense(build_schrodinger(g, V)))
     assert np.allclose(w1, w0 + 0.7, rtol=0.0, atol=1e-10)
 
 
@@ -155,7 +157,7 @@ def test_discretization_error_is_second_order():
 def test_conjugate_A_structure():
     g = line_grid(10.0, 0.1)
     A = build_conjugate_A(g)
-    mat = A.entries
+    mat = dense(A)
     assert np.all(np.diag(mat) == 0.0)
     assert np.linalg.norm(mat - mat.conj().T) == 0.0
     # A = D^H J D with J = tridiag(s, 0, s) and D = diag(i^j) is exactly i S
@@ -236,13 +238,13 @@ def test_weight_position_basics():
 
 def test_weight_operator_basis_commutes():
     g = line_grid(6.4, 0.1)
-    A = build_conjugate_A(g)
-    W = build_weight(g, 0.6, operator_basis=A)
+    A = dense(build_conjugate_A(g))
+    W = conjugate_A_weight(g, 0.6)
     assert W.shape == (g.n, g.n)
     assert np.array_equal(W, W.conj().T)
-    wa = W @ A.entries
-    aw = A.entries @ W
-    assert np.linalg.norm(wa - aw, 2) <= 1e-10 * np.linalg.norm(A.entries, 2)
+    wa = W @ A
+    aw = A @ W
+    assert np.linalg.norm(wa - aw, 2) <= 1e-10 * np.linalg.norm(A, 2)
     assert np.linalg.norm(W, 2) <= 1.0 + 1e-12
 
 
@@ -252,9 +254,10 @@ def test_operator_basis_weight_matches_the_complex_eigenbasis_construction(s):
     # eigenvectors
     g = line_grid(6.4, 0.1)
     A = build_conjugate_A(g)
-    W = build_weight(g, s, operator_basis=A)
+    W = conjugate_A_weight(g, s)
     assert np.array_equal(W, W.conj().T)
-    w, v = eig_full(A)
+    w, u = eigh_tridiagonal(A.d, A.e)
+    v = np.conj(A.phase)[:, None] * u
     mat = (v * (1.0 + w**2) ** (-s / 2.0)) @ v.conj().T
     old = 0.5 * (mat + mat.conj().T)
     assert np.linalg.norm(W - old) <= 1e-14 * np.linalg.norm(old)
@@ -292,7 +295,7 @@ def test_window_functional_calculus_commutes_with_polynomials(rng):
     n = 40
     d, e = rng.normal(size=n), rng.normal(size=n - 1)
     T = OperatorMatrix(Grid1D("line", 1.0, n), d, e)
-    w, v = eig_full(T)
+    w, v = np.linalg.eigh(dense(T))
     spec = WindowSpec(float(np.percentile(w, 30)), float(np.percentile(w, 70)))
     vw, th = _window_factors(T, spec)
     theta = (vw * th) @ vw.T
@@ -340,19 +343,10 @@ def test_window_commutator_with_A_is_small():
 # eigendecomposition dispatch
 
 
-def test_eig_full_orthonormal_and_accurate(rng):
-    g = line_grid(8.0, 0.125)
-    H = build_schrodinger(g, WignerVonNeumann1D())
-    w, v = eig_full(H)
-    assert np.allclose(v.T @ v, np.eye(g.n), atol=1e-10)
-    res = H.matvec(v) - v * w
-    assert np.max(np.abs(res)) <= 1e-10 * np.linalg.norm(H.entries, 2)
-
-
 def test_eig_window_subset_of_full():
     g = line_grid(8.0, 0.125)
     H = build_h0(g)
-    w_all, _ = eig_full(H)
+    w_all = np.linalg.eigvalsh(dense(H))
     lo, hi = 0.5, 2.5
     w_win, v_win = eig_window(H, lo, hi)
     want = w_all[(w_all >= lo) & (w_all <= hi)]
@@ -363,23 +357,20 @@ def test_eig_window_subset_of_full():
 @pytest.mark.parametrize("storage", ["imag_tridiagonal", "tridiagonal"])
 def test_storage_table_routes_agree_with_dense(storage, rng):
     # every solver runs on (d, e, phase), with a phase (A) or without (H);
-    # entries is the reference
+    # the dense matrix is the reference
     line = line_grid(4.0, 0.25)
     if storage == "tridiagonal":
         T = build_schrodinger(line, WignerVonNeumann1D())
     else:
         T = build_conjugate_A(line)
     assert (T.phase is None) == (storage == "tridiagonal")
-    mat = T.entries
+    mat = dense(T)
     scale = np.linalg.norm(mat, 2)
     n = T.shape[0]
     v = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     assert np.allclose(T.matvec(v), mat @ v, atol=1e-12 * scale)
     assert np.allclose(T.matvec(v[:, 0]), mat @ v[:, 0], atol=1e-12 * scale)
-    w, V = eig_full(T)
-    assert np.all(np.diff(w) >= 0.0)
-    assert np.allclose(V.conj().T @ V, np.eye(n), atol=1e-10)
-    assert np.max(np.abs(mat @ V - V * w)) <= 1e-10 * scale
+    w = np.linalg.eigvalsh(mat)
     # window edges halfway between eigenvalues, so no solver sits on an edge
     mids = 0.5 * (np.unique(w)[:-1] + np.unique(w)[1:])
     lo, hi = mids[len(mids) // 3], mids[2 * len(mids) // 3]
@@ -434,13 +425,13 @@ def test_window_pairs_match_the_dense_spectrum_of_random_tridiagonals(n, seed, e
     d = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
     e = rng.normal(size=n - 1) * (rng.random(n - 1) > 0.1)  # some split blocks
     T = OperatorMatrix(Grid1D("line", 1.0, n), d, e)
-    dense = np.linalg.eigvalsh(T.entries)
-    lo, hi = sorted(dense[0] + (dense[-1] - dense[0]) * np.asarray(ends))
+    spectrum = np.linalg.eigvalsh(dense(T))
+    lo, hi = sorted(spectrum[0] + (spectrum[-1] - spectrum[0]) * np.asarray(ends))
     # a proper window whose ends are not ambiguous to a dense count
     assume(hi > lo)
-    gaps = np.abs(np.concatenate((dense - lo, dense - hi)))
+    gaps = np.abs(np.concatenate((spectrum - lo, spectrum - hi)))
     assume(np.min(gaps) >= 1e-10 * _norm1(T))
-    _check_window_pairs(T, lo, hi, dense)
+    _check_window_pairs(T, lo, hi, spectrum)
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 0.6), (1.5, 1.0), (2.0, 0.75)])
@@ -451,7 +442,7 @@ def test_window_pairs_match_the_dense_spectrum_of_oscillating_potentials(
     V = OscillatingSpec(w=3.0, k=2.0, alpha=alpha, beta=beta)
     H = build_schrodinger(line_grid(30.0, 0.1), V)
     assert H.shape[0] <= 600
-    _check_window_pairs(H, *window, np.linalg.eigvalsh(H.entries))
+    _check_window_pairs(H, *window, np.linalg.eigvalsh(dense(H)))
 
 
 def test_window_pairs_keep_a_close_pair_apart():
@@ -479,7 +470,7 @@ def test_window_pairs_of_a_multiple_eigenvalue():
     block_d, block_e = np.array([1.0, -2.0, 0.5]), np.array([1.0, 1.0, 0.0])
     d, e = np.tile(block_d, 20), np.tile(block_e, 20)[:-1]
     T = OperatorMatrix(Grid1D("line", 1.0, 60), d, e)
-    want = np.linalg.eigvalsh(T.entries)
+    want = np.linalg.eigvalsh(dense(T))
     assert np.unique(np.round(want, 12)).size == 3
     lo, hi = want[20] - 0.5, want[20] + 0.5
     w, V = eig_window(T, lo, hi)
@@ -499,7 +490,7 @@ def test_window_pairs_of_an_empty_window():
 
 def test_window_pairs_of_a_phased_operator_match_eig_full():
     A = build_conjugate_A(line_grid(10.0, 0.1))
-    w_all, V_all = eig_full(A)
+    w_all, V_all = np.linalg.eigh(dense(A))
     mids = 0.5 * (w_all[:-1] + w_all[1:])
     lo, hi = mids[len(mids) // 4], mids[len(mids) // 2]
     w, V = _check_window_pairs(A, lo, hi, w_all)
@@ -539,7 +530,7 @@ def test_sturm_count_column_matches_dense_count(n, seed, ends):
     d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
     e = rng.normal(size=n - 1) * (rng.random(n - 1) > 0.1)  # some split blocks
     T = OperatorMatrix(Grid1D("line", 1.0, n), d, e)
-    ev = np.linalg.eigvalsh(T.entries)
+    ev = np.linalg.eigvalsh(dense(T))
     span = ev[-1] - ev[0] + 2.0
     lo, hi = sorted(ev[0] - 1.0 + span * np.asarray(ends))
     # a proper window whose ends sit at least 1e-8 from every eigenvalue
@@ -556,13 +547,16 @@ def test_dense_input_must_be_hermitian():
     H = build_h0(Grid1D("line", 1.0, 16))
     bad = np.triu(np.ones((16, 16)))
     with pytest.raises(InvariantViolation) as err:
-        weighted_resolvent_norm(H, bad, 1.0 + 0.5j)
+        oscilab.lap._check_weight(bad, H.shape[0])
     assert err.value.invariant == "operator-hermiticity"
 
 
 def test_imag_tridiagonal_eig_consistency():
+    # eig_window over the whole spectrum of the phased operator A
     g = line_grid(4.0, 0.25)
     A = build_conjugate_A(g)
-    w, v = eig_full(A)
+    bound = np.max(np.abs(A.e)) * 2.0 + 1.0
+    w, v = eig_window(A, -bound, bound)
+    assert len(w) == g.n
     res = A.matvec(v) - v * w
     assert np.max(np.abs(res)) <= 1e-10 * max(np.max(np.abs(w)), 1.0)

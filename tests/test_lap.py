@@ -19,10 +19,10 @@ from oscilab.discretize import (
     build_h0,
     build_schrodinger,
     build_weight,
-    eig_full,
     eig_window,
     line_grid,
 )
+import oscilab._blocknorm
 import oscilab._pool
 import oscilab.discretize
 import oscilab.lap
@@ -39,7 +39,6 @@ from oscilab.lap import (
     scan_to_csv,
     schrodinger_line_factory,
     weighted_mourre_check,
-    weighted_resolvent_norm,
 )
 from oscilab.potentials import (
     CustomSample,
@@ -49,6 +48,8 @@ from oscilab.potentials import (
     WeightFunctionSpec,
     WignerVonNeumann1D,
 )
+
+from conftest import conjugate_A_weight, dense
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +62,26 @@ def _spectral_norm_route(H, W, z):
         raise InvariantViolation(
             "materialization-size", "dense resolvent route needs a small matrix"
         )
-    w, v = eig_full(H)
+    w, v = eigh_tridiagonal(H.d, H.e)
     u = (np.diag(W) if W.ndim == 1 else W) @ v
     M = (u * (1.0 / (w - z))) @ u.conj().T
     return float(np.linalg.norm(M, 2))
 
+
+def _complex_weight_norm(H, W, z, X=None):
+    """||W (H - z)^{-1} W|| for a dense complex W, the scan's kernel with W
+    applied by complex matrix-vector products; (norm, steps, converged, x,
+    residual) from X, or from the scan's start vector when X is None."""
+    solve = oscilab.lap._tridiag_solver(H.d, H.e, z)
+
+    def apply(v, trans):
+        return W @ solve(W @ v, trans)
+
+    if X is None:
+        X = oscilab.lap._start_vector(H.shape[0])
+    return oscilab._blocknorm._gkl_norm(
+        lambda v: apply(v, "N"), lambda u: apply(u, "C"), X
+    )
 
 
 def test_norm_identity_weight_is_inverse_distance():
@@ -75,7 +91,7 @@ def test_norm_identity_weight_is_inverse_distance():
     ev = eigh_tridiagonal(H.d, H.e, eigvals_only=True)
     for z in (1.0 + 0.01j, 0.4 + 0.2j):
         dist = np.min(np.abs(ev - z))
-        got = weighted_resolvent_norm(H, W, z)
+        got = _banded_norm(H.d, H.e, W, z)[0]
         assert got == pytest.approx(1.0 / dist, rel=1e-9)
 
 
@@ -84,7 +100,7 @@ def test_norm_banded_and_dense_routes_agree():
     H = build_schrodinger(g, WignerVonNeumann1D())
     W = build_weight(g, 0.51)
     z = 1.0 + 0.05j
-    banded = weighted_resolvent_norm(H, W, z)
+    banded = _banded_norm(H.d, H.e, W, z)[0]
     dense = _spectral_norm_route(H, W, z)
     assert banded == pytest.approx(dense, rel=1e-9)
 
@@ -94,7 +110,7 @@ def test_norm_far_z_weight_bound():
     H = build_schrodinger(g, WignerVonNeumann1D())
     W = build_weight(g, 0.51)
     z = 1.0 + 50.0j
-    got = weighted_resolvent_norm(H, W, z)
+    got = _banded_norm(H.d, H.e, W, z)[0]
     wmax = float(np.max(W))
     assert got <= wmax**2 / 50.0 * (1.0 + 1e-6)
 
@@ -104,7 +120,7 @@ def test_norm_decreases_with_stronger_weight():
     H = build_h0(g)
     z = 1.0 + 0.02j
     vals = [
-        weighted_resolvent_norm(H, build_weight(g, s), z) for s in (0.3, 0.6, 1.2)
+        _banded_norm(H.d, H.e, build_weight(g, s), z)[0] for s in (0.3, 0.6, 1.2)
     ]
     assert vals[0] >= vals[1] >= vals[2]
 
@@ -114,28 +130,7 @@ def test_norm_is_deterministic_across_calls():
     H = build_schrodinger(g, WignerVonNeumann1D())
     W = build_weight(g, 0.51)
     z = 1.0 + 0.02j
-    assert weighted_resolvent_norm(H, W, z) == weighted_resolvent_norm(H, W, z)
-
-
-def test_norm_real_z_rejected():
-    g = line_grid(5.0, 0.5)
-    H = build_h0(g)
-    W = build_weight(g, 0.51)
-    with pytest.raises(InvariantViolation) as err:
-        weighted_resolvent_norm(H, W, 1.0)
-    assert err.value.invariant == "imag-z"
-
-
-def test_norm_rejects_pairs_off_the_lu_kernel():
-    # an H with a phase (the dilation generator) is off the real LU kernel,
-    # under either weight
-    g = line_grid(5.0, 0.5)
-    A = build_conjugate_A(g)
-    z = 1.0 + 0.1j
-    for W in (build_weight(g, 0.51), build_weight(g, 0.51, operator_basis=A)):
-        with pytest.raises(InvariantViolation) as err:
-            weighted_resolvent_norm(A, W, z)
-        assert err.value.invariant == "norm-route"
+    assert _banded_norm(H.d, H.e, W, z)[0] == _banded_norm(H.d, H.e, W, z)[0]
 
 
 def test_scan_rejects_a_hamiltonian_off_the_lu_kernel():
@@ -166,10 +161,19 @@ def test_banded_norm_certifies_its_ritz_residual(n, seed, conjugate_A, re_z, eta
     d = rng.uniform(0.0, 4.0, n)
     e = -rng.uniform(0.2, 1.5, n - 1)
     H = OperatorMatrix(grid, d, e)
-    basis = build_conjugate_A(grid) if conjugate_A else None
-    W = build_weight(grid, rng.uniform(0.0, 2.0), operator_basis=basis)
+    s = rng.uniform(0.0, 2.0)
     z = complex(re_z, eta)
-    norm, _, converged, _, residual = _banded_norm(d, e, W, z)
+    if conjugate_A:
+        # the scan's route: W's real factor on the rotated tridiagonal
+        A = build_conjugate_A(grid)
+        W = conjugate_A_weight(grid, s)
+        rotated = e * A.phase[:-1] * np.conj(A.phase[1:])
+        x0 = A.phase * oscilab.lap._start_vector(n)
+        F = oscilab.discretize._weight_factor(A, s)
+        norm, _, converged, _, residual = _banded_norm(d, rotated, F, z, X=x0)
+    else:
+        W = build_weight(grid, s)
+        norm, _, converged, _, residual = _banded_norm(d, e, W, z)
     # the stop certifies a relative Ritz residual <= sqrt(tol), tol = 1e-12
     assert converged and residual <= 1e-6
     assert norm == pytest.approx(_spectral_norm_route(H, W, z), rel=1e-9)
@@ -195,19 +199,22 @@ def test_real_factor_route_matches_the_complex_weight(n, s, re_z, eta):
     e = H.e * A.phase[:-1] * np.conj(A.phase[1:])
     x0 = A.phase * oscilab.lap._start_vector(n)
     norm, _, converged, _, _ = _banded_norm(H.d, e, F, z, X=x0)
-    want = weighted_resolvent_norm(H, build_weight(grid, s, operator_basis=A), z)
+    want = _complex_weight_norm(H, conjugate_A_weight(grid, s), z)[0]
     assert converged and norm == pytest.approx(want, rel=1e-12)
 
 
-def test_norm_iteration_cap_is_reported_and_raises():
+def test_norm_iteration_cap_is_reported_and_raises(monkeypatch):
     g = line_grid(10.0, 0.25)
     H = build_schrodinger(g, WignerVonNeumann1D())
     W = build_weight(g, 0.51)
     z = 1.0 + 0.05j
     _, iters, converged, _, _ = _banded_norm(H.d, H.e, W, z, max_iters=2)
     assert (iters, converged) == (2, False)
+    capped = functools.partial(oscilab.lap._banded_norm, max_iters=2)
+    monkeypatch.setattr(oscilab.lap, "_banded_norm", capped)
+    spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, box_list=(10.0, 20.0))
     with pytest.raises(InvariantViolation) as err:
-        weighted_resolvent_norm(H, W, z, max_iters=2)
+        lap_scan(schrodinger_line_factory(0.25), WignerVonNeumann1D(), spec)
     assert err.value.invariant == "norm-convergence"
 
 
@@ -239,7 +246,7 @@ _CONJUGATE_A_SPEC = LapScanSpec(
 
 
 def _conjugate_A_weight(H):
-    return build_weight(H.grid, 0.51, operator_basis=build_conjugate_A(H.grid))
+    return conjugate_A_weight(H.grid, 0.51)
 
 
 @pytest.mark.parametrize("potential", ["free", "scenario12"])
@@ -258,7 +265,7 @@ def test_conjugate_A_scan_rows_match_the_dense_route(potential):
             dense = _spectral_norm_route(H, W, z)
             assert norm == pytest.approx(dense, rel=1e-9)
             if eta == res.im_floor:
-                auto = weighted_resolvent_norm(H, W, z)
+                auto = _complex_weight_norm(H, W, z)[0]
                 assert auto == pytest.approx(dense, rel=1e-9)
 
 
@@ -279,7 +286,7 @@ def test_conjugate_A_scan_takes_the_steps_of_the_complex_weight():
         for re_z in np.linspace(0.5, 1.5, spec.re_points):
             X = None
             for eta in ladder:
-                _, n_steps, _, X, _ = _banded_norm(H.d, H.e, W, complex(re_z, eta), X=X)
+                _, n_steps, _, X, _ = _complex_weight_norm(H, W, complex(re_z, eta), X=X)
                 steps.append(n_steps)
     assert res.norm_iterations == {"total": sum(steps), "max": max(steps)}
 
@@ -312,13 +319,10 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
 
     # the iteration cap still raises on the dense-weight path
     H = schrodinger_line_factory(0.2)(None, 10.0)
-    W = _conjugate_A_weight(H)
+    F = oscilab.discretize._weight_factor(build_conjugate_A(H.grid), 0.51)
     z = 1.0 + 0.05j
-    _, iters, converged, _, _ = _banded_norm(H.d, H.e, W, z, max_iters=2)
+    _, iters, converged, _, _ = _banded_norm(H.d, H.e, F, z, max_iters=2)
     assert (iters, converged) == (2, False)
-    with pytest.raises(InvariantViolation) as err:
-        weighted_resolvent_norm(H, W, z, max_iters=2)
-    assert err.value.invariant == "norm-convergence"
     capped = functools.partial(oscilab.lap._banded_norm, max_iters=2)
     monkeypatch.setattr(oscilab.lap, "_banded_norm", capped)
     with pytest.raises(InvariantViolation) as err:
@@ -364,7 +368,7 @@ def test_weight_psd_check_runs_at_every_size(monkeypatch, rng):
     mat = (q * vals) @ q.T
     W = 0.5 * (mat + mat.T)
     with pytest.raises(InvariantViolation) as err:
-        weighted_resolvent_norm(build_h0(g), W, 1.0 + 0.1j)
+        oscilab.lap._check_weight(W, g.n)
     assert err.value.invariant == "weight-positivity"
 
 
@@ -374,7 +378,7 @@ def test_weight_of_another_size_is_named(kind):
     n = H.shape[0]
     W = np.ones(n + 1) if kind == "diagonal" else np.eye(n + 1)
     with pytest.raises(InvariantViolation) as err:
-        weighted_resolvent_norm(H, W, 1.0 + 0.5j)
+        oscilab.lap._check_weight(W, n)
     assert err.value.invariant == "weight-shape"
 
 
@@ -768,7 +772,7 @@ def test_weighted_mourre_matches_the_complex_eigenbasis_construction(R):
     phi = None if R is None else WeightFunctionSpec(kind="psi", s=0.51, R=R, c=2.0)
     res = weighted_mourre_check(H, S, phi, (0.5, 1.0), 0.51)
     _, vE = eig_window(H, 0.5, 1.0)
-    a, vA = eig_full(S)
+    a, vA = np.linalg.eigh(dense(S))
     Y = vA.conj().T @ vE
     M2 = Y.conj().T @ ((1.0 + a**2)[:, None] ** -0.51 * Y)
     psi_prime = np.zeros_like(a) if phi is None else 2.0 * R * (1.0 + a**2) ** -0.51
@@ -823,7 +827,7 @@ def test_mourre_at_infinity_block_matches_trial_by_trial():
     _, vE = eig_window(H, *J)
     coeffs = np.random.default_rng(3).standard_normal((vE.shape[1], 16))
     for R_val, c1, witness in zip(rep.R_values, rep.c1_values, rep.error_witness):
-        C = oscilab.lap._commutator_br_form(H, R_val, delta).entries
+        C = dense(oscilab.lap._commutator_br_form(H, R_val, delta))
         chi = oscilab.lap.smoothstep_quintic(np.abs(g.x) / R_val - 1.0)
         ratios, gaps = [], []
         for t in range(16):

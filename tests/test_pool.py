@@ -269,6 +269,9 @@ def test_the_scope_restores_each_package_to_its_own_count(monkeypatch):
 def test_each_openblas_is_opened_once_and_a_missing_one_is_looked_for_again(
     monkeypatch,
 ):
+    # load scipy's OpenBLAS, whichever test files ran before this one
+    import scipy.linalg  # noqa: F401
+
     _pool.blas_threads()
     found = dict(_pool._found)
     assert set(found) == {"numpy", "scipy"}
