@@ -1,11 +1,14 @@
 """Finite Hermitian matrix realizations of the operators under study.
 
 Grids are uniform 1D boxes (line, half-line, or periodic). Every operator
-is held in one form, a real symmetric tridiagonal J up to a diagonal phase,
-and every solver and product runs on that form; none forms a dense matrix
-of an operator. Weights are plain arrays: the diagonal of <Q>^(-s), or the
-dense real factor of <A>^(-s) built by exact functional calculus
-(eigendecomposition, never a series approximation).
+is held in one form, a real symmetric tridiagonal J, and every solver and
+product runs on that form; none forms a dense matrix of an operator. The
+dilation generator A is held as the real J with A = D^H J D, D = diag(i^j)
+(``phase``), and D is applied only where A itself is needed: the
+conjugate_A LAP scan and the weighted Mourre check. Weights are plain
+arrays: the diagonal of <Q>^(-s), or the dense real factor of <A>^(-s)
+built by exact functional calculus (eigendecomposition, never a series
+approximation).
 
 Hamiltonians are central differences with Dirichlet ends, on line and
 half-line grids only. Periodic grids carry the Fourier calculus of the
@@ -149,17 +152,14 @@ class WindowSpec:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Hermitian n x n matrix T = D^H J D on an n-point grid.
-
-    J = tridiag(e, d, e) is real symmetric and D = diag(phase) is a diagonal
-    unitary; phase None means D = I. Every eigensolve, Sturm count and
-    product runs on (J, D); ``matvec`` applies T.
+    """Real symmetric tridiagonal n x n matrix J = tridiag(e, d, e) on an
+    n-point grid. Every eigensolve, Sturm count and product runs on (d, e);
+    ``matvec`` applies J.
     """
 
     grid: Grid1D
     d: np.ndarray
     e: np.ndarray
-    phase: np.ndarray = None
 
     @property
     def shape(self):
@@ -167,17 +167,14 @@ class OperatorMatrix:
 
     def matvec(self, vec):
         """Apply the operator to a vector or a stack of column vectors."""
-        d, e, phase = self.d, self.e, self.phase
+        d, e = self.d, self.e
         v = np.asarray(vec)
         if v.ndim == 2:  # a block of column vectors
             d, e = d[:, None], e[:, None]
-            phase = None if phase is None else phase[:, None]
-        if phase is not None:
-            v = phase * v
         out = d * v
         out[:-1] += e * v[1:]
         out[1:] += e * v[:-1]
-        return out if phase is None else np.conj(phase) * out
+        return out
 
 
 # windowed eigenpairs (_window_pairs): stebz bisects to an absolute
@@ -209,7 +206,8 @@ def _rayleigh_ritz(J, X):
 
 
 def _window_pairs(T, lo, hi, vectors=True):
-    """Eigenpairs (w, V) of J = tridiag(e, d, e) with eigenvalues in [lo, hi].
+    """Eigenpairs (w, V) of T with eigenvalues in [lo, hi], never forming a
+    dense matrix.
 
     The count is Sturm-exact (count_window). stebz bisects each eigenvalue
     only to tol, a fraction of the mean level spacing, inside the window
@@ -219,15 +217,15 @@ def _window_pairs(T, lo, hi, vectors=True):
     one split by a window end, is orthonormalised and separated by
     Rayleigh-Ritz on its own span (Parlett, The Symmetric Eigenvalue
     Problem, ch. 4). Each coarse value w_j shifts its own LU factorization
-    of J - w_j, from one seeded start vector. A sweep solves once per
+    of T - w_j, from one seeded start vector. A sweep solves once per
     vector, then Rayleigh-Ritz gives the group's values w; the group's
     eigenvalues are the w of the first sweep whose every residual
-    ||J v - w v|| is at most the bound, times the group's size. A vector
-    certified so is still off by up to residual/gap, so the vectors take
-    further sweeps until they are certified against those eigenvalues
-    (LAPACK's stein runs two extra solves); with vectors False the group
-    stops at its eigenvalues, the same bits. A group not certified within
-    _MAX_SWEEPS raises eig-window-convergence.
+    ||T v - w v|| is at most the bound (16 eps ||T||_1), times the group's
+    size. A vector certified so is still off by up to residual/gap, so the
+    vectors take further sweeps until they are certified against those
+    eigenvalues (LAPACK's stein runs two extra solves); with vectors False
+    the group stops at its eigenvalues, the same bits. A group not
+    certified within _MAX_SWEEPS raises eig-window-convergence.
     """
     d, e = T.d, T.e
     n = len(d)
@@ -253,7 +251,6 @@ def _window_pairs(T, lo, hi, vectors=True):
     )
     coarse = np.concatenate((below, inside, above))
     keep = slice(len(below), len(below) + k)
-    J = T if T.phase is None else OperatorMatrix(T.grid, d, e)
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
     rng = np.random.default_rng(0)
     w, V = np.empty(len(coarse)), np.empty((n, len(coarse)))
@@ -264,7 +261,7 @@ def _window_pairs(T, lo, hi, vectors=True):
         lus = []
         for shift in coarse[group]:
             dl, dd, du, du2, ipiv, _ = gttrf(e, d - shift, e)
-            # an exactly singular J - shift: a tiny pivot keeps the solve
+            # an exactly singular T - shift: a tiny pivot keeps the solve
             # finite and its direction right
             dd[dd == 0.0] = unit
             lus.append((dl, dd, du, du2, ipiv))
@@ -275,7 +272,7 @@ def _window_pairs(T, lo, hi, vectors=True):
         for _ in range(_MAX_SWEEPS):
             for j, lu in enumerate(lus):
                 X[:, j] = gttrs(*lu, X[:, j], overwrite_b=1)[0]
-            theta, X, JX = _rayleigh_ritz(J, X)
+            theta, X, JX = _rayleigh_ritz(T, X)
             R = JX - X * (theta if values is None else values)
             certified = np.max(np.einsum("ij,ij->j", R, R)) <= bound**2
             if certified and values is None:
@@ -296,22 +293,11 @@ def _window_pairs(T, lo, hi, vectors=True):
 
 
 def eig_window(T, lo, hi):
-    """Eigenpairs of T with eigenvalues in [lo, hi]; returns (w, V).
+    """Eigenpairs of T with eigenvalues in [lo, hi]; returns (w, V), real.
 
-    Never forms a dense matrix. The count is Sturm-exact (count_window);
-    stebz bisects the eigenvalues only to a fraction of the level spacing,
-    and inverse iteration on J - w refines them, group by group: values
-    closer than a gap threshold are orthonormalised and separated by
-    Rayleigh-Ritz together, the rest one at a time. Every residual
-    ||T v - w v|| is certified at most 16 eps ||T||_1, times the size of
-    its group; a group that does not get there within the sweep cap raises
-    ComputeFailure eig-window-convergence.
+    The solver is _window_pairs.
     """
-    w, V = _window_pairs(T, lo, hi)
-    if T.phase is None:
-        return w, V
-    # J u = w u gives T (D^H u) = w (D^H u)
-    return w, np.conj(T.phase)[:, None] * V
+    return _window_pairs(T, lo, hi)
 
 
 def eigvals_window(T, lo, hi):
@@ -384,14 +370,22 @@ def build_schrodinger(grid, V):
     return OperatorMatrix(grid, d, e)
 
 
-def build_conjugate_A(grid):
-    """Generator of dilations (P x + x P)/2 via the central difference.
+def phase(n):
+    """The diagonal of D = diag(i^j), j < n, which carries build_conjugate_A's
+    real J to the dilation generator A = D^H J D."""
+    return np.power(1j, np.arange(n) % 4)
 
-    Realized as the purely off-diagonal Hermitian matrix i S with
+
+def build_conjugate_A(grid):
+    """Generator of dilations (P x + x P)/2 via the central difference, as
+    the real J with A's eigenvalues.
+
+    A is the purely off-diagonal Hermitian matrix i S with
     S[j, j+1] = s[j] = -S[j+1, j], s[j] = -(x_j + x_{j+1}) / (4h); the sign
     is fixed by requiring <f, [H0, iA] f> approximately equal to
     <f, 2 H0 f> on interior wave packets. i S = D^H J D with
-    J = tridiag(s, 0, s) and D = diag(i^j).
+    J = tridiag(s, 0, s) and D = diag(phase(n)); this returns J, whose
+    eigenvectors u give A's as D^H u.
     """
     if grid.kind == "periodic":
         raise InvariantViolation(
@@ -399,23 +393,30 @@ def build_conjugate_A(grid):
         )
     x, n = grid.x, grid.n
     s = -(x[:-1] + x[1:]) / (4.0 * grid.h)
-    return OperatorMatrix(grid, np.zeros(n), s, np.power(1j, np.arange(n) % 4))
+    return OperatorMatrix(grid, np.zeros(n), s)
+
+
+def _require_dense(n):
+    """Refuse n x n dense eigenvectors above MATERIALIZE_MAX rows
+    (materialization-size)."""
+    if n > MATERIALIZE_MAX:
+        raise InvariantViolation(
+            "materialization-size",
+            f"an operator of {n} rows needs dense {n} x {n} eigenvectors; "
+            f"the limit is {MATERIALIZE_MAX} rows",
+        )
 
 
 def _weight_factor(T, s):
-    """F = <J>^(-s) for T = D^H J D: a dense real symmetric n x n matrix.
+    """F = <T>^(-s): a dense real symmetric n x n matrix.
 
-    Exact functional calculus on J's eigendecomposition (eigh_tridiagonal,
+    Exact functional calculus on T's eigendecomposition (eigh_tridiagonal,
     real vectors V), F = V diag(<w>^(-s)) V^T by one real GEMM and then
-    symmetrised exactly. <T>^(-s) is D^H F D, so a caller that can move D
-    onto the other factors works on F in real arithmetic. Refuses a T
-    above MATERIALIZE_MAX (materialization-size).
+    symmetrised exactly. For build_conjugate_A's J, <A>^(-s) is D^H F D,
+    so a caller that can move D onto the other factors works on F in real
+    arithmetic. Refuses a T above MATERIALIZE_MAX (materialization-size).
     """
-    if T.shape[0] > MATERIALIZE_MAX:
-        raise InvariantViolation(
-            "materialization-size",
-            "operator-basis weights produce dense matrices; grid too large",
-        )
+    _require_dense(T.shape[0])
     w, v = eigh_tridiagonal(T.d, T.e)
     F = (v * (1.0 + w**2) ** (-s / 2.0)) @ v.T
     return 0.5 * (F + F.T)

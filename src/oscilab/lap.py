@@ -27,6 +27,7 @@ from scipy.linalg import eigh, eigh_tridiagonal, get_lapack_funcs
 from . import _blocknorm, _pool
 from .discretize import (
     OperatorMatrix,
+    _require_dense,
     _weight_factor,
     build_conjugate_A,
     build_schrodinger,
@@ -34,6 +35,7 @@ from .discretize import (
     count_window,
     eig_window,
     line_grid,
+    phase,
 )
 from .errors import ComputeFailure, InvariantViolation
 from .potentials import OscillatingSpec
@@ -290,11 +292,10 @@ def schrodinger_line_factory(h):
 def lap_scan(factory, V, spec):
     """Weighted resolvent scan over (Re z, Im z, box) with exponent fit.
 
-    factory(V, L) must return the Hamiltonian OperatorMatrix on box L, a real
-    tridiagonal; one with a phase raises norm-route. The interval is assumed
-    pre-screened for genuine embedded eigenvalues. At s = 0 on the free
-    Laplacian (d = 2/h^2 and e = -1/h^2 exactly) the norms are read off
-    its closed-form spectrum.
+    factory(V, L) must return the Hamiltonian OperatorMatrix on box L. The
+    interval is assumed pre-screened for genuine embedded eigenvalues. At
+    s = 0 on the free Laplacian (d = 2/h^2 and e = -1/h^2 exactly) the norms
+    are read off its closed-form spectrum.
     Norms walk down the Im z ladder, each rung warm-started from the top
     right Ritz vector of the rung before; the ladder floors at 10x the mean
     level spacing of H inside the interval (reported in the result,
@@ -311,10 +312,6 @@ def lap_scan(factory, V, spec):
     spacing = 0.0
     for L in spec.box_list:
         H = factory(V, L)
-        if H.phase is not None:
-            raise InvariantViolation(
-                "norm-route", "LU norm kernel needs H with no phase"
-            )
         count = count_window(H, lo, hi)
         if count == 0:
             raise InvariantViolation(
@@ -325,15 +322,15 @@ def lap_scan(factory, V, spec):
         if spec.weight_kind == "position":
             W, e, X0 = build_weight(grid, spec.s), H.e, _start_vector(grid.n)
         else:
-            # W = <A>^(-s) = D^H F D with D = diag(A.phase) and F real, so
+            # W = <A>^(-s) = D^H F D with D = diag(phase) and F real, so
             # ||W R W|| = ||F (D R D^H) F||, R = (H - z)^(-1); D R D^H is the
             # resolvent of D H D^H, whose upper off-diagonal is
-            # e_j ph_j conj(ph_{j+1}). From D x0 the chains take the Krylov
-            # spaces of the unrotated run, turned by D, and its step counts
-            A = build_conjugate_A(grid)
-            W = _weight_factor(A, spec.s)
-            e = H.e * A.phase[:-1] * np.conj(A.phase[1:])
-            X0 = A.phase * _start_vector(grid.n)
+            # e_j i^j conj(i^(j+1)) = -i e_j. From D x0 the chains take the
+            # Krylov spaces of the unrotated run, turned by D, and its step
+            # counts
+            W = _weight_factor(build_conjugate_A(grid), spec.s)
+            e = -1j * H.e
+            X0 = phase(grid.n) * _start_vector(grid.n)
         _check_weight(W, grid.n)
         h2 = grid.h**2
         free_fast = (
@@ -461,12 +458,7 @@ class MourreCheckResult:
 
 
 def _potential_slope(H):
-    """V' read off the diagonal d = 2/h^2 + V of a real tridiagonal H by
-    centered differences; an H with a phase raises commutator-route."""
-    if H.phase is not None:
-        raise InvariantViolation(
-            "commutator-route", "the analytic commutator needs a real tridiagonal H"
-        )
+    """V' read off the diagonal d = 2/h^2 + V of H by centered differences."""
     return np.gradient(H.d - 2.0 / H.grid.h**2, H.grid.x)
 
 
@@ -519,23 +511,26 @@ def mourre_check(H, A, J, mode="strict", remainder_rank_budget=0):
 
 
 def weighted_mourre_check(H, S, phi, J, s):
-    """Window positivity of [H, i psi(S)] - <S>^{-2s}, exact calculus on S.
+    """Window positivity of [H, i psi(A)] - <A>^{-2s}, exact calculus on A.
 
-    The commutator with the bounded weight psi(S) is realized as
-    psi'(S)^{1/2} [H, iA] psi'(S)^{1/2} with psi'(a) = c R <a>^{-2 phi.s};
-    phi = None means psi = 0 (the failing control). best_c is the smallest
-    eigenvalue of the full form, commutator_form_min_eig that of the
-    commutator part alone.
+    S is build_conjugate_A's J, the real tridiagonal with A = D^H S D and
+    D = diag(phase). The commutator with the bounded weight psi(A) is
+    realized as psi'(A)^{1/2} [H, iA] psi'(A)^{1/2} with
+    psi'(a) = c R <a>^{-2 phi.s}; phi = None means psi = 0 (the failing
+    control). best_c is the smallest eigenvalue of the full form,
+    commutator_form_min_eig that of the commutator part alone. S's n x n
+    eigenvectors are dense, so an S above MATERIALIZE_MAX rows is refused
+    (materialization-size) before any solve.
     """
+    _require_dense(S.shape[0])
     C = _analytic_commutator(H)
     win, wE, vE = _mourre_window(H, J)
     if len(wE) == 0:
         return MourreCheckResult(win, _POSINF, _POSINF, 0, "weighted")
-    # S = D^H J_S D with J_S = V diag(a) V^T real, so S's eigenvectors are
-    # D^H V: Y = V^T D vE and Z = D^H V (sqrt(psi') Y), with the n x n V
-    # kept real
+    # S = V diag(a) V^T with V real, so A's eigenvectors are D^H V:
+    # Y = V^T D vE and Z = D^H V (sqrt(psi') Y), with the n x n V kept real
     a, V = eigh_tridiagonal(S.d, S.e)
-    ph = np.ones(len(a), complex) if S.phase is None else S.phase
+    ph = phase(len(a))
     Y = _real_times(V.T, ph[:, None] * vE)
     wt = (1.0 + a**2) ** (-s)
     M2 = Y.conj().T @ (wt[:, None] * Y)

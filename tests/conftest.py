@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oscilab import _pool
-from oscilab.discretize import _weight_factor, build_conjugate_A
+from oscilab.discretize import _weight_factor, build_conjugate_A, phase
 from oscilab.potentials import SimonSeriesSpec
 
 
@@ -61,17 +61,28 @@ def richardson_derivative(fn, x, h):
 
 
 def dense(T):
-    """The dense matrix D^H J D of an OperatorMatrix, J = tridiag(e, d, e)."""
-    J = np.diag(T.d) + np.diag(T.e, 1) + np.diag(T.e, -1)
-    if T.phase is None:
-        return J
-    return np.conj(T.phase)[:, None] * J * T.phase
+    """The dense matrix J = tridiag(e, d, e) of an OperatorMatrix."""
+    return np.diag(T.d) + np.diag(T.e, 1) + np.diag(T.e, -1)
+
+
+def dilation(grid):
+    """The dilation generator A = D^H J D as a dense complex matrix, J being
+    build_conjugate_A's real tridiagonal and D = diag(phase); small grids
+    only."""
+    ph = phase(grid.n)
+    return np.conj(ph)[:, None] * dense(build_conjugate_A(grid)) * ph
+
+
+def apply_dilation(grid, v):
+    """A v = conj(ph) J (ph v) for a vector v, without a dense matrix."""
+    ph = phase(grid.n)
+    return np.conj(ph) * build_conjugate_A(grid).matvec(ph * v)
 
 
 def conjugate_A_weight(grid, s):
     """<A>^(-s) for the dilation generator A = D^H J D as the dense complex
     matrix D^H F D, F = <J>^(-s) the real factor the scan runs on; exactly
     Hermitian."""
-    A = build_conjugate_A(grid)
-    mat = np.conj(A.phase)[:, None] * _weight_factor(A, s) * A.phase
+    ph = phase(grid.n)
+    mat = np.conj(ph)[:, None] * _weight_factor(build_conjugate_A(grid), s) * ph
     return 0.5 * (mat + mat.conj().T)

@@ -365,9 +365,14 @@ def test_sweep_csv_key_is_unknown(tmp_path, capsys):
         ("mourre-check",
          {"kind": "at_infinity", "window": [0.5, 1.0], "h": 0.1, "trials": 0},
          "trials-range"),
+        # n = 15999: the guard refuses S's dense eigenvectors before any solve
+        ("mourre-check",
+         {"kind": "weighted", "window": [0.5, 1.5], "L": 400.0, "h": 0.05},
+         "materialization-size"),
     ],
     ids=["variant", "mourre-kind", "probe-mode", "weight-kind", "phi-el",
-         "radii-missing", "windows-empty", "gamma", "probe-tol", "trials-zero"],
+         "radii-missing", "windows-empty", "gamma", "probe-tol", "trials-zero",
+         "weighted-size"],
 )
 def test_exit_2_runs_leave_no_output_dir(tmp_path, capsys, command, params, invariant):
     # checks that depend on the mode run inside the handlers; the output

@@ -20,6 +20,7 @@ from oscilab.discretize import (
     halfline_grid,
     line_grid,
     periodic_grid,
+    phase,
 )
 import oscilab.discretize
 import oscilab.lap
@@ -27,7 +28,7 @@ from oscilab.errors import ComputeFailure, InvariantViolation
 from oscilab.lap import _br_profile
 from oscilab.potentials import CustomSample, OscillatingSpec, WignerVonNeumann1D
 
-from conftest import conjugate_A_weight, dense
+from conftest import apply_dilation, conjugate_A_weight, dense, dilation
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def test_discretization_error_is_second_order():
 def test_conjugate_A_structure():
     g = line_grid(10.0, 0.1)
     A = build_conjugate_A(g)
-    mat = dense(A)
+    mat = dilation(g)
     assert np.all(np.diag(mat) == 0.0)
     assert np.linalg.norm(mat - mat.conj().T) == 0.0
     # A = D^H J D with J = tridiag(s, 0, s) and D = diag(i^j) is exactly i S
@@ -174,12 +175,11 @@ def test_conjugate_A_preserves_parity():
     # x d/dx flips parity twice (x is odd, d/dx maps even to odd), so the
     # dilation generator commutes with reflection: even stays even, odd odd
     g = line_grid(10.0, 0.1)
-    A = build_conjugate_A(g)
     even = np.exp(-g.x**2 / 4.0)
-    out = A.matvec(even)
+    out = apply_dilation(g, even)
     assert np.max(np.abs(out - out[::-1])) <= 1e-13 * np.max(np.abs(out))
     odd = g.x * np.exp(-g.x**2 / 4.0)
-    out = A.matvec(odd)
+    out = apply_dilation(g, odd)
     assert np.max(np.abs(out + out[::-1])) <= 1e-13 * np.max(np.abs(out))
 
 
@@ -187,10 +187,12 @@ def test_conjugate_A_commutator_calibration():
     # <f, [H0, iA] f> should track <f, 2 H0 f> on interior wave packets
     g = line_grid(40.0, 0.01)
     H = build_h0(g)
-    A = build_conjugate_A(g)
     f = np.exp(-(g.x**2) / 50.0) * np.cos(2.0 * g.x)
     f = f / np.linalg.norm(f)
-    comm = 1j * (H.matvec(A.matvec(f)) - A.matvec(H.matvec(f).astype(complex)))
+    comm = 1j * (
+        H.matvec(apply_dilation(g, f))
+        - apply_dilation(g, H.matvec(f).astype(complex))
+    )
     num = np.vdot(f, comm).real
     den = 2.0 * np.vdot(f, H.matvec(f)).real
     assert num / den == pytest.approx(1.0, abs=0.05)
@@ -238,7 +240,7 @@ def test_weight_position_basics():
 
 def test_weight_operator_basis_commutes():
     g = line_grid(6.4, 0.1)
-    A = dense(build_conjugate_A(g))
+    A = dilation(g)
     W = conjugate_A_weight(g, 0.6)
     assert W.shape == (g.n, g.n)
     assert np.array_equal(W, W.conj().T)
@@ -257,7 +259,7 @@ def test_operator_basis_weight_matches_the_complex_eigenbasis_construction(s):
     W = conjugate_A_weight(g, s)
     assert np.array_equal(W, W.conj().T)
     w, u = eigh_tridiagonal(A.d, A.e)
-    v = np.conj(A.phase)[:, None] * u
+    v = np.conj(phase(g.n))[:, None] * u
     mat = (v * (1.0 + w**2) ** (-s / 2.0)) @ v.conj().T
     old = 0.5 * (mat + mat.conj().T)
     assert np.linalg.norm(W - old) <= 1e-14 * np.linalg.norm(old)
@@ -320,7 +322,9 @@ def test_window_commutator_with_A_is_small():
     v /= np.linalg.norm(v)
 
     def comm(u):
-        return _window_apply(theta, A.matvec(u)) - A.matvec(_window_apply(theta, u))
+        return _window_apply(theta, apply_dilation(g, u)) - apply_dilation(
+            g, _window_apply(theta, u)
+        )
 
     lam = 0.0
     for _ in range(40):
@@ -354,16 +358,11 @@ def test_eig_window_subset_of_full():
     assert v_win.shape == (g.n, len(w_win))
 
 
-@pytest.mark.parametrize("storage", ["imag_tridiagonal", "tridiagonal"])
+@pytest.mark.parametrize("storage", ["tridiagonal"])
 def test_storage_table_routes_agree_with_dense(storage, rng):
-    # every solver runs on (d, e, phase), with a phase (A) or without (H);
-    # the dense matrix is the reference
-    line = line_grid(4.0, 0.25)
-    if storage == "tridiagonal":
-        T = build_schrodinger(line, WignerVonNeumann1D())
-    else:
-        T = build_conjugate_A(line)
-    assert (T.phase is None) == (storage == "tridiagonal")
+    # every solver runs on the real tridiagonal (d, e); the dense matrix is
+    # the reference
+    T = build_schrodinger(line_grid(4.0, 0.25), WignerVonNeumann1D())
     mat = dense(T)
     scale = np.linalg.norm(mat, 2)
     n = T.shape[0]
@@ -488,18 +487,6 @@ def test_window_pairs_of_an_empty_window():
     assert eigvals_window(H, -2.0, -1.0).shape == (0,)
 
 
-def test_window_pairs_of_a_phased_operator_match_eig_full():
-    A = build_conjugate_A(line_grid(10.0, 0.1))
-    w_all, V_all = np.linalg.eigh(dense(A))
-    mids = 0.5 * (w_all[:-1] + w_all[1:])
-    lo, hi = mids[len(mids) // 4], mids[len(mids) // 2]
-    w, V = _check_window_pairs(A, lo, hi, w_all)
-    assert np.iscomplexobj(V)
-    # the same invariant subspace as the full decomposition's
-    inside = V_all[:, (w_all >= lo) & (w_all <= hi)]
-    assert np.allclose(V @ V.conj().T, inside @ inside.conj().T, atol=1e-8)
-
-
 def test_window_pairs_rerun_to_the_same_bytes():
     H = build_schrodinger(line_grid(60.0, 0.1), WignerVonNeumann1D())
     w, V = eig_window(H, 0.2, 1.7)
@@ -552,11 +539,13 @@ def test_dense_input_must_be_hermitian():
 
 
 def test_imag_tridiagonal_eig_consistency():
-    # eig_window over the whole spectrum of the phased operator A
+    # eig_window over the whole spectrum of the dilation generator's real J;
+    # D^H turns J's eigenvectors into those of A = D^H J D
     g = line_grid(4.0, 0.25)
     A = build_conjugate_A(g)
     bound = np.max(np.abs(A.e)) * 2.0 + 1.0
-    w, v = eig_window(A, -bound, bound)
+    w, u = eig_window(A, -bound, bound)
     assert len(w) == g.n
-    res = A.matvec(v) - v * w
+    v = np.conj(phase(g.n))[:, None] * u
+    res = dilation(g) @ v - v * w
     assert np.max(np.abs(res)) <= 1e-10 * max(np.max(np.abs(w)), 1.0)

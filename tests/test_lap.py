@@ -21,6 +21,7 @@ from oscilab.discretize import (
     build_weight,
     eig_window,
     line_grid,
+    phase,
 )
 import oscilab._blocknorm
 import oscilab._pool
@@ -49,7 +50,7 @@ from oscilab.potentials import (
     WignerVonNeumann1D,
 )
 
-from conftest import conjugate_A_weight, dense
+from conftest import conjugate_A_weight, dense, dilation
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +134,6 @@ def test_norm_is_deterministic_across_calls():
     assert _banded_norm(H.d, H.e, W, z)[0] == _banded_norm(H.d, H.e, W, z)[0]
 
 
-def test_scan_rejects_a_hamiltonian_off_the_lu_kernel():
-    def dilation_factory(V, L):
-        return build_conjugate_A(line_grid(L, 0.25))
-
-    spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, box_list=(5.0, 10.0))
-    with pytest.raises(InvariantViolation) as err:
-        lap_scan(dilation_factory, None, spec)
-    assert err.value.invariant == "norm-route"
-
-
 # ---------------------------------------------------------------------------
 # the norm kernel
 
@@ -165,11 +156,11 @@ def test_banded_norm_certifies_its_ritz_residual(n, seed, conjugate_A, re_z, eta
     z = complex(re_z, eta)
     if conjugate_A:
         # the scan's route: W's real factor on the rotated tridiagonal
-        A = build_conjugate_A(grid)
+        ph = phase(n)
         W = conjugate_A_weight(grid, s)
-        rotated = e * A.phase[:-1] * np.conj(A.phase[1:])
-        x0 = A.phase * oscilab.lap._start_vector(n)
-        F = oscilab.discretize._weight_factor(A, s)
+        rotated = e * ph[:-1] * np.conj(ph[1:])
+        x0 = ph * oscilab.lap._start_vector(n)
+        F = oscilab.discretize._weight_factor(build_conjugate_A(grid), s)
         norm, _, converged, _, residual = _banded_norm(d, rotated, F, z, X=x0)
     else:
         W = build_weight(grid, s)
@@ -192,12 +183,12 @@ def test_real_factor_route_matches_the_complex_weight(n, s, re_z, eta):
     # conj(ph_{j+1}); started from D x0, the real-F run repeats the complex one
     grid = Grid1D("line", 0.1 * n, n)
     H = build_schrodinger(grid, WignerVonNeumann1D())
-    A = build_conjugate_A(grid)
-    F = oscilab.discretize._weight_factor(A, s)
+    F = oscilab.discretize._weight_factor(build_conjugate_A(grid), s)
     assert F.dtype == np.float64 and np.array_equal(F, F.T)
     z = complex(re_z, eta)
-    e = H.e * A.phase[:-1] * np.conj(A.phase[1:])
-    x0 = A.phase * oscilab.lap._start_vector(n)
+    ph = phase(n)
+    e = H.e * ph[:-1] * np.conj(ph[1:])
+    x0 = ph * oscilab.lap._start_vector(n)
     norm, _, converged, _, _ = _banded_norm(H.d, e, F, z, X=x0)
     want = _complex_weight_norm(H, conjugate_A_weight(grid, s), z)[0]
     assert converged and norm == pytest.approx(want, rel=1e-12)
@@ -259,7 +250,7 @@ def test_conjugate_A_scan_rows_match_the_dense_route(potential):
     for L in _CONJUGATE_A_SPEC.box_list:
         H = factory(V, L)
         W = _conjugate_A_weight(H)
-        assert H.phase is None and W.shape == H.shape
+        assert W.shape == H.shape
         for re_z, eta, _, norm in (r for r in res.rows if r[2] == L):
             z = complex(re_z, eta)
             dense = _spectral_norm_route(H, W, z)
@@ -709,26 +700,6 @@ def test_mourre_empty_window_reports_infinite_constant():
     assert res.remainder_rank == 0
 
 
-def test_commutator_forms_reject_the_dilation_generator_as_H():
-    # the analytic commutators read V off the diagonal of a real H; the
-    # dilation generator carries a phase, so each check refuses it by name,
-    # on a window holding part of A's spectrum and on one above all of it
-    g = line_grid(40.0, 0.1)
-    A = build_conjugate_A(g)
-    assert len(eig_window(A, 0.5, 1.5)[0]) > 0
-    assert len(eig_window(A, 1e3, 1e3 + 1.0)[0]) == 0
-    for J in ((0.5, 1.5), (1e3, 1e3 + 1.0)):
-        checks = (
-            lambda: mourre_check(A, A, J),
-            lambda: weighted_mourre_check(A, A, None, J, 0.51),
-            lambda: mourre_at_infinity_check(A, R=8.0, delta=0.1, s=0.51, window=J),
-        )
-        for check in checks:
-            with pytest.raises(InvariantViolation) as err:
-                check()
-            assert err.value.invariant == "commutator-route"
-
-
 @pytest.mark.parametrize(
     "kwargs, slug",
     [
@@ -772,7 +743,7 @@ def test_weighted_mourre_matches_the_complex_eigenbasis_construction(R):
     phi = None if R is None else WeightFunctionSpec(kind="psi", s=0.51, R=R, c=2.0)
     res = weighted_mourre_check(H, S, phi, (0.5, 1.0), 0.51)
     _, vE = eig_window(H, 0.5, 1.0)
-    a, vA = np.linalg.eigh(dense(S))
+    a, vA = np.linalg.eigh(dilation(g))
     Y = vA.conj().T @ vE
     M2 = Y.conj().T @ ((1.0 + a**2)[:, None] ** -0.51 * Y)
     psi_prime = np.zeros_like(a) if phi is None else 2.0 * R * (1.0 + a**2) ** -0.51
@@ -794,6 +765,19 @@ def test_weighted_mourre_zero_weight_control_fails():
     res = weighted_mourre_check(H, S, None, (0.5, 1.0), 0.51)
     assert res.best_c < 0.0
     assert res.kind == "weighted"
+
+
+def test_weighted_mourre_past_the_materialization_limit_is_refused(monkeypatch):
+    # S's dense eigenvectors are refused before the window is solved
+    def no_window(*args):
+        raise AssertionError("the window was solved")
+
+    monkeypatch.setattr(oscilab.discretize, "MATERIALIZE_MAX", 50)
+    monkeypatch.setattr(oscilab.lap, "eig_window", no_window)
+    g = line_grid(30.0, 0.1)
+    with pytest.raises(InvariantViolation) as err:
+        weighted_mourre_check(build_h0(g), build_conjugate_A(g), None, (0.5, 1.0), 0.51)
+    assert err.value.invariant == "materialization-size"
 
 
 def test_mourre_at_infinity_free_lower_bound():
