@@ -20,9 +20,11 @@ A step works in place through BLAS, since at the sizes of a LAP scan its
 vector passes are memory-bound: the two Gram-Schmidt products are GEMVs on
 V_k^T (the first k rows, read as an F-ordered n x k matrix, no copy), the
 second of them updating r where it lies, and r -= alpha v and
-u = M v - beta u are AXPYs. A vector is scaled by the reciprocal of its
-norm: a complex vector divided by a real scalar goes through complex
-division, about six times the cost of the multiply at n = 8,000.
+u = M v - beta u are AXPYs. _lapack.gkl_steps makes these calls, and the
+bidiagonal's dstev, on buffers it holds for the run. A vector is scaled by
+the reciprocal of its norm: a complex vector divided by a real scalar goes
+through complex division, about six times the cost of the multiply at
+n = 8,000.
 
 Stopping rule: with (sigma, p, q) the top singular triplet of B_k and
 x = V_k q, M^H M x - sigma^2 x = sigma beta_k p_k v_{k+1}. The triplet is
@@ -39,14 +41,52 @@ compactness probe mixes in a little of a random vector for the rest.
 """
 
 import numpy as np
-from scipy.linalg.blas import get_blas_funcs
-from scipy.linalg.lapack import dstev
 
+from ._lapack import dstev, gkl_steps
 from .errors import ComputeFailure
 
 # rows of the right basis allocated before the first step; a run that takes
 # more steps doubles the array
 _BASIS_ROWS = 16
+
+
+def _bbt(alphas, betas):
+    """The diagonal alpha_i^2 + beta_i^2 (beta_k = 0) and off-diagonal
+    beta_i alpha_{i+1} of B_k B_k^T."""
+    diag = alphas * alphas
+    diag[:-1] += betas * betas
+    return diag, betas * alphas[1:]
+
+
+def _top_pair(alphas, diag, off, top):
+    """sigma and p of _top_triplet, without q, from alphas and B_k B_k^T's
+    diagonal and off-diagonal (_bbt); top(diag, off) is dstev's top
+    eigenpair and info (_lapack._Steps.top)."""
+    if len(alphas) == 1:
+        return float(alphas[0]), np.ones(1)
+    top_value, p, info = top(diag, off)
+    if info != 0:
+        raise ComputeFailure(
+            "norm-bidiagonal",
+            f"dstev on the {len(alphas)} x {len(alphas)} Golub-Kahan-Lanczos "
+            f"tridiagonal failed (info={info})",
+        )
+    return float(np.sqrt(top_value)), p
+
+
+def _dstev_top(diag, off):
+    w, Z, info = dstev(diag, off)
+    return w[-1], Z[:, -1], info
+
+
+def _right_vector(alphas, betas, sigma, p):
+    """q = B_k^T p / sigma; (1) at k = 1."""
+    if len(alphas) == 1:
+        return np.ones(1)
+    q = alphas * p
+    q[1:] += betas * p[:-1]
+    q /= sigma
+    return q
 
 
 def _top_triplet(alphas, betas):
@@ -58,25 +98,18 @@ def _top_triplet(alphas, betas):
     Squaring costs B_k's small singular values their accuracy, not the top
     one: sigma^2 is accurate to about eps sigma^2, sigma to eps / 2 relative.
     """
-    if len(alphas) == 1:
-        return float(alphas[0]), np.ones(1), np.ones(1)
-    # B_k B_k^T: diagonal alpha_i^2 + beta_i^2 (beta_k = 0), off-diagonal
-    # beta_i alpha_{i+1}
-    diag = alphas * alphas
-    diag[:-1] += betas * betas
-    w, Z, info = dstev(diag, betas * alphas[1:], overwrite_d=1, overwrite_e=1)
-    if info != 0:
-        raise ComputeFailure(
-            "norm-bidiagonal",
-            f"dstev on the {len(alphas)} x {len(alphas)} Golub-Kahan-Lanczos "
-            f"tridiagonal failed (info={info})",
-        )
-    sigma = float(np.sqrt(w[-1]))
-    p = Z[:, -1]
-    q = alphas * p
-    q[1:] += betas * p[:-1]
-    q /= sigma
-    return sigma, p, q
+    sigma, p = _top_pair(alphas, *_bbt(alphas, betas), _dstev_top)
+    return sigma, p, _right_vector(alphas, betas, sigma, p)
+
+
+def _norm(x):
+    """np.linalg.norm(x) of a vector x, by the same arithmetic (the square
+    root of the dot products of its real and imaginary parts) without the
+    argument handling around it."""
+    if np.iscomplexobj(x):
+        re, im = x.real, x.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(x.dot(x))
 
 
 def _gkl_norm(apply_m, apply_mh, x0, tol=1e-12, max_steps=600):
@@ -98,58 +131,61 @@ def _gkl_norm(apply_m, apply_mh, x0, tol=1e-12, max_steps=600):
     The right basis is the rows of one array of _BASIS_ROWS rows, doubled
     when a run outgrows it; the Ritz vector x = V_k^T q is one more
     matrix-vector product. B_k is kept as two float arrays, its diagonal
-    and superdiagonal, and _top_triplet reads the stopping rule off them.
-    The BLAS routines (GEMV, AXPY) are those of x0's dtype. Two numpy calls
-    stay among them because perfbench's tracer counts them: the start
-    vector's one-column QR (lap.qr, spectral.qr) and the one
-    np.linalg.norm(r, 2) a step (lap.norm2, which the tracer reads as the
-    kernel's steps).
+    and superdiagonal, and _top_triplet reads the stopping rule off them;
+    a step reads sigma and p only, and q is formed once, for the last step.
+    The basis and the step's BLAS and LAPACK calls (GEMV, AXPY, dstev) are
+    those of _lapack.gkl_steps, in x0's dtype. Two numpy calls stay among
+    them because perfbench's tracer counts them: the start vector's
+    one-column QR (lap.qr, spectral.qr) and the one np.linalg.norm(r, 2) a
+    step (lap.norm2, which the tracer reads as the kernel's steps).
     """
-    gemv, axpy = get_blas_funcs(("gemv", "axpy"), (x0,))
-    # gemv's trans for V_k^H: the conjugate transpose, or the transpose
-    adjoint = 2 if np.iscomplexobj(x0) else 1
     # x0's norm is read off the R factor of its one-column QR: LAPACK's
     # Householder step scales the norm, so a start vector whose squared
     # entries would overflow or underflow (np.linalg.norm squares them) is
     # still scaled to unit length
     v = x0 * (1.0 / abs(np.linalg.qr(x0[:, None], mode="r")[0, 0]))
     u = apply_m(v)
-    alpha = np.linalg.norm(u)
+    alpha = _norm(u)
     if alpha == 0.0:
         return 0.0, 1, True, v, 0.0
     u *= 1.0 / alpha
-    basis = np.empty((min(_BASIS_ROWS, max_steps), len(v)), v.dtype)
-    basis[0] = v
+    steps = gkl_steps(v.dtype, len(v), min(_BASIS_ROWS, max_steps))
+    steps.basis[0] = v
+    right, left, top = steps.right, steps.left, steps.top
     alphas, betas = np.empty(max_steps), np.empty(max_steps)
     alphas[0] = alpha
+    # B_k B_k^T's diagonal and off-diagonal (_bbt), entered as B_k grows
+    bbt_d, bbt_e = np.empty(max_steps), np.empty(max_steps)
+    bbt_d[0] = alpha * alpha
+    stop = np.sqrt(tol)
     for step in range(1, max_steps + 1):
-        r = axpy(v, apply_mh(u), a=-alpha)
-        # the basis rows as the columns of an F-ordered n x k matrix
-        Vt = basis[:step].T
-        for _ in range(2):
-            c = gemv(1.0, Vt, r, trans=adjoint)
-            r = gemv(-1.0, Vt, c, beta=1.0, y=r, overwrite_y=1)
+        # r = M^H u - alpha v, v being the last of the step basis rows,
+        # reorthogonalised against them in place
+        r = right(step, apply_mh(u), -alpha)
         # the one explicit 2-norm of a step: perfbench's tracer counts these
         # calls as the kernel's steps (lap.iters_per_norm)
         beta = np.linalg.norm(r, 2)
-        sigma, p, q = _top_triplet(alphas[:step], betas[: step - 1])
+        sigma, p = _top_pair(
+            alphas[:step], bbt_d[:step], bbt_e[: step - 1], top
+        )
         residual = float(beta * abs(p[-1]) / sigma)
-        converged = residual <= np.sqrt(tol)
+        converged = residual <= stop
         if converged or step == max_steps:
             break
-        if step == len(basis):
-            grown = np.empty((2 * step, len(v)), v.dtype)
-            grown[:step] = basis
-            basis = grown
-        v = basis[step]
+        if step == len(steps.basis):
+            steps.grow(step)
+        v = steps.basis[step]
         np.multiply(r, 1.0 / beta, out=v)
-        u = axpy(u, apply_m(v), a=-beta)
-        alpha = np.linalg.norm(u)
+        u = left(u, apply_m(v), -beta)
+        alpha = _norm(u)
         u *= 1.0 / alpha
         alphas[step] = alpha
         betas[step - 1] = beta
-    x = q @ basis[:step]
-    return sigma, step, converged, x, residual
+        bbt_d[step - 1] += beta * beta
+        bbt_d[step] = alpha * alpha
+        bbt_e[step - 1] = beta * alpha
+    q = _right_vector(alphas[:step], betas[: step - 1], sigma, p)
+    return sigma, step, converged, q @ steps.basis[:step], residual
 
 
 def _require_converged(steps, converged, where):

@@ -35,12 +35,17 @@ up to half a second before one is moved, so the same pooled phase cell
 took 0.9 s on one call and 1.5 s on the next.
 
 numpy and scipy each bundle their own OpenBLAS (under numpy.libs/ and
-scipy.libs/). Both copies are found among the libraries mapped into the
-process and are read and set through their exported thread-count symbols.
-``one_blas_thread()`` holds both at one thread for its scope, or for the
-function it decorates, and then gives each package back its own count. Every
-CLI run and every entry point of the block-norm kernel runs in it, so no
-output depends on the thread count the environment asks OpenBLAS for.
+scipy.libs/). The package's LAPACK and BLAS calls go to numpy's copy
+(``_lapack``), so a CLI run, which imports no scipy, maps numpy's alone;
+scipy's is mapped only in a process that imports scipy.linalg itself (a
+test run, or ``_lapack``'s fallback on a numpy without these entry
+points). Each copy mapped in is found among the process's libraries
+(``openblas``), once, and read and set through its exported thread-count
+symbols; a package not imported yet is not looked for. ``one_blas_thread()``
+holds every copy at one thread for its scope, or for the function it
+decorates, and then gives each package back its own count. Every CLI run and
+every entry point of the block-norm kernel runs in it, so no output depends
+on the thread count the environment asks OpenBLAS for.
 """
 
 import contextlib
@@ -61,19 +66,17 @@ import sys
 # of the table; below that a fork saves too little to count on.
 MIN_ROWS = 2000
 
-# the thread-count symbols an OpenBLAS build may export, by symbol prefix
-_SYMBOLS = {
-    verb: tuple(
-        f"{prefix}openblas_{verb}_num_threads{suffix}"
-        for prefix in ("", "scipy_")
-        for suffix in ("", "64_")
-    )
-    for verb in ("get", "set")
-}
+# an OpenBLAS build may prefix every symbol it exports (scipy-openblas
+# does, with "scipy_") and suffix it when built with 64-bit integers ("64_")
+_AFFIXES = tuple(
+    (prefix, suffix) for prefix in ("", "scipy_") for suffix in ("", "64_")
+)
 
 _PACKAGES = ("numpy", "scipy")
 # package -> (get, set) thread-count symbols of its OpenBLAS, once found
 _found = {}
+# package -> its OpenBLAS as a ctypes.CDLL, once found
+_libraries = {}
 
 # set in a forked worker: a pool_map it calls runs in-process
 _in_worker = False
@@ -82,8 +85,11 @@ _in_worker = False
 def _openblas():
     """{package: (get, set)} for each package's OpenBLAS mapped into the
     process (a symbol is None where not exported). A library is opened once;
-    a package not mapped in yet is looked for again on the next call."""
-    if len(_found) == len(_PACKAGES):
+    a package imported but not mapped in yet is looked for again on the next
+    call. A package's OpenBLAS is mapped in only by its own extension
+    modules, so one not imported is not looked for: a process without scipy
+    reads /proc/self/maps once, not at every call."""
+    if all(p in _found or p not in sys.modules for p in _PACKAGES):
         return _found
     try:
         with open("/proc/self/maps") as fh:
@@ -99,16 +105,33 @@ def _openblas():
             except OSError:
                 continue
             _found[owner] = (_symbol(lib, "get"), _symbol(lib, "set"))
+            _libraries[owner] = lib
     return _found
+
+
+def openblas(package):
+    """package's OpenBLAS mapped into the process, as a ctypes.CDLL; None
+    when it is not mapped in."""
+    _openblas()
+    return _libraries.get(package)
+
+
+def affixes(lib, stem):
+    """The (prefix, suffix) under which lib exports the symbol stem, or None."""
+    for prefix, suffix in _AFFIXES:
+        if hasattr(lib, f"{prefix}{stem}{suffix}"):
+            return prefix, suffix
+    return None
 
 
 def _symbol(lib, verb):
     """lib's exported openblas_{verb}_num_threads, or None."""
-    for name in _SYMBOLS[verb]:
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            return fn
-    return None
+    stem = f"openblas_{verb}_num_threads"
+    found = affixes(lib, stem)
+    if found is None:
+        return None
+    prefix, suffix = found
+    return getattr(lib, f"{prefix}{stem}{suffix}")
 
 
 def blas_threads():

@@ -19,8 +19,8 @@ on arrays and build no OperatorMatrix.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs, qr
 
+from ._lapack import eigh_tridiagonal, get_lapack_funcs, qr
 from ._smooth import spectral_bump
 from .errors import ComputeFailure, InvariantViolation
 from .potentials import eval_potential

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import itertools
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, get_lapack_funcs
 
 from . import _blocknorm, _pool
+from ._lapack import eigh, eigh_tridiagonal, get_lapack_funcs
 from .discretize import (
     OperatorMatrix,
     _require_dense,
@@ -41,7 +41,7 @@ from .errors import ComputeFailure, InvariantViolation
 from .potentials import OscillatingSpec
 from ._csv import write_csv
 from ._smooth import smoothstep_quintic, smoothstep_quintic_prime
-from .spectral import find_embedded
+from .spectral import genuine_embedded
 
 __all__ = [
     "LapScanSpec",
@@ -111,7 +111,8 @@ def _tridiag_solver(d, e, z):
     du = np.asarray(e, dtype=complex)
     dl = np.conj(du)
     dd = np.asarray(d, dtype=complex) - z
-    dl, dd, du, du2, ipiv, info = gttrf(dl, dd, du)
+    # dl and dd are this call's own arrays; du may be the caller's e
+    dl, dd, du, du2, ipiv, info = gttrf(dl, dd, du, overwrite_dl=1, overwrite_d=1)
     if info != 0:
         raise ComputeFailure(
             "resolvent-factorization", f"tridiagonal LU failed (info={info})"
@@ -155,24 +156,35 @@ def _banded_norm(d, e, w, z, max_iters=600, X=None):
     steps, converged, x, residual) as _blocknorm._gkl_norm does.
     """
     solve = _tridiag_solver(d, e, z)
-    # M = W (H - z)^{-1} W and M^H = W (H - z)^{-H} W, W being symmetric
+    # M = W (H - z)^{-1} W for trans "N" and M^H = W (H - z)^{-H} W for
+    # trans "C", W being symmetric
     if w.ndim == 1:
 
-        def apply(v, trans):
-            x = solve(w * v, trans)
-            x *= w
-            return x
+        def apply(trans):
+            def apply_w(v):
+                x = solve(w * v, trans)
+                x *= w
+                return x
+
+            return apply_w
 
     else:
+        # the right-hand side of the solves: one buffer, W v written into
+        # its (n, 2) float view by one real GEMM (_real_times), solved in
+        # place
+        rhs = np.empty((len(d), 2))
+        b = rhs.view(complex).reshape(len(d))
 
-        def apply(v, trans):
-            return _real_times(w, solve(_real_times(w, v), trans))
+        def apply(trans):
+            def apply_f(v):
+                np.matmul(w, v.view(np.float64).reshape(rhs.shape), out=rhs)
+                return _real_times(w, solve(b, trans))
+
+            return apply_f
 
     if X is None:
         X = _start_vector(len(d))
-    return _blocknorm._gkl_norm(
-        lambda v: apply(v, "N"), lambda u: apply(u, "C"), X, max_steps=max_iters
-    )
+    return _blocknorm._gkl_norm(apply("N"), apply("C"), X, max_steps=max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +691,13 @@ def phase_sweep(
     ``windows`` maps names ("below", "above") to energy intervals on either
     side of the interference threshold k^2/4. Each live cell builds H once
     per box; each window is screened on its own for genuine embedded
-    eigenvalues, and a window without one is LAP-scanned. The (cell, window)
-    tasks run in forked workers when they are large enough (_pool.pool_map),
-    and a lap_scan inside a worker runs its chains in-process. Cells beyond
-    the budget are emitted as skipped. A window straddling k^2/4 is reported
-    inconclusive by policy. Returns a PhaseSweep, a list of the cells.
+    eigenvalues (genuine_embedded: the smaller box's spectrum is read only
+    for a localized candidate), and a window without one is LAP-scanned.
+    The (cell, window) tasks run in forked workers when they are large
+    enough (_pool.pool_map), and a lap_scan inside a worker runs its chains
+    in-process. Cells beyond the budget are emitted as skipped. A window
+    straddling k^2/4 is reported inconclusive by policy. Returns a
+    PhaseSweep, a list of the cells.
     """
     if not windows:
         raise InvariantViolation("windows-empty", "need at least one named window")
@@ -702,8 +716,7 @@ def phase_sweep(
     def window_cell(task):
         alpha, beta, V, hams, nm = task
         win = tuple(map(float, windows[nm]))
-        found = find_embedded(hams.__getitem__, win, boxes)
-        genuine = [c for c in found if c.verdict == "genuine"]
+        genuine = genuine_embedded(hams.__getitem__, win, boxes)
         if genuine:
             return PhaseDiagramCell(
                 float(alpha), float(beta), nm, win,

@@ -15,10 +15,10 @@ the non-compact part.
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import _blocknorm, _pool
 from ._csv import write_csv
+from ._lapack import eigh
 from ._smooth import smoothstep_quintic
 from .discretize import build_radial_channel, eig_window, eigvals_window
 from .errors import InvariantViolation
@@ -28,6 +28,7 @@ __all__ = [
     "EmbeddedCandidate",
     "TailDecayReport",
     "find_embedded",
+    "genuine_embedded",
     "interference_symbol_check",
     "small_plus_decay_probe",
     "oscillation_compactness_probe",
@@ -66,21 +67,8 @@ def _radius(grid):
     return np.abs(grid.x) if grid.kind != "halfline" else grid.x
 
 
-def find_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
-    """Scan a window for embedded eigenvalues with box-stability filtering.
-
-    ``build`` maps a box size L to the Hamiltonian OperatorMatrix on that
-    box; ``window`` is the energy interval (lo, hi); ``box_list`` needs at
-    least two sizes. Candidates and their eigenvectors come from the largest
-    box alone; localization is the eigenvector mass inside the inner
-    half-box. The smaller boxes supply eigenvalues only, over the window
-    widened by 10 * drift_tol on each side, and the drift is the worst
-    nearest-match distance to them; so every drift below 10 * drift_tol is
-    exact, also for a candidate whose partner lies just outside the window.
-    verdict: genuine iff localization >= 0.99 and drift <= drift_tol;
-    box_artifact iff localization < 0.99 or drift >= 10 * drift_tol;
-    unresolved between.
-    """
+def _screen_args(window, box_list):
+    """(lo, hi, boxes ascending) of a screen, checked."""
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise InvariantViolation("window-order", "window needs lo < hi")
@@ -91,17 +79,29 @@ def find_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
     boxes = sorted(float(L) for L in box_list)
     if len(boxes) < 2:
         raise InvariantViolation("box-count", "need at least two box sizes")
-    reach = 10.0 * drift_tol
-    partners = [eigvals_window(build(L), lo - reach, hi + reach) for L in boxes[:-1]]
-    big = boxes[-1]
+    return lo, hi, boxes
+
+
+def _largest_box(build, lo, hi, big):
+    """The eigenvalues of build(big) in [lo, hi] and the localization of
+    each: its eigenvector's mass inside the inner half-box."""
     T = build(big)
     energies, v = eig_window(T, lo, hi)
     inner = _radius(T.grid) <= big / 2.0
+    localizations = []
+    for i in range(len(energies)):
+        mass = np.abs(v[:, i]) ** 2
+        localizations.append(float(mass[inner].sum() / mass.sum()))
+    return energies, localizations
+
+
+def _candidates(build, lo, hi, boxes, drift_tol, energies, localizations):
+    """An EmbeddedCandidate per largest-box eigenvalue; the smaller boxes
+    supply eigenvalues over the window widened by 10 * drift_tol."""
+    reach = 10.0 * drift_tol
+    partners = [eigvals_window(build(L), lo - reach, hi + reach) for L in boxes[:-1]]
     out = []
-    for i, energy in enumerate(energies):
-        vec = v[:, i]
-        mass = np.abs(vec) ** 2
-        loc = float(mass[inner].sum() / mass.sum())
+    for energy, loc in zip(energies, localizations):
         drift = 0.0
         for other in partners:
             if len(other) == 0:
@@ -123,6 +123,42 @@ def find_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
             )
         )
     return out
+
+
+def find_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
+    """Scan a window for embedded eigenvalues with box-stability filtering.
+
+    ``build`` maps a box size L to the Hamiltonian OperatorMatrix on that
+    box; ``window`` is the energy interval (lo, hi); ``box_list`` needs at
+    least two sizes. Candidates and their eigenvectors come from the largest
+    box alone, computed first; localization is the eigenvector mass inside
+    the inner half-box. The smaller boxes supply eigenvalues only, over the
+    window widened by 10 * drift_tol on each side, and the drift is the
+    worst nearest-match distance to them; so every drift below
+    10 * drift_tol is exact, also for a candidate whose partner lies just
+    outside the window.
+    verdict: genuine iff localization >= 0.99 and drift <= drift_tol;
+    box_artifact iff localization < 0.99 or drift >= 10 * drift_tol;
+    unresolved between.
+    """
+    lo, hi, boxes = _screen_args(window, box_list)
+    energies, localizations = _largest_box(build, lo, hi, boxes[-1])
+    return _candidates(build, lo, hi, boxes, drift_tol, energies, localizations)
+
+
+def genuine_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
+    """The genuine candidates of find_embedded(build, window, box_list).
+
+    Only a localized candidate can be genuine, so the smaller boxes'
+    spectra are read only when some eigenvalue of the largest box reaches
+    LOCALIZATION_THRESHOLD; otherwise no smaller box is built or solved.
+    """
+    lo, hi, boxes = _screen_args(window, box_list)
+    energies, localizations = _largest_box(build, lo, hi, boxes[-1])
+    if not any(loc >= LOCALIZATION_THRESHOLD for loc in localizations):
+        return []
+    found = _candidates(build, lo, hi, boxes, drift_tol, energies, localizations)
+    return [c for c in found if c.verdict == "genuine"]
 
 
 # ---------------------------------------------------------------------------

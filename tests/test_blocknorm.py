@@ -94,10 +94,15 @@ def test_a_run_past_the_initial_basis_rows_finds_the_top_singular_value(
 
 
 def test_a_failed_bidiagonal_eigensolve_raises(monkeypatch):
-    def failing(d, e, **kwargs):
-        return d, np.eye(len(d)), 1
+    # the run's dstev (its steps' top) reports a failure
+    make_steps = _blocknorm.gkl_steps
 
-    monkeypatch.setattr(_blocknorm, "dstev", failing)
+    def failing_steps(*args):
+        steps = make_steps(*args)
+        steps.top = lambda d, e: (d[-1], np.ones(len(d)), 1)
+        return steps
+
+    monkeypatch.setattr(_blocknorm, "gkl_steps", failing_steps)
     with pytest.raises(ComputeFailure) as err:
         _norm(_dense(float), _start(float))
     assert err.value.invariant == "norm-bidiagonal"

@@ -795,8 +795,9 @@ def test_manifest_reports_the_blas_threads_in_effect(tmp_path):
     })
     _run_cli(config, blas_threads=2)
     manifest = read_json(out_dir / "manifest.json")
-    # numpy and scipy each load their own OpenBLAS; a run holds both at 1
-    assert manifest["blas_threads"] == {"numpy": 1, "scipy": 1}
+    # a run imports no scipy, so only numpy's OpenBLAS is mapped; it holds
+    # that one at 1
+    assert manifest["blas_threads"] == {"numpy": 1, "scipy": None}
     assert "blas_threads" not in manifest["disclosures"]
 
 

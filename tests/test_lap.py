@@ -939,18 +939,11 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
     assert builds == [60.0, 120.0]
     # eigenvectors once per window, on the largest box only
     assert vector_windows == [(120.0, 0.2, 0.6), (120.0, 1.2, 1.7)]
-    # the windowed kernel: per window, the smaller box's drift partners over
-    # the widened window, without vectors, then the largest box's eigenpairs
+    # the windowed kernel: per window, the largest box's eigenpairs alone.
+    # No candidate of the largest box is localized (checked at the end), so
+    # none can be genuine and the smaller box's drift partners are not read
     n_small, n_big = (line_grid(L, 0.25).n for L in (60.0, 120.0))
-    reach = 10.0 * oscilab.spectral.DRIFT_TOL
-    assert kernel == [
-        call
-        for lo, hi in windows.values()
-        for call in (
-            (n_small, lo - reach, hi + reach, False),
-            (n_big, lo, hi, True),
-        )
-    ]
+    assert kernel == [(n_big, lo, hi, True) for lo, hi in windows.values()]
     # one Sturm count per window and box in the scan, and one per kernel
     # call, which sets the kernel's bisection tolerance
     assert sorted(c[1:] for c in counts if c[0] == "scan") == sorted(
@@ -972,6 +965,46 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
         assert inside[0] == (lo, hi)
         assert below[0][1] == lo and above[0][0] == hi
         assert below[1] == inside[1] == above[1] <= 1e-4 * (hi - lo)
+    monkeypatch.undo()
+    big = build_schrodinger(
+        line_grid(120.0, 0.25), OscillatingSpec(w=3.0, k=2.0, alpha=1.0, beta=0.75)
+    )
+    for lo, hi in windows.values():
+        _, localizations = oscilab.spectral._largest_box(lambda L: big, lo, hi, 120.0)
+        assert 0 < len(localizations)
+        assert max(localizations) < oscilab.spectral.LOCALIZATION_THRESHOLD
+
+
+def test_a_localized_candidate_still_reads_the_partner_spectrum(monkeypatch):
+    # scenario 02: the Wigner-von Neumann eigenvalue at E = 1, screened by the
+    # helper phase_sweep uses
+    partners, pairs = [], []
+    eigvals_window_ = oscilab.spectral.eigvals_window
+    eig_window_ = oscilab.spectral.eig_window
+
+    def counted_values(T, lo, hi):
+        partners.append((T.shape[0], lo, hi))
+        return eigvals_window_(T, lo, hi)
+
+    def counted_pairs(T, lo, hi):
+        pairs.append((T.shape[0], lo, hi))
+        return eig_window_(T, lo, hi)
+
+    factory = schrodinger_line_factory(0.05)
+    hams = {L: factory(WignerVonNeumann1D(), L) for L in (200.0, 400.0)}
+    found = oscilab.spectral.find_embedded(hams.__getitem__, (0.9, 1.1), (200.0, 400.0))
+    monkeypatch.setattr(oscilab.spectral, "eigvals_window", counted_values)
+    monkeypatch.setattr(oscilab.spectral, "eig_window", counted_pairs)
+    genuine = oscilab.spectral.genuine_embedded(
+        hams.__getitem__, (0.9, 1.1), (200.0, 400.0)
+    )
+    assert len(genuine) == 1 and abs(genuine[0].energy - 1.0) <= 1e-2
+    assert genuine == [c for c in found if c.verdict == "genuine"]
+    # the largest box's pairs first, then the smaller box's values over the
+    # widened window, each once
+    reach = 10.0 * oscilab.spectral.DRIFT_TOL
+    assert pairs == [(hams[400.0].shape[0], 0.9, 1.1)]
+    assert partners == [(hams[200.0].shape[0], 0.9 - reach, 1.1 + reach)]
 
 
 def test_phase_sweep_budget_marks_cells_skipped(tmp_path):
