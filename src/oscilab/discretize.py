@@ -36,6 +36,7 @@ __all__ = [
     "build_weight",
     "eig_window",
     "eigvals_window",
+    "localized_pairs",
     "count_window",
 ]
 
@@ -205,7 +206,25 @@ def _rayleigh_ritz(J, X):
     return theta, X, J.matvec(X)
 
 
-def _window_pairs(T, lo, hi, vectors=True):
+def _max_localization(X, residual, inner, gap):
+    """Upper bound on the mass inside ``inner`` of every unit vector of the
+    eigenspace that the orthonormal block X approximates with residual
+    Frobenius norm ``residual``, when every other eigenvalue lies at least
+    gap from X's values.
+
+    Davis-Kahan sin theta (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970):
+    the eigenspace lies within an angle residual / gap of X's span, so the
+    square root of the mass is at most the top singular value of X's inner
+    rows plus residual / gap.
+    """
+    if not gap > 0.0:
+        return np.inf
+    Xi = X[inner]
+    top = np.linalg.eigvalsh(Xi.T @ Xi)[-1]
+    return (np.sqrt(max(top, 0.0)) + residual / gap) ** 2
+
+
+def _window_pairs(T, lo, hi, vectors=True, count=None, settle=None):
     """Eigenpairs (w, V) of T with eigenvalues in [lo, hi], never forming a
     dense matrix.
 
@@ -226,10 +245,20 @@ def _window_pairs(T, lo, hi, vectors=True):
     eigenvalues (LAPACK's stein runs two extra solves); with vectors False
     the group stops at its eigenvalues, the same bits. A group not
     certified within _MAX_SWEEPS raises eig-window-convergence.
+
+    count, when given, is that Sturm count, from a caller that has it.
+    settle = (inner, level) drops, after any sweep, a group none of whose
+    eigenvectors can hold a mass of level inside the boolean row mask
+    inner (_max_localization). The other eigenvalues lie beyond the coarse
+    neighbours by tol, or beyond the ends of the bisected range, and the
+    residual is padded by twice the bound for its own rounding and for the
+    residual of the vectors a full solve would certify. A dropped group
+    takes no more sweeps and is left out of (w, V); every other group runs
+    as without settle, from the same draws, to the same bits.
     """
     d, e = T.d, T.e
     n = len(d)
-    k = count_window(T, lo, hi)
+    k = count_window(T, lo, hi) if count is None else count
     if k == 0:
         return np.empty(0), np.empty((n, 0))
     rows = np.abs(d)
@@ -254,6 +283,7 @@ def _window_pairs(T, lo, hi, vectors=True):
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
     rng = np.random.default_rng(0)
     w, V = np.empty(len(coarse)), np.empty((n, len(coarse)))
+    dropped = np.zeros(len(coarse), dtype=bool)
     splits = np.flatnonzero(np.diff(coarse) > reach) + 1
     for group in np.split(np.arange(len(coarse)), splits):
         if group[-1] < keep.start or group[0] >= keep.stop:
@@ -268,13 +298,28 @@ def _window_pairs(T, lo, hi, vectors=True):
         X = rng.standard_normal((len(group), n)).T  # contiguous columns
         # orthonormalising and rotating k vectors rounds k-fold
         bound = _RESIDUAL_EPS * len(group) * unit
+        if settle is not None:
+            inner, level = settle
+            # every eigenvalue outside the group lies at or below floor, or
+            # at or above ceiling
+            first, last = group[0], group[-1]
+            floor = (coarse[first - 1] if first > 0 else edges[0]) + tol
+            ceiling = (coarse[last + 1] if last + 1 < len(coarse) else edges[-1]) - tol
         values = None
         for _ in range(_MAX_SWEEPS):
             for j, lu in enumerate(lus):
                 X[:, j] = gttrs(*lu, X[:, j], overwrite_b=1)[0]
             theta, X, JX = _rayleigh_ritz(T, X)
-            R = JX - X * (theta if values is None else values)
-            certified = np.max(np.einsum("ij,ij->j", R, R)) <= bound**2
+            diagonal = theta if values is None else values
+            R = JX - X * diagonal
+            squares = np.einsum("ij,ij->j", R, R)
+            if settle is not None:
+                gap = min(diagonal[0] - floor, ceiling - diagonal[-1])
+                residual = np.sqrt(squares.sum()) + 2.0 * bound
+                if _max_localization(X, residual, inner, gap) < level:
+                    dropped[group] = True
+                    break
+            certified = np.max(squares) <= bound**2
             if certified and values is None:
                 values = theta
                 if vectors:
@@ -288,8 +333,12 @@ def _window_pairs(T, lo, hi, vectors=True):
                 f"{coarse[group[0]]:.17g} above the residual bound "
                 f"{bound:.3g} after {_MAX_SWEEPS} solves",
             )
-        w[group], V[:, group] = values, X
-    return w[keep], V[:, keep]
+        if not dropped[group[0]]:
+            w[group], V[:, group] = values, X
+    if settle is None:
+        return w[keep], V[:, keep]
+    held = np.arange(keep.start, keep.stop)[~dropped[keep]]
+    return w[held], V[:, held]
 
 
 def eig_window(T, lo, hi):
@@ -298,6 +347,18 @@ def eig_window(T, lo, hi):
     The solver is _window_pairs.
     """
     return _window_pairs(T, lo, hi)
+
+
+def localized_pairs(T, lo, hi, inner, level, count=None):
+    """eig_window's pairs of T in [lo, hi] whose group of close eigenvalues
+    may hold an eigenvector with a mass of at least level in the boolean row
+    mask inner, bit-identical to eig_window's; count is the Sturm count of
+    [lo, hi] when the caller has it.
+
+    The solver is _window_pairs with settle = (inner, level): a group that
+    cannot hold such a vector is dropped as soon as a sweep shows it.
+    """
+    return _window_pairs(T, lo, hi, count=count, settle=(inner, level))
 
 
 def eigvals_window(T, lo, hi):

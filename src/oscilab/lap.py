@@ -19,6 +19,7 @@ compressions and is not used here).
 """
 
 from dataclasses import dataclass
+import functools
 import itertools
 
 import numpy as np
@@ -103,15 +104,17 @@ def _tridiag_solver(d, e, z):
     """LU factorization of the complex tridiagonal H - z, returning a solver.
 
     H is Hermitian with real diagonal d and upper off-diagonal e, real or
-    complex (the lower one is conj(e)). solver(B, trans) solves
-    (H - z) X = B for trans='N' and the conjugate transpose system for
-    trans='C', overwriting B when it is a complex vector.
+    complex (the lower one is conj(e)); a caller that factors one H at many
+    z passes e complex, so it is not cast again at each. solver(B, trans)
+    solves (H - z) X = B for trans='N' and the conjugate transpose system
+    for trans='C', overwriting B when it is a complex vector.
     """
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(2, dtype=complex),))
     du = np.asarray(e, dtype=complex)
     dl = np.conj(du)
-    dd = np.asarray(d, dtype=complex) - z
-    # dl and dd are this call's own arrays; du may be the caller's e
+    dd = d - z
+    # dl and dd are this call's own arrays; du may be the caller's e, which
+    # gttrf copies before it factors
     dl, dd, du, du2, ipiv, info = gttrf(dl, dd, du, overwrite_dl=1, overwrite_d=1)
     if info != 0:
         raise ComputeFailure(
@@ -300,39 +303,79 @@ def schrodinger_line_factory(h):
     return factory
 
 
-@_pool.one_blas_thread()
-def lap_scan(factory, V, spec):
-    """Weighted resolvent scan over (Re z, Im z, box) with exponent fit.
+@dataclass(frozen=True, eq=False)
+class _ScanSetup:
+    """What every chain and the assembly of one lap_scan read.
 
-    factory(V, L) must return the Hamiltonian OperatorMatrix on box L. The
-    interval is assumed pre-screened for genuine embedded eigenvalues. At
-    s = 0 on the free Laplacian (d = 2/h^2 and e = -1/h^2 exactly) the norms
-    are read off its closed-form spectrum.
-    Norms walk down the Im z ladder, each rung warm-started from the top
-    right Ritz vector of the rung before; the ladder floors at 10x the mean
-    level spacing of H inside the interval (reported in the result,
-    together with the spacing itself). Each (box, Re z)
-    chain walks its own ladder, so the chains run in forked workers when
-    they are large enough (_pool.pool_map); the rows are the same either way.
+    hams maps each box L to its H and counts to its Sturm count in the
+    interval; free holds the boxes of the unweighted free control, whose
+    norms are read off the closed-form spectrum. tasks are the (box, Re z)
+    chains, largest box first; rows is the size of the largest box a chain
+    factors (0 when every chain is closed-form). boxes holds each box's
+    chain operands once _box has built them in this process.
     """
+
+    spec: LapScanSpec
+    hams: dict
+    counts: dict
+    free: frozenset
+    spacing: float
+    floor: float
+    ladder: list
+    re_grid: np.ndarray
+    tasks: list
+    rows: int
+    boxes: dict
+
+
+def _scan_setup(factory, V, spec):
+    """The boxes, counts, floor and ladder of a scan."""
     lo, hi = spec.interval
-    re_grid = np.linspace(lo, hi, spec.re_points)
-    # per box: the diagonal and upper off-diagonal the resolvent is taken
-    # of, the weight, for the unweighted free control the closed-form
-    # spectrum, and the first rung's start vector
-    operands = {}
+    hams, counts = {}, {}
     spacing = 0.0
     for L in spec.box_list:
-        H = factory(V, L)
+        H = hams[L] = factory(V, L)
         count = count_window(H, lo, hi)
         if count == 0:
             raise InvariantViolation(
                 "interval-spectrum", f"no spectrum of H in the interval at L={L:g}"
             )
+        counts[L] = count
         spacing = max(spacing, (hi - lo) / count)
+    # at s = 0 on the free Laplacian (d = 2/h^2 and e = -1/h^2 exactly)
+    free = frozenset(
+        L for L, H in hams.items()
+        if spec.s == 0.0
+        and np.all(H.d == 2.0 / H.grid.h**2)
+        and np.all(H.e == -1.0 / H.grid.h**2)
+    )
+    floor = 10.0 * spacing
+    ladder = [v for v in spec.im_ladder or () if v > floor * (1.0 + 1e-12)] + [floor]
+    if len(ladder) < 4:
+        ladder = _standard_ladder(floor)
+    # largest box first, so the longest chains start first in a pool
+    re_grid = np.linspace(lo, hi, spec.re_points)
+    tasks = [(L, re_z) for L in reversed(spec.box_list) for re_z in re_grid]
+    # the closed-form chains are not worth a fork
+    rows = max((H.shape[0] for L, H in hams.items() if L not in free), default=0)
+    return _ScanSetup(
+        spec, hams, counts, free, spacing, floor, ladder, re_grid, tasks, rows, {}
+    )
+
+
+def _box(setup, L):
+    """(d, e, W, ev, X0) of box L's chains, built and checked at the first
+    call in this process: the diagonal and the upper off-diagonal, complex,
+    the resolvent is taken of, the weight, the closed-form spectrum of the
+    free control (None otherwise), and the first rung's start vector, from
+    which every chain of the box starts."""
+    operands = setup.boxes.get(L)
+    if operands is None:
+        H, spec = setup.hams[L], setup.spec
         grid = H.grid
+        X0 = _start_vector(grid.n)
         if spec.weight_kind == "position":
-            W, e, X0 = build_weight(grid, spec.s), H.e, _start_vector(grid.n)
+            W, e = build_weight(grid, spec.s), H.e
         else:
             # W = <A>^(-s) = D^H F D with D = diag(phase) and F real, so
             # ||W R W|| = ||F (D R D^H) F||, R = (H - z)^(-1); D R D^H is the
@@ -342,75 +385,69 @@ def lap_scan(factory, V, spec):
             # counts
             W = _weight_factor(build_conjugate_A(grid), spec.s)
             e = -1j * H.e
-            X0 = phase(grid.n) * _start_vector(grid.n)
+            X0 = phase(grid.n) * X0
         _check_weight(W, grid.n)
-        h2 = grid.h**2
-        free_fast = (
-            spec.s == 0.0 and np.all(H.d == 2.0 / h2) and np.all(H.e == -1.0 / h2)
-        )
-        ev = _free_dirichlet_eigs(grid) if free_fast else None
-        operands[L] = (H.d, e, W, ev, X0)
-    floor = 10.0 * spacing
-    ladder = [v for v in spec.im_ladder or () if v > floor * (1.0 + 1e-12)] + [floor]
-    if len(ladder) < 4:
-        ladder = _standard_ladder(floor)
+        ev = _free_dirichlet_eigs(grid) if L in setup.free else None
+        # e complex once per box: every rung's factorization reads it as is
+        operands = (H.d, np.asarray(e, dtype=complex), W, ev, X0)
+        setup.boxes[L] = operands
+    return operands
 
-    def chain(task):
-        """Norms down the Im z ladder at one (box, Re z), warm-started."""
-        L, re_z = task
-        d, e, W, ev, X = operands[L]
-        norms, steps, residuals = [], [], []
-        for eta in ladder:
-            z = complex(re_z, eta)
-            if ev is not None:
-                # W = I: the norm is exactly 1/dist(z, spec(H))
-                j = np.searchsorted(ev, re_z)
-                near = ev[max(j - 1, 0) : j + 1]
-                dre = float(np.min(np.abs(near - re_z)))
-                val = 1.0 / float(np.hypot(dre, eta))
-            else:
-                val, n_steps, converged, X, residual = _banded_norm(
-                    d, e, W, z, X=X
-                )
-                _blocknorm._require_converged(n_steps, converged, f"at z={z}")
-                steps.append(n_steps)
-                residuals.append(residual)
-            norms.append(val)
-        return norms, steps, residuals
 
-    # largest box first, so the longest chains start first in a pool; the
-    # closed-form chains are not worth a fork
-    tasks = [(L, re_z) for L in reversed(spec.box_list) for re_z in re_grid]
-    rows_max = max(
-        (len(d) for d, _, _, ev, _ in operands.values() if ev is None), default=0
-    )
-    walked = dict(zip(tasks, _pool.pool_map(chain, tasks, rows_max)))
+def _chain(setup, task):
+    """Norms down the Im z ladder at one (box, Re z), warm-started: (norms,
+    steps, residuals, p), p the chain's divergence exponent (_fit_exponent).
+    The fit runs with the walk, so a caller whose chains run in workers
+    makes no least-squares call of its own."""
+    L, re_z = task
+    d, e, W, ev, X = _box(setup, L)
+    norms, steps, residuals = [], [], []
+    for eta in setup.ladder:
+        z = complex(re_z, eta)
+        if ev is not None:
+            # W = I: the norm is exactly 1/dist(z, spec(H))
+            j = np.searchsorted(ev, re_z)
+            near = ev[max(j - 1, 0) : j + 1]
+            dre = float(np.min(np.abs(near - re_z)))
+            val = 1.0 / float(np.hypot(dre, eta))
+        else:
+            val, n_steps, converged, X, residual = _banded_norm(d, e, W, z, X=X)
+            _blocknorm._require_converged(n_steps, converged, f"at z={z}")
+            steps.append(n_steps)
+            residuals.append(residual)
+        norms.append(val)
+    return norms, steps, residuals, _fit_exponent(setup.ladder, norms, setup.floor)
 
+
+def _scan_result(setup, walked, workers):
+    """The LapScanResult of a scan from its chains: walked maps each task of
+    setup to its _chain; workers is the processes they ran in."""
+    box_list = setup.spec.box_list
     rows = []
     box_reports = []
     p_values = []
     sup_by_box = {}
     steps = []
     residuals = []
-    for L in spec.box_list:
+    for L in box_list:
         box_p = []
         box_sup = 0.0
-        for re_z in re_grid:
-            norms, chain_steps, chain_residuals = walked[L, re_z]
+        for re_z in setup.re_grid:
+            norms, chain_steps, chain_residuals, p = walked[L, re_z]
             steps.extend(chain_steps)
             residuals.extend(chain_residuals)
             rows.extend(
                 (float(re_z), float(eta), float(L), float(val))
-                for eta, val in zip(ladder, norms)
+                for eta, val in zip(setup.ladder, norms)
             )
-            box_p.append(_fit_exponent(ladder, norms, floor))
+            box_p.append(p)
             box_sup = max(box_sup, max(norms))
         p_box = max(box_p)
         p_values.extend(box_p)
         sup_by_box[L] = box_sup
         box_reports.append((float(L), float(p_box), float(box_sup)))
 
-    L1, L2 = spec.box_list[-2], spec.box_list[-1]
+    L1, L2 = box_list[-2], box_list[-1]
     stability = abs(sup_by_box[L2] - sup_by_box[L1]) / sup_by_box[L2]
     p_max, p_min = max(p_values), min(p_values)
     verdict = _verdict(p_max, stability)
@@ -426,13 +463,40 @@ def lap_scan(factory, V, spec):
         divergence_exponent=float(p_max),
         box_stability=float(stability),
         verdict=verdict,
-        im_floor=float(floor),
-        level_spacing=float(spacing),
+        im_floor=float(setup.floor),
+        level_spacing=float(setup.spacing),
         box_reports=box_reports,
         norm_iterations={"total": sum(steps), "max": max(steps, default=0)},
         norm_residual_max=float(max(residuals, default=0.0)),
-        workers=_pool.workers(len(tasks), rows_max),
+        workers=workers,
     )
+
+
+@_pool.one_blas_thread()
+def lap_scan(factory, V, spec):
+    """Weighted resolvent scan over (Re z, Im z, box) with exponent fit.
+
+    factory(V, L) must return the Hamiltonian OperatorMatrix on box L. The
+    interval is assumed pre-screened for genuine embedded eigenvalues. At
+    s = 0 on the free Laplacian (d = 2/h^2 and e = -1/h^2 exactly) the norms
+    are read off its closed-form spectrum.
+    Norms walk down the Im z ladder, each rung warm-started from the top
+    right Ritz vector of the rung before; the ladder floors at 10x the mean
+    level spacing of H inside the interval (reported in the result,
+    together with the spacing itself). The scan runs in three steps: the
+    setup (_scan_setup, then each box's operands, _box), one ladder walk
+    and exponent fit per (box, Re z) chain (_chain) and the assembly of
+    rows, per-box exponents and verdict (_scan_result). Each chain walks
+    its own ladder, so the chains run in forked workers when they are large
+    enough (_pool.pool_map); the rows are the same either way.
+    """
+    setup = _scan_setup(factory, V, spec)
+    # every box's operands built and checked once, before the workers fork
+    for L in spec.box_list:
+        _box(setup, L)
+    walked = _pool.pool_map(functools.partial(_chain, setup), setup.tasks, setup.rows)
+    workers = _pool.workers(len(setup.tasks), setup.rows)
+    return _scan_result(setup, dict(zip(setup.tasks, walked)), workers)
 
 
 def scan_to_csv(result, path):
@@ -667,12 +731,27 @@ class PhaseDiagramCell:
 
 
 class PhaseSweep(list):
-    """The cells of a sweep in order; workers is the processes the
-    (cell, window) tasks ran in, 1 for an in-process sweep."""
+    """The cells of a sweep in order; workers is the processes the sweep's
+    screens and chains ran in, 1 for an in-process sweep."""
 
     workers = 1
 
 
+def _attempt(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return exc
+
+
+def _window_setup(hams, V, win, s, boxes):
+    """The scan setup of one window of a cell whose H per box is hams."""
+    spec = LapScanSpec(interval=win, s=s, box_list=boxes)
+    return _scan_setup(lambda _, L: hams[L], V, spec)
+
+
+@_pool.one_blas_thread()
 def phase_sweep(
     alphas,
     betas,
@@ -691,13 +770,17 @@ def phase_sweep(
     ``windows`` maps names ("below", "above") to energy intervals on either
     side of the interference threshold k^2/4. Each live cell builds H once
     per box; each window is screened on its own for genuine embedded
-    eigenvalues (genuine_embedded: the smaller box's spectrum is read only
-    for a localized candidate), and a window without one is LAP-scanned.
-    The (cell, window) tasks run in forked workers when they are large
-    enough (_pool.pool_map), and a lap_scan inside a worker runs its chains
-    in-process. Cells beyond the budget are emitted as skipped. A window
-    straddling k^2/4 is reported inconclusive by policy. Returns a
-    PhaseSweep, a list of the cells.
+    eigenvalues (genuine_embedded, with the largest box's count from the
+    scan's setup), and a window without one is LAP-scanned. The parent runs
+    every window's scan setup (_scan_setup; the chains build their boxes'
+    operands themselves, _box), then hands _pool.pool_map one task list:
+    every window's screen, then every window's (box, Re z) chains, longest
+    first, so the workers share both. The chains run speculatively: a
+    window whose screen finds a genuine eigenvalue drops its chains and any
+    failure among them; in a scanned window a failure surfaces as it would
+    in lap_scan, the first window's first. Cells beyond the budget are
+    emitted as skipped. A window straddling k^2/4 is reported inconclusive
+    by policy. Returns a PhaseSweep, a list of the cells.
     """
     if not windows:
         raise InvariantViolation("windows-empty", "need at least one named window")
@@ -706,39 +789,67 @@ def phase_sweep(
     boxes = tuple(float(L) for L in box_list)
     pairs = list(itertools.product(alphas, betas))
     live = max(budget, 0)
-    # one task per (live cell, window); each cell's H is built once per box
-    tasks = []
+    # one job per (live cell, window), each cell's H built once per box: the
+    # window's scan setup, or the exception it raised, which surfaces only
+    # if the window is scanned
+    jobs = []
     for alpha, beta in pairs[:live]:
         V = OscillatingSpec(w=w, k=k, alpha=alpha, beta=beta)
         hams = {L: factory(V, L) for L in boxes}
-        tasks.extend((alpha, beta, V, hams, nm) for nm in windows)
+        for nm in windows:
+            win = tuple(map(float, windows[nm]))
+            setup = _attempt(_window_setup, hams, V, win, s, boxes)
+            jobs.append((alpha, beta, nm, win, hams, setup))
+    # every screen solves a box of the same size, so they go in job order;
+    # then the chains, the most rows times rungs first
+    chains = []
+    for j, (*_, setup) in enumerate(jobs):
+        if not isinstance(setup, Exception):
+            for L, re_z in setup.tasks:
+                work = setup.hams[L].shape[0] * len(setup.ladder)
+                chains.append((-work, j, (L, re_z)))
+    chains.sort(key=lambda c: c[0])
+    tasks = [(j, None) for j in range(len(jobs))] + [c[1:] for c in chains]
 
-    def window_cell(task):
-        alpha, beta, V, hams, nm = task
-        win = tuple(map(float, windows[nm]))
-        genuine = genuine_embedded(hams.__getitem__, win, boxes)
+    def run(task):
+        j, chain = task
+        *_, win, hams, setup = jobs[j]
+        if chain is not None:
+            return _attempt(_chain, setup, chain)
+        count = None if isinstance(setup, Exception) else setup.counts[max(boxes)]
+        return _attempt(genuine_embedded, hams.__getitem__, win, boxes, count=count)
+
+    rows = max((H.shape[0] for *_, hams, _ in jobs for H in hams.values()), default=0)
+    done = dict(zip(tasks, _pool.pool_map(run, tasks, rows)))
+    cells = PhaseSweep()
+    cells.workers = _pool.workers(len(tasks), rows)
+    for j, (alpha, beta, nm, win, _, setup) in enumerate(jobs):
+        genuine = done[j, None]
+        if isinstance(genuine, Exception):
+            raise genuine
         if genuine:
-            return PhaseDiagramCell(
+            cells.append(PhaseDiagramCell(
                 float(alpha), float(beta), nm, win,
                 "inconclusive", float("nan"), len(genuine),
                 "genuine embedded eigenvalue inside the window",
-            )
-        scan = lap_scan(
-            lambda _, L: hams[L], V, LapScanSpec(interval=win, s=s, box_list=boxes)
-        )
+            ))
+            continue
+        if isinstance(setup, Exception):
+            raise setup
+        walked = {task: done[j, task] for task in setup.tasks}
+        for chain in walked.values():
+            if isinstance(chain, Exception):
+                raise chain
+        scan = _scan_result(setup, walked, cells.workers)
         verdict = scan.verdict
         note = ""
         if win[0] < threshold < win[1]:
             verdict = "inconclusive"
             note = "window straddles k^2/4; inconclusive by policy"
-        return PhaseDiagramCell(
+        cells.append(PhaseDiagramCell(
             float(alpha), float(beta), nm, win, verdict,
             scan.divergence_exponent, 0, note,
-        )
-
-    rows = max((H.shape[0] for t in tasks for H in t[3].values()), default=0)
-    cells = PhaseSweep(_pool.pool_map(window_cell, tasks, rows))
-    cells.workers = _pool.workers(len(tasks), rows)
+        ))
     for alpha, beta in pairs[live:]:
         for nm in windows:
             cells.append(

@@ -20,7 +20,12 @@ from . import _blocknorm, _pool
 from ._csv import write_csv
 from ._lapack import eigh
 from ._smooth import smoothstep_quintic
-from .discretize import build_radial_channel, eig_window, eigvals_window
+from .discretize import (
+    build_radial_channel,
+    eig_window,
+    eigvals_window,
+    localized_pairs,
+)
 from .errors import InvariantViolation
 from .potentials import CutoffSpec, eval_cutoff
 
@@ -42,6 +47,10 @@ __all__ = [
 # "embedded eigenvalue": localized and stable under box doubling)
 LOCALIZATION_THRESHOLD = 0.99
 DRIFT_TOL = 5e-3
+# genuine_embedded drops a group of eigenvalues once its localization bound
+# is below LOCALIZATION_THRESHOLD by this margin, far above the rounding of
+# a localization
+_SETTLE_MARGIN = 1e-9
 
 # angular channel coefficients l - 1 + d/2 for d = 3 over a wide ladder of l;
 # high-l channels carry the far-region mass that distinguishes a genuine
@@ -82,17 +91,26 @@ def _screen_args(window, box_list):
     return lo, hi, boxes
 
 
+def _inner(grid, big):
+    """The rows of the inner half-box of a box of half-length big."""
+    return _radius(grid) <= big / 2.0
+
+
+def _localizations(v, inner):
+    """Each column's mass inside the inner rows, over its whole mass."""
+    localizations = []
+    for i in range(v.shape[1]):
+        mass = np.abs(v[:, i]) ** 2
+        localizations.append(float(mass[inner].sum() / mass.sum()))
+    return localizations
+
+
 def _largest_box(build, lo, hi, big):
     """The eigenvalues of build(big) in [lo, hi] and the localization of
     each: its eigenvector's mass inside the inner half-box."""
     T = build(big)
     energies, v = eig_window(T, lo, hi)
-    inner = _radius(T.grid) <= big / 2.0
-    localizations = []
-    for i in range(len(energies)):
-        mass = np.abs(v[:, i]) ** 2
-        localizations.append(float(mass[inner].sum() / mass.sum()))
-    return energies, localizations
+    return energies, _localizations(v, _inner(T.grid, big))
 
 
 def _candidates(build, lo, hi, boxes, drift_tol, energies, localizations):
@@ -146,15 +164,26 @@ def find_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
     return _candidates(build, lo, hi, boxes, drift_tol, energies, localizations)
 
 
-def genuine_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
+def genuine_embedded(build, window, box_list, drift_tol=DRIFT_TOL, count=None):
     """The genuine candidates of find_embedded(build, window, box_list).
 
-    Only a localized candidate can be genuine, so the smaller boxes'
-    spectra are read only when some eigenvalue of the largest box reaches
-    LOCALIZATION_THRESHOLD; otherwise no smaller box is built or solved.
+    Only a localized candidate can be genuine, so the largest box's
+    eigenpairs come from localized_pairs: a group of close eigenvalues is
+    dropped after the first sweep whose Davis-Kahan bound shows that none of
+    its eigenvectors reaches LOCALIZATION_THRESHOLD, less _SETTLE_MARGIN,
+    and the others are eig_window's pairs, bit for bit. The smaller boxes'
+    spectra are read only when some eigenvalue left reaches the threshold;
+    otherwise no smaller box is built or solved. count is the number of
+    eigenvalues of the largest box in the window, when the caller has it.
     """
     lo, hi, boxes = _screen_args(window, box_list)
-    energies, localizations = _largest_box(build, lo, hi, boxes[-1])
+    big = boxes[-1]
+    T = build(big)
+    inner = _inner(T.grid, big)
+    energies, v = localized_pairs(
+        T, lo, hi, inner, LOCALIZATION_THRESHOLD - _SETTLE_MARGIN, count=count
+    )
+    localizations = _localizations(v, inner)
     if not any(loc >= LOCALIZATION_THRESHOLD for loc in localizations):
         return []
     found = _candidates(build, lo, hi, boxes, drift_tol, energies, localizations)

@@ -207,6 +207,28 @@ def test_norm_convergence_failure_in_a_worker_exits_1(
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_chain_failure_of_a_scanned_phase_window_exits_1(
+    tmp_path, capsys, monkeypatch, two_cpus
+):
+    def unconverged(d, e, wdiag, z, **kwargs):
+        return 1.0, 600, False, None, 1.0
+
+    # the forked workers inherit the patch and raise in the pooled chains of
+    # a window whose screen finds no genuine eigenvalue
+    monkeypatch.setattr(oscilab.lap, "_banded_norm", unconverged)
+    doc = {
+        "command": "phase-diagram",
+        "params": {"alphas": [1.5], "betas": [0.75], "h": 0.05,
+                   "boxes": [60.0, 120.0], "windows": {"below": [0.2, 0.6]}},
+        "output_dir": str(tmp_path / "out"),
+    }
+    code = run(write_config(tmp_path, doc))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"]["invariant"] == "norm-convergence"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_unknown_param_key_exits_2(tmp_path, capsys):
     doc = {
         "command": "lap-scan",

@@ -28,7 +28,7 @@ import oscilab._pool
 import oscilab.discretize
 import oscilab.lap
 import oscilab.spectral
-from oscilab.errors import InvariantViolation
+from oscilab.errors import ComputeFailure, InvariantViolation
 from oscilab.lap import (
     LapScanSpec,
     _banded_norm,
@@ -583,7 +583,8 @@ def test_pooled_phase_sweep_builds_in_the_parent_and_screens_in_workers(
 ):
     log = tmp_path / "calls.jsonl"
     build = oscilab.lap.build_schrodinger
-    eig_window_ = oscilab.spectral.eig_window
+    localized_pairs = oscilab.spectral.localized_pairs
+    chain = oscilab.lap._chain
 
     def record(*entry):
         with open(log, "a") as fh:
@@ -593,12 +594,17 @@ def test_pooled_phase_sweep_builds_in_the_parent_and_screens_in_workers(
         record("build", grid.L)
         return build(grid, V)
 
-    def counted_eig_window(T, lo, hi):
-        record("eig_window", T.grid.L, lo, hi)
-        return eig_window_(T, lo, hi)
+    def counted_screen(T, lo, hi, inner, level, count=None):
+        record("screen", T.grid.L, lo, hi)
+        return localized_pairs(T, lo, hi, inner, level, count=count)
+
+    def counted_chain(setup, task):
+        record("chain", task[0])
+        return chain(setup, task)
 
     monkeypatch.setattr(oscilab.lap, "build_schrodinger", counted_build)
-    monkeypatch.setattr(oscilab.spectral, "eig_window", counted_eig_window)
+    monkeypatch.setattr(oscilab.spectral, "localized_pairs", counted_screen)
+    monkeypatch.setattr(oscilab.lap, "_chain", counted_chain)
     windows = {"below": (0.2, 0.6), "above": (1.2, 1.7)}
     args = ((1.0,), (0.75,), 2.0, 3.0, windows)
     kwargs = dict(h=0.05, box_list=(60.0, 120.0))
@@ -607,13 +613,17 @@ def test_pooled_phase_sweep_builds_in_the_parent_and_screens_in_workers(
     assert cells.workers == 2
     calls = [json.loads(line) for line in log.read_text().splitlines()]
     builds = [c for c in calls if c[1] == "build"]
-    screens = [c for c in calls if c[1] == "eig_window"]
+    screens = [c for c in calls if c[1] == "screen"]
+    chains = [c for c in calls if c[1] == "chain"]
     # H once per box, in the parent
     assert [c[2] for c in builds] == [60.0, 120.0]
     assert {c[0] for c in builds} == {os.getpid()}
-    # eigenvectors once per window, on the largest box, in the workers
+    # one screen per window, on the largest box, in the workers
     assert sorted(c[2:] for c in screens) == [[120.0, 0.2, 0.6], [120.0, 1.2, 1.7]]
     assert os.getpid() not in {c[0] for c in screens}
+    # every window's chains, 2 boxes x 5 Re z, from the same task list
+    assert sorted(c[2] for c in chains) == [60.0] * 10 + [120.0] * 10
+    assert os.getpid() not in {c[0] for c in chains}
     # the same cells as an in-process sweep
     monkeypatch.setattr(oscilab._pool, "MIN_ROWS", 10**9)
     with oscilab._pool.one_blas_thread():
@@ -891,9 +901,9 @@ def test_phase_sweep_lite_cell_structure(tmp_path):
 
 
 def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
-    builds, vector_windows, kernel, counts, bisections = [], [], [], [], []
+    builds, screens, kernel, counts, bisections = [], [], [], [], []
     build = oscilab.lap.build_schrodinger
-    eig_window_ = oscilab.spectral.eig_window
+    localized_pairs = oscilab.spectral.localized_pairs
     window_pairs = oscilab.discretize._window_pairs
     count_window = oscilab.discretize.count_window
     eigh_tridiagonal_ = oscilab.discretize.eigh_tridiagonal
@@ -902,13 +912,13 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
         builds.append(grid.L)
         return build(grid, V)
 
-    def counted_eig_window(T, lo, hi):
-        vector_windows.append((T.grid.L, lo, hi))
-        return eig_window_(T, lo, hi)
+    def counted_screen(T, lo, hi, inner, level, count=None):
+        screens.append((T.grid.L, lo, hi))
+        return localized_pairs(T, lo, hi, inner, level, count=count)
 
-    def counted_kernel(T, lo, hi, vectors=True):
-        kernel.append((T.shape[0], lo, hi, vectors))
-        return window_pairs(T, lo, hi, vectors)
+    def counted_kernel(T, lo, hi, vectors=True, count=None, settle=None):
+        kernel.append((T.shape[0], lo, hi, vectors, count, settle is not None))
+        return window_pairs(T, lo, hi, vectors, count, settle)
 
     def counted(caller):
         def count(T, lo, hi):
@@ -921,13 +931,19 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
         bisections.append(kwargs)
         return eigh_tridiagonal_(d, e, **kwargs)
 
+    windows = {"below": (0.2, 0.6), "above": (1.2, 1.7)}
+    V = OscillatingSpec(w=3.0, k=2.0, alpha=1.0, beta=0.75)
+    n_small, n_big = (line_grid(L, 0.25).n for L in (60.0, 120.0))
+    big_counts = {
+        win: count_window(build(line_grid(120.0, 0.25), V), *win)
+        for win in windows.values()
+    }
     monkeypatch.setattr(oscilab.lap, "build_schrodinger", counted_build)
-    monkeypatch.setattr(oscilab.spectral, "eig_window", counted_eig_window)
+    monkeypatch.setattr(oscilab.spectral, "localized_pairs", counted_screen)
     monkeypatch.setattr(oscilab.discretize, "_window_pairs", counted_kernel)
     monkeypatch.setattr(oscilab.lap, "count_window", counted("scan"))
     monkeypatch.setattr(oscilab.discretize, "count_window", counted("kernel"))
     monkeypatch.setattr(oscilab.discretize, "eigh_tridiagonal", counted_tridiagonal)
-    windows = {"below": (0.2, 0.6), "above": (1.2, 1.7)}
     cells = phase_sweep(
         (1.0,), (0.75,), k=2.0, w=3.0, windows=windows, h=0.25,
         box_list=(60.0, 120.0),
@@ -937,20 +953,21 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
     assert all(np.isfinite(c.divergence_exponent) for c in cells)
     # the factory once per box
     assert builds == [60.0, 120.0]
-    # eigenvectors once per window, on the largest box only
-    assert vector_windows == [(120.0, 0.2, 0.6), (120.0, 1.2, 1.7)]
-    # the windowed kernel: per window, the largest box's eigenpairs alone.
-    # No candidate of the largest box is localized (checked at the end), so
-    # none can be genuine and the smaller box's drift partners are not read
-    n_small, n_big = (line_grid(L, 0.25).n for L in (60.0, 120.0))
-    assert kernel == [(n_big, lo, hi, True) for lo, hi in windows.values()]
-    # one Sturm count per window and box in the scan, and one per kernel
-    # call, which sets the kernel's bisection tolerance
-    assert sorted(c[1:] for c in counts if c[0] == "scan") == sorted(
+    # one screen per window, on the largest box only
+    assert screens == [(120.0, 0.2, 0.6), (120.0, 1.2, 1.7)]
+    # one Sturm count per window and box, all in the scan's setup: the
+    # screen's kernel takes the largest box's count from there and counts
+    # nothing itself
+    assert sorted(c[1:] for c in counts) == sorted(
         (n, win) for win in windows.values() for n in (n_small, n_big)
     )
-    assert [c[1:] for c in counts if c[0] == "kernel"] == [
-        (n, (lo, hi)) for n, lo, hi, _ in kernel
+    assert all(c[0] == "scan" for c in counts)
+    # the windowed kernel: per window, the largest box's settled screen alone.
+    # No candidate of the largest box is localized (checked at the end), so
+    # none can be genuine and the smaller box's drift partners are not read
+    assert kernel == [
+        (n_big, lo, hi, True, big_counts[lo, hi], True)
+        for lo, hi in windows.values()
     ]
     # no LAPACK eigenvectors and no full-precision bisection: a count stops
     # at the window's width, and each kernel call bisects its window and the
@@ -960,15 +977,13 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
     coarse = [(r, tol) for r, tol in ranges if tol != r[1] - r[0]]
     assert len(ranges) - len(coarse) == len(counts)
     assert len(coarse) == 3 * len(kernel)
-    for i, (_, lo, hi, _) in enumerate(kernel):
+    for i, (_, lo, hi, *_) in enumerate(kernel):
         below, inside, above = coarse[3 * i : 3 * i + 3]
         assert inside[0] == (lo, hi)
         assert below[0][1] == lo and above[0][0] == hi
         assert below[1] == inside[1] == above[1] <= 1e-4 * (hi - lo)
     monkeypatch.undo()
-    big = build_schrodinger(
-        line_grid(120.0, 0.25), OscillatingSpec(w=3.0, k=2.0, alpha=1.0, beta=0.75)
-    )
+    big = build_schrodinger(line_grid(120.0, 0.25), V)
     for lo, hi in windows.values():
         _, localizations = oscilab.spectral._largest_box(lambda L: big, lo, hi, 120.0)
         assert 0 < len(localizations)
@@ -980,21 +995,21 @@ def test_a_localized_candidate_still_reads_the_partner_spectrum(monkeypatch):
     # helper phase_sweep uses
     partners, pairs = [], []
     eigvals_window_ = oscilab.spectral.eigvals_window
-    eig_window_ = oscilab.spectral.eig_window
+    localized_pairs = oscilab.spectral.localized_pairs
 
     def counted_values(T, lo, hi):
         partners.append((T.shape[0], lo, hi))
         return eigvals_window_(T, lo, hi)
 
-    def counted_pairs(T, lo, hi):
+    def counted_pairs(T, lo, hi, inner, level, count=None):
         pairs.append((T.shape[0], lo, hi))
-        return eig_window_(T, lo, hi)
+        return localized_pairs(T, lo, hi, inner, level, count=count)
 
     factory = schrodinger_line_factory(0.05)
     hams = {L: factory(WignerVonNeumann1D(), L) for L in (200.0, 400.0)}
     found = oscilab.spectral.find_embedded(hams.__getitem__, (0.9, 1.1), (200.0, 400.0))
     monkeypatch.setattr(oscilab.spectral, "eigvals_window", counted_values)
-    monkeypatch.setattr(oscilab.spectral, "eig_window", counted_pairs)
+    monkeypatch.setattr(oscilab.spectral, "localized_pairs", counted_pairs)
     genuine = oscilab.spectral.genuine_embedded(
         hams.__getitem__, (0.9, 1.1), (200.0, 400.0)
     )
@@ -1005,6 +1020,53 @@ def test_a_localized_candidate_still_reads_the_partner_spectrum(monkeypatch):
     reach = 10.0 * oscilab.spectral.DRIFT_TOL
     assert pairs == [(hams[400.0].shape[0], 0.9, 1.1)]
     assert partners == [(hams[200.0].shape[0], 0.9 - reach, 1.1 + reach)]
+
+
+def test_speculative_chains_of_a_genuine_window_are_dropped(
+    two_cpus, monkeypatch, tmp_path
+):
+    # the "below" window's screen reads a genuine eigenvalue and its chains
+    # fail; the forked workers inherit both patches
+    log = tmp_path / "failed.txt"
+    screen = oscilab.lap.genuine_embedded
+    banded_norm = oscilab.lap._banded_norm
+    found = oscilab.spectral.EmbeddedCandidate(0.4, 1.0, 0.0, "genuine")
+
+    def genuine_below(build, window, box_list, **kwargs):
+        if window == (0.2, 0.6):
+            return [found]
+        return screen(build, window, box_list, **kwargs)
+
+    def failing_below(d, e, w, z, **kwargs):
+        if z.real <= 0.6:
+            with open(log, "a") as fh:
+                fh.write(f"{z.real}\n")
+            raise ComputeFailure("norm-convergence", f"no norm at z={z}")
+        return banded_norm(d, e, w, z, **kwargs)
+
+    monkeypatch.setattr(oscilab.lap, "genuine_embedded", genuine_below)
+    monkeypatch.setattr(oscilab.lap, "_banded_norm", failing_below)
+    windows = {"below": (0.2, 0.6), "above": (1.2, 1.7)}
+    cells = phase_sweep(
+        (1.5,), (0.75,), k=2.0, w=3.0, windows=windows, h=0.05,
+        box_list=(60.0, 120.0),
+    )
+    assert cells.workers == 2
+    below, above = cells
+    assert (below.verdict, below.embedded_count) == ("inconclusive", 1)
+    assert below.note == "genuine embedded eigenvalue inside the window"
+    assert above.embedded_count == 0 and np.isfinite(above.divergence_exponent)
+    # the window's chains ran beside its screen, each failing on its first
+    # rung, and their failures were dropped
+    assert len(log.read_text().split()) == 10
+    # a failure in a scanned window still surfaces
+    monkeypatch.setattr(oscilab.lap, "genuine_embedded", screen)
+    with pytest.raises(ComputeFailure) as err:
+        phase_sweep(
+            (1.5,), (0.75,), k=2.0, w=3.0, windows=windows, h=0.05,
+            box_list=(60.0, 120.0),
+        )
+    assert err.value.invariant == "norm-convergence"
 
 
 def test_phase_sweep_budget_marks_cells_skipped(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oscilab._blocknorm
+import oscilab.discretize
 import oscilab.lap
 import oscilab.spectral
 from oscilab._smooth import smoothstep_quintic
@@ -17,10 +18,11 @@ from oscilab.discretize import (
     eigvals_window,
     halfline_grid,
     line_grid,
+    localized_pairs,
     periodic_grid,
 )
 from oscilab.errors import ComputeFailure, InvariantViolation
-from oscilab.potentials import WignerVonNeumann1D
+from oscilab.potentials import OscillatingSpec, WignerVonNeumann1D
 from oscilab.spectral import (
     _fourier_corner_norm,
     _gram_corner_norm,
@@ -28,6 +30,7 @@ from oscilab.spectral import (
     append_sweep_csv,
     candidate_to_json,
     find_embedded,
+    genuine_embedded,
     interference_symbol_check,
     oscillation_compactness_probe,
     small_plus_decay_probe,
@@ -140,6 +143,81 @@ def test_find_embedded_validation():
     with pytest.raises(InvariantViolation) as err:
         find_embedded(wvn_builder, (0.9, 1.1), (60.0,))
     assert err.value.invariant == "box-count"
+
+
+# ---------------------------------------------------------------------------
+# the settled screen
+
+
+def counted_solves(monkeypatch):
+    """Count the windowed kernel's tridiagonal factorizations and solves."""
+    calls = {"gttrf": 0, "gttrs": 0}
+    lookup = oscilab.discretize.get_lapack_funcs
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    def counted_lookup(names, arrays):
+        return tuple(counted(n, f) for n, f in zip(names, lookup(names, arrays)))
+
+    monkeypatch.setattr(oscilab.discretize, "get_lapack_funcs", counted_lookup)
+    return calls
+
+
+def phase_builder(alpha, beta):
+    V = OscillatingSpec(w=3.0, k=2.0, alpha=alpha, beta=beta)
+    return lambda L: build_schrodinger(line_grid(L, 0.25), V)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.6), (1.0, 1.0), (2.0, 0.75)])
+@pytest.mark.parametrize("window", [(0.2, 0.6), (1.2, 1.7)])
+def test_settled_screen_returns_the_full_screens_genuine_candidates(
+    monkeypatch, alpha, beta, window
+):
+    # alpha = 1, beta = 0.6 holds its eigenvalues in near-degenerate pairs,
+    # each one group of the kernel
+    build = phase_builder(alpha, beta)
+    full = find_embedded(build, window, (60.0, 120.0))
+    calls = counted_solves(monkeypatch)
+    genuine = genuine_embedded(build, window, (60.0, 120.0))
+    assert genuine == [c for c in full if c.verdict == "genuine"]
+    # every group settles on its first sweep: one solve per vector, each
+    # vector having its own factorization
+    assert calls["gttrs"] == calls["gttrf"] > 0
+
+
+def test_settled_screen_keeps_eig_windows_pairs_bit_for_bit():
+    T = phase_builder(1.0, 0.6)(120.0)
+    inner = np.abs(T.grid.x) <= 60.0
+    w, V = eig_window(T, 0.2, 0.6)
+    mass = V**2
+    localization = mass[inner].sum(axis=0) / mass.sum(axis=0)
+    # the window holds pairs closer than the kernel's grouping reach
+    D = oscilab.discretize
+    reach = D._GROUP_GAP * D._BISECT_TOL * (0.6 - 0.2) / len(w)
+    assert np.count_nonzero(np.diff(w) <= reach) >= 5
+    level = float(np.median(localization))
+    kept_w, kept_V = localized_pairs(T, 0.2, 0.6, inner, level, count=len(w))
+    kept = np.searchsorted(w, kept_w)
+    assert 0 < len(kept) < len(w)
+    assert np.array_equal(w[kept], kept_w) and np.array_equal(V[:, kept], kept_V)
+    # the bound drops no eigenvector that reaches the level
+    assert set(np.flatnonzero(localization >= level)) <= set(kept)
+
+
+def test_settled_screen_solves_a_localized_group_in_full(monkeypatch):
+    # the Wigner-von Neumann bound state: its group cannot settle, so it
+    # runs to eig_window's certified pair and is read genuine
+    full = find_embedded(wvn_builder, (0.8, 1.2), (60.0, 120.0))
+    calls = counted_solves(monkeypatch)
+    genuine = genuine_embedded(wvn_builder, (0.8, 1.2), (60.0, 120.0))
+    assert len(genuine) == 1 and genuine[0].localization >= 0.99
+    assert genuine == [c for c in full if c.verdict == "genuine"]
+    assert calls["gttrs"] > calls["gttrf"]
 
 
 # ---------------------------------------------------------------------------

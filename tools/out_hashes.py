@@ -55,6 +55,14 @@ EXTRA = {
         "find-embedded",
         {"potential": _WVN, "window": [0.8, 1.2], "boxes": [60.0, 120.0], "h": 0.05},
     ),
+    # several cells in one sweep, one of them over budget: the only route
+    # whose task list holds more than one cell's screens and chains
+    "phase-multi-cell": (
+        "phase-diagram",
+        {"alphas": [1.0, 2.0], "betas": [0.6, 1.0], "h": 0.25,
+         "boxes": [60.0, 120.0], "budget": 3,
+         "windows": {"below": [0.2, 0.6], "above": [1.2, 1.7]}},
+    ),
     "lap-scan-im-ladder": (
         "lap-scan",
         {"interval": [0.5, 1.5], "boxes": [100.0, 200.0], "h": 0.2,
