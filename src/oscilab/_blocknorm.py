@@ -42,7 +42,7 @@ compactness probe mixes in a little of a random vector for the rest.
 
 import numpy as np
 
-from ._lapack import dstev, gkl_steps
+from ._lapack import gkl_steps
 from .errors import ComputeFailure
 
 # rows of the right basis allocated before the first step; a run that takes
@@ -50,18 +50,14 @@ from .errors import ComputeFailure
 _BASIS_ROWS = 16
 
 
-def _bbt(alphas, betas):
-    """The diagonal alpha_i^2 + beta_i^2 (beta_k = 0) and off-diagonal
-    beta_i alpha_{i+1} of B_k B_k^T."""
-    diag = alphas * alphas
-    diag[:-1] += betas * betas
-    return diag, betas * alphas[1:]
-
-
 def _top_pair(alphas, diag, off, top):
-    """sigma and p of _top_triplet, without q, from alphas and B_k B_k^T's
-    diagonal and off-diagonal (_bbt); top(diag, off) is dstev's top
-    eigenpair and info (_lapack._Steps.top)."""
+    """B_k's top singular value sigma and left singular vector p, from its
+    diagonal alphas and B_k B_k^T's diagonal alpha_i^2 + beta_i^2
+    (beta_k = 0) and off-diagonal beta_i alpha_{i+1}: sigma^2 and p are
+    their top eigenpair, from top(diag, off), dstev's eigenpair and info
+    (_lapack._Steps.top); at k = 1, sigma = alpha_1 and p = (1). Squaring
+    costs B_k's small singular values their accuracy, not the top one:
+    sigma^2 is accurate to about eps sigma^2, sigma to eps / 2 relative."""
     if len(alphas) == 1:
         return float(alphas[0]), np.ones(1)
     top_value, p, info = top(diag, off)
@@ -74,32 +70,15 @@ def _top_pair(alphas, diag, off, top):
     return float(np.sqrt(top_value)), p
 
 
-def _dstev_top(diag, off):
-    w, Z, info = dstev(diag, off)
-    return w[-1], Z[:, -1], info
-
-
 def _right_vector(alphas, betas, sigma, p):
-    """q = B_k^T p / sigma; (1) at k = 1."""
+    """q = B_k^T p / sigma, B_k's top right singular vector, from betas,
+    its superdiagonal, and _top_pair's sigma and p; (1) at k = 1."""
     if len(alphas) == 1:
         return np.ones(1)
     q = alphas * p
     q[1:] += betas * p[:-1]
     q /= sigma
     return q
-
-
-def _top_triplet(alphas, betas):
-    """Top singular triplet (sigma, p, q) of the k x k upper bidiagonal B_k.
-
-    alphas is B_k's diagonal, betas its superdiagonal. sigma^2 and p are the
-    top eigenpair of the tridiagonal B_k B_k^T (LAPACK dstev), and
-    q = B_k^T p / sigma; at k = 1, sigma = alpha_1 and p = q = (1).
-    Squaring costs B_k's small singular values their accuracy, not the top
-    one: sigma^2 is accurate to about eps sigma^2, sigma to eps / 2 relative.
-    """
-    sigma, p = _top_pair(alphas, *_bbt(alphas, betas), _dstev_top)
-    return sigma, p, _right_vector(alphas, betas, sigma, p)
 
 
 def _norm(x):
@@ -131,8 +110,9 @@ def _gkl_norm(apply_m, apply_mh, x0, tol=1e-12, max_steps=600):
     The right basis is the rows of one array of _BASIS_ROWS rows, doubled
     when a run outgrows it; the Ritz vector x = V_k^T q is one more
     matrix-vector product. B_k is kept as two float arrays, its diagonal
-    and superdiagonal, and _top_triplet reads the stopping rule off them;
-    a step reads sigma and p only, and q is formed once, for the last step.
+    and superdiagonal, and _top_pair reads the stopping rule off them and
+    off B_k B_k^T's, entered as B_k grows; a step reads sigma and p only,
+    and q (_right_vector) is formed once, for the last step.
     The basis and the step's BLAS and LAPACK calls (GEMV, AXPY, dstev) are
     those of _lapack.gkl_steps, in x0's dtype. Two numpy calls stay among
     them because perfbench's tracer counts them: the start vector's
@@ -154,7 +134,7 @@ def _gkl_norm(apply_m, apply_mh, x0, tol=1e-12, max_steps=600):
     right, left, top = steps.right, steps.left, steps.top
     alphas, betas = np.empty(max_steps), np.empty(max_steps)
     alphas[0] = alpha
-    # B_k B_k^T's diagonal and off-diagonal (_bbt), entered as B_k grows
+    # B_k B_k^T's diagonal and off-diagonal (_top_pair), entered as B_k grows
     bbt_d, bbt_e = np.empty(max_steps), np.empty(max_steps)
     bbt_d[0] = alpha * alpha
     stop = np.sqrt(tol)

@@ -11,10 +11,12 @@ the call shape scipy.linalg gives it, for the arguments the package passes:
 * ``eigh_tridiagonal(d, e, eigvals_only, select, select_range, tol)``:
   ``dstevd`` for the whole spectrum, ``dstebz`` for the eigenvalues in a
   range (select="v", eigvals_only only);
-* ``eigh(a, eigvals_only)``: ``dsyevr``/``zheevr`` on the lower triangle;
-* ``qr(a, mode="economic", check_finite)``: ``geqrf``, then
-  ``dorgqr``/``zungqr``;
-* ``dstev(d, e, overwrite_d, overwrite_e)``.
+* ``eigh(a, eigvals_only)``: ``dsyevr``/``zheevr`` on the lower triangle.
+
+numpy.linalg lacks these: its dense eigh runs ``syevd``, not ``syevr``, no
+routine of it takes a tridiagonal, and its cholesky, which would serve for
+``potrf``'s info, takes 1.6-2 times ``potrf``'s. Where numpy.linalg gives
+the same bits (a QR), the package calls it.
 
 These are the drivers scipy.linalg runs for the same calls, with the same
 workspace sizes (a workspace query where scipy makes one), on the same
@@ -453,9 +455,8 @@ def _bind_steps(lib):
     return steps
 
 
-
 # ---------------------------------------------------------------------------
-# symmetric eigensolvers (dstebz, dstevd, dstev, dsyevr, zheevr) and QR
+# symmetric eigensolvers (dstebz, dstevd, dsyevr, zheevr)
 
 
 def _require_finite(*arrays):
@@ -465,7 +466,6 @@ def _require_finite(*arrays):
 
 
 def _bind_tridiagonal(lib):
-    """eigh_tridiagonal and dstev."""
     I, D, C = lib.int, ctypes.c_double, ctypes.c_char
     stebz = lib.entry(
         "LAPACKE_dstebz_work", I,
@@ -474,8 +474,6 @@ def _bind_tridiagonal(lib):
     stevd = lib.entry(
         "LAPACKE_dstevd_work", I, ctypes.c_int, C, I, _P, _P, _P, I, _P, I, _P, I
     )
-    stev = lib.entry("LAPACKE_dstev_work", I, ctypes.c_int, C, I, _P, _P, _P, I, _P)
-    layout = ctypes.c_int(_COL_MAJOR)
 
     def values_in(d, e, lo, hi, tol):
         """stebz's eigenvalues of tridiag(e, d, e) in (lo, hi], ascending."""
@@ -535,25 +533,7 @@ def _bind_tridiagonal(lib):
             raise ValueError("select_range must be nondecreasing")
         return values_in(d, e, lo, hi, float(tol))
 
-    def dstev(d, e, overwrite_d=0, overwrite_e=0):
-        """(w, z, info): stev's eigenvalues, in d's storage, and vectors."""
-        n = len(d)
-        w = d if overwrite_d else d.copy()
-        e = e if overwrite_e else e.copy()
-        # the 2n - 2 workspace entries, then z, in the columns of one
-        # Fortran-ordered allocation
-        lead = -(-max(1, 2 * n - 2) // n)
-        buf = np.empty((n, lead + n), order="F")
-        at = _own(buf.T)
-        info = stev(
-            layout, b"V", n, _vector(w, _F64, n, "d"),
-            _vector(e, _F64, max(n - 1, 1), "e"), at + 8 * n * lead, n, at,
-        )
-        if info < 0:
-            _checked_info(info, "dstev")
-        return w, buf[:, lead:], info
-
-    return eigh_tridiagonal, dstev
+    return eigh_tridiagonal
 
 
 def _bind_eigh(lib):
@@ -611,48 +591,6 @@ def _bind_eigh(lib):
     return eigh
 
 
-def _bind_qr(lib):
-    I = lib.int
-    geqrf = {
-        t: lib.entry(f"LAPACKE_{t}geqrf_work", I, ctypes.c_int, I, I, _P, I, _P, _P, I)
-        for t in "dz"
-    }
-    orgqr = {
-        t: lib.entry(f"LAPACKE_{name}_work", I, ctypes.c_int, I, I, I, _P, I, _P, _P, I)
-        for t, name in (("d", "dorgqr"), ("z", "zungqr"))
-    }
-
-    def run(fn, head, dtype, routine):
-        """fn(*head, work, lwork) with the workspace its query asks for."""
-        work = np.empty(1, dtype)
-        _checked_info(fn(*head, _own(work), -1), routine)
-        work = np.empty(max(int(work[0].real), 1), dtype)
-        _checked_info(fn(*head, _own(work), len(work)), routine)
-
-    def qr(a, mode="full", check_finite=True):
-        """(Q, R) of the m x n a, m >= n >= 1, with Q m x n (mode="economic")."""
-        if mode != "economic":
-            raise ValueError("qr: bound for mode='economic'")
-        if not (isinstance(a, np.ndarray) and a.ndim == 2):
-            raise ValueError("expected a 2-D array")
-        t = next((t for t, dtype in _TYPES.items() if a.dtype == dtype), None)
-        if t is None:
-            raise ValueError(f"a: need float64 or complex128, got {a.dtype}")
-        m, n = a.shape
-        if not m >= n >= 1:
-            raise ValueError("qr: bound for m >= n >= 1")
-        if check_finite:
-            _require_finite(a)
-        q = np.array(a, order="F")
-        tau = np.empty(n, a.dtype)
-        run(geqrf[t], (_COL_MAJOR, m, n, _own(q.T), m, _own(tau)), a.dtype, f"{t}geqrf")
-        r = np.triu(q[:n, :])
-        run(orgqr[t], (_COL_MAJOR, m, n, n, _own(q.T), m, _own(tau)), a.dtype, "orgqr")
-        return q, r
-
-    return qr
-
-
 # ---------------------------------------------------------------------------
 # binding
 
@@ -672,13 +610,10 @@ def _bind(lib):
         lapack["gttrf", t] = _bind_gttrf(lib, t)
         lapack["gttrs", t] = _bind_gttrs(lib, t)
         lapack["potrf", t] = _bind_potrf(lib, t)
-    eigh_tridiagonal, dstev = _bind_tridiagonal(lib)
     return types.SimpleNamespace(
         get_lapack_funcs=lambda names, arrays: _typed(names, arrays, lapack),
-        eigh_tridiagonal=eigh_tridiagonal,
+        eigh_tridiagonal=_bind_tridiagonal(lib),
         eigh=_bind_eigh(lib),
-        qr=_bind_qr(lib),
-        dstev=dstev,
         gkl_steps=_bind_steps(lib),
     )
 
@@ -686,14 +621,11 @@ def _bind(lib):
 def _scipy():
     """scipy.linalg's routines of the same names."""
     import scipy.linalg
-    from scipy.linalg import lapack
 
     return types.SimpleNamespace(
         get_lapack_funcs=scipy.linalg.get_lapack_funcs,
         eigh_tridiagonal=scipy.linalg.eigh_tridiagonal,
         eigh=scipy.linalg.eigh,
-        qr=scipy.linalg.qr,
-        dstev=lapack.dstev,
         gkl_steps=_Steps,
     )
 
@@ -725,14 +657,8 @@ class _Routine:
     def __call__(self, *args, **kwargs):
         return getattr(_routines(), self.name)(*args, **kwargs)
 
-    def __repr__(self):
-        return f"<oscilab._lapack.{self.name}>"
-
-
 
 get_lapack_funcs = _Routine("get_lapack_funcs")
 eigh_tridiagonal = _Routine("eigh_tridiagonal")
 eigh = _Routine("eigh")
-qr = _Routine("qr")
-dstev = _Routine("dstev")
 gkl_steps = _Routine("gkl_steps")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import eigh_tridiagonal, get_lapack_funcs, qr
+from ._lapack import eigh_tridiagonal, get_lapack_funcs
 from ._smooth import spectral_bump
 from .errors import ComputeFailure, InvariantViolation
 from .potentials import eval_potential
@@ -194,13 +194,13 @@ def _rayleigh_ritz(J, X):
     """Orthonormalise X's columns and rotate them onto J's Ritz vectors.
 
     Returns (theta, X, J X): the Ritz values, ascending, and the Ritz
-    vectors as contiguous columns.
-    """
+    vectors as contiguous columns. numpy's Q is LAPACK's but C-ordered; made
+    F-ordered, it takes the GEMM paths, and bits, of LAPACK's F-ordered Q."""
     if X.shape[1] == 1:
         X = X / np.linalg.norm(X)
         JX = J.matvec(X)
         return np.einsum("ij,ij->j", X, JX), X, JX
-    X = qr(X, mode="economic", check_finite=False)[0]
+    X = np.asfortranarray(np.linalg.qr(X)[0])
     theta, Y = np.linalg.eigh(X.T @ J.matvec(X))
     X = np.asfortranarray(X @ Y)
     return theta, X, J.matvec(X)

@@ -267,8 +267,8 @@ def _free_dirichlet_eigs(grid):
     return (2.0 - 2.0 * np.cos(j * np.pi / (n + 1))) / h**2
 
 
-def _standard_ladder(floor, im_max=1.0):
-    top = max(im_max, 14.0 * floor)
+def _standard_ladder(floor):
+    top = max(1.0, 14.0 * floor)
     K = max(4, int(np.ceil(np.log(top / (1.4 * floor)) / np.log(1.8))) + 1)
     return list(np.geomspace(top, 1.4 * floor, K)) + [floor]
 

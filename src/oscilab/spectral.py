@@ -164,7 +164,7 @@ def find_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
     return _candidates(build, lo, hi, boxes, drift_tol, energies, localizations)
 
 
-def genuine_embedded(build, window, box_list, drift_tol=DRIFT_TOL, count=None):
+def genuine_embedded(build, window, box_list, count=None):
     """The genuine candidates of find_embedded(build, window, box_list).
 
     Only a localized candidate can be genuine, so the largest box's
@@ -186,7 +186,7 @@ def genuine_embedded(build, window, box_list, drift_tol=DRIFT_TOL, count=None):
     localizations = _localizations(v, inner)
     if not any(loc >= LOCALIZATION_THRESHOLD for loc in localizations):
         return []
-    found = _candidates(build, lo, hi, boxes, drift_tol, energies, localizations)
+    found = _candidates(build, lo, hi, boxes, DRIFT_TOL, energies, localizations)
     return [c for c in found if c.verdict == "genuine"]
 
 
@@ -254,7 +254,7 @@ def _gram_corner_norm(B, core):
 # interference threshold diagnostics
 
 
-def interference_symbol_check(theta, k, resolution=600):
+def interference_symbol_check(theta, k):
     """Max over momenta xi in R^2 of theta(|xi|^2) theta(|xi - k e1|^2).
 
     Zero exactly when the two momentum annuli cannot intersect, which is the
@@ -268,7 +268,7 @@ def interference_symbol_check(theta, k, resolution=600):
     hi_r = np.sqrt(max(hi, 0.0))
     if hi_r == 0.0:
         return 0.0
-    rr = np.linspace(0.0, hi_r * 1.05, resolution)
+    rr = np.linspace(0.0, hi_r * 1.05, 600)
     r1, r2 = np.meshgrid(rr, rr, indexing="ij")
     feasible = (np.abs(r1 - r2) <= k) & (k <= r1 + r2)
     prod = theta.weights(r1**2) * theta.weights(r2**2)

@@ -70,7 +70,13 @@ def test_top_triplet_matches_the_svd_of_the_bidiagonal(k):
     alphas, betas = rng.uniform(0.1, 2.0, k), rng.uniform(0.1, 2.0, k - 1)
     B = np.diag(alphas) + np.diag(betas, 1)
     P, s, Qh = np.linalg.svd(B)
-    sigma, p, q = _blocknorm._top_triplet(alphas, betas)
+    # B B^T's diagonal and off-diagonal, read as a run reads them, through
+    # its own steps' top
+    diag = alphas * alphas
+    diag[:-1] += betas * betas
+    top = _blocknorm.gkl_steps(np.dtype(float), k, 4).top
+    sigma, p = _blocknorm._top_pair(alphas, diag, betas * alphas[1:], top)
+    q = _blocknorm._right_vector(alphas, betas, sigma, p)
     assert sigma == pytest.approx(s[0], rel=1e-14)
     # the stopping rule reads |p_k|; q is the top right singular vector
     assert abs(p[-1]) == pytest.approx(abs(P[-1, 0]), abs=1e-10)

@@ -1,4 +1,5 @@
-"""Functions of src/oscilab that no CLI path runs.
+"""Functions of src/oscilab that no CLI path runs; exit 1 if one is not
+expected.
 
     python3 tools/reach.py
 
@@ -12,6 +13,11 @@ function does, so only the body counts; a docstring is not a statement that
 runs. Tests that force a fork (the two_cpus fixture) run their pool tasks
 in children, whose lines are not seen. The tracer is sys.settrace, in the
 standard library; the run takes about a minute.
+
+A function on EXPECTED is printed with the reason it runs no statement
+here. Any other is marked NOT EXPECTED, a last line counts them, and the
+exit code is 1: code that only the tests reach is either retired or put on
+the list with its reason.
 """
 
 import ast
@@ -25,6 +31,21 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "oscilab")
+
+_WORKER = "runs only in a forked pool worker, whose lines are not traced"
+_KIND = "a config potential kind that no catalog config uses"
+_FALLBACK = "scipy fallback: runs only where numpy's OpenBLAS lacks LAPACKE"
+# {module.function: why it runs no body statement on a CLI path here}
+EXPECTED = {
+    "_pool._serve": _WORKER,
+    "errors.InvariantViolation.__reduce__": _WORKER,
+    "potentials.LongRangeSample.__post_init__": _KIND,
+    "potentials.CustomSample.__post_init__": _KIND,
+    "_lapack._Steps.right": _FALLBACK,
+    "_lapack._Steps.left": _FALLBACK,
+    "_lapack._Steps.top": _FALLBACK,
+    "_lapack._scipy": _FALLBACK,
+}
 
 
 def _body_lines(fn):
@@ -128,11 +149,19 @@ def main():
         filter(None, (src, os.environ.get("PYTHONPATH")))
     )
     seen = traced(run_suite_and_catalog)
+    unexpected = 0
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
         module = os.path.splitext(os.path.basename(path))[0]
         for name, line, body in functions(path):
             if body and not any((path, n) in seen for n in body):
-                print(f"{module}.{name}  {os.path.relpath(path, ROOT)}:{line}")
+                qualified = f"{module}.{name}"
+                why = EXPECTED.get(qualified)
+                unexpected += why is None
+                print(f"{qualified}  {os.path.relpath(path, ROOT)}:{line}"
+                      f"  ({why or 'NOT EXPECTED'})")
+    if unexpected:
+        print(f"{unexpected} function(s) not in EXPECTED run on no CLI path")
+        sys.exit(1)
 
 
 if __name__ == "__main__":
