@@ -3,20 +3,19 @@
 The package calls a handful of routines. This module hands each out under
 the call shape scipy.linalg gives it, for the arguments the package passes:
 
-* ``get_lapack_funcs(names, arrays)``: ``gttrf``, ``gttrs`` (one
-  right-hand side) and ``potrf`` in the arrays' type (double, or double
-  complex if any array is complex);
+* ``get_lapack_funcs(names, arrays)``: ``gttrf`` and ``gttrs`` (one
+  right-hand side) in the arrays' type (double, or double complex if any
+  array is complex), and the real ``potrf``;
 * ``gkl_steps(dtype, n, rows)``: the vector steps of one Golub-Kahan-Lanczos
   run (``gemv``, ``axpy``, ``dstev``) on its right basis (see _Steps);
 * ``eigh_tridiagonal(d, e, eigvals_only, select, select_range, tol)``:
-  ``dstevd`` for the whole spectrum, ``dstebz`` for the eigenvalues in a
-  range (select="v", eigvals_only only);
-* ``eigh(a, eigvals_only)``: ``dsyevr``/``zheevr`` on the lower triangle.
+  ``dstevd`` for every eigenpair (select="a"), ``dstebz`` for the
+  eigenvalues in a range (select="v", eigvals_only).
 
-numpy.linalg lacks these: its dense eigh runs ``syevd``, not ``syevr``, no
-routine of it takes a tridiagonal, and its cholesky, which would serve for
-``potrf``'s info, takes 1.6-2 times ``potrf``'s. Where numpy.linalg gives
-the same bits (a QR), the package calls it.
+numpy.linalg lacks these: no routine of it takes a tridiagonal, and its
+cholesky, which would serve for ``potrf``'s info, takes 1.6-2 times
+``potrf``'s. The package calls numpy.linalg for the rest: its QRs and its
+small dense Hermitian eigenproblems (``eigh``, ``eigvalsh``).
 
 These are the drivers scipy.linalg runs for the same calls, with the same
 workspace sizes (a workspace query where scipy makes one), on the same
@@ -153,7 +152,7 @@ class _Library:
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal LU (gttrf, gttrs) and Cholesky (potrf)
+# tridiagonal LU (gttrf, gttrs) and real Cholesky (potrf)
 
 
 class _Pivots(np.ndarray):
@@ -243,18 +242,18 @@ def _bind_gttrs(lib, t):
     return gttrs
 
 
-def _bind_potrf(lib, t):
-    dtype, I = _TYPES[t], lib.int
-    fn = lib.entry(f"LAPACKE_{t}potrf_work", I, ctypes.c_int, ctypes.c_char, I, _P, I)
+def _bind_potrf(lib):
+    I = lib.int
+    fn = lib.entry("LAPACKE_dpotrf_work", I, ctypes.c_int, ctypes.c_char, I, _P, I)
 
     def potrf(a, overwrite_a=0):
-        """(c, info): the upper Cholesky factor of the Fortran-ordered a.
-        Unlike scipy's, c's strictly lower triangle is left as it was, not
-        zeroed: the package reads info alone."""
+        """(c, info): the upper Cholesky factor of the Fortran-ordered real
+        a. Unlike scipy's, c's strictly lower triangle is left as it was,
+        not zeroed: the package reads info alone."""
         n = len(a)
         c = a if overwrite_a else np.array(a, order="F")
-        info = fn(_COL_MAJOR, b"U", n, _matrix(c, dtype, (n, n), "a"), max(n, 1))
-        return c, _checked_info(info, f"{t}potrf")
+        info = fn(_COL_MAJOR, b"U", n, _matrix(c, _F64, (n, n), "a"), max(n, 1))
+        return c, _checked_info(info, "dpotrf")
 
     return potrf
 
@@ -456,7 +455,7 @@ def _bind_steps(lib):
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigensolvers (dstebz, dstevd, dsyevr, zheevr)
+# tridiagonal eigensolvers (dstebz, dstevd)
 
 
 def _require_finite(*arrays):
@@ -491,17 +490,17 @@ def _bind_tridiagonal(lib):
             raise np.linalg.LinAlgError(f"dstebz failed (info={info})")
         return w[: m.value]
 
-    def all_pairs(d, e, vectors):
-        """stevd's whole spectrum, and its eigenvectors when vectors."""
+    def all_pairs(d, e):
+        """stevd's eigenvalues and eigenvectors."""
         n = len(d)
         w, e = d.copy(), e.copy()
-        z = np.empty((n, n) if vectors else (1, 1), order="F")
+        z = np.empty((n, n), order="F")
         # scipy's workspace sizes for stevd (it makes no query)
-        work = np.empty(1 + 4 * n + n * n if vectors else 1)
-        iwork = np.empty(3 + 5 * n if vectors else 1, lib.int_dtype)
+        work = np.empty(1 + 4 * n + n * n)
+        iwork = np.empty(3 + 5 * n, lib.int_dtype)
         info = stevd(
-            _COL_MAJOR, b"V" if vectors else b"N", n, _vector(w, _F64, n, "d"),
-            _vector(e, _F64, n - 1, "e"), _own(z.T), len(z), _own(work), len(work),
+            _COL_MAJOR, b"V", n, _vector(w, _F64, n, "d"),
+            _vector(e, _F64, n - 1, "e"), _own(z.T), n, _own(work), len(work),
             _own(iwork), len(iwork),
         )
         if _checked_info(info, "dstevd"):
@@ -511,22 +510,21 @@ def _bind_tridiagonal(lib):
     def eigh_tridiagonal(
         d, e, eigvals_only=False, select="a", select_range=None, tol=0.0
     ):
-        """Eigenvalues (and vectors) of the real symmetric tridiag(e, d, e),
-        n >= 2: all of them (select="a"), or the values in select_range
-        (select="v", eigvals_only only)."""
+        """Eigenpairs of the real symmetric tridiag(e, d, e), n >= 2: all of
+        them (select="a"), or the eigenvalues in select_range (select="v",
+        eigvals_only)."""
         n = len(d)
         if n < 2:
             raise ValueError("eigh_tridiagonal: bound for n >= 2")
         _require(d, _F64, (n,), "d")
         _require(e, _F64, (n - 1,), "e")
         _require_finite(d, e)
-        if select == "a":
-            w, z = all_pairs(d, e, not eigvals_only)
-            return w if eigvals_only else (w, z)
-        if select != "v" or not eigvals_only:
+        if (select, eigvals_only) == ("a", False):
+            return all_pairs(d, e)
+        if (select, eigvals_only) != ("v", True):
             raise ValueError(
-                "eigh_tridiagonal: bound for select='a', and for select='v' "
-                "with eigvals_only"
+                "eigh_tridiagonal: bound for select='a' with eigenvectors, and "
+                "for select='v' with eigvals_only"
             )
         lo, hi = (float(v) for v in select_range)
         if hi < lo:
@@ -536,61 +534,6 @@ def _bind_tridiagonal(lib):
     return eigh_tridiagonal
 
 
-def _bind_eigh(lib):
-    I, D, C = lib.int, ctypes.c_double, ctypes.c_char
-    head = (ctypes.c_int, C, C, C, I, _P, I, D, D, I, I, D, _P, _P, _P, I, _P)
-    syevr = lib.entry("LAPACKE_dsyevr_work", I, *head, _P, I, _P, I)
-    heevr = lib.entry("LAPACKE_zheevr_work", I, *head, _P, I, _P, I, _P, I)
-
-    def eigh(a, eigvals_only=False):
-        """Eigenvalues (and vectors) of the real symmetric or complex
-        Hermitian a, read off its lower triangle."""
-        if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[0] == a.shape[1]):
-            raise ValueError('expected square "a" matrix')
-        if a.dtype not in (_TYPES["d"], _TYPES["z"]):
-            raise ValueError(f"a: need float64 or complex128, got {a.dtype}")
-        _require_finite(a)
-        n = a.shape[0]
-        if n == 0:
-            w, v = np.empty(0), np.empty((0, 0), a.dtype)
-            return w if eigvals_only else (w, v)
-        a = np.array(a, order="F")
-        m = I()
-        w = np.empty(n)
-        z = np.empty((n, n) if not eigvals_only else (1, 1), a.dtype, order="F")
-        isuppz = np.empty(2 * n, lib.int_dtype)
-        head = (
-            _COL_MAJOR, b"N" if eigvals_only else b"V", b"A", b"L", n, _own(a.T), n,
-            0.0, 1.0, 1, n, 0.0, _byref(m), _own(w), _own(z.T), len(z), _own(isuppz),
-        )
-        # scipy's workspace query: jobz "N", the whole spectrum, lower
-        query = (_COL_MAJOR, b"N") + head[2:]
-        work, iwork = np.empty(1, a.dtype), np.empty(1, lib.int_dtype)
-        if a.dtype == _TYPES["z"]:
-            rwork = np.empty(1)
-            _checked_info(
-                heevr(*query, _own(work), -1, _own(rwork), -1, _own(iwork), -1),
-                "zheevr",
-            )
-            work = np.empty(int(work[0].real), a.dtype)
-            rwork = np.empty(int(rwork[0]))
-            iwork = np.empty(int(iwork[0]), lib.int_dtype)
-            info = heevr(
-                *head, _own(work), len(work), _own(rwork), len(rwork), _own(iwork),
-                len(iwork),
-            )
-        else:
-            _checked_info(syevr(*query, _own(work), -1, _own(iwork), -1), "dsyevr")
-            work = np.empty(int(work[0]))
-            iwork = np.empty(int(iwork[0]), lib.int_dtype)
-            info = syevr(*head, _own(work), len(work), _own(iwork), len(iwork))
-        if _checked_info(info, "syevr/heevr"):
-            raise np.linalg.LinAlgError(f"syevr/heevr failed (info={info})")
-        return w if eigvals_only else (w, z)
-
-    return eigh
-
-
 # ---------------------------------------------------------------------------
 # binding
 
@@ -598,22 +541,18 @@ def _bind_eigh(lib):
 def _typed(names, arrays, routines):
     """The routines named in names, in the arrays' type."""
     t = "z" if any(np.iscomplexobj(a) for a in arrays) else "d"
-    if isinstance(names, str):
-        return routines[names, t]
     return tuple(routines[name, t] for name in names)
 
 
 def _bind(lib):
     """The routines on lib; AttributeError when lib lacks an entry point."""
-    lapack = {}
+    lapack = {("potrf", "d"): _bind_potrf(lib)}
     for t in "dz":
         lapack["gttrf", t] = _bind_gttrf(lib, t)
         lapack["gttrs", t] = _bind_gttrs(lib, t)
-        lapack["potrf", t] = _bind_potrf(lib, t)
     return types.SimpleNamespace(
         get_lapack_funcs=lambda names, arrays: _typed(names, arrays, lapack),
         eigh_tridiagonal=_bind_tridiagonal(lib),
-        eigh=_bind_eigh(lib),
         gkl_steps=_bind_steps(lib),
     )
 
@@ -625,7 +564,6 @@ def _scipy():
     return types.SimpleNamespace(
         get_lapack_funcs=scipy.linalg.get_lapack_funcs,
         eigh_tridiagonal=scipy.linalg.eigh_tridiagonal,
-        eigh=scipy.linalg.eigh,
         gkl_steps=_Steps,
     )
 
@@ -660,5 +598,4 @@ class _Routine:
 
 get_lapack_funcs = _Routine("get_lapack_funcs")
 eigh_tridiagonal = _Routine("eigh_tridiagonal")
-eigh = _Routine("eigh")
 gkl_steps = _Routine("gkl_steps")

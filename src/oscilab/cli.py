@@ -243,13 +243,20 @@ def _cmd_mourre_check(p, out_dir, seed):
     H = build_schrodinger(grid, p["potential"])
     if kind in ("strict", "plain"):
         result = mourre_check(
-            H, None, window, mode=kind, remainder_rank_budget=p["rank_budget"]
+            H, window, mode=kind, remainder_rank_budget=p["rank_budget"]
         )
     elif kind == "weighted":
         phi = p["phi"]
         if phi is not None:
-            c = 1.0 / window[0] if phi["c"] is None else phi["c"]
-            phi = WeightFunctionSpec(kind="psi", s=phi["s"], R=phi["R"], c=c)
+            c = phi["c"]
+            if c is None:
+                if not window[0] > 0:
+                    raise InvariantViolation(
+                        "default-c",
+                        f"psi's default c = 1 / inf J needs inf J > 0, got {window[0]}",
+                    )
+                c = 1.0 / window[0]
+            phi = WeightFunctionSpec(s=phi["s"], R=phi["R"], c=c)
         s = 0.51 if p["s"] is None else p["s"]
         result = weighted_mourre_check(H, build_conjugate_A(grid), phi, window, s)
     elif kind == "at_infinity":

@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 
 from . import _blocknorm, _pool
-from ._lapack import eigh, eigh_tridiagonal, get_lapack_funcs
+from ._lapack import eigh_tridiagonal, get_lapack_funcs
 from .discretize import (
     OperatorMatrix,
     _require_dense,
@@ -92,6 +92,9 @@ def _check_weight(W, n):
         raise InvariantViolation(
             "operator-hermiticity", "dense weight is not Hermitian to 1e-12"
         )
+    if np.iscomplexobj(W):
+        # W = A + iB is PSD iff the real [[A, -B], [B, A]] is
+        W = np.block([[W.real, -W.imag], [W.imag, W.real]])
     # W >= -1e-10 iff W + 1e-10 I has a Cholesky factor
     shifted = np.array(W, order="F")
     shifted.flat[:: W.shape[0] + 1] += 1e-10
@@ -558,14 +561,14 @@ def _mourre_window(H, J):
     return (lo, hi), *eig_window(H, lo, hi)
 
 
-def mourre_check(H, A, J, mode="strict", remainder_rank_budget=0):
+def mourre_check(H, J, mode="strict", remainder_rank_budget=0):
     """Positivity of the commutator form on the sharp spectral window J.
 
     strict: best_c is the smallest eigenvalue of E_J [H, iA] E_J on the
     window's range. plain: the remainder_rank_budget most negative
     directions are deflated first (the finite-rank stand-in for a compact
-    error term). An empty window reports +inf. A is not read: the
-    commutator is the analytic form 2 H0 - x V'.
+    error term). An empty window reports +inf. The commutator is the
+    analytic form 2 H0 - x V', [H, iA] for the dilation generator A.
     """
     if mode not in ("strict", "plain"):
         raise InvariantViolation("mourre-mode", f"unknown mode {mode!r}")
@@ -577,7 +580,7 @@ def mourre_check(H, A, J, mode="strict", remainder_rank_budget=0):
         return MourreCheckResult(win, _POSINF, _POSINF, 0, mode)
     F = v.conj().T @ C.matvec(v)
     F = 0.5 * (F + F.conj().T)
-    eigs = eigh(F, eigvals_only=True)
+    eigs = np.linalg.eigvalsh(F)
     min_eig = float(eigs[0])
     if mode == "strict":
         return MourreCheckResult(win, min_eig, min_eig, 0, "strict")
@@ -619,8 +622,8 @@ def weighted_mourre_check(H, S, phi, J, s):
     M1 = 0.5 * (M1 + M1.conj().T)
     M = M1 - M2
     M = 0.5 * (M + M.conj().T)
-    best_c = float(eigh(M, eigvals_only=True)[0])
-    comm_min = float(eigh(M1, eigvals_only=True)[0])
+    best_c = float(np.linalg.eigvalsh(M)[0])
+    comm_min = float(np.linalg.eigvalsh(M1)[0])
     return MourreCheckResult(win, comm_min, best_c, 0, "weighted")
 
 
@@ -762,8 +765,6 @@ def phase_sweep(
     h=0.1,
     box_list=(200.0, 400.0),
     budget=40,
-    out_csv=None,
-    out_svg=None,
 ):
     """Scan the (alpha, beta) grid of oscillating potentials for LAP verdicts.
 
@@ -858,10 +859,6 @@ def phase_sweep(
                     "skipped", float("nan"), 0, "over budget",
                 )
             )
-    if out_csv is not None:
-        phase_cells_to_csv(cells, out_csv)
-    if out_svg is not None:
-        phase_cells_to_svg(cells, out_svg)
     return cells
 
 

@@ -237,22 +237,17 @@ def _check_samples(x, values):
 
 @dataclass(frozen=True)
 class WeightFunctionSpec:
-    """The weight of the weighted Mourre check (kind "psi", the only kind).
+    """The psi weight of the weighted Mourre check.
 
     psi(t) = c R int_{-inf}^t <tau>^(-2s) dtau, s > 1/2, R >= 1, c > 0;
     bounded and nondecreasing.
     """
 
-    kind: str
     s: float = 1.0
     R: float = 1.0
     c: float = 1.0
 
     def __post_init__(self):
-        if self.kind != "psi":
-            raise InvariantViolation(
-                "weight-kind", f"unknown weight kind {self.kind!r}"
-            )
         if not self.s > 0.5:
             raise InvariantViolation("s-range", f"psi needs s > 1/2, got {self.s}")
         if not self.R >= 1.0:

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import _blocknorm, _pool
 from ._csv import write_csv
-from ._lapack import eigh
 from ._smooth import smoothstep_quintic
 from .discretize import (
     build_radial_channel,
@@ -241,13 +240,13 @@ def _check_radii(radii):
 def _gram_corner_norm(B, core):
     """||X core X^H|| for X = B (rows of the left factor), via the Gram root."""
     G = B.conj().T @ B
-    gw, gv = eigh(G)
+    gw, gv = np.linalg.eigh(G)
     gw = np.clip(gw, 0.0, None)
     gh = (gv * np.sqrt(gw)) @ gv.conj().T
     mat = gh @ core @ gh.conj().T
     if mat.size == 0:
         return 0.0
-    return float(np.max(np.abs(eigh(mat, eigvals_only=True))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +285,7 @@ def _channel_window_factors(grid, theta, k, alpha_channel):
     U = v * th
     F = v.T @ (np.sin(k * r)[:, None] * v)
     core = (th[:, None] * F) * th[None, :]
-    mnorm = float(np.max(np.abs(eigh(core, eigvals_only=True))))
+    mnorm = float(np.max(np.abs(np.linalg.eigvalsh(core))))
     return U, F, mnorm
 
 
@@ -301,6 +300,8 @@ def small_plus_decay_probe(grid, theta, k, radii, channel_alphas=DEFAULT_CHANNEL
     """
     if grid.kind != "halfline":
         raise InvariantViolation("channel-grid", "probe needs a halfline grid")
+    if len(channel_alphas) == 0:
+        raise InvariantViolation("channel-count", "probe needs at least one channel")
     radii = _check_radii(radii)
     r = grid.x
     tails = np.zeros(len(radii))

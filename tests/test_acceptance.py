@@ -33,6 +33,8 @@ from oscilab.lap import (
     LapScanSpec,
     lap_scan,
     mourre_check,
+    phase_cells_to_csv,
+    phase_cells_to_svg,
     phase_sweep,
     schrodinger_line_factory,
     weighted_mourre_check,
@@ -220,9 +222,8 @@ def test_09_commutator_constant_tracks_energy():
     t0 = time.perf_counter()
     grid = line_grid(400.0, 0.01)
     H = build_h0(grid)
-    A = build_conjugate_A(grid)
     energies = np.array([0.5, 1.0, 1.5])
-    cs = [mourre_check(H, A, (E - 0.1, E + 0.1)).best_c for E in energies]
+    cs = [mourre_check(H, (E - 0.1, E + 0.1)).best_c for E in energies]
     slope = float(np.polyfit(energies, cs, 1)[0])
     dt = time.perf_counter() - t0
     _check(
@@ -240,7 +241,7 @@ def test_10_weighted_commutator_R_ladder():
     J = (0.5, 1.5)
     values = []
     for R in (1.0, 4.0, 16.0, 64.0):
-        phi = WeightFunctionSpec(kind="psi", s=0.51, R=R, c=1.0 / J[0])
+        phi = WeightFunctionSpec(s=0.51, R=R, c=1.0 / J[0])
         values.append(weighted_mourre_check(H, S, phi, J, 0.51).best_c)
     dt = time.perf_counter() - t0
     nondecreasing = all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
@@ -316,12 +317,12 @@ def test_13_phase_diagram_sweep(tmp_path):
     args = ((1.0, 1.5, 2.0), (0.6, 0.75, 1.0), 2.0, 3.0, windows)
     first_csv = tmp_path / "phase_a.csv"
     second_csv = tmp_path / "phase_b.csv"
-    cells = phase_sweep(
-        *args, out_csv=first_csv, out_svg=tmp_path / "phase_a.svg"
-    )
-    again = phase_sweep(
-        *args, out_csv=second_csv, out_svg=tmp_path / "phase_b.svg"
-    )
+    cells = phase_sweep(*args)
+    phase_cells_to_csv(cells, first_csv)
+    phase_cells_to_svg(cells, tmp_path / "phase_a.svg")
+    again = phase_sweep(*args)
+    phase_cells_to_csv(again, second_csv)
+    phase_cells_to_svg(again, tmp_path / "phase_b.svg")
     dt = time.perf_counter() - t0
     below = [c for c in cells if c.window_name == "below"]
     pairs = {(c.alpha, c.beta) for c in cells}

@@ -391,10 +391,19 @@ def test_sweep_csv_key_is_unknown(tmp_path, capsys):
         ("mourre-check",
          {"kind": "weighted", "window": [0.5, 1.5], "L": 400.0, "h": 0.05},
          "materialization-size"),
+        # psi's default c is 1 / inf J
+        ("mourre-check",
+         {"kind": "weighted", "window": [0.0, 1.0], "L": 20.0, "h": 0.2,
+          "phi": {"s": 0.6}},
+         "default-c"),
+        ("compactness-probe",
+         {"window": [0.3, 0.8], "k": 2.0, "radii": [5.0, 10.0], "L": 40.0,
+          "h": 0.1, "channel_alphas": []},
+         "channel-count"),
     ],
     ids=["variant", "mourre-kind", "probe-mode", "weight-kind", "phi-el",
          "radii-missing", "windows-empty", "gamma", "probe-tol", "trials-zero",
-         "weighted-size"],
+         "weighted-size", "weighted-default-c", "no-channels"],
 )
 def test_exit_2_runs_leave_no_output_dir(tmp_path, capsys, command, params, invariant):
     # checks that depend on the mode run inside the handlers; the output

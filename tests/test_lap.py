@@ -35,6 +35,8 @@ from oscilab.lap import (
     lap_scan,
     mourre_at_infinity_check,
     mourre_check,
+    phase_cells_to_csv,
+    phase_cells_to_svg,
     phase_sweep,
     scan_summary,
     scan_to_csv,
@@ -284,7 +286,6 @@ def test_conjugate_A_scan_takes_the_steps_of_the_complex_weight():
 
 def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
     calls = {"eigh": 0, "potrf": 0}
-    eigh = oscilab.lap.eigh
     get_lapack_funcs = oscilab.lap.get_lapack_funcs
 
     def counted(key, fn):
@@ -300,7 +301,8 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
             counted(nm, f) if nm == "potrf" else f for nm, f in zip(names, funcs)
         )
 
-    monkeypatch.setattr(oscilab.lap, "eigh", counted("eigh", eigh))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted("eigh", getattr(np.linalg, name)))
     monkeypatch.setattr(oscilab.lap, "get_lapack_funcs", counting_get)
     res = lap_scan(schrodinger_line_factory(0.2), None, _CONJUGATE_A_SPEC)
     assert len(res.rows) > 2
@@ -639,9 +641,8 @@ def test_pooled_phase_sweep_builds_in_the_parent_and_screens_in_workers(
 def test_mourre_strict_free_equals_twice_window_minimum():
     g = line_grid(60.0, 0.05)
     H = build_h0(g)
-    A = build_conjugate_A(g)
     w, _ = eig_window(H, 0.5, 1.5)
-    res = mourre_check(H, A, (0.5, 1.5))
+    res = mourre_check(H, (0.5, 1.5))
     assert res.kind == "strict"
     assert res.remainder_rank == 0
     assert res.best_c == pytest.approx(2.0 * w.min(), rel=1e-10)
@@ -652,11 +653,10 @@ def test_mourre_strict_free_equals_twice_window_minimum():
 def test_mourre_constant_tracks_the_window_floor():
     g = line_grid(120.0, 0.05)
     H = build_h0(g)
-    A = build_conjugate_A(g)
     energies = np.array([0.5, 1.0, 1.5])
     cs = []
     for E in energies:
-        res = mourre_check(H, A, (E - 0.1, E + 0.1))
+        res = mourre_check(H, (E - 0.1, E + 0.1))
         assert res.best_c == pytest.approx(2.0 * (E - 0.1), rel=0.05)
         cs.append(res.best_c)
     slope = np.polyfit(energies, cs, 1)[0]
@@ -670,9 +670,8 @@ def test_mourre_fails_at_the_interference_threshold():
     # one negative directions there while the free operator stays at
     # the 2 inf J floor
     g = line_grid(120.0, 0.05)
-    A = build_conjugate_A(g)
-    wvn = mourre_check(build_schrodinger(g, WignerVonNeumann1D()), A, (0.9, 1.1))
-    free = mourre_check(build_h0(g), A, (0.9, 1.1))
+    wvn = mourre_check(build_schrodinger(g, WignerVonNeumann1D()), (0.9, 1.1))
+    free = mourre_check(build_h0(g), (0.9, 1.1))
     assert free.best_c == pytest.approx(1.8, abs=0.1)
     assert wvn.best_c < -1.0
 
@@ -680,13 +679,12 @@ def test_mourre_fails_at_the_interference_threshold():
 def test_mourre_rank_budget_deflates_a_localized_defect(monkeypatch):
     g = line_grid(60.0, 0.05)
     H = build_h0(g)
-    A = build_conjugate_A(g)
     w, _ = eig_window(H, 0.5, 1.5)
     C = OperatorMatrix(g, 2.0 * H.d - 10.0 * np.exp(-g.x**2), 2.0 * H.e)
     monkeypatch.setattr(oscilab.lap, "_analytic_commutator", lambda _: C)
     best = []
     for k in range(5):
-        res = mourre_check(H, A, (0.5, 1.5), mode="plain", remainder_rank_budget=k)
+        res = mourre_check(H, (0.5, 1.5), mode="plain", remainder_rank_budget=k)
         assert res.kind == "plain"
         assert res.remainder_rank == k
         best.append(res.best_c)
@@ -694,7 +692,7 @@ def test_mourre_rank_budget_deflates_a_localized_defect(monkeypatch):
     assert all(a <= b + 1e-12 for a, b in zip(best, best[1:]))
     assert best[1] >= 0.5
     everything = mourre_check(
-        H, A, (0.5, 1.5), mode="plain", remainder_rank_budget=len(w)
+        H, (0.5, 1.5), mode="plain", remainder_rank_budget=len(w)
     )
     assert everything.best_c == np.inf
     assert everything.remainder_rank == len(w)
@@ -703,8 +701,7 @@ def test_mourre_rank_budget_deflates_a_localized_defect(monkeypatch):
 def test_mourre_empty_window_reports_infinite_constant():
     g = line_grid(20.0, 0.1)
     H = build_h0(g)
-    A = build_conjugate_A(g)
-    res = mourre_check(H, A, (-2.0, -1.0))
+    res = mourre_check(H, (-2.0, -1.0))
     assert res.best_c == np.inf
     assert res.commutator_form_min_eig == np.inf
     assert res.remainder_rank == 0
@@ -721,9 +718,8 @@ def test_mourre_empty_window_reports_infinite_constant():
 def test_mourre_guards(kwargs, slug):
     g = line_grid(10.0, 0.25)
     H = build_h0(g)
-    A = build_conjugate_A(g)
     with pytest.raises(InvariantViolation) as err:
-        mourre_check(H, A, **kwargs)
+        mourre_check(H, **kwargs)
     assert err.value.invariant == slug
 
 
@@ -734,7 +730,7 @@ def test_weighted_mourre_constant_grows_with_R():
     J = (0.5, 1.0)
     best = []
     for R in (1.0, 4.0, 16.0):
-        phi = WeightFunctionSpec(kind="psi", s=0.51, R=R, c=2.0)
+        phi = WeightFunctionSpec(s=0.51, R=R, c=2.0)
         res = weighted_mourre_check(H, S, phi, J, 0.51)
         assert res.kind == "weighted"
         assert res.commutator_form_min_eig >= -1e-9
@@ -750,7 +746,7 @@ def test_weighted_mourre_matches_the_complex_eigenbasis_construction(R):
     g = line_grid(30.0, 0.1)
     H = build_schrodinger(g, WignerVonNeumann1D())
     S = build_conjugate_A(g)
-    phi = None if R is None else WeightFunctionSpec(kind="psi", s=0.51, R=R, c=2.0)
+    phi = None if R is None else WeightFunctionSpec(s=0.51, R=R, c=2.0)
     res = weighted_mourre_check(H, S, phi, (0.5, 1.0), 0.51)
     _, vE = eig_window(H, 0.5, 1.0)
     a, vA = np.linalg.eigh(dilation(g))
@@ -878,9 +874,9 @@ def test_phase_sweep_lite_cell_structure(tmp_path):
         windows=windows,
         h=0.25,
         box_list=(60.0, 120.0),
-        out_csv=csv_path,
-        out_svg=svg_path,
     )
+    phase_cells_to_csv(cells, csv_path)
+    phase_cells_to_svg(cells, svg_path)
     assert {c.window_name for c in cells} == {"below", "above"}
     for c in cells:
         assert c.alpha == 1.0 and c.beta == 0.75
@@ -1080,8 +1076,8 @@ def test_phase_sweep_budget_marks_cells_skipped(tmp_path):
         h=0.25,
         box_list=(60.0, 120.0),
         budget=0,
-        out_svg=svg_path,
     )
+    phase_cells_to_svg(cells, svg_path)
     assert len(cells) == 2
     assert all(c.verdict == "skipped" for c in cells)
     assert all(c.note == "over budget" for c in cells)

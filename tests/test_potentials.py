@@ -318,14 +318,7 @@ def test_weight_bracket_power():
 
 def test_weight_spec_validation_slugs():
     with pytest.raises(InvariantViolation) as err:
-        WeightFunctionSpec(kind="nope")
-    assert err.value.invariant == "weight-kind"
-    # g_delta enters only through the B_R profile, so psi is the one kind
-    with pytest.raises(InvariantViolation) as err:
-        WeightFunctionSpec(kind="g_delta")
-    assert err.value.invariant == "weight-kind"
-    with pytest.raises(InvariantViolation) as err:
-        WeightFunctionSpec(kind="psi", s=0.5)
+        WeightFunctionSpec(s=0.5)
     assert err.value.invariant == "s-range"
 
 

@@ -68,6 +68,11 @@ EXTRA = {
         {"interval": [0.5, 1.5], "boxes": [100.0, 200.0], "h": 0.2,
          "im_ladder": [2.0, 1.0, 0.6, 0.4, 0.01]},
     ),
+    # the three commands on no catalog workload
+    "verify-wvn-1d": ("verify-wvn", {"variant": "1d"}),
+    "verify-wvn-3d": ("verify-wvn", {"variant": "3d"}),
+    "construct-kg": ("construct-kg", {"n": 4096, "length": 200.0}),
+    "construct-dirac": ("construct-dirac", {"lam": 1.5, "L": 20.0, "step": 0.01}),
 }
 
 
