@@ -188,6 +188,12 @@ _BISECT_TOL = 1e-4
 _GROUP_GAP = 1e3
 _RESIDUAL_EPS = 16.0
 _MAX_SWEEPS = 12
+# the localization screen (localized_pairs): stebz bisects to _SCREEN_TOL
+# mean level spacings, coarse values less than two such tolerances apart
+# share a group, and a group's vectors take at most _SCREEN_SWEEPS solves
+# to show that it can be dropped
+_SCREEN_TOL = 0.1
+_SCREEN_SWEEPS = 4
 
 
 def _rayleigh_ritz(J, X):
@@ -224,7 +230,75 @@ def _max_localization(X, residual, inner, gap):
     return (np.sqrt(max(top, 0.0)) + residual / gap) ** 2
 
 
-def _window_pairs(T, lo, hi, vectors=True, count=None, settle=None):
+def _scale(T, lo, hi, k):
+    """(eps * ||T||_1, the mean spacing of the k eigenvalues of T in
+    [lo, hi])."""
+    rows = np.abs(T.d)
+    rows[:-1] += np.abs(T.e)
+    rows[1:] += np.abs(T.e)
+    norm = rows.max()
+    # the spacing of the spectrum, not of a window reaching past it
+    return np.finfo(float).eps * norm, (min(hi, norm) - max(lo, -norm)) / k
+
+
+def _coarse_groups(T, lo, hi, k, tol, reach):
+    """stebz's values of T in [lo, hi] and within reach outside it, each to
+    tol, grouped.
+
+    Values closer than reach share a group. Returns (coarse, keep, groups):
+    the values, ascending; the slice of the k values in [lo, hi]; and each
+    group of indices into coarse that holds one of them.
+    """
+    # stebz counts each range from the Sturm counts at its ends, so the
+    # three ranges split the spectrum exactly at lo and hi
+    edges = (lo - reach, lo, hi, hi + reach)
+    below, inside, above = (
+        eigh_tridiagonal(
+            T.d, T.e, eigvals_only=True, select="v", select_range=span, tol=tol
+        )
+        for span in zip(edges, edges[1:])
+    )
+    coarse = np.concatenate((below, inside, above))
+    keep = slice(len(below), len(below) + k)
+    splits = np.flatnonzero(np.diff(coarse) > reach) + 1
+    groups = [
+        group
+        for group in np.split(np.arange(len(coarse)), splits)
+        # a neighbour outside the window, alone, is not solved
+        if group[-1] >= keep.start and group[0] < keep.stop
+    ]
+    return coarse, keep, groups
+
+
+def _factors(gttrf, T, shifts, unit):
+    """One LU factorization of T - shift per shift."""
+    lus = []
+    for shift in shifts:
+        dl, dd, du, du2, ipiv, _ = gttrf(T.e, T.d - shift, T.e)
+        # an exactly singular T - shift: a tiny pivot keeps the solve finite
+        # and its direction right
+        dd[dd == 0.0] = unit
+        lus.append((dl, dd, du, du2, ipiv))
+    return lus
+
+
+def _solve(gttrs, lus, X):
+    """One solve per vector, in place: column j against the j-th factors."""
+    for j, lu in enumerate(lus):
+        X[:, j] = gttrs(*lu, X[:, j], overwrite_b=1)[0]
+
+
+def _sweep(T, gttrs, lus, X, values=None):
+    """One solve per vector, then Rayleigh-Ritz: (theta, X, squares), with
+    squares the residuals' squared norms against values, or against theta
+    when values is None."""
+    _solve(gttrs, lus, X)
+    theta, X, JX = _rayleigh_ritz(T, X)
+    R = JX - X * (theta if values is None else values)
+    return theta, X, np.einsum("ij,ij->j", R, R)
+
+
+def _window_pairs(T, lo, hi, vectors=True, count=None):
     """Eigenpairs (w, V) of T with eigenvalues in [lo, hi], never forming a
     dense matrix.
 
@@ -247,78 +321,25 @@ def _window_pairs(T, lo, hi, vectors=True, count=None, settle=None):
     certified within _MAX_SWEEPS raises eig-window-convergence.
 
     count, when given, is that Sturm count, from a caller that has it.
-    settle = (inner, level) drops, after any sweep, a group none of whose
-    eigenvectors can hold a mass of level inside the boolean row mask
-    inner (_max_localization). The other eigenvalues lie beyond the coarse
-    neighbours by tol, or beyond the ends of the bisected range, and the
-    residual is padded by twice the bound for its own rounding and for the
-    residual of the vectors a full solve would certify. A dropped group
-    takes no more sweeps and is left out of (w, V); every other group runs
-    as without settle, from the same draws, to the same bits.
     """
-    d, e = T.d, T.e
-    n = len(d)
+    n = len(T.d)
     k = count_window(T, lo, hi) if count is None else count
     if k == 0:
         return np.empty(0), np.empty((n, 0))
-    rows = np.abs(d)
-    rows[:-1] += np.abs(e)
-    rows[1:] += np.abs(e)
-    norm = rows.max()
-    unit = np.finfo(float).eps * norm
-    # the spacing of the spectrum, not of a window reaching past it
-    tol = _BISECT_TOL * (min(hi, norm) - max(lo, -norm)) / k
-    reach = _GROUP_GAP * tol
-    # stebz counts each range from the Sturm counts at its ends, so the
-    # three ranges split the spectrum exactly at lo and hi
-    edges = (lo - reach, lo, hi, hi + reach)
-    below, inside, above = (
-        eigh_tridiagonal(
-            d, e, eigvals_only=True, select="v", select_range=span, tol=tol
-        )
-        for span in zip(edges, edges[1:])
-    )
-    coarse = np.concatenate((below, inside, above))
-    keep = slice(len(below), len(below) + k)
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
+    unit, spacing = _scale(T, lo, hi, k)
+    tol = _BISECT_TOL * spacing
+    coarse, keep, groups = _coarse_groups(T, lo, hi, k, tol, _GROUP_GAP * tol)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (T.d,))
     rng = np.random.default_rng(0)
     w, V = np.empty(len(coarse)), np.empty((n, len(coarse)))
-    dropped = np.zeros(len(coarse), dtype=bool)
-    splits = np.flatnonzero(np.diff(coarse) > reach) + 1
-    for group in np.split(np.arange(len(coarse)), splits):
-        if group[-1] < keep.start or group[0] >= keep.stop:
-            continue  # a neighbour outside the window, alone
-        lus = []
-        for shift in coarse[group]:
-            dl, dd, du, du2, ipiv, _ = gttrf(e, d - shift, e)
-            # an exactly singular T - shift: a tiny pivot keeps the solve
-            # finite and its direction right
-            dd[dd == 0.0] = unit
-            lus.append((dl, dd, du, du2, ipiv))
+    for group in groups:
+        lus = _factors(gttrf, T, coarse[group], unit)
         X = rng.standard_normal((len(group), n)).T  # contiguous columns
         # orthonormalising and rotating k vectors rounds k-fold
         bound = _RESIDUAL_EPS * len(group) * unit
-        if settle is not None:
-            inner, level = settle
-            # every eigenvalue outside the group lies at or below floor, or
-            # at or above ceiling
-            first, last = group[0], group[-1]
-            floor = (coarse[first - 1] if first > 0 else edges[0]) + tol
-            ceiling = (coarse[last + 1] if last + 1 < len(coarse) else edges[-1]) - tol
         values = None
         for _ in range(_MAX_SWEEPS):
-            for j, lu in enumerate(lus):
-                X[:, j] = gttrs(*lu, X[:, j], overwrite_b=1)[0]
-            theta, X, JX = _rayleigh_ritz(T, X)
-            diagonal = theta if values is None else values
-            R = JX - X * diagonal
-            squares = np.einsum("ij,ij->j", R, R)
-            if settle is not None:
-                gap = min(diagonal[0] - floor, ceiling - diagonal[-1])
-                residual = np.sqrt(squares.sum()) + 2.0 * bound
-                if _max_localization(X, residual, inner, gap) < level:
-                    dropped[group] = True
-                    break
+            theta, X, squares = _sweep(T, gttrs, lus, X, values)
             certified = np.max(squares) <= bound**2
             if certified and values is None:
                 values = theta
@@ -333,12 +354,8 @@ def _window_pairs(T, lo, hi, vectors=True, count=None, settle=None):
                 f"{coarse[group[0]]:.17g} above the residual bound "
                 f"{bound:.3g} after {_MAX_SWEEPS} solves",
             )
-        if not dropped[group[0]]:
-            w[group], V[:, group] = values, X
-    if settle is None:
-        return w[keep], V[:, keep]
-    held = np.arange(keep.start, keep.stop)[~dropped[keep]]
-    return w[held], V[:, held]
+        w[group], V[:, group] = values, X
+    return w[keep], V[:, keep]
 
 
 def eig_window(T, lo, hi):
@@ -355,10 +372,60 @@ def localized_pairs(T, lo, hi, inner, level, count=None):
     mask inner, bit-identical to eig_window's; count is the Sturm count of
     [lo, hi] when the caller has it.
 
-    The solver is _window_pairs with settle = (inner, level): a group that
-    cannot hold such a vector is dropped as soon as a sweep shows it.
+    A coarse pass first: stebz bisects to tol = _SCREEN_TOL mean level
+    spacings, inside the window and within 2 tol outside it, and coarse
+    values closer than 2 tol form a group, so every eigenvalue outside a
+    group lies at or below its lower coarse neighbour + tol, or at or above
+    its upper one - tol (or beyond the bisected ranges). Each coarse value
+    shifts its own LU factorization, every group starts from the first
+    columns of one seeded block, and its vectors take at most
+    _SCREEN_SWEEPS solves; after each solve but the first, Rayleigh-Ritz
+    and the Davis-Kahan bound (_max_localization) against those neighbours
+    may drop the group. The residual is padded by twice the kernel's
+    certified bound for its own rounding and for the residual of the
+    vectors eig_window certifies, so no group that could hold a vector of
+    mass level is dropped. When
+    every group is dropped the result is empty and no fine bisection runs;
+    otherwise the result is eig_window's pairs at the kept groups' indices:
+    the j-th coarse value in the window belongs to the j-th eigenvalue, both
+    counts being Sturm-exact.
     """
-    return _window_pairs(T, lo, hi, count=count, settle=(inner, level))
+    n = len(T.d)
+    k = count_window(T, lo, hi) if count is None else count
+    if k == 0:
+        return np.empty(0), np.empty((n, 0))
+    unit, spacing = _scale(T, lo, hi, k)
+    tol = _SCREEN_TOL * spacing
+    reach = 2.0 * tol
+    coarse, keep, groups = _coarse_groups(T, lo, hi, k, tol, reach)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (T.d,))
+    start = np.random.default_rng(0).standard_normal((max(map(len, groups)), n))
+    held = []
+    for group in groups:
+        first, last = group[0], group[-1]
+        # every eigenvalue outside the group lies at or below floor, or at
+        # or above ceiling
+        floor = (coarse[first - 1] if first > 0 else lo - reach) + tol
+        ceiling = (coarse[last + 1] if last + 1 < len(coarse) else hi + reach) - tol
+        lus = _factors(gttrf, T, coarse[group], unit)
+        X = start[: len(group)].T.copy(order="F")  # contiguous columns
+        # one solve from a random start, at a shift up to tol off, seldom
+        # bounds a group (48 of the catalog windows' 1,089 groups), so
+        # Rayleigh-Ritz and the bound first run after the second
+        _solve(gttrs, lus, X)
+        residual_pad = 2.0 * _RESIDUAL_EPS * len(group) * unit
+        for _ in range(_SCREEN_SWEEPS - 1):
+            theta, X, squares = _sweep(T, gttrs, lus, X)
+            gap = min(theta[0] - floor, ceiling - theta[-1])
+            residual = np.sqrt(squares.sum()) + residual_pad
+            if _max_localization(X, residual, inner, gap) < level:
+                break
+        else:
+            held.extend(j - keep.start for j in group if keep.start <= j < keep.stop)
+    if not held:
+        return np.empty(0), np.empty((n, 0))
+    w, V = _window_pairs(T, lo, hi, count=k)
+    return w[held], V[:, held]
 
 
 def eigvals_window(T, lo, hi):

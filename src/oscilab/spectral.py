@@ -167,10 +167,11 @@ def genuine_embedded(build, window, box_list, count=None):
     """The genuine candidates of find_embedded(build, window, box_list).
 
     Only a localized candidate can be genuine, so the largest box's
-    eigenpairs come from localized_pairs: a group of close eigenvalues is
-    dropped after the first sweep whose Davis-Kahan bound shows that none of
-    its eigenvectors reaches LOCALIZATION_THRESHOLD, less _SETTLE_MARGIN,
-    and the others are eig_window's pairs, bit for bit. The smaller boxes'
+    eigenpairs come from localized_pairs: its coarse pass drops a group of
+    close eigenvalues once a Davis-Kahan bound shows that none of its
+    eigenvectors reaches LOCALIZATION_THRESHOLD, less _SETTLE_MARGIN, and
+    the others are eig_window's pairs, bit for bit; when every group is
+    dropped, no fine eigensolve runs. The smaller boxes'
     spectra are read only when some eigenvalue left reaches the threshold;
     otherwise no smaller box is built or solved. count is the number of
     eigenvalues of the largest box in the window, when the caller has it.

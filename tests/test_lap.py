@@ -912,9 +912,9 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
         screens.append((T.grid.L, lo, hi))
         return localized_pairs(T, lo, hi, inner, level, count=count)
 
-    def counted_kernel(T, lo, hi, vectors=True, count=None, settle=None):
-        kernel.append((T.shape[0], lo, hi, vectors, count, settle is not None))
-        return window_pairs(T, lo, hi, vectors, count, settle)
+    def counted_kernel(T, lo, hi, vectors=True, count=None):
+        kernel.append((T.shape[0], lo, hi, vectors, count))
+        return window_pairs(T, lo, hi, vectors, count)
 
     def counted(caller):
         def count(T, lo, hi):
@@ -952,32 +952,33 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
     # one screen per window, on the largest box only
     assert screens == [(120.0, 0.2, 0.6), (120.0, 1.2, 1.7)]
     # one Sturm count per window and box, all in the scan's setup: the
-    # screen's kernel takes the largest box's count from there and counts
-    # nothing itself
+    # screen takes the largest box's count from there and counts nothing
+    # itself
     assert sorted(c[1:] for c in counts) == sorted(
         (n, win) for win in windows.values() for n in (n_small, n_big)
     )
     assert all(c[0] == "scan" for c in counts)
-    # the windowed kernel: per window, the largest box's settled screen alone.
-    # No candidate of the largest box is localized (checked at the end), so
-    # none can be genuine and the smaller box's drift partners are not read
-    assert kernel == [
-        (n_big, lo, hi, True, big_counts[lo, hi], True)
-        for lo, hi in windows.values()
-    ]
+    # no windowed kernel: no candidate of the largest box is localized
+    # (checked at the end), so each screen drops every group on its coarse
+    # pass, none can be genuine and the smaller box's drift partners are
+    # not read
+    assert kernel == []
     # no LAPACK eigenvectors and no full-precision bisection: a count stops
-    # at the window's width, and each kernel call bisects its window and the
-    # two ranges beyond its ends at one tolerance, below the level spacing
+    # at the window's width, and each screen bisects its window and the two
+    # ranges beyond its ends at the screen tolerance, a tenth of the level
+    # spacing
     assert all(kw["eigvals_only"] and kw["tol"] > 0.0 for kw in bisections)
     ranges = [(kw["select_range"], kw["tol"]) for kw in bisections]
     coarse = [(r, tol) for r, tol in ranges if tol != r[1] - r[0]]
     assert len(ranges) - len(coarse) == len(counts)
-    assert len(coarse) == 3 * len(kernel)
-    for i, (_, lo, hi, *_) in enumerate(kernel):
+    assert len(coarse) == 3 * len(screens)
+    for i, (_, lo, hi) in enumerate(screens):
         below, inside, above = coarse[3 * i : 3 * i + 3]
         assert inside[0] == (lo, hi)
         assert below[0][1] == lo and above[0][0] == hi
-        assert below[1] == inside[1] == above[1] <= 1e-4 * (hi - lo)
+        spacing = (hi - lo) / big_counts[lo, hi]
+        assert below[1] == inside[1] == above[1]
+        assert inside[1] == pytest.approx(oscilab.discretize._SCREEN_TOL * spacing)
     monkeypatch.undo()
     big = build_schrodinger(line_grid(120.0, 0.25), V)
     for lo, hi in windows.values():

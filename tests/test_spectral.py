@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oscilab._blocknorm
 import oscilab.discretize
@@ -179,15 +181,26 @@ def test_settled_screen_returns_the_full_screens_genuine_candidates(
     monkeypatch, alpha, beta, window
 ):
     # alpha = 1, beta = 0.6 holds its eigenvalues in near-degenerate pairs,
-    # each one group of the kernel
+    # each one group of the screen
     build = phase_builder(alpha, beta)
     full = find_embedded(build, window, (60.0, 120.0))
     calls = counted_solves(monkeypatch)
+    kernel = []
+    window_pairs = oscilab.discretize._window_pairs
+
+    def counted_kernel(*args, **kwargs):
+        kernel.append(args)
+        return window_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(oscilab.discretize, "_window_pairs", counted_kernel)
     genuine = genuine_embedded(build, window, (60.0, 120.0))
     assert genuine == [c for c in full if c.verdict == "genuine"]
-    # every group settles on its first sweep: one solve per vector, each
-    # vector having its own factorization
-    assert calls["gttrs"] == calls["gttrf"] > 0
+    # the coarse pass drops every group, so the windowed kernel never runs;
+    # each vector has its own factorization and takes at most
+    # _SCREEN_SWEEPS solves
+    assert kernel == []
+    sweeps = oscilab.discretize._SCREEN_SWEEPS
+    assert 0 < calls["gttrf"] <= calls["gttrs"] <= sweeps * calls["gttrf"]
 
 
 def test_settled_screen_keeps_eig_windows_pairs_bit_for_bit():
@@ -210,14 +223,78 @@ def test_settled_screen_keeps_eig_windows_pairs_bit_for_bit():
 
 
 def test_settled_screen_solves_a_localized_group_in_full(monkeypatch):
-    # the Wigner-von Neumann bound state: its group cannot settle, so it
-    # runs to eig_window's certified pair and is read genuine
+    # the Wigner-von Neumann bound state: its group cannot be dropped, so
+    # the screen returns eig_window's certified pair and reads it genuine
     full = find_embedded(wvn_builder, (0.8, 1.2), (60.0, 120.0))
     calls = counted_solves(monkeypatch)
     genuine = genuine_embedded(wvn_builder, (0.8, 1.2), (60.0, 120.0))
     assert len(genuine) == 1 and genuine[0].localization >= 0.99
     assert genuine == [c for c in full if c.verdict == "genuine"]
     assert calls["gttrs"] > calls["gttrf"]
+
+
+def test_settled_screen_keeps_the_genuine_eigenvalue_of_a_strong_cell(monkeypatch):
+    # at w = 10 each catalog window holds one genuine eigenvalue, so the
+    # coarse pass keeps its group and the windowed kernel runs on the
+    # largest box for the kept pairs
+    V = OscillatingSpec(w=10.0, k=2.0, alpha=1.0, beta=0.6)
+    hams = {L: build_schrodinger(line_grid(L, 0.25), V) for L in (60.0, 120.0)}
+    kernel = []
+    window_pairs = oscilab.discretize._window_pairs
+
+    def counted_kernel(T, lo, hi, vectors=True, count=None):
+        kernel.append((T.shape[0], lo, hi, vectors))
+        return window_pairs(T, lo, hi, vectors, count)
+
+    for window in ((0.2, 0.6), (1.2, 1.7)):
+        full = find_embedded(hams.__getitem__, window, (60.0, 120.0))
+        monkeypatch.setattr(oscilab.discretize, "_window_pairs", counted_kernel)
+        genuine = genuine_embedded(hams.__getitem__, window, (60.0, 120.0))
+        monkeypatch.undo()
+        assert len(genuine) == 1
+        assert genuine == [c for c in full if c.verdict == "genuine"]
+        # the largest box's kept pairs, then the smaller box's drift partners
+        assert kernel[0] == (hams[120.0].shape[0], *window, True)
+        assert [call[0] for call in kernel[1:]] == [hams[60.0].shape[0]]
+        kernel.clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(16, 400),
+    seed=st.integers(0, 2**32 - 1),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    block=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    level=st.floats(0.01, 0.99),
+)
+def test_settled_screen_drops_no_localized_pair_of_random_tridiagonals(
+    n, seed, ends, block, level
+):
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+    e = rng.normal(size=n - 1) * (rng.random(n - 1) > 0.1)  # some split blocks
+    T = OperatorMatrix(Grid1D("line", 1.0, n), d, e)
+    rows = np.abs(d)
+    rows[:-1] += np.abs(e)
+    rows[1:] += np.abs(e)
+    lo, hi = sorted(rows.max() * (2.0 * np.asarray(ends) - 1.0))
+    assume(hi > lo)
+    first, last = sorted(int(round(r * n)) for r in block)
+    inner = np.zeros(n, dtype=bool)
+    inner[first:last] = True
+    w, V = eig_window(T, lo, hi)
+    kept_w, kept_V = localized_pairs(T, lo, hi, inner, level)
+    # every kept pair is one of eig_window's, bit for bit, in its order
+    kept, i = [], 0
+    for wj, vj in zip(kept_w, kept_V.T):
+        while i < len(w) and not (w[i] == wj and np.array_equal(V[:, i], vj)):
+            i += 1
+        assert i < len(w)
+        kept.append(i)
+        i += 1
+    # and every pair of eig_window that reaches the level is kept
+    localization = (V[inner] ** 2).sum(axis=0) / (V**2).sum(axis=0)
+    assert set(np.flatnonzero(localization >= level)) <= set(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,15 @@ EXTRA = {
          "boxes": [60.0, 120.0], "budget": 3,
          "windows": {"below": [0.2, 0.6], "above": [1.2, 1.7]}},
     ),
+    # a cell strong enough (w = 10) to hold a genuine eigenvalue in each
+    # window: the only run whose screen keeps a group and so reaches the
+    # fine windowed kernel
+    "phase-genuine-cell": (
+        "phase-diagram",
+        {"alphas": [1.0], "betas": [0.6], "k": 2.0, "w": 10.0, "h": 0.25,
+         "boxes": [60.0, 120.0],
+         "windows": {"below": [0.2, 0.6], "above": [1.2, 1.7]}},
+    ),
     "lap-scan-im-ladder": (
         "lap-scan",
         {"interval": [0.5, 1.5], "boxes": [100.0, 200.0], "h": 0.2,
