@@ -472,6 +472,7 @@ def run(config_path, overrides=()):
         print(json.dumps({"error": {"invariant": "config-parse", "message": str(exc)}}))
         return 2
     t0 = time.monotonic()
+    _pool.worker_peak_rss_mb()  # drop what earlier runs in the process left
     try:
         outputs, disclosures = _COMMANDS[config.command][0](
             config.params, config.output_dir, config.seed
@@ -494,6 +495,9 @@ def run(config_path, overrides=()):
         )
         return 1
     wall = time.monotonic() - t0
+    worker_peak = _pool.worker_peak_rss_mb()
+    if worker_peak is not None:
+        disclosures["worker_peak_rss_mb"] = worker_peak
     manifest = {
         "config": doc,
         "version": __version__,

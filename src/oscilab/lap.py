@@ -69,6 +69,15 @@ P_FAILS = 0.85
 STABILITY_TOL = 0.2
 
 _POSINF = float("inf")
+# a position-weight lap_scan whose largest factored box has fewer rows runs
+# its chains in the calling process, where a span tracer sees its kernels
+# (perfbench's tracer does not see the pool's workers). Every other scan
+# with more than one chain, conjugate-A ones included, goes to the pool.
+# Speed does not set it. On a two-core Xeon, one-shot scans at n <= 199
+# (s = 1, 5 Re z, boxes 20/40, fresh interpreters) read 28-45 ms
+# in-process against 32-43 ms pooled, and in a warm process the pool wins
+# there, 13.8 against 9.3 ms
+_POOL_ROWS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +322,8 @@ class _ScanSetup:
     hams maps each box L to its H and counts to its Sturm count in the
     interval; free holds the boxes of the unweighted free control, whose
     norms are read off the closed-form spectrum. tasks are the (box, Re z)
-    chains, largest box first; rows is the size of the largest box a chain
-    factors (0 when every chain is closed-form). boxes holds each box's
-    chain operands once _box has built them in this process.
+    chains, largest box first. boxes holds each box's chain operands once
+    _box has built them.
     """
 
     spec: LapScanSpec
@@ -327,7 +335,6 @@ class _ScanSetup:
     ladder: list
     re_grid: np.ndarray
     tasks: list
-    rows: int
     boxes: dict
 
 
@@ -359,16 +366,14 @@ def _scan_setup(factory, V, spec):
     # largest box first, so the longest chains start first in a pool
     re_grid = np.linspace(lo, hi, spec.re_points)
     tasks = [(L, re_z) for L in reversed(spec.box_list) for re_z in re_grid]
-    # the closed-form chains are not worth a fork
-    rows = max((H.shape[0] for L, H in hams.items() if L not in free), default=0)
     return _ScanSetup(
-        spec, hams, counts, free, spacing, floor, ladder, re_grid, tasks, rows, {}
+        spec, hams, counts, free, spacing, floor, ladder, re_grid, tasks, {}
     )
 
 
 def _box(setup, L):
     """(d, e, W, ev, X0) of box L's chains, built and checked at the first
-    call in this process: the diagonal and the upper off-diagonal, complex,
+    call on setup: the diagonal and the upper off-diagonal, complex,
     the resolvent is taken of, the weight, the closed-form spectrum of the
     free control (None otherwise), and the first rung's start vector, from
     which every chain of the box starts."""
@@ -490,15 +495,24 @@ def lap_scan(factory, V, spec):
     setup (_scan_setup, then each box's operands, _box), one ladder walk
     and exponent fit per (box, Re z) chain (_chain) and the assembly of
     rows, per-box exponents and verdict (_scan_result). Each chain walks
-    its own ladder, so the chains run in forked workers when they are large
-    enough (_pool.pool_map); the rows are the same either way.
+    its own ladder, so the chains run in the process's workers
+    (_pool.pool_map), except those of a position-weight scan whose largest
+    factored box has fewer than _POOL_ROWS rows; the rows are the same
+    either way.
     """
     setup = _scan_setup(factory, V, spec)
-    # every box's operands built and checked once, before the workers fork
+    # every box's operands built and checked once, in the caller; they go
+    # to the workers inside the task pickle, the dense weight included
     for L in spec.box_list:
         _box(setup, L)
-    walked = _pool.pool_map(functools.partial(_chain, setup), setup.tasks, setup.rows)
-    workers = _pool.workers(len(setup.tasks), setup.rows)
+    chain = functools.partial(_chain, setup)
+    rows = max((H.shape[0] for L, H in setup.hams.items() if L not in setup.free),
+               default=0)
+    if spec.weight_kind == "position" and rows < _POOL_ROWS:
+        walked, workers = [chain(task) for task in setup.tasks], 1
+    else:
+        walked = _pool.pool_map(chain, setup.tasks)
+        workers = _pool.workers(len(setup.tasks))
     return _scan_result(setup, dict(zip(setup.tasks, walked)), workers)
 
 
@@ -748,10 +762,26 @@ def _attempt(fn, *args, **kwargs):
         return exc
 
 
+def _built(hams, V, L):
+    """A scan factory's H on box L, for a cell whose H per box is hams."""
+    return hams[L]
+
+
 def _window_setup(hams, V, win, s, boxes):
     """The scan setup of one window of a cell whose H per box is hams."""
     spec = LapScanSpec(interval=win, s=s, box_list=boxes)
-    return _scan_setup(lambda _, L: hams[L], V, spec)
+    return _scan_setup(functools.partial(_built, hams), V, spec)
+
+
+def _sweep_task(jobs, boxes, task):
+    """One task of a sweep's list, or the exception it raised: job j's
+    screen when chain is None, else its (box, Re z) chain."""
+    j, chain = task
+    *_, win, hams, setup = jobs[j]
+    if chain is not None:
+        return _attempt(_chain, setup, chain)
+    count = None if isinstance(setup, Exception) else setup.counts[max(boxes)]
+    return _attempt(genuine_embedded, hams.__getitem__, win, boxes, count=count)
 
 
 @_pool.one_blas_thread()
@@ -811,19 +841,10 @@ def phase_sweep(
                 chains.append((-work, j, (L, re_z)))
     chains.sort(key=lambda c: c[0])
     tasks = [(j, None) for j in range(len(jobs))] + [c[1:] for c in chains]
-
-    def run(task):
-        j, chain = task
-        *_, win, hams, setup = jobs[j]
-        if chain is not None:
-            return _attempt(_chain, setup, chain)
-        count = None if isinstance(setup, Exception) else setup.counts[max(boxes)]
-        return _attempt(genuine_embedded, hams.__getitem__, win, boxes, count=count)
-
-    rows = max((H.shape[0] for *_, hams, _ in jobs for H in hams.values()), default=0)
-    done = dict(zip(tasks, _pool.pool_map(run, tasks, rows)))
+    run = functools.partial(_sweep_task, jobs, boxes)
+    done = dict(zip(tasks, _pool.pool_map(run, tasks)))
     cells = PhaseSweep()
-    cells.workers = _pool.workers(len(tasks), rows)
+    cells.workers = _pool.workers(len(tasks))
     for j, (alpha, beta, nm, win, _, setup) in enumerate(jobs):
         genuine = done[j, None]
         if isinstance(genuine, Exception):

@@ -12,6 +12,7 @@ over growing radii: vanishing tails certify compactness, a plateau measures
 the non-compact part.
 """
 
+import functools
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -290,6 +291,20 @@ def _channel_window_factors(grid, theta, k, alpha_channel):
     return U, F, mnorm
 
 
+def _channel_tails(grid, theta, k, radii, alpha):
+    """One radial channel's tail norms at the radii, zeros when its window
+    holds no eigenvalue, and its ||M_alpha||."""
+    U, F, mnorm = _channel_window_factors(grid, theta, k, alpha)
+    tails = [0.0] * len(radii)
+    if U is not None:
+        r = grid.x
+        for i, R in enumerate(radii):
+            mask = r >= R
+            tails[i] = _gram_corner_norm(U[mask, :], F) if np.any(mask) else 0.0
+    return tails, mnorm
+
+
+@_pool.one_blas_thread()
 def small_plus_decay_probe(grid, theta, k, radii, channel_alphas=DEFAULT_CHANNEL_ALPHAS):
     """Tail decay of the windowed oscillation theta(h) sin(k r) theta(h).
 
@@ -297,24 +312,22 @@ def small_plus_decay_probe(grid, theta, k, radii, channel_alphas=DEFAULT_CHANNEL
     alpha r^(-2) (Dirichlet) on the supplied half-line grid; the direct-sum
     tail norm at each radius is the max over channels. The plateau estimates
     the norm of the non-decaying part; below the interference threshold it
-    collapses to zero instead.
+    collapses to zero instead. The channels run in the process's workers
+    (_pool.pool_map), and the maxima are taken in channel order.
     """
     if grid.kind != "halfline":
         raise InvariantViolation("channel-grid", "probe needs a halfline grid")
     if len(channel_alphas) == 0:
         raise InvariantViolation("channel-count", "probe needs at least one channel")
     radii = _check_radii(radii)
-    r = grid.x
+    channels = _pool.pool_map(
+        functools.partial(_channel_tails, grid, theta, k, radii), channel_alphas
+    )
     tails = np.zeros(len(radii))
     total_norm = 0.0
-    for alpha in channel_alphas:
-        U, F, mnorm = _channel_window_factors(grid, theta, k, alpha)
+    for channel_tails, mnorm in channels:
         total_norm = max(total_norm, mnorm)
-        if U is None:
-            continue
-        for i, R in enumerate(radii):
-            mask = r >= R
-            val = _gram_corner_norm(U[mask, :], F) if np.any(mask) else 0.0
+        for i, val in enumerate(channel_tails):
             tails[i] = max(tails[i], val)
     return _make_report(radii, tails, total_norm)
 

@@ -18,8 +18,23 @@ def rng():
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Two CPUs in the affinity mask, whatever the host has, so that
-    _pool.pool_map forks for tasks of at least _pool.MIN_ROWS rows."""
+    _pool.pool_map runs more than one task in its workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One CPU in the affinity mask, so that _pool.pool_map runs its tasks
+    in-process, where a test's patches and counters see them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.fixture(autouse=True)
+def fresh_pool():
+    """Every test leaves no pool behind: the workers keep the module state
+    of their fork, so a later test's patches would not reach them."""
+    yield
+    _pool.shutdown()
 
 
 @pytest.fixture(autouse=True)

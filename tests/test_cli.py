@@ -193,7 +193,7 @@ def test_norm_convergence_failure_in_a_worker_exits_1(
     def unconverged(d, e, wdiag, z, **kwargs):
         return 1.0, 600, False, None, 1.0
 
-    # the forked workers inherit the patch and raise in the pooled chains
+    # the workers, forked after the patch, raise in the pooled chains
     monkeypatch.setattr(oscilab.lap, "_banded_norm", unconverged)
     doc = {
         "command": "lap-scan",
@@ -213,8 +213,8 @@ def test_chain_failure_of_a_scanned_phase_window_exits_1(
     def unconverged(d, e, wdiag, z, **kwargs):
         return 1.0, 600, False, None, 1.0
 
-    # the forked workers inherit the patch and raise in the pooled chains of
-    # a window whose screen finds no genuine eigenvalue
+    # the workers, forked after the patch, raise in the pooled chains of a
+    # window whose screen finds no genuine eigenvalue
     monkeypatch.setattr(oscilab.lap, "_banded_norm", unconverged)
     doc = {
         "command": "phase-diagram",
@@ -666,7 +666,7 @@ _DISCLOSING_RUNS = {
 
 
 @pytest.mark.parametrize("command", sorted(_DISCLOSING_RUNS))
-def test_norm_kernel_runs_disclose_their_certificate(tmp_path, command):
+def test_norm_kernel_runs_disclose_their_certificate(tmp_path, command, one_cpu):
     params, name = _DISCLOSING_RUNS[command]
     manifests = []
     for run_dir in ("a", "b"):
@@ -682,7 +682,7 @@ def test_norm_kernel_runs_disclose_their_certificate(tmp_path, command):
     disclosed = manifests[0]["disclosures"]
     assert disclosed == manifests[1]["disclosures"]
     if command == "lap-scan":
-        # n <= 200 rows: the chains ran in-process
+        # one CPU: the chains ran in-process
         assert disclosed["workers"] == 1
         # relative Ritz residual <= sqrt(tol) with the scan's tol = 1e-12
         assert 0.0 < disclosed["norm_residual_max"] <= 1e-6
@@ -749,14 +749,17 @@ def test_phase_diagram_discloses_its_workers_outside_the_outputs(
     params = {"alphas": [1.5], "betas": [0.75], "h": 0.05, "boxes": [60.0, 120.0],
               "windows": {"below": [0.2, 0.6], "above": [1.2, 1.7]}}
     manifests = []
-    for run_dir, min_rows in (("pooled", oscilab._pool.MIN_ROWS), ("serial", 10**9)):
-        monkeypatch.setattr(oscilab._pool, "MIN_ROWS", min_rows)
+    for run_dir, cpus in (("pooled", {0, 1}), ("serial", {0})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         doc = {"command": "phase-diagram", "params": params,
                "output_dir": str(tmp_path / run_dir)}
         assert run(write_config(tmp_path, doc, f"{run_dir}.json")) == 0
         manifests.append(read_json(tmp_path / run_dir / "manifest.json"))
     pooled, serial = manifests
-    assert pooled["disclosures"] == {"workers": 2}
+    assert pooled["disclosures"]["workers"] == 2
+    # the workers' peak RSS, only where workers ran
+    assert set(pooled["disclosures"]) == {"workers", "worker_peak_rss_mb"}
+    assert pooled["disclosures"]["worker_peak_rss_mb"] > 1.0
     assert serial["disclosures"] == {"workers": 1}
     assert pooled["outputs"] == serial["outputs"]
 

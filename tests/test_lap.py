@@ -318,6 +318,8 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
     assert (iters, converged) == (2, False)
     capped = functools.partial(oscilab.lap._banded_norm, max_iters=2)
     monkeypatch.setattr(oscilab.lap, "_banded_norm", capped)
+    # workers forked before the patch would not see it
+    oscilab._pool.shutdown()
     with pytest.raises(InvariantViolation) as err:
         lap_scan(schrodinger_line_factory(0.2), None, _CONJUGATE_A_SPEC)
     assert err.value.invariant == "norm-convergence"
@@ -512,7 +514,7 @@ def test_scan_summary_fields(free_unweighted_scan):
 
 
 # ---------------------------------------------------------------------------
-# scans in forked workers
+# scans in the pool's workers
 
 _S12_OSCILLATION = OscillatingSpec(w=3.0, k=2.0, alpha=1.0, beta=1.0)
 
@@ -521,7 +523,6 @@ def test_pooled_scan_equals_a_serial_walk_of_the_same_ladder(two_cpus):
     h, spec = 0.05, LapScanSpec(interval=(0.5, 1.5), s=1.0, re_points=3,
                                 box_list=(60.0, 120.0))
     factory = schrodinger_line_factory(h)
-    assert factory(None, 60.0).shape[0] >= oscilab._pool.MIN_ROWS
     res = lap_scan(factory, _S12_OSCILLATION, spec)
     assert res.workers == 2
     ladder = oscilab.lap._standard_ladder(res.im_floor)
@@ -549,6 +550,23 @@ def test_scans_below_the_pool_threshold_run_in_process(two_cpus):
         LapScanSpec(interval=(0.5, 1.5), s=1.0, re_points=3, box_list=(20.0, 40.0)),
     )
     assert res.workers == 1
+
+
+def test_pooled_conjugate_A_scan_equals_the_one_cpu_scan(monkeypatch):
+    # operator-weight scale: h = 0.2, boxes 12/24, the dense F in the pickle
+    spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, weight_kind="conjugate_A",
+                       box_list=(12.0, 24.0))
+    factory = schrodinger_line_factory(0.2)
+    scans = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        scans.append(lap_scan(factory, _S12_OSCILLATION, spec))
+    pooled, serial = scans
+    assert (pooled.workers, serial.workers) == (2, 1)
+    assert pooled.rows == serial.rows
+    assert pooled.norm_iterations == serial.norm_iterations
+    assert pooled.norm_residual_max == serial.norm_residual_max
+    assert pooled.verdict == serial.verdict
 
 
 def test_a_position_scan_draws_one_start_vector_per_box(monkeypatch):
@@ -627,7 +645,7 @@ def test_pooled_phase_sweep_builds_in_the_parent_and_screens_in_workers(
     assert sorted(c[2] for c in chains) == [60.0] * 10 + [120.0] * 10
     assert os.getpid() not in {c[0] for c in chains}
     # the same cells as an in-process sweep
-    monkeypatch.setattr(oscilab._pool, "MIN_ROWS", 10**9)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     with oscilab._pool.one_blas_thread():
         serial = phase_sweep(*args, **kwargs)
     assert serial.workers == 1
@@ -896,7 +914,7 @@ def test_phase_sweep_lite_cell_structure(tmp_path):
     assert again == cells
 
 
-def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch):
+def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch, one_cpu):
     builds, screens, kernel, counts, bisections = [], [], [], [], []
     build = oscilab.lap.build_schrodinger
     localized_pairs = oscilab.spectral.localized_pairs
@@ -1023,7 +1041,7 @@ def test_speculative_chains_of_a_genuine_window_are_dropped(
     two_cpus, monkeypatch, tmp_path
 ):
     # the "below" window's screen reads a genuine eigenvalue and its chains
-    # fail; the forked workers inherit both patches
+    # fail; the workers, forked after both patches, see them
     log = tmp_path / "failed.txt"
     screen = oscilab.lap.genuine_embedded
     banded_norm = oscilab.lap._banded_norm
@@ -1056,8 +1074,10 @@ def test_speculative_chains_of_a_genuine_window_are_dropped(
     # the window's chains ran beside its screen, each failing on its first
     # rung, and their failures were dropped
     assert len(log.read_text().split()) == 10
-    # a failure in a scanned window still surfaces
+    # a failure in a scanned window still surfaces; workers forked before
+    # the patch would not see it
     monkeypatch.setattr(oscilab.lap, "genuine_embedded", screen)
+    oscilab._pool.shutdown()
     with pytest.raises(ComputeFailure) as err:
         phase_sweep(
             (1.5,), (0.75,), k=2.0, w=3.0, windows=windows, h=0.05,

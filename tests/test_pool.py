@@ -1,6 +1,7 @@
-"""Tests for the forked task pool and the OpenBLAS thread-count table."""
+"""Tests for the process's task pool and the OpenBLAS thread-count table."""
 
 import contextlib
+import functools
 import json
 import multiprocessing
 import os
@@ -23,26 +24,75 @@ def _pid_of(task):
     return task, os.getpid()
 
 
+def _children():
+    """Pids of this process's children, zombies included."""
+    me, kids = os.getpid(), set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # gone since the listing
+            continue
+        # the fields after the name, which ends at the last ")": state, ppid
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            kids.add(int(entry))
+    return kids
+
+
+def _only_workers_are_left():
+    """The process's children are its pool's workers, and the next pooled
+    call runs in them."""
+    pids = set(_pool._workers.pids)
+    assert len(pids) == 2
+    assert _children() == pids
+    assert {pid for _, pid in _pool.pool_map(_pid_of, range(4))} <= pids
+
+
 def test_pool_map_keeps_task_order_and_runs_in_other_processes(two_cpus):
     tasks = list(range(7))
-    out = _pool.pool_map(_pid_of, tasks, _pool.MIN_ROWS)
+    out = _pool.pool_map(_pid_of, tasks)
     assert [t for t, _ in out] == tasks
     pids = {pid for _, pid in out}
     assert os.getpid() not in pids
     assert 1 <= len(pids) <= 2
-    assert _pool.workers(len(tasks), _pool.MIN_ROWS) == 2
+    assert _pool.workers(len(tasks)) == 2
     assert multiprocessing.active_children() == []
 
 
 def test_pool_map_runs_in_process_below_its_thresholds(two_cpus, monkeypatch):
     here = os.getpid()
-    # small matrices, a single task, and a single CPU all stay in-process
-    for tasks, rows in (([1, 2], _pool.MIN_ROWS - 1), ([1], _pool.MIN_ROWS)):
-        assert _pool.workers(len(tasks), rows) == 1
-        assert _pool.pool_map(_pid_of, tasks, rows) == [(t, here) for t in tasks]
+    # a single task and a single CPU both stay in-process
+    assert _pool.workers(1) == 1
+    assert _pool.pool_map(_pid_of, [1]) == [(1, here)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _pool.workers(2, _pool.MIN_ROWS) == 1
-    assert _pool.pool_map(_pid_of, [1, 2], _pool.MIN_ROWS) == [(1, here), (2, here)]
+    assert _pool.workers(2) == 1
+    assert _pool.pool_map(_pid_of, [1, 2]) == [(1, here), (2, here)]
+    assert _pool._workers.pids == []
+
+
+def test_two_calls_run_in_the_same_workers(two_cpus):
+    first = _pool.pool_map(_pid_of, range(6))
+    pids = list(_pool._workers.pids)
+    second = _pool.pool_map(_pid_of, range(6))
+    assert _pool._workers.pids == pids
+    assert {pid for _, pid in first} | {pid for _, pid in second} <= set(pids)
+    _only_workers_are_left()
+
+
+def test_a_new_mask_forks_a_fresh_set_and_one_cpu_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _pool.pool_map(_pid_of, range(4))
+    before = set(_pool._workers.pids)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 0, 2})
+    after = {pid for _, pid in _pool.pool_map(_pid_of, range(6))}
+    assert len(_pool._workers.pids) == 3
+    assert not before & set(_pool._workers.pids) and after <= set(_pool._workers.pids)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _pool.pool_map(_pid_of, [1, 2]) == [(1, os.getpid()), (2, os.getpid())]
+    assert _pool._workers.pids == []
+    _no_child_is_left()
 
 
 def _cpus_of(task):
@@ -54,20 +104,27 @@ def _cpus_of(task):
 )
 def test_each_worker_is_bound_to_a_cpu_of_its_own():
     mask = sorted(os.sched_getaffinity(0))
-    cpus = dict(_pool.pool_map(_cpus_of, range(8), _pool.MIN_ROWS))
+    cpus = dict(_pool.pool_map(_cpus_of, range(8)))
     assert all(len(c) == 1 and c[0] in mask for c in cpus.values())
     assert len({c[0] for c in cpus.values()}) == len(cpus)
     assert sorted(os.sched_getaffinity(0)) == mask
 
 
-def test_a_worker_runs_its_own_pool_map_in_process(two_cpus):
-    def nested(task):
-        return os.getpid(), _pool.pool_map(_pid_of, [task, task], _pool.MIN_ROWS)
+def _nested(task):
+    time.sleep(0.3)  # long enough for each worker to take one task
+    return os.getpid(), _pool.pool_map(_pid_of, [task, task])
 
-    for pid, inner in _pool.pool_map(nested, [0, 1], _pool.MIN_ROWS):
+
+def test_a_worker_runs_its_own_pool_map_in_process(two_cpus):
+    out = _pool.pool_map(_nested, [0, 1])
+    for pid, inner in out:
         assert pid != os.getpid()
         assert [p for _, p in inner] == [pid, pid]
     assert multiprocessing.active_children() == []
+    # the second worker, forked while the first was in the pool, does not
+    # take the first for its own: both are still there
+    assert len({pid for pid, _ in out}) == 2
+    _only_workers_are_left()
 
 
 @pytest.mark.parametrize("cls", [InvariantViolation, ComputeFailure])
@@ -86,7 +143,7 @@ def _fails_on_two(task):
 
 def test_pool_map_reraises_a_task_failure_with_its_invariant(two_cpus):
     with pytest.raises(ComputeFailure) as err:
-        _pool.pool_map(_fails_on_two, range(4), _pool.MIN_ROWS)
+        _pool.pool_map(_fails_on_two, range(4))
     assert err.value.invariant == "norm-convergence"
     assert str(err.value) == "task 2"
     assert multiprocessing.active_children() == []
@@ -100,8 +157,12 @@ def _dies_on_one(task):
 
 def test_a_dead_worker_breaks_the_pool_instead_of_hanging(two_cpus):
     with pytest.raises(BrokenProcessPool):
-        _pool.pool_map(_dies_on_one, range(4), _pool.MIN_ROWS)
+        _pool.pool_map(_dies_on_one, range(4))
     assert multiprocessing.active_children() == []
+    _no_child_is_left()
+    # the next call forks a fresh set
+    assert _pool.pool_map(abs, [-1, -2]) == [1, 2]
+    _only_workers_are_left()
 
 
 def _no_child_is_left():
@@ -116,31 +177,36 @@ def _sleeps_on_zero(task):
 
 
 def test_tasks_are_handed_out_as_workers_come_free(two_cpus):
-    pids = _pool.pool_map(_sleeps_on_zero, range(8), _pool.MIN_ROWS)
+    pids = _pool.pool_map(_sleeps_on_zero, range(8))
     # while one worker sleeps on task 0, the other takes tasks 1-7
     assert len(set(pids[1:])) == 1
     assert pids[0] not in pids[1:]
-    _no_child_is_left()
+    _only_workers_are_left()
+
+
+def _logs_then_fails_on_zero(log, i):
+    with open(log, "a") as fh:
+        fh.write(f"{i}\n")
+    if i == 0:
+        time.sleep(0.2)
+        raise ComputeFailure("norm-convergence", "task 0")
+    time.sleep(0.5)
+    return i
 
 
 def test_no_task_starts_once_one_has_failed(two_cpus, tmp_path):
     log = tmp_path / "started"
-
-    def task(i):
-        with open(log, "a") as fh:
-            fh.write(f"{i}\n")
-        if i == 0:
-            time.sleep(0.2)
-            raise ComputeFailure("norm-convergence", "task 0")
-        time.sleep(0.5)
-        return i
-
+    task = functools.partial(_logs_then_fails_on_zero, str(log))
     with pytest.raises(ComputeFailure, match="task 0"):
-        _pool.pool_map(task, range(8), _pool.MIN_ROWS)
+        _pool.pool_map(task, range(8))
     # task 1 may have begun before task 0 failed; tasks 2-7 never start
     started = {int(line) for line in log.read_text().split()}
     assert 0 in started and started <= {0, 1}
-    _no_child_is_left()
+    _only_workers_are_left()
+    # the flag is cleared for the next call: every task of it runs
+    log.unlink()
+    assert _pool.pool_map(task, [1, 2, 3]) == [1, 2, 3]
+    assert sorted(int(line) for line in log.read_text().split()) == [1, 2, 3]
 
 
 def _fails_or_dies(task):
@@ -156,8 +222,12 @@ def _fails_or_dies(task):
 )
 def test_no_worker_outlives_a_call(two_cpus, tasks, error):
     with pytest.raises(error) if error else contextlib.nullcontext():
-        _pool.pool_map(_fails_or_dies, tasks, _pool.MIN_ROWS)
-    _no_child_is_left()
+        _pool.pool_map(_fails_or_dies, tasks)
+    if error is BrokenProcessPool:
+        _no_child_is_left()
+        assert _pool.pool_map(_fails_or_dies, [0, 3]) == [0, 3]
+    # a call that returns or re-raises a task's exception keeps the workers
+    _only_workers_are_left()
 
 
 def test_an_interrupt_in_the_wait_kills_and_reaps_the_workers(two_cpus):
@@ -169,7 +239,7 @@ def test_an_interrupt_in_the_wait_kills_and_reaps_the_workers(two_cpus):
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.3)
         with pytest.raises(KeyboardInterrupt):
-            _pool.pool_map(time.sleep, [30, 30], _pool.MIN_ROWS)
+            _pool.pool_map(time.sleep, [30, 30])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -185,9 +255,54 @@ def test_text_printed_before_a_pooled_call_is_written_once():
         "from oscilab import _pool\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "print('before')\n"
-        "print(_pool.pool_map(abs, [-1, -2, -3], _pool.MIN_ROWS))\n"
+        "print(_pool.pool_map(abs, [-1, -2, -3]))\n"
     )
     assert out == "before\n[1, 2, 3]\n"
+
+
+def _alive(pid):
+    """Whether pid is a process that has not exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except OSError:
+        return False
+
+
+_RUN_AND_PRINT_WORKERS = (
+    "import atexit, os\n"
+    "def check():\n"
+    "    try:\n"
+    "        os.waitpid(-1, os.WNOHANG)\n"
+    "        print('a child is left', flush=True)\n"
+    "    except ChildProcessError:\n"
+    "        print('no child is left', flush=True)\n"
+    "# before the pool's handler, registered at import, so it runs after it\n"
+    "atexit.register(check)\n"
+    "from oscilab import _pool\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "print(_pool.pool_map(abs, [-1, -2, -3]))\n"
+    "print(*_pool._workers.pids, flush=True)\n"
+)
+
+
+def test_a_process_that_ran_pool_map_leaves_no_worker_when_it_exits():
+    out = _python(_RUN_AND_PRINT_WORKERS).splitlines()
+    assert out[0] == "[1, 2, 3]"
+    assert out[2] == "no child is left"
+    assert not any(_alive(int(pid)) for pid in out[1].split())
+
+
+def test_workers_exit_when_their_parent_is_gone():
+    # os._exit runs no atexit handler: the workers see their command pipe
+    # end and exit by themselves
+    out = _python(_RUN_AND_PRINT_WORKERS + "os._exit(0)\n").splitlines()
+    assert out[0] == "[1, 2, 3]" and len(out) == 2
+    pids = [int(pid) for pid in out[1].split()]
+    deadline = time.monotonic() + 10
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_alive(pid) for pid in pids)
 
 
 def _python(script, **env):
@@ -223,7 +338,9 @@ def test_pooled_tasks_run_one_blas_thread_and_the_parent_keeps_its_own():
         "import oscilab.lap  # maps numpy's OpenBLAS alone\n"
         "from oscilab import _pool\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "tasks = _pool.pool_map(lambda _: _pool.blas_threads(), [0, 1], _pool.MIN_ROWS)\n"
+        "def threads(_):\n"
+        "    return _pool.blas_threads()\n"
+        "tasks = _pool.pool_map(threads, [0, 1])\n"
         "print(json.dumps({'tasks': tasks, 'parent': _pool.blas_threads()}))\n"
     )
     # no scipy in the process, so no second OpenBLAS to count

@@ -32,12 +32,12 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "oscilab")
 
-_WORKER = "runs only in a forked pool worker, whose lines are not traced"
+_WORKER = "runs only in a pool worker, whose lines are not traced"
 _KIND = "a config potential kind that no catalog config uses"
 _FALLBACK = "scipy fallback: runs only where numpy's OpenBLAS lacks LAPACKE"
 # {module.function: why it runs no body statement on a CLI path here}
 EXPECTED = {
-    "_pool._serve": _WORKER,
+    "_pool._worker": _WORKER,
     "errors.InvariantViolation.__reduce__": _WORKER,
     "potentials.LongRangeSample.__post_init__": _KIND,
     "potentials.CustomSample.__post_init__": _KIND,
