@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -589,6 +590,22 @@ def test_csv_writer_quotes_strings_keeps_floats_and_writes_the_header_once(tmp_p
     for (_, text_value), value in zip(rows[1:], values * 2):
         assert float(text_value) == value
         assert repr(float(text_value)) == repr(value)
+
+
+def test_csv_writer_gives_number_rows_the_bytes_of_csv_writer(tmp_path):
+    # a row of numbers as wide as the header takes one format string; rows
+    # of another width take csv.writer, and both give its bytes
+    values = [0.1, -0.0, 5e-324, 1.7976931348623157e308, float("inf"),
+              float("-inf"), float("nan"), 3, 2.0**0.5, True, -7]
+    rows = [tuple(values[i : i + 3]) for i in range(len(values) - 2)]
+    rows += [[1.0, 2.0], (1.0, 2.0, 3.0, 4.0), [0.5, -1, 1e300]]
+    path = tmp_path / "numbers.csv"
+    write_csv(str(path), ("a", "b", "c"), iter(rows))
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(("a", "b", "c"))
+    writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_lap_scan_run_walks_the_given_ladder_down_to_the_floor(tmp_path):
