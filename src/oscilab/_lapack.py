@@ -325,7 +325,7 @@ class _NativeSteps(_Steps):
 
     def __init__(self, calls, dtype, n, rows):
         super().__init__(dtype, n, rows)
-        self._calls, self._dtype, self._shape = calls, dtype, (n,)
+        self._calls, self._dtype, self._n = calls, dtype, n
         if dtype == _TYPES["z"]:
             # a complex routine takes its scalar a by address: one array of
             # the run, its real part set at each call
@@ -343,20 +343,9 @@ class _NativeSteps(_Steps):
         # right's arguments that hold until the basis grows
         self._right = (
             c.gemv, c.axpy, c.int, c.layout, c.adjoint, c.notrans, c.one,
-            c.zero, c.minus_one, c.inc, c.int(self._shape[0]), _P(self._at),
+            c.zero, c.minus_one, c.inc, c.int(self._n), _P(self._at),
             _P(_own(self._c)),
         )
-
-    def _address(self, v, name):
-        """v's address, once v is checked to be a vector of the run."""
-        dtype, shape = self._dtype, self._shape
-        if type(v) is not _ndarray or v.dtype is not dtype or v.shape != shape:
-            _require(v, dtype, shape, name)
-        try:
-            return _addressof(_from_buffer(v))
-        except TypeError:  # not C-contiguous, or read-only
-            _require(v, dtype, shape, name)
-            raise
 
     def _scalar(self, a):
         """The real scalar a as a BLAS argument of the run's dtype."""
@@ -375,7 +364,7 @@ class _NativeSteps(_Steps):
         gemv, axpy, I, layout, adjoint, notrans, one, zero, minus_one, inc, n, V, c = (
             self._right
         )
-        yp = _P(self._address(y, "y"))
+        yp = _P(_vector(y, self._dtype, self._n, "y"))
         axpy(n, self._scalar(a), self._at + (k - 1) * self._row, inc, yp, inc)
         k = I(k)
         # a gemv with beta = 0 does not read c (BLAS): no zeroing between
@@ -390,8 +379,8 @@ class _NativeSteps(_Steps):
         # the one taken then
         held, at = self._last_left
         if u is not held:
-            at = self._address(u, "u")
-        y_at = self._address(y, "y")
+            at = _vector(u, self._dtype, self._n, "u")
+        y_at = _vector(y, self._dtype, self._n, "y")
         axpy(n, self._scalar(a), at, inc, y_at, inc)
         self._last_left = y, y_at
         return y

@@ -50,7 +50,6 @@ from .construct import (
 )
 from .discretize import (
     WindowSpec,
-    build_conjugate_A,
     build_schrodinger,
     halfline_grid,
     line_grid,
@@ -67,7 +66,6 @@ from .lap import (
     phase_sweep,
     scan_summary,
     scan_to_csv,
-    schrodinger_line_factory,
     weighted_mourre_check,
 )
 from .potentials import (
@@ -197,10 +195,9 @@ def _cmd_construct_kg(p, out_dir, seed):
 
 
 def _cmd_find_embedded(p, out_dir, seed):
-    factory = schrodinger_line_factory(p["h"])
     found = find_embedded(
-        lambda L: factory(p["potential"], L), p["window"], p["boxes"],
-        drift_tol=p["drift_tol"],
+        lambda L: build_schrodinger(line_grid(L, p["h"]), p["potential"]),
+        p["window"], p["boxes"], drift_tol=p["drift_tol"],
     )
     path = _output(out_dir, "embedded.json")
     _write_json(
@@ -222,7 +219,9 @@ def _cmd_lap_scan(p, out_dir, seed):
         interval=p["interval"], s=p["s"], weight_kind=p["weight_kind"],
         re_points=p["re_points"], im_ladder=p["im_ladder"], box_list=p["boxes"],
     )
-    result = lap_scan(schrodinger_line_factory(p["h"]), p["potential"], spec)
+    result = lap_scan(
+        lambda L: build_schrodinger(line_grid(L, p["h"]), p["potential"]), spec
+    )
     csv_path = _output(out_dir, "lap_scan.csv")
     scan_to_csv(result, csv_path)
     json_path = _output(out_dir, "lap_scan.json")
@@ -258,7 +257,7 @@ def _cmd_mourre_check(p, out_dir, seed):
                 c = 1.0 / window[0]
             phi = WeightFunctionSpec(s=phi["s"], R=phi["R"], c=c)
         s = 0.51 if p["s"] is None else p["s"]
-        result = weighted_mourre_check(H, build_conjugate_A(grid), phi, window, s)
+        result = weighted_mourre_check(H, phi, window, s)
     elif kind == "at_infinity":
         result = mourre_at_infinity_check(
             H, p["R"], p["delta"], 0.6 if p["s"] is None else p["s"],

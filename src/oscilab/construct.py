@@ -176,8 +176,7 @@ def kg_construct(m, grid):
 class DiracChannelSpec:
     """Parameters of one radial Dirac channel construction.
 
-    phi_el selects the electric potential: "bracket" for <r>^(-1), "zero",
-    or any callable of the radius (finite at 0, tending to 0 at infinity).
+    phi_el names the electric potential: "bracket" for <r>^(-1) or "zero".
     """
 
     m: float
@@ -185,7 +184,7 @@ class DiracChannelSpec:
     kappa_rho: int
     u_decay: float = 1.0
     match_radius: float = 1.0
-    phi_el: object = "bracket"
+    phi_el: str = "bracket"
 
     def __post_init__(self):
         if self.m < 0:
@@ -206,15 +205,13 @@ class DiracChannelSpec:
             raise InvariantViolation(
                 "match-radius-positivity", "match_radius must be > 0"
             )
-        if isinstance(self.phi_el, str) and self.phi_el not in ("bracket", "zero"):
+        if self.phi_el not in ("bracket", "zero"):
             raise InvariantViolation(
                 "phi-el-kind", f"unknown phi_el option {self.phi_el!r}"
             )
 
     def eval_phi_el(self, r):
         r = np.asarray(r, dtype=float)
-        if callable(self.phi_el):
-            return np.asarray(self.phi_el(r), dtype=float)
         if self.phi_el == "zero":
             return np.zeros_like(r)
         return 1.0 / np.sqrt(1.0 + r * r)

@@ -51,7 +51,6 @@ __all__ = [
     "MourreInfinityReport",
     "PhaseDiagramCell",
     "lap_scan",
-    "schrodinger_line_factory",
     "mourre_check",
     "weighted_mourre_check",
     "mourre_at_infinity_check",
@@ -306,15 +305,6 @@ def _verdict(p, stability):
     return "inconclusive"
 
 
-def schrodinger_line_factory(h):
-    """factory(V, L) building H = H0 + V on a symmetric box of half-length L."""
-
-    def factory(V, L):
-        return build_schrodinger(line_grid(L, h), V)
-
-    return factory
-
-
 @dataclass(frozen=True, eq=False)
 class _ScanSetup:
     """What every chain and the assembly of one lap_scan read.
@@ -338,13 +328,13 @@ class _ScanSetup:
     boxes: dict
 
 
-def _scan_setup(factory, V, spec):
+def _scan_setup(build, spec):
     """The boxes, counts, floor and ladder of a scan."""
     lo, hi = spec.interval
     hams, counts = {}, {}
     spacing = 0.0
     for L in spec.box_list:
-        H = hams[L] = factory(V, L)
+        H = hams[L] = build(L)
         count = count_window(H, lo, hi)
         if count == 0:
             raise InvariantViolation(
@@ -481,10 +471,11 @@ def _scan_result(setup, walked, workers):
 
 
 @_pool.one_blas_thread()
-def lap_scan(factory, V, spec):
+def lap_scan(build, spec):
     """Weighted resolvent scan over (Re z, Im z, box) with exponent fit.
 
-    factory(V, L) must return the Hamiltonian OperatorMatrix on box L. The
+    build(L) must return the Hamiltonian OperatorMatrix on box L, as for
+    spectral.find_embedded; it is called once per box, in the caller. The
     interval is assumed pre-screened for genuine embedded eigenvalues. At
     s = 0 on the free Laplacian (d = 2/h^2 and e = -1/h^2 exactly) the norms
     are read off its closed-form spectrum.
@@ -500,7 +491,7 @@ def lap_scan(factory, V, spec):
     factored box has fewer than _POOL_ROWS rows; the rows are the same
     either way.
     """
-    setup = _scan_setup(factory, V, spec)
+    setup = _scan_setup(build, spec)
     # every box's operands built and checked once, in the caller; they go
     # to the workers inside the task pickle, the dense weight included
     for L in spec.box_list:
@@ -603,18 +594,20 @@ def mourre_check(H, J, mode="strict", remainder_rank_budget=0):
     return MourreCheckResult(win, min_eig, best, k, "plain")
 
 
-def weighted_mourre_check(H, S, phi, J, s):
+def weighted_mourre_check(H, phi, J, s):
     """Window positivity of [H, i psi(A)] - <A>^{-2s}, exact calculus on A.
 
-    S is build_conjugate_A's J, the real tridiagonal with A = D^H S D and
-    D = diag(phase). The commutator with the bounded weight psi(A) is
-    realized as psi'(A)^{1/2} [H, iA] psi'(A)^{1/2} with
+    A is the dilation generator on H's grid, A = D^H S D with S =
+    build_conjugate_A(H.grid) real tridiagonal and D = diag(phase). The
+    commutator with the bounded weight psi(A) is realized as
+    psi'(A)^{1/2} [H, iA] psi'(A)^{1/2} with
     psi'(a) = c R <a>^{-2 phi.s}; phi = None means psi = 0 (the failing
     control). best_c is the smallest eigenvalue of the full form,
     commutator_form_min_eig that of the commutator part alone. S's n x n
     eigenvectors are dense, so an S above MATERIALIZE_MAX rows is refused
     (materialization-size) before any solve.
     """
+    S = build_conjugate_A(H.grid)
     _require_dense(S.shape[0])
     C = _analytic_commutator(H)
     win, wE, vE = _mourre_window(H, J)
@@ -762,17 +755,6 @@ def _attempt(fn, *args, **kwargs):
         return exc
 
 
-def _built(hams, V, L):
-    """A scan factory's H on box L, for a cell whose H per box is hams."""
-    return hams[L]
-
-
-def _window_setup(hams, V, win, s, boxes):
-    """The scan setup of one window of a cell whose H per box is hams."""
-    spec = LapScanSpec(interval=win, s=s, box_list=boxes)
-    return _scan_setup(functools.partial(_built, hams), V, spec)
-
-
 def _sweep_task(jobs, boxes, task):
     """One task of a sweep's list, or the exception it raised: job j's
     screen when chain is None, else its (box, Re z) chain."""
@@ -815,7 +797,6 @@ def phase_sweep(
     """
     if not windows:
         raise InvariantViolation("windows-empty", "need at least one named window")
-    factory = schrodinger_line_factory(h)
     threshold = k * k / 4.0
     boxes = tuple(float(L) for L in box_list)
     pairs = list(itertools.product(alphas, betas))
@@ -826,10 +807,12 @@ def phase_sweep(
     jobs = []
     for alpha, beta in pairs[:live]:
         V = OscillatingSpec(w=w, k=k, alpha=alpha, beta=beta)
-        hams = {L: factory(V, L) for L in boxes}
+        hams = {L: build_schrodinger(line_grid(L, h), V) for L in boxes}
         for nm in windows:
             win = tuple(map(float, windows[nm]))
-            setup = _attempt(_window_setup, hams, V, win, s, boxes)
+            setup = _attempt(lambda: _scan_setup(
+                hams.__getitem__, LapScanSpec(interval=win, s=s, box_list=boxes)
+            ))
             jobs.append((alpha, beta, nm, win, hams, setup))
     # every screen solves a box of the same size, so they go in job order;
     # then the chains, the most rows times rungs first

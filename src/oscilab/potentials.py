@@ -145,17 +145,33 @@ class SimonSeriesSpec:
 
 
 @dataclass(frozen=True)
-class ShortRangeSample:
-    """Short-range part sampled on a grid, with its decay exponent rho_sr."""
+class CustomSample:
+    """Arbitrary real potential given by samples on a grid (linear interpolation)."""
 
     x: tuple
     values: tuple
-    rho_sr: float
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        _check_samples(self.x, self.values)
+        if len(self.x) != len(self.values) or len(self.x) < 2:
+            raise InvariantViolation(
+                "sample-shape", "need matching x/values arrays of length >= 2"
+            )
+        if np.any(np.diff(self.x) <= 0):
+            raise InvariantViolation("sample-order", "sample x grid must be increasing")
+        if not np.all(np.isfinite(self.values)):
+            raise InvariantViolation("finite-samples", "sample values must be finite")
+
+
+@dataclass(frozen=True)
+class ShortRangeSample(CustomSample):
+    """Short-range part sampled on a grid, with its decay exponent rho_sr."""
+
+    rho_sr: float
+
+    def __post_init__(self):
+        super().__post_init__()
         if not self.rho_sr > 0:
             raise InvariantViolation(
                 "rho-sr-positivity", f"rho_sr must be > 0, got {self.rho_sr}"
@@ -163,18 +179,14 @@ class ShortRangeSample:
 
 
 @dataclass(frozen=True)
-class LongRangeSample:
+class LongRangeSample(CustomSample):
     """Long-range part sampled on a grid, with decay exponents for V and x V'."""
 
-    x: tuple
-    values: tuple
     rho_lr: float
     rho_lr_prime: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        _check_samples(self.x, self.values)
+        super().__post_init__()
         if not self.rho_lr > 0 or not self.rho_lr_prime > 0:
             raise InvariantViolation(
                 "rho-lr-positivity", "rho_lr and rho_lr_prime must be > 0"
@@ -201,19 +213,6 @@ class SumPotential:
 
 
 @dataclass(frozen=True)
-class CustomSample:
-    """Arbitrary real potential given by samples on a grid (linear interpolation)."""
-
-    x: tuple
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        _check_samples(self.x, self.values)
-
-
-@dataclass(frozen=True)
 class WignerVonNeumann1D:
     """The explicit 1D potential with a bound state at energy 1 (no parameters)."""
 
@@ -221,18 +220,6 @@ class WignerVonNeumann1D:
 @dataclass(frozen=True)
 class WignerVonNeumann3DRadial:
     """3D radial version of the same potential, W(x) = V(|x|)."""
-
-
-def _check_samples(x, values):
-    if len(x) != len(values) or len(x) < 2:
-        raise InvariantViolation(
-            "sample-shape", "need matching x/values arrays of length >= 2"
-        )
-    xa = np.asarray(x)
-    if np.any(np.diff(xa) <= 0):
-        raise InvariantViolation("sample-order", "sample x grid must be increasing")
-    if not np.all(np.isfinite(values)):
-        raise InvariantViolation("finite-samples", "sample values must be finite")
 
 
 @dataclass(frozen=True)
@@ -435,7 +422,7 @@ def eval_potential(spec, x):
         out = np.atleast_1d(eval_wvn_3d(np.abs(xa)).W)
     elif isinstance(spec, SimonSeriesSpec):
         out = eval_simon_series(spec, xa)
-    elif isinstance(spec, (ShortRangeSample, LongRangeSample, CustomSample)):
+    elif isinstance(spec, CustomSample):
         out = np.interp(
             xa,
             np.asarray(spec.x, dtype=float),

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from oscilab import _pool
-from oscilab.discretize import _weight_factor, build_conjugate_A, phase
+from oscilab.discretize import (
+    _weight_factor,
+    build_conjugate_A,
+    build_schrodinger,
+    line_grid,
+    phase,
+)
 from oscilab.potentials import SimonSeriesSpec
 
 
@@ -44,6 +50,11 @@ def blas_threads_restored():
     before = _pool.blas_threads()
     yield
     assert _pool.blas_threads() == before
+
+
+def line_build(h, V=None):
+    """build(L) of H = H0 + V on the symmetric box of half-length L."""
+    return lambda L: build_schrodinger(line_grid(L, h), V)
 
 
 def demo_simon():

@@ -11,7 +11,7 @@ import hashlib
 import time
 
 import numpy as np
-from conftest import demo_simon
+from conftest import demo_simon, line_build
 
 from oscilab.construct import (
     dirac_check_limits,
@@ -23,7 +23,6 @@ from oscilab.construct import (
 )
 from oscilab.discretize import (
     WindowSpec,
-    build_conjugate_A,
     build_h0,
     halfline_grid,
     line_grid,
@@ -36,7 +35,6 @@ from oscilab.lap import (
     phase_cells_to_csv,
     phase_cells_to_svg,
     phase_sweep,
-    schrodinger_line_factory,
     weighted_mourre_check,
 )
 from oscilab.potentials import (
@@ -85,9 +83,8 @@ def test_01_bound_state_identity_1d():
 
 def test_02_embedded_eigenvalue_box_stability():
     t0 = time.perf_counter()
-    factory = schrodinger_line_factory(0.05)
     found = find_embedded(
-        lambda L: factory(WignerVonNeumann1D(), L), (0.9, 1.1), (200.0, 400.0)
+        line_build(0.05, WignerVonNeumann1D()), (0.9, 1.1), (200.0, 400.0)
     )
     genuine = [c for c in found if c.verdict == "genuine"]
     dt = time.perf_counter() - t0
@@ -207,8 +204,7 @@ def test_08_no_embedded_eigenvalues_for_fast_oscillation():
     V = SumPotential(
         (OscillatingSpec(w=3.0, k=2.0, alpha=2.0, beta=1.0), _short_range_sample())
     )
-    factory = schrodinger_line_factory(0.05)
-    found = find_embedded(lambda L: factory(V, L), (0.2, 2.0), (200.0, 400.0))
+    found = find_embedded(line_build(0.05, V), (0.2, 2.0), (200.0, 400.0))
     genuine = [c for c in found if c.verdict == "genuine"]
     dt = time.perf_counter() - t0
     _check(
@@ -237,12 +233,11 @@ def test_10_weighted_commutator_R_ladder():
     t0 = time.perf_counter()
     grid = line_grid(60.0, 0.05)
     H = build_h0(grid)
-    S = build_conjugate_A(grid)
     J = (0.5, 1.5)
     values = []
     for R in (1.0, 4.0, 16.0, 64.0):
         phi = WeightFunctionSpec(s=0.51, R=R, c=1.0 / J[0])
-        values.append(weighted_mourre_check(H, S, phi, J, 0.51).best_c)
+        values.append(weighted_mourre_check(H, phi, J, 0.51).best_c)
     dt = time.perf_counter() - t0
     nondecreasing = all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
     ok = nondecreasing and values[-1] >= -1e-6
@@ -254,14 +249,10 @@ def test_10_weighted_commutator_R_ladder():
 
 def test_11_resolvent_scan_free_controls():
     t0 = time.perf_counter()
-    factory = schrodinger_line_factory(0.4)
+    build = line_build(0.4)
     boxes = (25600.0, 51200.0)
-    holds = lap_scan(
-        factory, None, LapScanSpec(interval=(0.5, 1.5), s=0.51, box_list=boxes)
-    )
-    fails = lap_scan(
-        factory, None, LapScanSpec(interval=(0.5, 1.5), s=0.0, box_list=boxes)
-    )
+    holds = lap_scan(build, LapScanSpec(interval=(0.5, 1.5), s=0.51, box_list=boxes))
+    fails = lap_scan(build, LapScanSpec(interval=(0.5, 1.5), s=0.0, box_list=boxes))
     dt = time.perf_counter() - t0
     ok = (
         holds.verdict == "lap_holds"
@@ -283,11 +274,11 @@ def test_12_resolvent_scan_oscillating_with_short_range():
     V = SumPotential(
         (OscillatingSpec(w=3.0, k=2.0, alpha=1.0, beta=1.0), _short_range_sample())
     )
-    factory = schrodinger_line_factory(0.1)
+    build = line_build(0.1, V)
     results = {}
     for window in ((0.3, 0.8), (1.2, 2.0)):
         results[window] = lap_scan(
-            factory, V, LapScanSpec(interval=window, s=2.0, box_list=(200.0, 400.0))
+            build, LapScanSpec(interval=window, s=2.0, box_list=(200.0, 400.0))
         )
     dt = time.perf_counter() - t0
     parts = []

@@ -40,7 +40,6 @@ from oscilab.lap import (
     phase_sweep,
     scan_summary,
     scan_to_csv,
-    schrodinger_line_factory,
     weighted_mourre_check,
 )
 from oscilab.potentials import (
@@ -52,7 +51,7 @@ from oscilab.potentials import (
     WignerVonNeumann1D,
 )
 
-from conftest import conjugate_A_weight, dense, dilation
+from conftest import conjugate_A_weight, dense, dilation, line_build
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +206,15 @@ def test_norm_iteration_cap_is_reported_and_raises(monkeypatch):
     monkeypatch.setattr(oscilab.lap, "_banded_norm", capped)
     spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, box_list=(10.0, 20.0))
     with pytest.raises(InvariantViolation) as err:
-        lap_scan(schrodinger_line_factory(0.25), WignerVonNeumann1D(), spec)
+        lap_scan(line_build(0.25, WignerVonNeumann1D()), spec)
     assert err.value.invariant == "norm-convergence"
 
 
 def test_scan_rows_match_the_dense_route_down_to_the_floor():
-    factory = schrodinger_line_factory(0.4)
+    build = line_build(0.4)
     spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, box_list=(100.0, 200.0))
-    res = lap_scan(factory, None, spec)
-    H = factory(None, 200.0)
+    res = lap_scan(build, spec)
+    H = build(200.0)
     W = build_weight(H.grid, 0.51)
     rows = {(r[0], r[1]): r[3] for r in res.rows if r[2] == 200.0}
     etas = sorted({eta for (_, eta) in rows}, reverse=True)
@@ -245,12 +244,12 @@ def _conjugate_A_weight(H):
 @pytest.mark.parametrize("potential", ["free", "scenario12"])
 def test_conjugate_A_scan_rows_match_the_dense_route(potential):
     V = None if potential == "free" else _scenario12_potential()
-    factory = schrodinger_line_factory(0.2)
-    res = lap_scan(factory, V, _CONJUGATE_A_SPEC)
+    build = line_build(0.2, V)
+    res = lap_scan(build, _CONJUGATE_A_SPEC)
     assert len(res.rows) == 2 * 5 * len({r[1] for r in res.rows})
     assert 0 < res.norm_iterations["max"] < res.norm_iterations["total"]
     for L in _CONJUGATE_A_SPEC.box_list:
-        H = factory(V, L)
+        H = build(L)
         W = _conjugate_A_weight(H)
         assert W.shape == H.shape
         for re_z, eta, _, norm in (r for r in res.rows if r[2] == L):
@@ -269,12 +268,12 @@ def test_conjugate_A_scan_takes_the_steps_of_the_complex_weight():
     spec = LapScanSpec(
         interval=(0.5, 1.5), s=0.51, weight_kind="conjugate_A", box_list=(9.9, 19.8)
     )
-    factory = schrodinger_line_factory(0.2)
-    res = lap_scan(factory, None, spec)
+    build = line_build(0.2)
+    res = lap_scan(build, spec)
     ladder = oscilab.lap._standard_ladder(res.im_floor)
     steps = []
     for L in spec.box_list:
-        H = factory(None, L)
+        H = build(L)
         W = _conjugate_A_weight(H)
         for re_z in np.linspace(0.5, 1.5, spec.re_points):
             X = None
@@ -304,14 +303,14 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted("eigh", getattr(np.linalg, name)))
     monkeypatch.setattr(oscilab.lap, "get_lapack_funcs", counting_get)
-    res = lap_scan(schrodinger_line_factory(0.2), None, _CONJUGATE_A_SPEC)
+    res = lap_scan(line_build(0.2), _CONJUGATE_A_SPEC)
     assert len(res.rows) > 2
     # the PSD check of W (a Cholesky factorisation), once per box, and no
     # dense eigendecomposition
     assert calls == {"eigh": 0, "potrf": 2}
 
     # the iteration cap still raises on the dense-weight path
-    H = schrodinger_line_factory(0.2)(None, 10.0)
+    H = line_build(0.2)(10.0)
     F = oscilab.discretize._weight_factor(build_conjugate_A(H.grid), 0.51)
     z = 1.0 + 0.05j
     _, iters, converged, _, _ = _banded_norm(H.d, H.e, F, z, max_iters=2)
@@ -321,7 +320,7 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
     # workers forked before the patch would not see it
     oscilab._pool.shutdown()
     with pytest.raises(InvariantViolation) as err:
-        lap_scan(schrodinger_line_factory(0.2), None, _CONJUGATE_A_SPEC)
+        lap_scan(line_build(0.2), _CONJUGATE_A_SPEC)
     assert err.value.invariant == "norm-convergence"
 
 
@@ -329,7 +328,7 @@ def test_conjugate_A_scan_past_the_materialization_limit_is_refused(monkeypatch)
     # the dense weight of the smaller box (n = 99) is over the limit
     monkeypatch.setattr(oscilab.discretize, "MATERIALIZE_MAX", 50)
     with pytest.raises(InvariantViolation) as err:
-        lap_scan(schrodinger_line_factory(0.2), None, _CONJUGATE_A_SPEC)
+        lap_scan(line_build(0.2), _CONJUGATE_A_SPEC)
     assert err.value.invariant == "materialization-size"
 
 
@@ -411,9 +410,8 @@ def test_scan_spec_sorts_boxes():
 
 @pytest.fixture(scope="module")
 def free_unweighted_scan():
-    factory = schrodinger_line_factory(0.2)
     spec = LapScanSpec(interval=(0.5, 1.5), s=0.0, box_list=(400.0, 800.0))
-    return lap_scan(factory, None, spec)
+    return lap_scan(line_build(0.2), spec)
 
 
 def test_scan_unweighted_free_diverges_like_a_pole(free_unweighted_scan):
@@ -431,7 +429,7 @@ def test_scan_on_a_zero_potential_takes_the_closed_form(free_unweighted_scan):
     # control reads its norms off the closed-form spectrum, as V = None does
     zero = CustomSample(x=(-1.0, 1.0), values=(0.0, 0.0))
     spec = LapScanSpec(interval=(0.5, 1.5), s=0.0, box_list=(400.0, 800.0))
-    res = lap_scan(schrodinger_line_factory(0.2), zero, spec)
+    res = lap_scan(line_build(0.2, zero), spec)
     assert res.norm_iterations == {"total": 0, "max": 0}
     assert res.rows == free_unweighted_scan.rows
 
@@ -452,9 +450,8 @@ def test_scan_weighted_free_resolvent_stays_bounded():
     # at desk-size boxes the weighted exponent has not yet settled under
     # the holds threshold (it keeps falling as the box grows), but it is
     # already far from the pole law and the sup norm is box-stable
-    factory = schrodinger_line_factory(0.4)
     spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, box_list=(200.0, 400.0))
-    res = lap_scan(factory, None, spec)
+    res = lap_scan(line_build(0.4), spec)
     assert res.verdict != "lap_fails"
     assert res.divergence_exponent <= 0.5
     assert res.box_stability <= 0.05
@@ -463,14 +460,13 @@ def test_scan_weighted_free_resolvent_stays_bounded():
 
 def test_scan_user_ladder_is_clipped_at_the_floor(free_unweighted_scan):
     floor = free_unweighted_scan.im_floor
-    factory = schrodinger_line_factory(0.2)
     spec = LapScanSpec(
         interval=(0.5, 1.5),
         s=0.0,
         im_ladder=(0.8, 0.4, 0.2, 0.1, 0.05, 0.025),
         box_list=(400.0, 800.0),
     )
-    res = lap_scan(factory, None, spec)
+    res = lap_scan(line_build(0.2), spec)
     etas = sorted({row[1] for row in res.rows}, reverse=True)
     assert max(etas) == 0.8
     assert min(etas) == pytest.approx(floor)
@@ -479,10 +475,9 @@ def test_scan_user_ladder_is_clipped_at_the_floor(free_unweighted_scan):
 
 
 def test_scan_empty_interval_rejected():
-    factory = schrodinger_line_factory(0.2)
     spec = LapScanSpec(interval=(-3.0, -2.0), s=0.0, box_list=(400.0, 800.0))
     with pytest.raises(InvariantViolation) as err:
-        lap_scan(factory, None, spec)
+        lap_scan(line_build(0.2), spec)
     assert err.value.invariant == "interval-spectrum"
 
 
@@ -522,14 +517,21 @@ _S12_OSCILLATION = OscillatingSpec(w=3.0, k=2.0, alpha=1.0, beta=1.0)
 def test_pooled_scan_equals_a_serial_walk_of_the_same_ladder(two_cpus):
     h, spec = 0.05, LapScanSpec(interval=(0.5, 1.5), s=1.0, re_points=3,
                                 box_list=(60.0, 120.0))
-    factory = schrodinger_line_factory(h)
-    res = lap_scan(factory, _S12_OSCILLATION, spec)
+    line, built = line_build(h, _S12_OSCILLATION), []
+
+    def build(L):
+        built.append((os.getpid(), L))
+        return line(L)
+
+    res = lap_scan(build, spec)
     assert res.workers == 2
+    # each box built once, in the caller, though the chains ran in workers
+    assert built == [(os.getpid(), L) for L in spec.box_list]
     ladder = oscilab.lap._standard_ladder(res.im_floor)
     rows, iterations = [], []
     with oscilab._pool.one_blas_thread():
         for L in spec.box_list:
-            H = factory(_S12_OSCILLATION, L)
+            H = build(L)
             w = build_weight(H.grid, spec.s)
             for re_z in np.linspace(0.5, 1.5, spec.re_points):
                 X = None
@@ -546,7 +548,7 @@ def test_pooled_scan_equals_a_serial_walk_of_the_same_ladder(two_cpus):
 
 def test_scans_below_the_pool_threshold_run_in_process(two_cpus):
     res = lap_scan(
-        schrodinger_line_factory(0.4), None,
+        line_build(0.4),
         LapScanSpec(interval=(0.5, 1.5), s=1.0, re_points=3, box_list=(20.0, 40.0)),
     )
     assert res.workers == 1
@@ -556,11 +558,10 @@ def test_pooled_conjugate_A_scan_equals_the_one_cpu_scan(monkeypatch):
     # operator-weight scale: h = 0.2, boxes 12/24, the dense F in the pickle
     spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, weight_kind="conjugate_A",
                        box_list=(12.0, 24.0))
-    factory = schrodinger_line_factory(0.2)
     scans = []
     for cpus in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        scans.append(lap_scan(factory, _S12_OSCILLATION, spec))
+        scans.append(lap_scan(line_build(0.2, _S12_OSCILLATION), spec))
     pooled, serial = scans
     assert (pooled.workers, serial.workers) == (2, 1)
     assert pooled.rows == serial.rows
@@ -578,17 +579,17 @@ def test_a_position_scan_draws_one_start_vector_per_box(monkeypatch):
         return draw(n)
 
     monkeypatch.setattr(oscilab.lap, "_start_vector", counted)
-    factory = schrodinger_line_factory(0.4)
+    build = line_build(0.4, _S12_OSCILLATION)
     spec = LapScanSpec(interval=(0.5, 1.5), s=1.0, re_points=3, box_list=(20.0, 40.0))
-    res = lap_scan(factory, _S12_OSCILLATION, spec)
-    sizes = [factory(None, L).shape[0] for L in spec.box_list]
+    res = lap_scan(build, spec)
+    sizes = [build(L).shape[0] for L in spec.box_list]
     assert drawn == sizes
     # the same rows, bit for bit, as chains that each draw their own
     ladder = oscilab.lap._standard_ladder(res.im_floor)
     rows = []
     with oscilab._pool.one_blas_thread():
         for L in spec.box_list:
-            H = factory(_S12_OSCILLATION, L)
+            H = build(L)
             w = build_weight(H.grid, spec.s)
             for re_z in np.linspace(0.5, 1.5, spec.re_points):
                 X = draw(H.shape[0])
@@ -744,12 +745,11 @@ def test_mourre_guards(kwargs, slug):
 def test_weighted_mourre_constant_grows_with_R():
     g = line_grid(30.0, 0.1)
     H = build_h0(g)
-    S = build_conjugate_A(g)
     J = (0.5, 1.0)
     best = []
     for R in (1.0, 4.0, 16.0):
         phi = WeightFunctionSpec(s=0.51, R=R, c=2.0)
-        res = weighted_mourre_check(H, S, phi, J, 0.51)
+        res = weighted_mourre_check(H, phi, J, 0.51)
         assert res.kind == "weighted"
         assert res.commutator_form_min_eig >= -1e-9
         best.append(res.best_c)
@@ -763,9 +763,8 @@ def test_weighted_mourre_matches_the_complex_eigenbasis_construction(R):
     # kept real
     g = line_grid(30.0, 0.1)
     H = build_schrodinger(g, WignerVonNeumann1D())
-    S = build_conjugate_A(g)
     phi = None if R is None else WeightFunctionSpec(s=0.51, R=R, c=2.0)
-    res = weighted_mourre_check(H, S, phi, (0.5, 1.0), 0.51)
+    res = weighted_mourre_check(H, phi, (0.5, 1.0), 0.51)
     _, vE = eig_window(H, 0.5, 1.0)
     a, vA = np.linalg.eigh(dilation(g))
     Y = vA.conj().T @ vE
@@ -784,9 +783,7 @@ def test_weighted_mourre_matches_the_complex_eigenbasis_construction(R):
 
 def test_weighted_mourre_zero_weight_control_fails():
     g = line_grid(30.0, 0.1)
-    H = build_h0(g)
-    S = build_conjugate_A(g)
-    res = weighted_mourre_check(H, S, None, (0.5, 1.0), 0.51)
+    res = weighted_mourre_check(build_h0(g), None, (0.5, 1.0), 0.51)
     assert res.best_c < 0.0
     assert res.kind == "weighted"
 
@@ -800,7 +797,7 @@ def test_weighted_mourre_past_the_materialization_limit_is_refused(monkeypatch):
     monkeypatch.setattr(oscilab.lap, "eig_window", no_window)
     g = line_grid(30.0, 0.1)
     with pytest.raises(InvariantViolation) as err:
-        weighted_mourre_check(build_h0(g), build_conjugate_A(g), None, (0.5, 1.0), 0.51)
+        weighted_mourre_check(build_h0(g), None, (0.5, 1.0), 0.51)
     assert err.value.invariant == "materialization-size"
 
 
@@ -965,7 +962,7 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch, one_cpu):
     # both windows are LAP-scanned, so every piece of the cell runs
     assert [c.embedded_count for c in cells] == [0, 0]
     assert all(np.isfinite(c.divergence_exponent) for c in cells)
-    # the factory once per box
+    # each H built once per box
     assert builds == [60.0, 120.0]
     # one screen per window, on the largest box only
     assert screens == [(120.0, 0.2, 0.6), (120.0, 1.2, 1.7)]
@@ -1020,8 +1017,8 @@ def test_a_localized_candidate_still_reads_the_partner_spectrum(monkeypatch):
         pairs.append((T.shape[0], lo, hi))
         return localized_pairs(T, lo, hi, inner, level, count=count)
 
-    factory = schrodinger_line_factory(0.05)
-    hams = {L: factory(WignerVonNeumann1D(), L) for L in (200.0, 400.0)}
+    build = line_build(0.05, WignerVonNeumann1D())
+    hams = {L: build(L) for L in (200.0, 400.0)}
     found = oscilab.spectral.find_embedded(hams.__getitem__, (0.9, 1.1), (200.0, 400.0))
     monkeypatch.setattr(oscilab.spectral, "eigvals_window", counted_values)
     monkeypatch.setattr(oscilab.spectral, "localized_pairs", counted_pairs)

@@ -16,8 +16,10 @@ import scipy.linalg  # the fallback, mapped before any test runs
 
 from oscilab import _lapack, _pool
 from oscilab.discretize import _rayleigh_ritz, build_schrodinger, line_grid
-from oscilab.lap import LapScanSpec, lap_scan, schrodinger_line_factory
+from oscilab.lap import LapScanSpec, lap_scan
 from oscilab.potentials import OscillatingSpec, ShortRangeSample, SumPotential
+
+from conftest import line_build
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -147,12 +149,12 @@ def test_rayleigh_ritz_gives_the_bits_of_scipy_s_qr(k):
 def test_a_scan_gives_the_same_rows_on_the_fallback(scipy_routines, monkeypatch):
     spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, weight_kind="conjugate_A",
                        box_list=(9.9, 19.8))
-    factory = schrodinger_line_factory(0.2)
-    on_scipy = lap_scan(factory, _s12_potential(), spec)
+    build = line_build(0.2, _s12_potential())
+    on_scipy = lap_scan(build, spec)
     monkeypatch.undo()
     _lapack._routines.cache_clear()
     assert not _lapack._routines().eigh_tridiagonal.__module__.startswith("scipy.")
-    on_numpy = lap_scan(factory, _s12_potential(), spec)
+    on_numpy = lap_scan(build, spec)
     assert on_numpy.rows == on_scipy.rows
     assert on_numpy.norm_iterations == on_scipy.norm_iterations
 

@@ -13,6 +13,7 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+import scipy.linalg  # noqa: F401  # its OpenBLAS mapped before any test runs
 
 from oscilab import _pool
 from oscilab.errors import ComputeFailure, InvariantViolation
@@ -353,15 +354,16 @@ def test_a_library_scan_runs_one_blas_thread_and_gives_the_caller_back_its_own()
     out = _python_at_two_blas_threads(
         "import json\n"
         "from oscilab import _pool\n"
-        "from oscilab.lap import LapScanSpec, lap_scan, schrodinger_line_factory\n"
-        "build, inside = schrodinger_line_factory(0.2), []\n"
-        "def factory(V, L):\n"
+        "from oscilab.discretize import build_schrodinger, line_grid\n"
+        "from oscilab.lap import LapScanSpec, lap_scan\n"
+        "inside = []\n"
+        "def build(L):\n"
         "    inside.append(_pool.blas_threads())\n"
-        "    return build(V, L)\n"
+        "    return build_schrodinger(line_grid(L, 0.2), None)\n"
         "before = _pool.blas_threads()\n"
         "spec = LapScanSpec(interval=(0.5, 1.5), s=0.51, weight_kind='conjugate_A',\n"
         "                   box_list=(9.9, 19.8))\n"
-        "lap_scan(factory, None, spec)\n"
+        "lap_scan(build, spec)\n"
         "print(json.dumps({'before': before, 'inside': inside,\n"
         "                  'after': _pool.blas_threads()}))\n"
     )
@@ -387,9 +389,6 @@ def test_the_scope_restores_each_package_to_its_own_count(monkeypatch):
 def test_each_openblas_is_opened_once_and_a_missing_one_is_looked_for_again(
     monkeypatch,
 ):
-    # load scipy's OpenBLAS, whichever test files ran before this one
-    import scipy.linalg  # noqa: F401
-
     _pool.blas_threads()
     found = dict(_pool._found)
     assert set(found) == {"numpy", "scipy"}

@@ -40,7 +40,6 @@ EXPECTED = {
     "_pool._worker": _WORKER,
     "errors.InvariantViolation.__reduce__": _WORKER,
     "potentials.LongRangeSample.__post_init__": _KIND,
-    "potentials.CustomSample.__post_init__": _KIND,
     "_lapack._Steps.right": _FALLBACK,
     "_lapack._Steps.left": _FALLBACK,
     "_lapack._Steps.top": _FALLBACK,
