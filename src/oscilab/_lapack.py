@@ -5,17 +5,16 @@ the call shape scipy.linalg gives it, for the arguments the package passes:
 
 * ``get_lapack_funcs(names, arrays)``: ``gttrf`` and ``gttrs`` (one
   right-hand side) in the arrays' type (double, or double complex if any
-  array is complex), and the real ``potrf``;
+  array is complex);
 * ``gkl_steps(dtype, n, rows)``: the vector steps of one Golub-Kahan-Lanczos
   run (``gemv``, ``axpy``, ``dstev``) on its right basis (see _Steps);
 * ``eigh_tridiagonal(d, e, eigvals_only, select, select_range, tol)``:
   ``dstevd`` for every eigenpair (select="a"), ``dstebz`` for the
   eigenvalues in a range (select="v", eigvals_only).
 
-numpy.linalg lacks these: no routine of it takes a tridiagonal, and its
-cholesky, which would serve for ``potrf``'s info, takes 1.6-2 times
-``potrf``'s. The package calls numpy.linalg for the rest: its QRs and its
-small dense Hermitian eigenproblems (``eigh``, ``eigvalsh``).
+numpy.linalg lacks these: no routine of it takes a tridiagonal. The
+package calls numpy.linalg for the rest: its QRs and its small dense
+Hermitian eigenproblems (``eigh``, ``eigvalsh``).
 
 These are the drivers scipy.linalg runs for the same calls, with the same
 workspace sizes (a workspace query where scipy makes one), on the same
@@ -71,11 +70,11 @@ _addressof = ctypes.addressof
 _byref = ctypes.byref
 
 
-def _require(a, dtype, shape, name, order="C"):
-    """Raise ValueError unless a is an ndarray of dtype and shape, contiguous
-    in order ("C" or "F")."""
+def _require(a, dtype, shape, name):
+    """Raise ValueError unless a is a C-contiguous ndarray of dtype and
+    shape."""
     if isinstance(a, np.ndarray) and a.shape == shape and a.dtype == dtype:
-        if a.flags.c_contiguous if order == "C" else a.flags.f_contiguous:
+        if a.flags.c_contiguous:
             return
     got = (
         f"{a.dtype} array of shape {a.shape}, strides {a.strides}"
@@ -83,7 +82,7 @@ def _require(a, dtype, shape, name, order="C"):
         else type(a).__name__
     )
     raise ValueError(
-        f"{name}: need a {order}-contiguous {dtype} array of shape {shape}, "
+        f"{name}: need a C-contiguous {dtype} array of shape {shape}, "
         f"got a {got}"
     )
 
@@ -102,16 +101,6 @@ def _vector(a, dtype, n, name):
     except TypeError:
         _require(a, dtype, (n,), name)  # ValueError if not C-contiguous
         raise
-
-
-def _matrix(a, dtype, shape, name):
-    """As _vector, for a Fortran-ordered matrix of dtype and shape."""
-    if (
-        type(a) is not _ndarray or a.dtype is not dtype or a.shape != shape
-        or not a.flags.f_contiguous
-    ):
-        _require(a, dtype, shape, name, order="F")
-    return _addressof(_from_buffer(a.T)) if a.size else None
 
 
 def _own(a):
@@ -152,7 +141,7 @@ class _Library:
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal LU (gttrf, gttrs) and real Cholesky (potrf)
+# tridiagonal LU (gttrf, gttrs)
 
 
 class _Pivots(np.ndarray):
@@ -240,22 +229,6 @@ def _bind_gttrs(lib, t):
         return x, info
 
     return gttrs
-
-
-def _bind_potrf(lib):
-    I = lib.int
-    fn = lib.entry("LAPACKE_dpotrf_work", I, ctypes.c_int, ctypes.c_char, I, _P, I)
-
-    def potrf(a, overwrite_a=0):
-        """(c, info): the upper Cholesky factor of the Fortran-ordered real
-        a. Unlike scipy's, c's strictly lower triangle is left as it was,
-        not zeroed: the package reads info alone."""
-        n = len(a)
-        c = a if overwrite_a else np.array(a, order="F")
-        info = fn(_COL_MAJOR, b"U", n, _matrix(c, _F64, (n, n), "a"), max(n, 1))
-        return c, _checked_info(info, "dpotrf")
-
-    return potrf
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +508,7 @@ def _typed(names, arrays, routines):
 
 def _bind(lib):
     """The routines on lib; AttributeError when lib lacks an entry point."""
-    lapack = {("potrf", "d"): _bind_potrf(lib)}
+    lapack = {}
     for t in "dz":
         lapack["gttrf", t] = _bind_gttrf(lib, t)
         lapack["gttrs", t] = _bind_gttrs(lib, t)

@@ -42,7 +42,7 @@ from .errors import ComputeFailure, InvariantViolation
 from .potentials import OscillatingSpec
 from ._csv import write_csv
 from ._smooth import smoothstep_quintic, smoothstep_quintic_prime
-from .spectral import genuine_embedded
+from .spectral import _box_ladder, genuine_embedded
 
 __all__ = [
     "LapScanSpec",
@@ -81,34 +81,6 @@ _POOL_ROWS = 200
 
 # ---------------------------------------------------------------------------
 # weighted resolvent norms
-
-
-def _check_weight(W, n):
-    """Reject a weight that is not an n-vector (a diagonal) or a Hermitian
-    PSD n x n matrix, n being the size of H."""
-    if W.shape not in ((n,), (n, n)):
-        raise InvariantViolation(
-            "weight-shape",
-            f"weight of shape {W.shape} for an operator of size {n}",
-        )
-    if W.ndim == 1:
-        if np.min(W) < 0:
-            raise InvariantViolation("weight-positivity", "weight must be >= 0")
-        return
-    scale = max(np.linalg.norm(W), 1.0)
-    if np.linalg.norm(W - W.conj().T) > 1e-12 * scale:
-        raise InvariantViolation(
-            "operator-hermiticity", "dense weight is not Hermitian to 1e-12"
-        )
-    if np.iscomplexobj(W):
-        # W = A + iB is PSD iff the real [[A, -B], [B, A]] is
-        W = np.block([[W.real, -W.imag], [W.imag, W.real]])
-    # W >= -1e-10 iff W + 1e-10 I has a Cholesky factor
-    shifted = np.array(W, order="F")
-    shifted.flat[:: W.shape[0] + 1] += 1e-10
-    (potrf,) = get_lapack_funcs(("potrf",), (shifted,))
-    if potrf(shifted, overwrite_a=1)[1] != 0:
-        raise InvariantViolation("weight-positivity", "weight must be PSD")
 
 
 def _tridiag_solver(d, e, z):
@@ -210,7 +182,10 @@ class LapScanSpec:
     """Scan parameters: interval, weight, z-grid shape, box ladder.
 
     im_ladder = None generates the standard geometric ladder down to the
-    level-spacing floor. s = 0 means no weight (the divergent control).
+    level-spacing floor. A given ladder is walked as given, cut at the
+    floor; a scan whose floor leaves fewer than three of its rungs is
+    refused (im-ladder). box_list needs two or more sizes and none twice
+    (box-count). s = 0 means no weight (the divergent control).
     """
 
     interval: tuple
@@ -241,11 +216,7 @@ class LapScanSpec:
                     "im-ladder", "im_ladder must be strictly decreasing and positive"
                 )
             object.__setattr__(self, "im_ladder", lad)
-        if len(self.box_list) < 2:
-            raise InvariantViolation("box-count", "need at least two box sizes")
-        object.__setattr__(
-            self, "box_list", tuple(sorted(float(L) for L in self.box_list))
-        )
+        object.__setattr__(self, "box_list", _box_ladder(self.box_list))
         object.__setattr__(self, "interval", (float(lo), float(hi)))
 
 
@@ -350,9 +321,16 @@ def _scan_setup(build, spec):
         and np.all(H.e == -1.0 / H.grid.h**2)
     )
     floor = 10.0 * spacing
-    ladder = [v for v in spec.im_ladder or () if v > floor * (1.0 + 1e-12)] + [floor]
-    if len(ladder) < 4:
+    if spec.im_ladder is None:
         ladder = _standard_ladder(floor)
+    else:
+        ladder = [v for v in spec.im_ladder if v > floor * (1.0 + 1e-12)] + [floor]
+        if len(ladder) < 4:
+            raise InvariantViolation(
+                "im-ladder",
+                f"{len(ladder) - 1} im_ladder rungs lie above the level-spacing "
+                f"floor {floor:.6g}; the scan needs at least 3",
+            )
     # largest box first, so the longest chains start first in a pool
     re_grid = np.linspace(lo, hi, spec.re_points)
     tasks = [(L, re_z) for L in reversed(spec.box_list) for re_z in re_grid]
@@ -362,11 +340,12 @@ def _scan_setup(build, spec):
 
 
 def _box(setup, L):
-    """(d, e, W, ev, X0) of box L's chains, built and checked at the first
-    call on setup: the diagonal and the upper off-diagonal, complex,
-    the resolvent is taken of, the weight, the closed-form spectrum of the
-    free control (None otherwise), and the first rung's start vector, from
-    which every chain of the box starts."""
+    """(d, e, W, ev, X0) of box L's chains, built at the first call on
+    setup: the diagonal and the upper off-diagonal, complex, the resolvent
+    is taken of, the weight, the closed-form spectrum of the free control
+    (None otherwise), and the first rung's start vector, from which every
+    chain of the box starts. W needs no check: <Q>^-s is positive, and
+    F = <J>^-s is exactly symmetric with eigenvalues in (0, 1]."""
     operands = setup.boxes.get(L)
     if operands is None:
         H, spec = setup.hams[L], setup.spec
@@ -384,7 +363,6 @@ def _box(setup, L):
             W = _weight_factor(build_conjugate_A(grid), spec.s)
             e = -1j * H.e
             X0 = phase(grid.n) * X0
-        _check_weight(W, grid.n)
         ev = _free_dirichlet_eigs(grid) if L in setup.free else None
         # e complex once per box: every rung's factorization reads it as is
         operands = (H.d, np.asarray(e, dtype=complex), W, ev, X0)
@@ -492,8 +470,8 @@ def lap_scan(build, spec):
     either way.
     """
     setup = _scan_setup(build, spec)
-    # every box's operands built and checked once, in the caller; they go
-    # to the workers inside the task pickle, the dense weight included
+    # every box's operands built once, in the caller; they go to the
+    # workers inside the task pickle, the dense weight included
     for L in spec.box_list:
         _box(setup, L)
     chain = functools.partial(_chain, setup)

@@ -76,6 +76,18 @@ def _radius(grid):
     return np.abs(grid.x) if grid.kind != "halfline" else grid.x
 
 
+def _box_ladder(box_list):
+    """box_list's sizes as floats, ascending; box-count unless there are at
+    least two and no size repeats (a repeat would compare a box with itself
+    and read as box-stable)."""
+    boxes = tuple(sorted(float(L) for L in box_list))
+    if len(set(boxes)) < max(len(boxes), 2):
+        raise InvariantViolation(
+            "box-count", f"need at least two distinct box sizes, got {list(boxes)}"
+        )
+    return boxes
+
+
 def _screen_args(window, box_list):
     """(lo, hi, boxes ascending) of a screen, checked."""
     lo, hi = float(window[0]), float(window[1])
@@ -85,10 +97,7 @@ def _screen_args(window, box_list):
         raise InvariantViolation(
             "window-essential", "window must sit inside the essential spectrum [0, inf)"
         )
-    boxes = sorted(float(L) for L in box_list)
-    if len(boxes) < 2:
-        raise InvariantViolation("box-count", "need at least two box sizes")
-    return lo, hi, boxes
+    return lo, hi, _box_ladder(box_list)
 
 
 def _inner(grid, big):

@@ -629,6 +629,28 @@ def test_lap_scan_run_walks_the_given_ladder_down_to_the_floor(tmp_path):
         assert [float(r["im_z"]) for r in chain] == expected
 
 
+@pytest.mark.parametrize(
+    "command, params, slug",
+    [
+        ("lap-scan", {"interval": [0.5, 1.5], "boxes": [100.0, 100.0], "h": 0.2},
+         "box-count"),
+        ("find-embedded", {"window": [0.8, 1.2], "boxes": [60.0, 60.0], "h": 0.05,
+                           "potential": {"kind": "wvn_1d"}}, "box-count"),
+        ("lap-scan", {"interval": [0.5, 1.5], "boxes": [100.0, 200.0], "h": 0.2,
+                      "im_ladder": [0.05, 0.01]}, "im-ladder"),
+    ],
+    ids=["lap-scan-repeated-box", "find-embedded-repeated-box", "lap-scan-short-ladder"],
+)
+def test_a_run_the_scan_would_not_do_as_asked_exits_2(tmp_path, capsys, command,
+                                                      params, slug):
+    doc = {"command": command, "params": params, "output_dir": str(tmp_path / "out")}
+    code = run(write_config(tmp_path, doc))
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err["error"]["invariant"] == slug
+    assert not (tmp_path / "out").exists()
+
+
 def test_compactness_probe_run_smoothed_multiplier(tmp_path):
     out_dir = tmp_path / "out"
     doc = {

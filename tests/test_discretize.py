@@ -265,6 +265,21 @@ def test_operator_basis_weight_matches_the_complex_eigenbasis_construction(s):
     assert np.linalg.norm(W - old) <= 1e-14 * np.linalg.norm(old)
 
 
+@pytest.mark.parametrize("s", [0.0, 0.51, 2.0, 5.0])
+@pytest.mark.parametrize("L, h", [(4.25, 0.5), (10.0, 0.2), (30.0, 0.2), (60.0, 0.2)])
+def test_the_scan_weights_hold_their_invariants_where_they_are_built(L, h, s):
+    # the LAP scan runs both weights unchecked: <Q>^-s is positive on H's
+    # grid, and F = <J>^-s is exactly symmetric with eigenvalues in (0, 1]
+    g = line_grid(L, h)
+    assert 16 <= g.n <= 600
+    w = build_weight(g, s)
+    assert w.shape == (g.n,) and np.min(w) > 0.0
+    F = oscilab.discretize._weight_factor(build_conjugate_A(g), s)
+    assert F.shape == (g.n, g.n) and np.array_equal(F, F.T)
+    ev = np.linalg.eigvalsh(F)
+    assert -1e-12 <= ev[0] and ev[-1] <= 1.0 + 1e-12
+
+
 def test_window_spec_validation():
     with pytest.raises(InvariantViolation) as err:
         WindowSpec(1.0, 0.5)
@@ -527,15 +542,6 @@ def test_sturm_count_column_matches_dense_count(n, seed, ends):
     assert count_window(T, lo, hi) == want
     full = eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(lo, hi))
     assert len(full) == want
-
-
-def test_dense_input_must_be_hermitian():
-    # a dense weight is checked where the norm kernel takes it
-    H = build_h0(Grid1D("line", 1.0, 16))
-    bad = np.triu(np.ones((16, 16)))
-    with pytest.raises(InvariantViolation) as err:
-        oscilab.lap._check_weight(bad, H.shape[0])
-    assert err.value.invariant == "operator-hermiticity"
 
 
 def test_imag_tridiagonal_eig_consistency():

@@ -284,8 +284,7 @@ def test_conjugate_A_scan_takes_the_steps_of_the_complex_weight():
 
 
 def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
-    calls = {"eigh": 0, "potrf": 0}
-    get_lapack_funcs = oscilab.lap.get_lapack_funcs
+    calls = {"eigh": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -294,20 +293,12 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
 
         return wrapper
 
-    def counting_get(names, *args, **kwargs):
-        funcs = get_lapack_funcs(names, *args, **kwargs)
-        return tuple(
-            counted(nm, f) if nm == "potrf" else f for nm, f in zip(names, funcs)
-        )
-
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted("eigh", getattr(np.linalg, name)))
-    monkeypatch.setattr(oscilab.lap, "get_lapack_funcs", counting_get)
     res = lap_scan(line_build(0.2), _CONJUGATE_A_SPEC)
     assert len(res.rows) > 2
-    # the PSD check of W (a Cholesky factorisation), once per box, and no
-    # dense eigendecomposition
-    assert calls == {"eigh": 0, "potrf": 2}
+    # no dense eigendecomposition
+    assert calls == {"eigh": 0}
 
     # the iteration cap still raises on the dense-weight path
     H = line_build(0.2)(10.0)
@@ -332,50 +323,6 @@ def test_conjugate_A_scan_past_the_materialization_limit_is_refused(monkeypatch)
     assert err.value.invariant == "materialization-size"
 
 
-@pytest.mark.parametrize("wmin", [-1e-9, -1e-12, 0.0])
-def test_weight_psd_check_agrees_with_the_dense_spectrum(wmin, rng):
-    # W with smallest eigenvalue wmin; 0 makes W a projector
-    n = 40
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    vals = np.ones(n)
-    vals[: n // 2] = 0.0
-    vals[0] = wmin
-    mat = (q * vals) @ q.conj().T
-    W = 0.5 * (mat + mat.conj().T)
-    psd = np.linalg.eigvalsh(W)[0] >= -1e-10
-    assert psd == (wmin > -1e-10)
-    if psd:
-        oscilab.lap._check_weight(W, n)
-    else:
-        with pytest.raises(InvariantViolation) as err:
-            oscilab.lap._check_weight(W, n)
-        assert err.value.invariant == "weight-positivity"
-
-
-def test_weight_psd_check_runs_at_every_size(monkeypatch, rng):
-    # a dense W larger than the materialization limit is still checked
-    monkeypatch.setattr(oscilab.discretize, "MATERIALIZE_MAX", 8)
-    g = line_grid(4.25, 0.5)
-    assert g.n == 16
-    q, _ = np.linalg.qr(rng.normal(size=(g.n, g.n)))
-    vals = np.linspace(-0.5, 1.0, g.n)
-    mat = (q * vals) @ q.T
-    W = 0.5 * (mat + mat.T)
-    with pytest.raises(InvariantViolation) as err:
-        oscilab.lap._check_weight(W, g.n)
-    assert err.value.invariant == "weight-positivity"
-
-
-@pytest.mark.parametrize("kind", ["diagonal", "dense"])
-def test_weight_of_another_size_is_named(kind):
-    H = build_h0(line_grid(5.0, 0.5))
-    n = H.shape[0]
-    W = np.ones(n + 1) if kind == "diagonal" else np.eye(n + 1)
-    with pytest.raises(InvariantViolation) as err:
-        oscilab.lap._check_weight(W, n)
-    assert err.value.invariant == "weight-shape"
-
-
 # ---------------------------------------------------------------------------
 # scan specs
 
@@ -391,6 +338,9 @@ def test_weight_of_another_size_is_named(kind):
         (dict(interval=(0.5, 1.5), im_ladder=(0.1, 0.5)), "im-ladder"),
         (dict(interval=(0.5, 1.5), im_ladder=(0.5, -0.1)), "im-ladder"),
         (dict(interval=(0.5, 1.5), box_list=(100.0,)), "box-count"),
+        # one box twice would compare it with itself and read as box-stable
+        (dict(interval=(0.5, 1.5), box_list=(100.0, 100.0)), "box-count"),
+        (dict(interval=(0.5, 1.5), box_list=(200, 100.0, 200.0)), "box-count"),
     ],
 )
 def test_scan_spec_guards(kwargs, slug):
@@ -479,6 +429,19 @@ def test_scan_empty_interval_rejected():
     with pytest.raises(InvariantViolation) as err:
         lap_scan(line_build(0.2), spec)
     assert err.value.invariant == "interval-spectrum"
+
+
+@pytest.mark.parametrize("im_ladder, left", [((0.05, 0.01), 0), ((2.0, 1.0, 0.01), 2)])
+def test_scan_refuses_a_ladder_the_floor_leaves_too_short(im_ladder, left):
+    # at h = 0.2 on boxes 100/200 the floor is 0.303: the scan walks no
+    # stand-in ladder, it names the floor and the rungs left
+    spec = LapScanSpec(interval=(0.5, 1.5), im_ladder=im_ladder, box_list=(100.0, 200.0))
+    with pytest.raises(InvariantViolation) as err:
+        lap_scan(line_build(0.2), spec)
+    assert err.value.invariant == "im-ladder"
+    message = str(err.value)
+    assert message.startswith(f"{left} im_ladder rungs")
+    assert "floor 0.30303" in message
 
 
 def test_scan_csv_round_trip(free_unweighted_scan, tmp_path):
@@ -875,6 +838,15 @@ def test_mourre_at_infinity_guards(kwargs, slug):
 
 # ---------------------------------------------------------------------------
 # phase-diagram sweep
+
+
+def test_phase_sweep_refuses_a_repeated_box():
+    with pytest.raises(InvariantViolation) as err:
+        phase_sweep(
+            (1.0,), (0.75,), k=2.0, w=3.0, windows={"below": (0.2, 0.6)}, h=0.25,
+            box_list=(60.0, 60.0),
+        )
+    assert err.value.invariant == "box-count"
 
 
 def test_phase_sweep_lite_cell_structure(tmp_path):

@@ -39,7 +39,7 @@ from oscilab.spectral import (
     tail_report_to_json,
 )
 
-from conftest import conjugate_A_weight, dense
+from conftest import dense
 
 
 def wvn_builder(L):
@@ -52,20 +52,6 @@ def free_builder(L):
 
 # ---------------------------------------------------------------------------
 # operator input
-
-
-def test_eig_rejects_non_hermitian():
-    # a dense weight off Hermitian by more than 1e-12 relative is refused
-    # before the norm kernel runs; one off by rounding passes
-    g = line_grid(4.25, 0.5)
-    W = conjugate_A_weight(g, 0.6)
-    skew = np.zeros_like(W)
-    skew[0, 1] = 1e-9
-    with pytest.raises(InvariantViolation) as err:
-        oscilab.lap._check_weight(W + skew, g.n)
-    assert err.value.invariant == "operator-hermiticity"
-    skew[0, 1] = 1e-15
-    oscilab.lap._check_weight(W + skew, g.n)
 
 
 def test_eig_sorted_orthonormal_residuals(rng):
@@ -145,6 +131,14 @@ def test_find_embedded_validation():
     with pytest.raises(InvariantViolation) as err:
         find_embedded(wvn_builder, (0.9, 1.1), (60.0,))
     assert err.value.invariant == "box-count"
+    # one box twice would read every candidate's box_drift as 0
+    for boxes in ((60.0, 60.0), (120.0, 60.0, 60.0)):
+        with pytest.raises(InvariantViolation) as err:
+            find_embedded(wvn_builder, (0.9, 1.1), boxes)
+        assert err.value.invariant == "box-count"
+        with pytest.raises(InvariantViolation) as err:
+            genuine_embedded(wvn_builder, (0.9, 1.1), boxes)
+        assert err.value.invariant == "box-count"
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,16 @@ EXTRA = {
         {"interval": [0.5, 1.5], "boxes": [100.0, 200.0], "h": 0.2,
          "im_ladder": [2.0, 1.0, 0.6, 0.4, 0.01]},
     ),
+    # two scans refused before any output (exit 2): one box twice, and a
+    # ladder with fewer than three rungs above the floor (0.303 here)
+    "lap-scan-repeated-box": (
+        "lap-scan", {"interval": [0.5, 1.5], "boxes": [100.0, 100.0], "h": 0.2}
+    ),
+    "lap-scan-short-ladder": (
+        "lap-scan",
+        {"interval": [0.5, 1.5], "boxes": [100.0, 200.0], "h": 0.2,
+         "im_ladder": [0.05, 0.01]},
+    ),
     # the three commands on no catalog workload
     "verify-wvn-1d": ("verify-wvn", {"variant": "1d"}),
     "verify-wvn-3d": ("verify-wvn", {"variant": "3d"}),
