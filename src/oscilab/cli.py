@@ -10,11 +10,14 @@ Runs are described by a JSON config file::
     }
 
 and dispatched to the compute modules. ``_COMMANDS`` holds, per command, its
-handler, its description and its params table (key -> converter, default).
+handler, its description and its params table (key -> converter, default);
+a command with variants has one table per variant, which its selector key
+(``kind``, ``mode`` or ``variant``) picks before any other key is read.
 ``RunConfig`` decodes the params against that table before the output
-directory exists: an unknown key, a missing required key or a value of the
-wrong type exits 2, naming the key by its dotted path (``phi.R``,
-``potential.parts[0].beta``). Handlers read the decoded values only.
+directory exists: an unknown variant, a key the variant does not read, a
+missing required key or a value of the wrong type exits 2, naming the key
+by its dotted path (``phi.R``, ``potential.parts[0].beta``). Handlers read
+the decoded values only.
 
 Every run writes its CSV/JSON/SVG artifacts plus a manifest with config
 echo, version, wall time, and a sha256 per output. Identical config + seed
@@ -70,10 +73,11 @@ from .lap import (
 )
 from .potentials import (
     WeightFunctionSpec,
+    _convert,
     _decode,
     _decode_potential,
     _floats,
-    _missing,
+    _variants,
 )
 from .spectral import (
     DEFAULT_CHANNEL_ALPHAS,
@@ -104,7 +108,7 @@ class RunConfig:
                 "command-unknown", f"unknown command {self.command!r}"
             )
         object.__setattr__(
-            self, "params", _decode(self.params, _COMMANDS[self.command][2])
+            self, "params", _convert(_COMMANDS[self.command][2], self.params, "")
         )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise InvariantViolation("seed-type", "seed must be an integer")
@@ -155,12 +159,8 @@ def _sha256(path):
 
 
 def _cmd_verify_wvn(p, out_dir, seed):
-    if p["variant"] == "1d":
-        residual = verify_wvn_1d(p["x_max"], p["step"], v_shift=p["v_shift"])
-    elif p["variant"] == "3d":
-        residual = verify_wvn_3d(p["x_max"], p["step"], v_shift=p["v_shift"])
-    else:
-        raise InvariantViolation("wvn-variant", f"unknown variant {p['variant']!r}")
+    verify = verify_wvn_1d if p["variant"] == "1d" else verify_wvn_3d
+    residual = verify(p["x_max"], p["step"], v_shift=p["v_shift"])
     path = _output(out_dir, "verify_wvn.json")
     _write_json({**p, "residual_max": residual}, path)
     return [path], {}
@@ -171,11 +171,7 @@ def _cmd_construct_dirac(p, out_dir, seed):
         m=p["m"], lam=p["lam"], kappa_rho=p["kappa_rho"], u_decay=p["u_decay"],
         match_radius=p["match_radius"], phi_el=p["phi_el"],
     )
-    grid = None
-    if p["L"] is not None or p["step"] is not None:
-        L = 200.0 if p["L"] is None else p["L"]
-        grid = halfline_grid(L, 1e-3 if p["step"] is None else p["step"])
-    cons = dirac_solve_potential(spec, grid)
+    cons = dirac_solve_potential(spec, halfline_grid(p["L"], p["step"]))
     csv_path = _output(out_dir, "dirac_profiles.csv")
     dirac_to_csv(cons, csv_path)
     summary = dirac_summary(cons)
@@ -238,81 +234,57 @@ def _cmd_lap_scan(p, out_dir, seed):
 
 def _cmd_mourre_check(p, out_dir, seed):
     kind, window = p["kind"], p["window"]
-    grid = line_grid(p["L"], p["h"])
-    H = build_schrodinger(grid, p["potential"])
-    if kind in ("strict", "plain"):
-        result = mourre_check(
-            H, window, mode=kind, remainder_rank_budget=p["rank_budget"]
-        )
-    elif kind == "weighted":
+    H = build_schrodinger(line_grid(p["L"], p["h"]), p["potential"])
+    if kind == "weighted":
         phi = p["phi"]
         if phi is not None:
-            c = phi["c"]
-            if c is None:
-                if not window[0] > 0:
-                    raise InvariantViolation(
-                        "default-c",
-                        f"psi's default c = 1 / inf J needs inf J > 0, got {window[0]}",
-                    )
-                c = 1.0 / window[0]
+            if phi["c"] is None and not window[0] > 0:
+                raise InvariantViolation(
+                    "default-c",
+                    f"psi's default c = 1 / inf J needs inf J > 0, got {window[0]}",
+                )
+            c = 1.0 / window[0] if phi["c"] is None else phi["c"]
             phi = WeightFunctionSpec(s=phi["s"], R=phi["R"], c=c)
-        s = 0.51 if p["s"] is None else p["s"]
-        result = weighted_mourre_check(H, phi, window, s)
+        result = weighted_mourre_check(H, phi, window, p["s"])
     elif kind == "at_infinity":
         result = mourre_at_infinity_check(
-            H, p["R"], p["delta"], 0.6 if p["s"] is None else p["s"],
-            window, trials=p["trials"], seed=seed,
+            H, p["R"], p["delta"], p["s"], window, trials=p["trials"], seed=seed
         )
     else:
-        raise InvariantViolation("mourre-kind", f"unknown check kind {kind!r}")
-    doc = asdict(result)
-    doc["kind_requested"] = kind
+        result = mourre_check(
+            H, window, mode=kind, remainder_rank_budget=p.get("rank_budget", 0)
+        )
     path = _output(out_dir, "mourre.json")
-    _write_json(doc, path)
+    _write_json({**asdict(result), "kind_requested": kind}, path)
     return [path], {}
 
 
 def _cmd_compactness_probe(p, out_dir, seed):
-    outputs = []
-    disclosures = {}
+    outputs, disclosures = [], {}
     if p["mode"] == "windowed_channel":
-        grid = halfline_grid(400.0 if p["L"] is None else p["L"], p["h"])
-        for key in ("window", "radii"):
-            if p[key] is None:
-                raise _missing(key)
         window, k = p["window"], p["k"]
-        theta = WindowSpec(window[0], window[1])
+        theta = WindowSpec(*window)
         report = small_plus_decay_probe(
-            grid, theta, k, p["radii"], channel_alphas=p["channel_alphas"]
+            halfline_grid(p["L"], p["h"]), theta, k, p["radii"],
+            channel_alphas=p["channel_alphas"],
         )
         symbol_max = interference_symbol_check(theta, k)
         doc = tail_report_to_json(report)
         doc["symbol_max"] = symbol_max
-        doc["symbol_predicts"] = (
-            "decays_to_zero" if symbol_max == 0.0 else "plateaus"
-        )
+        doc["symbol_predicts"] = "decays_to_zero" if symbol_max == 0.0 else "plateaus"
         csv_path = _output(out_dir, "sweep.csv")
         append_sweep_csv(csv_path, window[0], window[1], k, report)
         outputs.append(csv_path)
-    elif p["mode"] == "smoothed_multiplier":
-        if p["alpha"] is None:
-            raise _missing("alpha")
+    else:
         report = oscillation_compactness_probe(
-            periodic_grid(200.0 if p["L"] is None else p["L"], p["n"]),
-            p["p"],
-            p["alpha"],
-            p["k"],
-            smoothing_orders=p["smoothing_orders"],
-            radii=(10.0, 20.0, 40.0, 80.0, 160.0) if p["radii"] is None else p["radii"],
-            seed=seed,
+            periodic_grid(p["L"], p["n"]), p["p"], p["alpha"], p["k"],
+            smoothing_orders=p["smoothing_orders"], radii=p["radii"], seed=seed,
         )
         doc = tail_report_to_json(report)
         disclosures = {
             "norm_iterations": list(report.norm_iterations),
             "norm_residual_max": report.norm_residual_max,
         }
-    else:
-        raise InvariantViolation("probe-mode", f"unknown probe mode {p['mode']!r}")
     path = _output(out_dir, "probe.json")
     _write_json(doc, path)
     outputs.append(path)
@@ -344,17 +316,22 @@ def _windows(value, path):
 
 
 # Each command: its handler, its --list-commands line, and its params table,
-# key -> (converter, default) as potentials._decode reads it. A key whose
-# default depends on another key defaults to None and its handler resolves it.
+# key -> (converter, default) as potentials._decode reads it, or one table per
+# variant under potentials._variants. phi.c defaults to None since 1 / inf J
+# depends on the window, and the handler resolves it; the other None defaults
+# select the free H, the standard ladder and the psi = 0 control.
 _BOXES = (tuple, (200.0, 400.0))
 _POTENTIAL = (_decode_potential, None)
+_WVN = {"x_max": (float, 50.0), "step": (float, 1e-3), "v_shift": (float, 0.0)}
+_MOURRE = {"window": (_pair, MISSING), "L": (float, 100.0), "h": (float, 0.05),
+           "potential": _POTENTIAL}
+_PHI = {"s": (float, 0.51), "R": (float, 1.0), "c": (float, None)}
 _COMMANDS = {
     "verify-wvn": (
         _cmd_verify_wvn,
         "residual of the explicit bound state in -f'' + V f = E f "
         "(1d and 3d-radial variants)",
-        {"variant": (str, "1d"), "x_max": (float, 50.0), "step": (float, 1e-3),
-         "v_shift": (float, 0.0)},
+        _variants("variant", {"1d": _WVN, "3d": _WVN}, "wvn-variant", "1d"),
     ),
     "construct-dirac": (
         _cmd_construct_dirac,
@@ -362,7 +339,7 @@ _COMMANDS = {
         "eigenvalue lambda > m sits inside the continuous spectrum",
         {"m": (float, 1.0), "lam": (float, MISSING), "kappa_rho": (float, 1.0),
          "u_decay": (float, 1.0), "match_radius": (float, 1.0),
-         "phi_el": (str, "bracket"), "L": (float, None), "step": (float, None)},
+         "phi_el": (str, "bracket"), "L": (float, 200.0), "step": (float, 1e-3)},
     ),
     "construct-kg": (
         _cmd_construct_kg,
@@ -389,21 +366,31 @@ _COMMANDS = {
         _cmd_mourre_check,
         "commutator positivity on spectral windows: strict, "
         "rank-deflated, psi-weighted, and localized-at-infinity forms",
-        {"kind": (str, "strict"), "window": (_pair, MISSING), "L": (float, 100.0),
-         "h": (float, 0.05), "potential": _POTENTIAL, "rank_budget": (int, 0),
-         "phi": ({"s": (float, 0.51), "R": (float, 1.0), "c": (float, None)}, None),
-         "s": (float, None), "R": (float, 20.0), "delta": (float, 0.1),
-         "trials": (int, 64)},
+        _variants("kind", {
+            "strict": _MOURRE,
+            "plain": {**_MOURRE, "rank_budget": (int, 0)},
+            "weighted": {**_MOURRE, "s": (float, 0.51), "phi": (_PHI, None)},
+            "at_infinity": {**_MOURRE, "s": (float, 0.6), "R": (float, 20.0),
+                            "delta": (float, 0.1), "trials": (int, 64)},
+        }, "mourre-kind", "strict"),
     ),
     "compactness-probe": (
         _cmd_compactness_probe,
         "corner-norm decay ||chi_R M chi_R|| of windowed or "
         "weight-smoothed oscillation operators",
-        {"mode": (str, "windowed_channel"), "L": (float, None), "h": (float, 0.025),
-         "window": (_pair, None), "k": (float, MISSING), "radii": (tuple, None),
-         "channel_alphas": (tuple, DEFAULT_CHANNEL_ALPHAS), "n": (int, 65536),
-         "smoothing_orders": (_pair, (2.0, 2.0)), "p": (float, 1.0),
-         "alpha": (float, None)},
+        _variants("mode", {
+            "windowed_channel": {
+                "k": (float, MISSING), "window": (_pair, MISSING),
+                "radii": (tuple, MISSING), "L": (float, 400.0), "h": (float, 0.025),
+                "channel_alphas": (tuple, DEFAULT_CHANNEL_ALPHAS),
+            },
+            "smoothed_multiplier": {
+                "k": (float, MISSING), "alpha": (float, MISSING),
+                "radii": (tuple, (10.0, 20.0, 40.0, 80.0, 160.0)), "L": (float, 200.0),
+                "n": (int, 65536), "p": (float, 1.0),
+                "smoothing_orders": (_pair, (2.0, 2.0)),
+            },
+        }, "probe-mode", "windowed_channel"),
     ),
     "phase-diagram": (
         _cmd_phase_diagram,

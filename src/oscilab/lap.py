@@ -42,7 +42,7 @@ from .errors import ComputeFailure, InvariantViolation
 from .potentials import OscillatingSpec
 from ._csv import write_csv
 from ._smooth import smoothstep_quintic, smoothstep_quintic_prime
-from .spectral import _box_ladder, genuine_embedded
+from .spectral import _box_ladder, _screen_args, genuine_embedded
 
 __all__ = [
     "LapScanSpec",
@@ -182,10 +182,11 @@ class LapScanSpec:
     """Scan parameters: interval, weight, z-grid shape, box ladder.
 
     im_ladder = None generates the standard geometric ladder down to the
-    level-spacing floor. A given ladder is walked as given, cut at the
-    floor; a scan whose floor leaves fewer than three of its rungs is
-    refused (im-ladder). box_list needs two or more sizes and none twice
-    (box-count). s = 0 means no weight (the divergent control).
+    level-spacing floor; a given one is walked as given, cut at the floor.
+    A ladder of fewer than three rungs is refused here, and one the floor
+    cuts below three when the scan starts (im-ladder). box_list needs two
+    or more sizes and none twice (box-count). s = 0 means no weight (the
+    divergent control).
     """
 
     interval: tuple
@@ -209,9 +210,11 @@ class LapScanSpec:
             raise InvariantViolation("re-points", "need >= 3 Re z points")
         if self.im_ladder is not None:
             lad = tuple(float(v) for v in self.im_ladder)
-            if len(lad) < 2 or min(lad) <= 0 or any(
-                b >= a for a, b in zip(lad, lad[1:])
-            ):
+            if len(lad) < 3:
+                raise InvariantViolation(
+                    "im-ladder", f"im_ladder has {len(lad)} rungs; a scan needs 3"
+                )
+            if min(lad) <= 0 or any(b >= a for a, b in zip(lad, lad[1:])):
                 raise InvariantViolation(
                     "im-ladder", "im_ladder must be strictly decreasing and positive"
                 )
@@ -769,12 +772,14 @@ def phase_sweep(
     first, so the workers share both. The chains run speculatively: a
     window whose screen finds a genuine eigenvalue drops its chains and any
     failure among them; in a scanned window a failure surfaces as it would
-    in lap_scan, the first window's first. Cells beyond the budget are
-    emitted as skipped. A window straddling k^2/4 is reported inconclusive
-    by policy. Returns a PhaseSweep, a list of the cells.
+    in lap_scan, the first window's first. The windows and boxes are
+    checked as a screen checks them before any cell is built; cells beyond
+    the budget are emitted as skipped. A window straddling k^2/4 is
+    reported inconclusive by policy. Returns a PhaseSweep, a list of cells.
     """
     if not windows:
         raise InvariantViolation("windows-empty", "need at least one named window")
+    wins = {nm: _screen_args(windows[nm], box_list)[:2] for nm in windows}
     threshold = k * k / 4.0
     boxes = tuple(float(L) for L in box_list)
     pairs = list(itertools.product(alphas, betas))
@@ -786,8 +791,7 @@ def phase_sweep(
     for alpha, beta in pairs[:live]:
         V = OscillatingSpec(w=w, k=k, alpha=alpha, beta=beta)
         hams = {L: build_schrodinger(line_grid(L, h), V) for L in boxes}
-        for nm in windows:
-            win = tuple(map(float, windows[nm]))
+        for nm, win in wins.items():
             setup = _attempt(lambda: _scan_setup(
                 hams.__getitem__, LapScanSpec(interval=win, s=s, box_list=boxes)
             ))
@@ -834,13 +838,11 @@ def phase_sweep(
             scan.divergence_exponent, 0, note,
         ))
     for alpha, beta in pairs[live:]:
-        for nm in windows:
-            cells.append(
-                PhaseDiagramCell(
-                    float(alpha), float(beta), nm, tuple(map(float, windows[nm])),
-                    "skipped", float("nan"), 0, "over budget",
-                )
-            )
+        for nm, win in wins.items():
+            cells.append(PhaseDiagramCell(
+                float(alpha), float(beta), nm, win, "skipped", float("nan"), 0,
+                "over budget",
+            ))
     return cells
 
 

@@ -12,7 +12,8 @@ differentiate numerically.
 
 A potential spec's fields are also its JSON schema: each field's annotation
 converts the value of its key and the field's default is the key's default.
-The decoder that reads them checks the command-line configs.
+The decoder that reads them checks the command-line configs; a document's
+selector key (a potential's kind, a command's variant) picks its table first.
 """
 
 import numbers
@@ -500,19 +501,6 @@ _KIND_TO_CLS = {
 }
 
 
-def _decode_potential(doc, path):
-    """A potential spec from its kind-tagged JSON object found at path."""
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind is None:
-        raise InvariantViolation(
-            "potential-kind", "potential document needs a 'kind' field"
-        )
-    if not isinstance(kind, str) or kind not in _KIND_TO_CLS:
-        raise InvariantViolation("potential-kind", f"unknown potential kind {kind!r}")
-    fields_doc = {k: v for k, v in doc.items() if k != "kind"}
-    return _spec(_KIND_TO_CLS[kind], fields_doc, path)
-
-
 def _spec(cls, doc, path):
     """Build a spec dataclass from its JSON object.
 
@@ -553,10 +541,35 @@ def _decode(doc, table, path=""):
         if value is not None:
             decoded[key] = _convert(convert, value, prefix + key)
         elif default is MISSING:
-            raise _missing(prefix + key)
+            raise InvariantViolation(
+                "param-missing", f"missing required param {prefix + key!r}"
+            )
         else:
             decoded[key] = default
     return decoded
+
+
+def _variants(key, tables, invariant, default=MISSING):
+    """The converter of a JSON object whose key, read first as (str, default),
+    names its variant in tables: a table, whose decoded object keeps key, or
+    a spec dataclass. A name outside tables raises invariant."""
+
+    def decode(doc, path):
+        head = {key: doc.get(key)} if isinstance(doc, dict) else doc
+        name = _decode(head, {key: (str, default)}, path)[key]
+        if name not in tables:
+            raise InvariantViolation(
+                invariant, f"unknown {key} {name!r}; known: {', '.join(tables)}"
+            )
+        rest = {k: v for k, v in doc.items() if k != key}
+        if is_dataclass(tables[name]):
+            return _spec(tables[name], rest, path)
+        return {key: name, **_decode(rest, tables[name], path)}
+
+    return decode
+
+
+_decode_potential = _variants("kind", _KIND_TO_CLS, "potential-kind")
 
 
 def _convert(convert, value, path):
@@ -565,10 +578,6 @@ def _convert(convert, value, path):
     if is_dataclass(convert):
         return _spec(convert, value, path)
     return _CONVERTERS.get(convert, convert)(value, path)
-
-
-def _missing(path):
-    return InvariantViolation("param-missing", f"missing required param {path!r}")
 
 
 def _type_error(path, shape):

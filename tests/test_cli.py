@@ -17,6 +17,7 @@ import oscilab.discretize
 import oscilab.lap
 from oscilab._csv import write_csv
 from oscilab.cli import RunConfig, list_commands, main, run
+from oscilab.errors import InvariantViolation
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -401,13 +402,22 @@ def test_sweep_csv_key_is_unknown(tmp_path, capsys):
          {"window": [0.3, 0.8], "k": 2.0, "radii": [5.0, 10.0], "L": 40.0,
           "h": 0.1, "channel_alphas": []},
          "channel-count"),
+        ("compactness-probe", {"mode": "smoothed_multiplier", "k": 1.0},
+         "param-missing"),
+        # budget 0 builds no cell, but the reversed window is still refused
+        ("phase-diagram",
+         {"windows": {"below": [0.6, 0.2]}, "alphas": [1.0], "betas": [0.75],
+          "boxes": [60.0], "budget": 0},
+         "window-order"),
     ],
     ids=["variant", "mourre-kind", "probe-mode", "weight-kind", "phi-el",
          "radii-missing", "windows-empty", "gamma", "probe-tol", "trials-zero",
-         "weighted-size", "weighted-default-c", "no-channels"],
+         "weighted-size", "weighted-default-c", "no-channels", "alpha-missing",
+         "phase-over-budget-bad-window"],
 )
 def test_exit_2_runs_leave_no_output_dir(tmp_path, capsys, command, params, invariant):
-    # checks that depend on the mode run inside the handlers; the output
+    # the params are decoded against the variant's table before the run, and
+    # the checks of the computation run inside the handlers; the output
     # directory is made at the first write, after all of them
     doc = {"command": command, "params": params, "output_dir": str(tmp_path / "out")}
     code = run(write_config(tmp_path, doc))
@@ -415,6 +425,112 @@ def test_exit_2_runs_leave_no_output_dir(tmp_path, capsys, command, params, inva
     assert code == 2
     assert err["error"]["invariant"] == invariant
     assert not (tmp_path / "out").exists()
+
+
+# one small run of each command variant, and the keys that variant does not read
+_VARIANT_RUNS = {
+    "strict": ("mourre-check",
+               {"kind": "strict", "window": [0.5, 1.5], "L": 40.0, "h": 0.1}),
+    "plain": ("mourre-check",
+              {"kind": "plain", "window": [0.5, 1.5], "L": 40.0, "h": 0.1}),
+    "weighted": ("mourre-check",
+                 {"kind": "weighted", "window": [0.5, 1.5], "L": 40.0, "h": 0.1}),
+    "at_infinity": ("mourre-check",
+                    {"kind": "at_infinity", "window": [0.5, 1.0], "L": 100.0,
+                     "h": 0.1, "R": 10.0, "trials": 16}),
+    "windowed_channel": ("compactness-probe",
+                         {"window": [0.3, 0.8], "k": 2.0, "radii": [5.0, 10.0],
+                          "L": 40.0, "h": 0.1}),
+    "smoothed_multiplier": ("compactness-probe",
+                            {"mode": "smoothed_multiplier", "alpha": 2.0, "k": 1.0,
+                             "n": 4096}),
+}
+_IGNORED = {
+    "rank_budget": 1, "phi": {"s": 0.6}, "s": 0.6, "R": 10.0, "delta": 0.2,
+    "trials": 8, "n": 4096, "p": 1.0, "alpha": 2.0, "smoothing_orders": [2.0, 2.0],
+    "h": 0.1, "window": [0.3, 0.8], "channel_alphas": [1.0, 2.0],
+}
+_IGNORED_PAIRS = [
+    (variant, key)
+    for variant, keys in [
+        ("strict", ["rank_budget", "phi", "s", "R", "delta", "trials"]),
+        ("plain", ["phi", "s", "R", "delta", "trials"]),
+        ("weighted", ["rank_budget", "R", "delta", "trials"]),
+        ("at_infinity", ["rank_budget", "phi"]),
+        ("windowed_channel", ["n", "p", "alpha", "smoothing_orders"]),
+        ("smoothed_multiplier", ["h", "window", "channel_alphas"]),
+    ]
+    for key in keys
+]
+
+
+@pytest.mark.parametrize(
+    "variant, key", _IGNORED_PAIRS, ids=[f"{v}-{k}" for v, k in _IGNORED_PAIRS]
+)
+def test_a_key_the_variant_does_not_read_is_unknown(tmp_path, capsys, variant, key):
+    command, params = _VARIANT_RUNS[variant]
+    doc = {"command": command, "params": {**params, key: _IGNORED[key]},
+           "output_dir": str(tmp_path / "out")}
+    code = run(write_config(tmp_path, doc))
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err["error"]["invariant"] == "param-unknown"
+    assert err["error"]["message"].startswith(f"unknown param {key!r}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_variant_runs_without_an_ignored_key_pass_the_params_check():
+    assert len(_IGNORED_PAIRS) == 24
+    for command, params in _VARIANT_RUNS.values():
+        RunConfig(command, params, "out")
+
+
+@pytest.mark.parametrize(
+    "command, params, selector, default",
+    [("verify-wvn", {}, "variant", "1d"),
+     ("mourre-check", {"window": [0.5, 1.5]}, "kind", "strict"),
+     ("compactness-probe", {"window": [0.3, 0.8], "k": 2.0, "radii": [5.0]}, "mode",
+      "windowed_channel")],
+)
+def test_an_absent_or_null_selector_takes_the_default_variant(
+    command, params, selector, default
+):
+    explicit = RunConfig(command, {**params, selector: default}, "out").params
+    assert explicit[selector] == default
+    assert RunConfig(command, params, "out").params == explicit
+    assert RunConfig(command, {**params, selector: None}, "out").params == explicit
+
+
+@pytest.mark.parametrize(
+    "command, params, key",
+    [("verify-wvn", {"variant": 1}, "variant"),
+     ("mourre-check", {"kind": 5, "window": [0.5, 1.5]}, "kind"),
+     ("compactness-probe", {"mode": ["windowed_channel"], "k": 2.0}, "mode"),
+     ("find-embedded", {"potential": {"kind": 5}, "window": [0.5, 1.5]},
+      "potential.kind")],
+)
+def test_a_selector_that_is_not_a_string_is_a_type_error(command, params, key):
+    with pytest.raises(InvariantViolation) as err:
+        RunConfig(command, params, "out")
+    assert err.value.invariant == "params-type"
+    assert repr(key) in str(err.value)
+
+
+def test_each_variant_table_holds_its_defaults():
+    def decoded(command, params):
+        return RunConfig(command, params, "out").params
+
+    window = [0.5, 1.5]
+    for kind, s in (("weighted", 0.51), ("at_infinity", 0.6)):
+        assert decoded("mourre-check", {"kind": kind, "window": window})["s"] == s
+    windowed = {"window": window, "k": 2.0, "radii": [5.0]}
+    assert decoded("compactness-probe", windowed)["L"] == 400.0
+    smoothed = decoded("compactness-probe",
+                       {"mode": "smoothed_multiplier", "alpha": 2.0, "k": 1.0})
+    assert smoothed["L"] == 200.0
+    assert smoothed["radii"] == (10.0, 20.0, 40.0, 80.0, 160.0)
+    dirac = decoded("construct-dirac", {"lam": 1.5})
+    assert (dirac["L"], dirac["step"]) == (200.0, 1e-3)
 
 
 def _benchmark_catalog():

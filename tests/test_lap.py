@@ -341,6 +341,9 @@ def test_conjugate_A_scan_past_the_materialization_limit_is_refused(monkeypatch)
         # one box twice would compare it with itself and read as box-stable
         (dict(interval=(0.5, 1.5), box_list=(100.0, 100.0)), "box-count"),
         (dict(interval=(0.5, 1.5), box_list=(200, 100.0, 200.0)), "box-count"),
+        # three rungs or more, so the order and sign checks are reached
+        (dict(interval=(0.5, 1.5), im_ladder=(0.4, 0.5, 0.1)), "im-ladder"),
+        (dict(interval=(0.5, 1.5), im_ladder=(0.5, 0.2, -0.1)), "im-ladder"),
     ],
 )
 def test_scan_spec_guards(kwargs, slug):
@@ -434,10 +437,22 @@ def test_scan_empty_interval_rejected():
 @pytest.mark.parametrize("im_ladder, left", [((0.05, 0.01), 0), ((2.0, 1.0, 0.01), 2)])
 def test_scan_refuses_a_ladder_the_floor_leaves_too_short(im_ladder, left):
     # at h = 0.2 on boxes 100/200 the floor is 0.303: the scan walks no
-    # stand-in ladder, it names the floor and the rungs left
-    spec = LapScanSpec(interval=(0.5, 1.5), im_ladder=im_ladder, box_list=(100.0, 200.0))
+    # stand-in ladder, it names the floor and the rungs left. A ladder of
+    # two rungs can never keep three, so its spec refuses it, before any box
+    # is built
+    def make_spec():
+        return LapScanSpec(
+            interval=(0.5, 1.5), im_ladder=im_ladder, box_list=(100.0, 200.0)
+        )
+
+    if len(im_ladder) < 3:
+        with pytest.raises(InvariantViolation) as err:
+            make_spec()
+        assert err.value.invariant == "im-ladder"
+        assert str(err.value) == "im_ladder has 2 rungs; a scan needs 3"
+        return
     with pytest.raises(InvariantViolation) as err:
-        lap_scan(line_build(0.2), spec)
+        lap_scan(line_build(0.2), make_spec())
     assert err.value.invariant == "im-ladder"
     message = str(err.value)
     assert message.startswith(f"{left} im_ladder rungs")
@@ -847,6 +862,24 @@ def test_phase_sweep_refuses_a_repeated_box():
             box_list=(60.0, 60.0),
         )
     assert err.value.invariant == "box-count"
+
+
+@pytest.mark.parametrize(
+    "window, box_list, slug",
+    [((0.6, 0.2), (60.0, 120.0), "window-order"),
+     ((-0.2, 0.6), (60.0, 120.0), "window-essential"),
+     ((0.2, 0.6), (60.0,), "box-count")],
+    ids=["reversed", "below-zero", "one-box"],
+)
+def test_phase_sweep_checks_the_windows_of_skipped_cells(window, box_list, slug):
+    # budget 0 builds no cell; each window is still checked as a screen would
+    with pytest.raises(InvariantViolation) as err:
+        phase_sweep(
+            (1.0, 2.0), (0.75,), k=2.0, w=3.0,
+            windows={"ok": (1.2, 1.7), "bad": window}, h=0.25, box_list=box_list,
+            budget=0,
+        )
+    assert err.value.invariant == slug
 
 
 def test_phase_sweep_lite_cell_structure(tmp_path):

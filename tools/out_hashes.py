@@ -87,6 +87,23 @@ EXTRA = {
         {"interval": [0.5, 1.5], "boxes": [100.0, 200.0], "h": 0.2,
          "im_ladder": [0.05, 0.01]},
     ),
+    # keys the variant does not read, and a reversed window in a sweep whose
+    # budget builds no cell: each refused before any output (exit 2)
+    "mourre-strict-ignored-key": (
+        "mourre-check",
+        {"kind": "strict", "window": [0.5, 1.5], "L": 40.0, "h": 0.1,
+         "phi": {"s": 0.6}},
+    ),
+    "probe-windowed-ignored-key": (
+        "compactness-probe",
+        {"window": [0.3, 0.8], "k": 2.0, "radii": [5.0, 10.0], "L": 40.0, "h": 0.1,
+         "alpha": 2.0},
+    ),
+    "phase-over-budget-bad-window": (
+        "phase-diagram",
+        {"alphas": [1.0], "betas": [0.75], "boxes": [60.0], "budget": 0,
+         "windows": {"below": [0.6, 0.2]}},
+    ),
     # the three commands on no catalog workload
     "verify-wvn-1d": ("verify-wvn", {"variant": "1d"}),
     "verify-wvn-3d": ("verify-wvn", {"variant": "3d"}),
