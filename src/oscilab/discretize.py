@@ -3,12 +3,12 @@
 Grids are uniform 1D boxes (line, half-line, or periodic). Every operator
 is held in one form, a real symmetric tridiagonal J, and every solver and
 product runs on that form; none forms a dense matrix of an operator. The
-dilation generator A is held as the real J with A = D^H J D, D = diag(i^j)
-(``phase``), and D is applied only where A itself is needed: the
-conjugate_A LAP scan and the weighted Mourre check. Weights are plain
-arrays: the diagonal of <Q>^(-s), or the dense real factor of <A>^(-s)
-built by exact functional calculus (eigendecomposition, never a series
-approximation).
+dilation generator A = i S, S real antisymmetric, is held as the real
+J = tridiag(s, 0, s) with S's upper off-diagonal s; A^2 = S^T S is real and
+couples only sites of one parity.
+Weights are plain arrays: the diagonal of <Q>^(-s), or the dense real
+<A>^(-s) built per parity class by exact functional calculus on A^2
+(eigendecomposition, never a series approximation).
 
 Hamiltonians are central differences with Dirichlet ends, on line and
 half-line grids only. Periodic grids carry the Fourier calculus of the
@@ -34,13 +34,14 @@ __all__ = [
     "build_schrodinger",
     "build_conjugate_A",
     "build_weight",
+    "conjugate_A_weight",
     "eig_window",
     "eigvals_window",
     "localized_pairs",
     "count_window",
 ]
 
-# largest dimension for which a dense weight factor may be materialized
+# largest dimension for which a dense weight may be materialized
 MATERIALIZE_MAX = 6000
 
 
@@ -498,22 +499,15 @@ def build_schrodinger(grid, V):
     return OperatorMatrix(grid, d, e)
 
 
-def phase(n):
-    """The diagonal of D = diag(i^j), j < n, which carries build_conjugate_A's
-    real J to the dilation generator A = D^H J D."""
-    return np.power(1j, np.arange(n) % 4)
-
-
 def build_conjugate_A(grid):
-    """Generator of dilations (P x + x P)/2 via the central difference, as
-    the real J with A's eigenvalues.
+    """Generator of dilations (P x + x P)/2 via the central difference.
 
     A is the purely off-diagonal Hermitian matrix i S with
     S[j, j+1] = s[j] = -S[j+1, j], s[j] = -(x_j + x_{j+1}) / (4h); the sign
     is fixed by requiring <f, [H0, iA] f> approximately equal to
-    <f, 2 H0 f> on interior wave packets. i S = D^H J D with
-    J = tridiag(s, 0, s) and D = diag(phase(n)); this returns J, whose
-    eigenvectors u give A's as D^H u.
+    <f, 2 H0 f> on interior wave packets. This returns tridiag(s, 0, s),
+    the real symmetric J with A's eigenvalues, whose upper off-diagonal is
+    S's.
     """
     if grid.kind == "periodic":
         raise InvariantViolation(
@@ -535,19 +529,43 @@ def _require_dense(n):
         )
 
 
-def _weight_factor(T, s):
-    """F = <T>^(-s): a dense real symmetric n x n matrix.
+def _dilation_square(grid):
+    """A^2's eigenpairs (w, V) on the even sites, then on the odd ones; w
+    ascending and, A^2 being positive semidefinite, clipped at 0.
 
-    Exact functional calculus on T's eigendecomposition (eigh_tridiagonal,
-    real vectors V), F = V diag(<w>^(-s)) V^T by one real GEMM and then
-    symmetrised exactly. For build_conjugate_A's J, <A>^(-s) is D^H F D,
-    so a caller that can move D onto the other factors works on F in real
-    arithmetic. Refuses a T above MATERIALIZE_MAX (materialization-size).
+    A = i S with S real antisymmetric (build_conjugate_A), so A^2 = S^T S is
+    real and couples site j only to j - 2, j and j + 2: on one parity class
+    it is the tridiagonal with diagonal s_{j-1}^2 + s_j^2 and off-diagonal
+    -s_j s_{j+1}, and a class of one site (n = 2, 3) is its 1 x 1 block.
+    Refuses a grid above MATERIALIZE_MAX rows (materialization-size) before
+    any solve.
     """
-    _require_dense(T.shape[0])
-    w, v = eigh_tridiagonal(T.d, T.e)
-    F = (v * (1.0 + w**2) ** (-s / 2.0)) @ v.T
-    return 0.5 * (F + F.T)
+    _require_dense(grid.n)
+    s = build_conjugate_A(grid).e
+    diag = np.append(s**2, 0.0) + np.insert(s**2, 0, 0.0)
+    off = -s[:-1] * s[1:]  # between sites j and j + 2
+    pairs = []
+    for p in (0, 1):
+        d, e = diag[p::2].copy(), off[p::2].copy()
+        w, V = eigh_tridiagonal(d, e) if len(d) > 1 else (d, np.ones((1, 1)))
+        pairs.append((np.maximum(w, 0.0), V))
+    return tuple(pairs)
+
+
+def conjugate_A_weight(grid, s):
+    """<A>^(-s) for the dilation generator A on grid: a dense real symmetric
+    n x n matrix, zero between sites of unlike parity.
+
+    <A>^(-s) = (1 + A^2)^(-s/2) is a function of the real A^2 alone, so
+    each parity class's block is V diag((1 + w)^(-s/2)) V^T on
+    _dilation_square's eigenpairs, by one real GEMM, symmetrised exactly.
+    Refuses a grid above MATERIALIZE_MAX rows (materialization-size).
+    """
+    W = np.zeros((grid.n, grid.n))
+    for p, (w, V) in enumerate(_dilation_square(grid)):
+        block = (V * (1.0 + w) ** (-s / 2.0)) @ V.T
+        W[p::2, p::2] = 0.5 * (block + block.T)
+    return W
 
 
 def build_weight(grid, s):

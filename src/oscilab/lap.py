@@ -25,18 +25,16 @@ import itertools
 import numpy as np
 
 from . import _blocknorm, _pool
-from ._lapack import eigh_tridiagonal, get_lapack_funcs
+from ._lapack import get_lapack_funcs
 from .discretize import (
     OperatorMatrix,
-    _require_dense,
-    _weight_factor,
-    build_conjugate_A,
+    _dilation_square,
     build_schrodinger,
     build_weight,
+    conjugate_A_weight,
     count_window,
     eig_window,
     line_grid,
-    phase,
 )
 from .errors import ComputeFailure, InvariantViolation
 from .potentials import OscillatingSpec
@@ -115,16 +113,6 @@ def _tridiag_solver(d, e, z):
     return solve
 
 
-def _real_times(F, X):
-    """F X for a real matrix F and a complex vector or C-ordered matrix X.
-
-    One real GEMM on X's float view, whose rows hold each entry's real and
-    imaginary parts side by side: F @ X would copy F to complex first.
-    """
-    Y = F @ X.view(np.float64).reshape(len(X), -1)
-    return Y.view(complex).reshape((len(F),) + X.shape[1:])
-
-
 def _start_vector(n):
     """The seeded complex start vector of a norm run with no warm start."""
     rng = np.random.default_rng(0)
@@ -136,7 +124,8 @@ def _banded_norm(d, e, w, z, max_iters=600, X=None):
 
     H has diagonal d and upper off-diagonal e (see _tridiag_solver). W is
     real: w is its diagonal (a vector; O(n) per apply) or W itself, a dense
-    symmetric matrix applied by one real GEMM (_real_times). X is the start
+    symmetric matrix applied by one real GEMM to a complex vector's (n, 2)
+    float view (w @ v would copy w to complex first). X is the start
     vector, _start_vector when None. The kernel runs at its default tol,
     1e-12: it stops at a relative Ritz residual of 1e-6. Returns (norm,
     steps, converged, x, residual) as _blocknorm._gkl_norm does.
@@ -156,15 +145,15 @@ def _banded_norm(d, e, w, z, max_iters=600, X=None):
 
     else:
         # the right-hand side of the solves: one buffer, W v written into
-        # its (n, 2) float view by one real GEMM (_real_times), solved in
-        # place
+        # its (n, 2) float view, solved in place
         rhs = np.empty((len(d), 2))
         b = rhs.view(complex).reshape(len(d))
 
         def apply(trans):
             def apply_f(v):
                 np.matmul(w, v.view(np.float64).reshape(rhs.shape), out=rhs)
-                return _real_times(w, solve(b, trans))
+                x = solve(b, trans).view(np.float64).reshape(rhs.shape)
+                return (w @ x).view(complex).reshape(len(d))
 
             return apply_f
 
@@ -348,27 +337,20 @@ def _box(setup, L):
     is taken of, the weight, the closed-form spectrum of the free control
     (None otherwise), and the first rung's start vector, from which every
     chain of the box starts. W needs no check: <Q>^-s is positive, and
-    F = <J>^-s is exactly symmetric with eigenvalues in (0, 1]."""
+    <A>^-s is exactly symmetric with eigenvalues in (0, 1]."""
     operands = setup.boxes.get(L)
     if operands is None:
         H, spec = setup.hams[L], setup.spec
         grid = H.grid
-        X0 = _start_vector(grid.n)
         if spec.weight_kind == "position":
-            W, e = build_weight(grid, spec.s), H.e
+            W = build_weight(grid, spec.s)
         else:
-            # W = <A>^(-s) = D^H F D with D = diag(phase) and F real, so
-            # ||W R W|| = ||F (D R D^H) F||, R = (H - z)^(-1); D R D^H is the
-            # resolvent of D H D^H, whose upper off-diagonal is
-            # e_j i^j conj(i^(j+1)) = -i e_j. From D x0 the chains take the
-            # Krylov spaces of the unrotated run, turned by D, and its step
-            # counts
-            W = _weight_factor(build_conjugate_A(grid), spec.s)
-            e = -1j * H.e
-            X0 = phase(grid.n) * X0
+            W = conjugate_A_weight(grid, spec.s)
         ev = _free_dirichlet_eigs(grid) if L in setup.free else None
         # e complex once per box: every rung's factorization reads it as is
-        operands = (H.d, np.asarray(e, dtype=complex), W, ev, X0)
+        operands = (
+            H.d, np.asarray(H.e, dtype=complex), W, ev, _start_vector(grid.n)
+        )
         setup.boxes[L] = operands
     return operands
 
@@ -578,38 +560,36 @@ def mourre_check(H, J, mode="strict", remainder_rank_budget=0):
 def weighted_mourre_check(H, phi, J, s):
     """Window positivity of [H, i psi(A)] - <A>^{-2s}, exact calculus on A.
 
-    A is the dilation generator on H's grid, A = D^H S D with S =
-    build_conjugate_A(H.grid) real tridiagonal and D = diag(phase). The
-    commutator with the bounded weight psi(A) is realized as
+    A is the dilation generator on H's grid. The commutator with the
+    bounded weight psi(A) is realized as
     psi'(A)^{1/2} [H, iA] psi'(A)^{1/2} with
     psi'(a) = c R <a>^{-2 phi.s}; phi = None means psi = 0 (the failing
     control). best_c is the smallest eigenvalue of the full form,
-    commutator_form_min_eig that of the commutator part alone. S's n x n
-    eigenvectors are dense, so an S above MATERIALIZE_MAX rows is refused
+    commutator_form_min_eig that of the commutator part alone. Both weights
+    are functions of the real A^2, so the forms are built per parity class
+    on _dilation_square's real eigenpairs; their n x n eigenvectors are
+    dense, so a grid above MATERIALIZE_MAX rows is refused
     (materialization-size) before any solve.
     """
-    S = build_conjugate_A(H.grid)
-    _require_dense(S.shape[0])
+    classes = _dilation_square(H.grid)
     C = _analytic_commutator(H)
     win, wE, vE = _mourre_window(H, J)
     if len(wE) == 0:
         return MourreCheckResult(win, _POSINF, _POSINF, 0, "weighted")
-    # S = V diag(a) V^T with V real, so A's eigenvectors are D^H V:
-    # Y = V^T D vE and Z = D^H V (sqrt(psi') Y), with the n x n V kept real
-    a, V = eigh_tridiagonal(S.d, S.e)
-    ph = phase(len(a))
-    Y = _real_times(V.T, ph[:, None] * vE)
-    wt = (1.0 + a**2) ** (-s)
-    M2 = Y.conj().T @ (wt[:, None] * Y)
-    if phi is None:
-        psi_prime = np.zeros_like(a)
-    else:
-        psi_prime = phi.c * phi.R * (1.0 + a**2) ** (-phi.s)
-    Z = np.conj(ph)[:, None] * _real_times(V, np.sqrt(psi_prime)[:, None] * Y)
-    M1 = Z.conj().T @ C.matvec(Z)
-    M1 = 0.5 * (M1 + M1.conj().T)
+    # on each class, where A^2 = V diag(w) V^T: Y = V^T vE,
+    # M2 = Y^T (1 + w)^(-s) Y and Z = psi'(A)^(1/2) vE = V (psi'^(1/2) Y)
+    M2 = np.zeros((len(wE), len(wE)))
+    Z = np.zeros_like(vE)
+    for p, (w, V) in enumerate(classes):
+        Y = V.T @ vE[p::2]
+        M2 += Y.T @ ((1.0 + w)[:, None] ** -s * Y)
+        if phi is not None:
+            root = np.sqrt(phi.c * phi.R * (1.0 + w) ** (-phi.s))
+            Z[p::2] = V @ (root[:, None] * Y)
+    M1 = Z.T @ C.matvec(Z)
+    M1 = 0.5 * (M1 + M1.T)
     M = M1 - M2
-    M = 0.5 * (M + M.conj().T)
+    M = 0.5 * (M + M.T)
     best_c = float(np.linalg.eigvalsh(M)[0])
     comm_min = float(np.linalg.eigvalsh(M1)[0])
     return MourreCheckResult(win, comm_min, best_c, 0, "weighted")

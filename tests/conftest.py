@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from oscilab import _pool
-from oscilab.discretize import (
-    _weight_factor,
-    build_conjugate_A,
-    build_schrodinger,
-    line_grid,
-    phase,
-)
+from oscilab.discretize import Grid1D, build_conjugate_A, build_schrodinger, line_grid
 from oscilab.potentials import SimonSeriesSpec
 
 
@@ -91,6 +85,23 @@ def dense(T):
     return np.diag(T.d) + np.diag(T.e, 1) + np.diag(T.e, -1)
 
 
+def short_line_grid(n, h=0.1):
+    """The line grid of n points at spacing h, n below Grid1D's floor of 16
+    allowed, so that a parity class of one site (n = 2, 3) can be built."""
+    if n >= 16:
+        return Grid1D("line", 0.5 * h * (n + 1), n)
+    grid = object.__new__(Grid1D)
+    for name, value in (("kind", "line"), ("L", 0.5 * h * (n + 1)), ("n", n)):
+        object.__setattr__(grid, name, value)
+    return grid
+
+
+def phase(n):
+    """The diagonal of D = diag(i^j), j < n, which carries build_conjugate_A's
+    real J to the dilation generator A = D^H J D."""
+    return np.power(1j, np.arange(n) % 4)
+
+
 def dilation(grid):
     """The dilation generator A = D^H J D as a dense complex matrix, J being
     build_conjugate_A's real tridiagonal and D = diag(phase); small grids
@@ -105,10 +116,10 @@ def apply_dilation(grid, v):
     return np.conj(ph) * build_conjugate_A(grid).matvec(ph * v)
 
 
-def conjugate_A_weight(grid, s):
-    """<A>^(-s) for the dilation generator A = D^H J D as the dense complex
-    matrix D^H F D, F = <J>^(-s) the real factor the scan runs on; exactly
-    Hermitian."""
-    ph = phase(grid.n)
-    mat = np.conj(ph)[:, None] * _weight_factor(build_conjugate_A(grid), s) * ph
+def conjugate_A_weight_reference(grid, s):
+    """<A>^(-s) as a dense complex matrix, by np.linalg.eigh of the dense
+    dilation(grid): a reference that shares no step with the package's
+    weight; exactly Hermitian, small grids only."""
+    a, U = np.linalg.eigh(dilation(grid))
+    mat = (U * (1.0 + a**2) ** (-s / 2.0)) @ U.conj().T
     return 0.5 * (mat + mat.conj().T)

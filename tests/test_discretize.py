@@ -14,13 +14,13 @@ from oscilab.discretize import (
     build_radial_channel,
     build_schrodinger,
     build_weight,
+    conjugate_A_weight,
     count_window,
     eig_window,
     eigvals_window,
     halfline_grid,
     line_grid,
     periodic_grid,
-    phase,
 )
 import oscilab.discretize
 import oscilab.lap
@@ -28,7 +28,14 @@ from oscilab.errors import ComputeFailure, InvariantViolation
 from oscilab.lap import _br_profile
 from oscilab.potentials import CustomSample, OscillatingSpec, WignerVonNeumann1D
 
-from conftest import apply_dilation, conjugate_A_weight, dense, dilation
+from conftest import (
+    apply_dilation,
+    conjugate_A_weight_reference,
+    dense,
+    dilation,
+    phase,
+    short_line_grid,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +250,7 @@ def test_weight_operator_basis_commutes():
     A = dilation(g)
     W = conjugate_A_weight(g, 0.6)
     assert W.shape == (g.n, g.n)
-    assert np.array_equal(W, W.conj().T)
+    assert np.array_equal(W, W.T)
     wa = W @ A
     aw = A @ W
     assert np.linalg.norm(wa - aw, 2) <= 1e-10 * np.linalg.norm(A, 2)
@@ -252,31 +259,52 @@ def test_weight_operator_basis_commutes():
 
 @pytest.mark.parametrize("s", [0.0, 0.51, 1.3])
 def test_operator_basis_weight_matches_the_complex_eigenbasis_construction(s):
-    # D^H F D with F = <J>^(-s) real, against <A>^(-s) on A's complex
-    # eigenvectors
+    # the parity-class weight against <A>^(-s) on A's complex eigenvectors
+    # D^H u, u those of build_conjugate_A's real J
     g = line_grid(6.4, 0.1)
     A = build_conjugate_A(g)
     W = conjugate_A_weight(g, s)
-    assert np.array_equal(W, W.conj().T)
     w, u = eigh_tridiagonal(A.d, A.e)
     v = np.conj(phase(g.n))[:, None] * u
     mat = (v * (1.0 + w**2) ** (-s / 2.0)) @ v.conj().T
     old = 0.5 * (mat + mat.conj().T)
-    assert np.linalg.norm(W - old) <= 1e-14 * np.linalg.norm(old)
+    assert np.linalg.norm(W - old) <= 1e-13 * np.linalg.norm(old)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 64, 151, 302, 600])
+@pytest.mark.parametrize("s", [0.0, 0.51, 2.0])
+def test_conjugate_A_weight_is_real_parity_blocked_and_matches_the_reference(n, s):
+    # <A>^-s is a function of the real A^2, which couples only sites of one
+    # parity; n = 2, 3 hold a class of one site. A^2's eigenvalues are
+    # exact to eps ||A||^2 and <A>^-s = (1 + A^2)^(-s/2) has slope at most
+    # s/2 in A^2, so above n ~ 150 the weight may differ from the reference
+    # by more than 1e-13 (4.9e-13 at n = 600, s = 2)
+    g = short_line_grid(n)
+    W = conjugate_A_weight(g, s)
+    assert W.dtype == np.float64 and W.shape == (n, n)
+    assert np.array_equal(W, W.T)
+    odd = (np.arange(n)[:, None] - np.arange(n)) % 2 == 1
+    assert np.all(W[odd] == 0.0)
+    ev = np.linalg.eigvalsh(W)
+    assert 0.0 < ev[0] and ev[-1] <= 1.0 + 1e-13
+    ref = conjugate_A_weight_reference(g, s)
+    A_square = np.linalg.norm(dilation(g), 2) ** 2
+    bound = 1e-13 * np.linalg.norm(W, 2) + s * np.finfo(float).eps * A_square
+    assert np.linalg.norm(W - ref, 2) <= bound
 
 
 @pytest.mark.parametrize("s", [0.0, 0.51, 2.0, 5.0])
 @pytest.mark.parametrize("L, h", [(4.25, 0.5), (10.0, 0.2), (30.0, 0.2), (60.0, 0.2)])
 def test_the_scan_weights_hold_their_invariants_where_they_are_built(L, h, s):
     # the LAP scan runs both weights unchecked: <Q>^-s is positive on H's
-    # grid, and F = <J>^-s is exactly symmetric with eigenvalues in (0, 1]
+    # grid, and <A>^-s is exactly symmetric with eigenvalues in (0, 1]
     g = line_grid(L, h)
     assert 16 <= g.n <= 600
     w = build_weight(g, s)
     assert w.shape == (g.n,) and np.min(w) > 0.0
-    F = oscilab.discretize._weight_factor(build_conjugate_A(g), s)
-    assert F.shape == (g.n, g.n) and np.array_equal(F, F.T)
-    ev = np.linalg.eigvalsh(F)
+    W = conjugate_A_weight(g, s)
+    assert W.shape == (g.n, g.n) and np.array_equal(W, W.T)
+    ev = np.linalg.eigvalsh(W)
     assert -1e-12 <= ev[0] and ev[-1] <= 1.0 + 1e-12
 
 

@@ -19,9 +19,9 @@ from oscilab.discretize import (
     build_h0,
     build_schrodinger,
     build_weight,
+    conjugate_A_weight,
     eig_window,
     line_grid,
-    phase,
 )
 import oscilab._blocknorm
 import oscilab._pool
@@ -51,7 +51,7 @@ from oscilab.potentials import (
     WignerVonNeumann1D,
 )
 
-from conftest import conjugate_A_weight, dense, dilation, line_build
+from conftest import conjugate_A_weight_reference, dense, dilation, line_build, phase
 
 
 # ---------------------------------------------------------------------------
@@ -155,44 +155,11 @@ def test_banded_norm_certifies_its_ritz_residual(n, seed, conjugate_A, re_z, eta
     H = OperatorMatrix(grid, d, e)
     s = rng.uniform(0.0, 2.0)
     z = complex(re_z, eta)
-    if conjugate_A:
-        # the scan's route: W's real factor on the rotated tridiagonal
-        ph = phase(n)
-        W = conjugate_A_weight(grid, s)
-        rotated = e * ph[:-1] * np.conj(ph[1:])
-        x0 = ph * oscilab.lap._start_vector(n)
-        F = oscilab.discretize._weight_factor(build_conjugate_A(grid), s)
-        norm, _, converged, _, residual = _banded_norm(d, rotated, F, z, X=x0)
-    else:
-        W = build_weight(grid, s)
-        norm, _, converged, _, residual = _banded_norm(d, e, W, z)
+    W = conjugate_A_weight(grid, s) if conjugate_A else build_weight(grid, s)
+    norm, _, converged, _, residual = _banded_norm(d, e, W, z)
     # the stop certifies a relative Ritz residual <= sqrt(tol), tol = 1e-12
     assert converged and residual <= 1e-6
     assert norm == pytest.approx(_spectral_norm_route(H, W, z), rel=1e-9)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(16, 120),
-    s=st.floats(0.0, 2.0),
-    re_z=st.floats(-0.5, 4.5),
-    eta=st.floats(1e-3, 1.0),
-)
-def test_real_factor_route_matches_the_complex_weight(n, s, re_z, eta):
-    # ||W R W|| for W = D^H F D equals ||F (D R D^H) F||, D R D^H being the
-    # resolvent of the tridiagonal with upper off-diagonal e_j ph_j
-    # conj(ph_{j+1}); started from D x0, the real-F run repeats the complex one
-    grid = Grid1D("line", 0.1 * n, n)
-    H = build_schrodinger(grid, WignerVonNeumann1D())
-    F = oscilab.discretize._weight_factor(build_conjugate_A(grid), s)
-    assert F.dtype == np.float64 and np.array_equal(F, F.T)
-    z = complex(re_z, eta)
-    ph = phase(n)
-    e = H.e * ph[:-1] * np.conj(ph[1:])
-    x0 = ph * oscilab.lap._start_vector(n)
-    norm, _, converged, _, _ = _banded_norm(H.d, e, F, z, X=x0)
-    want = _complex_weight_norm(H, conjugate_A_weight(grid, s), z)[0]
-    assert converged and norm == pytest.approx(want, rel=1e-12)
 
 
 def test_norm_iteration_cap_is_reported_and_raises(monkeypatch):
@@ -238,7 +205,7 @@ _CONJUGATE_A_SPEC = LapScanSpec(
 
 
 def _conjugate_A_weight(H):
-    return conjugate_A_weight(H.grid, 0.51)
+    return conjugate_A_weight_reference(H.grid, 0.51)
 
 
 @pytest.mark.parametrize("potential", ["free", "scenario12"])
@@ -262,9 +229,8 @@ def test_conjugate_A_scan_rows_match_the_dense_route(potential):
 
 
 def test_conjugate_A_scan_takes_the_steps_of_the_complex_weight():
-    # the scan runs on W's real factor from D x0; the complex W from x0
-    # walks the same Krylov spaces turned by D. At these boxes a start of
-    # x0 on the real factor takes 453 steps in place of 448
+    # the scan's real W and the dense complex reference, from the same x0,
+    # walk the same Krylov spaces
     spec = LapScanSpec(
         interval=(0.5, 1.5), s=0.51, weight_kind="conjugate_A", box_list=(9.9, 19.8)
     )
@@ -302,9 +268,9 @@ def test_conjugate_A_scan_does_the_weight_work_once_per_box(monkeypatch):
 
     # the iteration cap still raises on the dense-weight path
     H = line_build(0.2)(10.0)
-    F = oscilab.discretize._weight_factor(build_conjugate_A(H.grid), 0.51)
+    W = conjugate_A_weight(H.grid, 0.51)
     z = 1.0 + 0.05j
-    _, iters, converged, _, _ = _banded_norm(H.d, H.e, F, z, max_iters=2)
+    _, iters, converged, _, _ = _banded_norm(H.d, H.e, W, z, max_iters=2)
     assert (iters, converged) == (2, False)
     capped = functools.partial(oscilab.lap._banded_norm, max_iters=2)
     monkeypatch.setattr(oscilab.lap, "_banded_norm", capped)
@@ -757,6 +723,34 @@ def test_weighted_mourre_matches_the_complex_eigenbasis_construction(R):
     comm = np.linalg.eigvalsh(M1)[0]
     assert res.best_c == pytest.approx(best, rel=1e-12)
     assert res.commutator_form_min_eig == pytest.approx(comm, rel=1e-12)
+
+
+@pytest.mark.parametrize("R", [None, 4.0])
+def test_weighted_mourre_matches_the_rotated_real_eigenbasis_construction(R):
+    # the form as built before the parity classes: S = build_conjugate_A's
+    # real J = V diag(a) V^T, A's eigenvectors D^H V with D = diag(phase),
+    # in complex arithmetic
+    g = line_grid(12.0, 0.1)
+    H = build_schrodinger(g, WignerVonNeumann1D())
+    phi = None if R is None else WeightFunctionSpec(s=0.6, R=R, c=2.0)
+    res = weighted_mourre_check(H, phi, (0.5, 1.5), 0.51)
+    _, vE = eig_window(H, 0.5, 1.5)
+    S = build_conjugate_A(g)
+    a, V = eigh_tridiagonal(S.d, S.e)
+    ph = phase(len(a))
+    Y = V.T @ (ph[:, None] * vE)
+    M2 = Y.conj().T @ ((1.0 + a**2)[:, None] ** -0.51 * Y)
+    psi_prime = np.zeros_like(a) if phi is None else 2.0 * R * (1.0 + a**2) ** -0.6
+    Z = np.conj(ph)[:, None] * (V @ (np.sqrt(psi_prime)[:, None] * Y))
+    C = oscilab.lap._analytic_commutator(H)
+    M1 = Z.conj().T @ C.matvec(Z)
+    M1 = 0.5 * (M1 + M1.conj().T)
+    M = M1 - M2
+    best = np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0]
+    comm = np.linalg.eigvalsh(M1)[0]
+    assert len(vE) > 1
+    assert res.best_c == pytest.approx(best, abs=1e-12)
+    assert res.commutator_form_min_eig == pytest.approx(comm, abs=1e-12)
 
 
 def test_weighted_mourre_zero_weight_control_fails():

@@ -13,7 +13,7 @@ the same bytes then compare with diff:
     python3 tools/out_hashes.py > /tmp/b.json   # in the other
     diff /tmp/a.json /tmp/b.json
 
-Standard library only; the run takes about ten seconds on two CPUs.
+Standard library only; the run takes about six seconds on two CPUs.
 """
 
 import contextlib
@@ -76,6 +76,14 @@ EXTRA = {
         "lap-scan",
         {"interval": [0.5, 1.5], "boxes": [100.0, 200.0], "h": 0.2,
          "im_ladder": [2.0, 1.0, 0.6, 0.4, 0.01]},
+    ),
+    # a conjugate-A scan at n = 499/999, above the catalog's n <= 302: the
+    # dense weight's bytes where its build and GEMM start to cost (about
+    # 0.7 s of the run on two CPUs)
+    "lap-scan-conjugate-A-n999": (
+        "lap-scan",
+        {"interval": [0.5, 1.5], "boxes": [25.0, 50.0], "h": 0.1, "s": 0.51,
+         "weight_kind": "conjugate_A"},
     ),
     # two scans refused before any output (exit 2): one box twice, and a
     # ladder with fewer than three rungs above the floor (0.303 here)
