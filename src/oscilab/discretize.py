@@ -4,11 +4,11 @@ Grids are uniform 1D boxes (line, half-line, or periodic). Every operator
 is held in one form, a real symmetric tridiagonal J, and every solver and
 product runs on that form; none forms a dense matrix of an operator. The
 dilation generator A = i S, S real antisymmetric, is held as the real
-J = tridiag(s, 0, s) with S's upper off-diagonal s; A^2 = S^T S is real and
-couples only sites of one parity.
-Weights are plain arrays: the diagonal of <Q>^(-s), or the dense real
-<A>^(-s) built per parity class by exact functional calculus on A^2
-(eigendecomposition, never a series approximation).
+J = tridiag(s, 0, s) with S's upper off-diagonal s, which has A's
+eigenvalues; an even function of A is real and couples only sites of one
+parity. Weights are plain arrays: the diagonal of <Q>^(-s), or the dense
+real <A>^(-s) built per parity class by exact functional calculus on J's
+eigendecomposition (never a series approximation).
 
 Hamiltonians are central differences with Dirichlet ends, on line and
 half-line grids only. Periodic grids carry the Fourier calculus of the
@@ -529,41 +529,38 @@ def _require_dense(n):
         )
 
 
-def _dilation_square(grid):
-    """A^2's eigenpairs (w, V) on the even sites, then on the odd ones; w
-    ascending and, A^2 being positive semidefinite, clipped at 0.
+def _dilation_eig(grid):
+    """A's eigenvalues a and real rows (V_even, V_odd) of its eigenvectors on
+    the even sites and on the odd ones.
 
-    A = i S with S real antisymmetric (build_conjugate_A), so A^2 = S^T S is
-    real and couples site j only to j - 2, j and j + 2: on one parity class
-    it is the tridiagonal with diagonal s_{j-1}^2 + s_j^2 and off-diagonal
-    -s_j s_{j+1}, and a class of one site (n = 2, 3) is its 1 x 1 block.
-    Refuses a grid above MATERIALIZE_MAX rows (materialization-size) before
-    any solve.
+    For J = build_conjugate_A(grid) = V diag(a) V^T, A's eigenvectors are
+    i^(-j) V[j] (j the site): r V on the even sites and -i r V on the odd
+    ones, r_j = (-1)^(j // 2). So for an even f, f(A) is real, zero between
+    sites of unlike parity, and V_p diag(f(a)) V_p^T on class p, V_p being
+    class p's rows of r V. From J, not A^2 = S^T S: a is exact to
+    eps ||A||, not eps ||A||^2. Refuses a grid above MATERIALIZE_MAX rows
+    (materialization-size) before any solve.
     """
     _require_dense(grid.n)
-    s = build_conjugate_A(grid).e
-    diag = np.append(s**2, 0.0) + np.insert(s**2, 0, 0.0)
-    off = -s[:-1] * s[1:]  # between sites j and j + 2
-    pairs = []
-    for p in (0, 1):
-        d, e = diag[p::2].copy(), off[p::2].copy()
-        w, V = eigh_tridiagonal(d, e) if len(d) > 1 else (d, np.ones((1, 1)))
-        pairs.append((np.maximum(w, 0.0), V))
-    return tuple(pairs)
+    J = build_conjugate_A(grid)
+    a, V = eigh_tridiagonal(J.d, J.e)
+    V *= (-1.0) ** (np.arange(grid.n) // 2)[:, None]
+    return a, (V[0::2], V[1::2])
 
 
 def conjugate_A_weight(grid, s):
     """<A>^(-s) for the dilation generator A on grid: a dense real symmetric
     n x n matrix, zero between sites of unlike parity.
 
-    <A>^(-s) = (1 + A^2)^(-s/2) is a function of the real A^2 alone, so
-    each parity class's block is V diag((1 + w)^(-s/2)) V^T on
-    _dilation_square's eigenpairs, by one real GEMM, symmetrised exactly.
-    Refuses a grid above MATERIALIZE_MAX rows (materialization-size).
+    Each parity class's block is V_p diag(<a>^(-s)) V_p^T on _dilation_eig's
+    rows, by one real GEMM, symmetrised exactly. Refuses a grid above
+    MATERIALIZE_MAX rows (materialization-size).
     """
+    a, classes = _dilation_eig(grid)
+    f = (1.0 + a**2) ** (-s / 2.0)
     W = np.zeros((grid.n, grid.n))
-    for p, (w, V) in enumerate(_dilation_square(grid)):
-        block = (V * (1.0 + w) ** (-s / 2.0)) @ V.T
+    for p, V in enumerate(classes):
+        block = (V * f) @ V.T
         W[p::2, p::2] = 0.5 * (block + block.T)
     return W
 

@@ -28,7 +28,7 @@ from . import _blocknorm, _pool
 from ._lapack import get_lapack_funcs
 from .discretize import (
     OperatorMatrix,
-    _dilation_square,
+    _dilation_eig,
     build_schrodinger,
     build_weight,
     conjugate_A_weight,
@@ -566,26 +566,29 @@ def weighted_mourre_check(H, phi, J, s):
     psi'(a) = c R <a>^{-2 phi.s}; phi = None means psi = 0 (the failing
     control). best_c is the smallest eigenvalue of the full form,
     commutator_form_min_eig that of the commutator part alone. Both weights
-    are functions of the real A^2, so the forms are built per parity class
-    on _dilation_square's real eigenpairs; their n x n eigenvectors are
-    dense, so a grid above MATERIALIZE_MAX rows is refused
-    (materialization-size) before any solve.
+    are even functions of A, so the forms are built per parity class on
+    _dilation_eig's real rows; A's n x n eigenvectors are dense, so a grid
+    above MATERIALIZE_MAX rows is refused (materialization-size) before any
+    solve.
     """
-    classes = _dilation_square(H.grid)
+    a, classes = _dilation_eig(H.grid)
     C = _analytic_commutator(H)
     win, wE, vE = _mourre_window(H, J)
     if len(wE) == 0:
         return MourreCheckResult(win, _POSINF, _POSINF, 0, "weighted")
-    # on each class, where A^2 = V diag(w) V^T: Y = V^T vE,
-    # M2 = Y^T (1 + w)^(-s) Y and Z = psi'(A)^(1/2) vE = V (psi'^(1/2) Y)
+    # on class p, f(A) = V diag(f(a)) V^T: with Y = V^T vE,
+    # M2 = sum_p Y^T <a>^(-2s) Y and Z = psi'(A)^(1/2) vE = V (psi'^(1/2) Y)
+    wt = (1.0 + a**2) ** (-s)
+    if phi is None:
+        psi_prime = np.zeros_like(a)
+    else:
+        psi_prime = phi.c * phi.R * (1.0 + a**2) ** (-phi.s)
     M2 = np.zeros((len(wE), len(wE)))
     Z = np.zeros_like(vE)
-    for p, (w, V) in enumerate(classes):
+    for p, V in enumerate(classes):
         Y = V.T @ vE[p::2]
-        M2 += Y.T @ ((1.0 + w)[:, None] ** -s * Y)
-        if phi is not None:
-            root = np.sqrt(phi.c * phi.R * (1.0 + w) ** (-phi.s))
-            Z[p::2] = V @ (root[:, None] * Y)
+        M2 += Y.T @ (wt[:, None] * Y)
+        Z[p::2] = V @ (np.sqrt(psi_prime)[:, None] * Y)
     M1 = Z.T @ C.matvec(Z)
     M1 = 0.5 * (M1 + M1.T)
     M = M1 - M2

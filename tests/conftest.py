@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oscilab import _pool
-from oscilab.discretize import Grid1D, build_conjugate_A, build_schrodinger, line_grid
+from oscilab.discretize import build_conjugate_A, build_schrodinger, line_grid
 from oscilab.potentials import SimonSeriesSpec
 
 
@@ -83,17 +83,6 @@ def richardson_derivative(fn, x, h):
 def dense(T):
     """The dense matrix J = tridiag(e, d, e) of an OperatorMatrix."""
     return np.diag(T.d) + np.diag(T.e, 1) + np.diag(T.e, -1)
-
-
-def short_line_grid(n, h=0.1):
-    """The line grid of n points at spacing h, n below Grid1D's floor of 16
-    allowed, so that a parity class of one site (n = 2, 3) can be built."""
-    if n >= 16:
-        return Grid1D("line", 0.5 * h * (n + 1), n)
-    grid = object.__new__(Grid1D)
-    for name, value in (("kind", "line"), ("L", 0.5 * h * (n + 1)), ("n", n)):
-        object.__setattr__(grid, name, value)
-    return grid
 
 
 def phase(n):

@@ -15,7 +15,6 @@ from oscilab.discretize import (
     MATERIALIZE_MAX,
     Grid1D,
     OperatorMatrix,
-    build_conjugate_A,
     build_h0,
     build_schrodinger,
     build_weight,
@@ -51,7 +50,7 @@ from oscilab.potentials import (
     WignerVonNeumann1D,
 )
 
-from conftest import conjugate_A_weight_reference, dense, dilation, line_build, phase
+from conftest import conjugate_A_weight_reference, dense, dilation, line_build
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +700,7 @@ def test_weighted_mourre_constant_grows_with_R():
     assert best[1] <= best[2] + 1e-12
 
 
-@pytest.mark.parametrize("R", [None, 1.0, 16.0])
+@pytest.mark.parametrize("R", [None, 1.0, 4.0, 16.0])
 def test_weighted_mourre_matches_the_complex_eigenbasis_construction(R):
     # the form on S's complex eigenvectors, as built before S's vectors were
     # kept real
@@ -723,34 +722,6 @@ def test_weighted_mourre_matches_the_complex_eigenbasis_construction(R):
     comm = np.linalg.eigvalsh(M1)[0]
     assert res.best_c == pytest.approx(best, rel=1e-12)
     assert res.commutator_form_min_eig == pytest.approx(comm, rel=1e-12)
-
-
-@pytest.mark.parametrize("R", [None, 4.0])
-def test_weighted_mourre_matches_the_rotated_real_eigenbasis_construction(R):
-    # the form as built before the parity classes: S = build_conjugate_A's
-    # real J = V diag(a) V^T, A's eigenvectors D^H V with D = diag(phase),
-    # in complex arithmetic
-    g = line_grid(12.0, 0.1)
-    H = build_schrodinger(g, WignerVonNeumann1D())
-    phi = None if R is None else WeightFunctionSpec(s=0.6, R=R, c=2.0)
-    res = weighted_mourre_check(H, phi, (0.5, 1.5), 0.51)
-    _, vE = eig_window(H, 0.5, 1.5)
-    S = build_conjugate_A(g)
-    a, V = eigh_tridiagonal(S.d, S.e)
-    ph = phase(len(a))
-    Y = V.T @ (ph[:, None] * vE)
-    M2 = Y.conj().T @ ((1.0 + a**2)[:, None] ** -0.51 * Y)
-    psi_prime = np.zeros_like(a) if phi is None else 2.0 * R * (1.0 + a**2) ** -0.6
-    Z = np.conj(ph)[:, None] * (V @ (np.sqrt(psi_prime)[:, None] * Y))
-    C = oscilab.lap._analytic_commutator(H)
-    M1 = Z.conj().T @ C.matvec(Z)
-    M1 = 0.5 * (M1 + M1.conj().T)
-    M = M1 - M2
-    best = np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0]
-    comm = np.linalg.eigvalsh(M1)[0]
-    assert len(vE) > 1
-    assert res.best_c == pytest.approx(best, abs=1e-12)
-    assert res.commutator_form_min_eig == pytest.approx(comm, abs=1e-12)
 
 
 def test_weighted_mourre_zero_weight_control_fails():
