@@ -9,9 +9,10 @@ Runs are described by a JSON config file::
       "seed": 0
     }
 
-and dispatched to the compute modules. ``_COMMANDS`` holds, per command, its
-handler, its description and its params table (key -> converter, default);
-a command with variants has one table per variant, which its selector key
+and dispatched to the compute modules; any other top-level key exits 2
+(config-unknown). ``_COMMANDS`` holds, per command, its handler, its
+description and its params table (key -> converter, default); a command
+with variants has one table per variant, which its selector key
 (``kind``, ``mode`` or ``variant``) picks before any other key is read.
 ``RunConfig`` decodes the params against that table before the output
 directory exists: an unknown variant, a key the variant does not read, a
@@ -74,7 +75,6 @@ from .lap import (
 from .potentials import (
     WeightFunctionSpec,
     _convert,
-    _decode,
     _decode_potential,
     _floats,
     _variants,
@@ -292,8 +292,9 @@ def _cmd_compactness_probe(p, out_dir, seed):
 
 
 def _cmd_phase_diagram(p, out_dir, seed):
+    windows = {nm: win for nm, win in p["windows"].items() if win is not None}
     cells = phase_sweep(
-        p["alphas"], p["betas"], p["k"], p["w"], p["windows"], s=p["s"], h=p["h"],
+        p["alphas"], p["betas"], p["k"], p["w"], windows, s=p["s"], h=p["h"],
         box_list=p["boxes"], budget=p["budget"],
     )
     csv_path = _output(out_dir, "phase.csv")
@@ -309,23 +310,19 @@ def _pair(value, path):
     return _floats(value, path, pair=True)
 
 
-def _windows(value, path):
-    """phase-diagram's windows: an object of named Re z pairs."""
-    names = value if isinstance(value, dict) else ()
-    return _decode(value, dict.fromkeys(names, (_pair, MISSING)), path)
-
-
 # Each command: its handler, its --list-commands line, and its params table,
 # key -> (converter, default) as potentials._decode reads it, or one table per
 # variant under potentials._variants. phi.c defaults to None since 1 / inf J
-# depends on the window, and the handler resolves it; the other None defaults
-# select the free H, the standard ladder and the psi = 0 control.
+# depends on the window, and the handler resolves it; a None window is one
+# the sweep leaves out; the other None defaults select the free H, the
+# standard ladder and the psi = 0 control.
 _BOXES = (tuple, (200.0, 400.0))
 _POTENTIAL = (_decode_potential, None)
 _WVN = {"x_max": (float, 50.0), "step": (float, 1e-3), "v_shift": (float, 0.0)}
 _MOURRE = {"window": (_pair, MISSING), "L": (float, 100.0), "h": (float, 0.05),
            "potential": _POTENTIAL}
 _PHI = {"s": (float, 0.51), "R": (float, 1.0), "c": (float, None)}
+_WINDOWS = {"below": (_pair, None), "above": (_pair, None)}
 _COMMANDS = {
     "verify-wvn": (
         _cmd_verify_wvn,
@@ -396,7 +393,7 @@ _COMMANDS = {
         _cmd_phase_diagram,
         "(alpha, beta) sweep of LAP verdicts below and above "
         "the interference threshold k^2/4, with CSV + SVG",
-        {"windows": (_windows, MISSING), "alphas": (tuple, MISSING),
+        {"windows": (_WINDOWS, MISSING), "alphas": (tuple, MISSING),
          "betas": (tuple, MISSING), "k": (float, 2.0), "w": (float, 3.0),
          "s": (float, 2.0), "h": (float, 0.1), "boxes": _BOXES, "budget": (int, 40)},
     ),
@@ -430,6 +427,9 @@ def _apply_override(doc, key, value):
     node[parts[-1]] = value
 
 
+_CONFIG_KEYS = ("command", "params", "output_dir", "seed")
+
+
 def _load_config(config_path, overrides):
     with open(config_path) as fh:
         doc = json.load(fh)
@@ -438,6 +438,12 @@ def _load_config(config_path, overrides):
     for text in overrides:
         key, value = _parse_override(text)
         _apply_override(doc, key, value)
+    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    if unknown:
+        raise InvariantViolation(
+            "config-unknown",
+            f"unknown config key {unknown[0]!r}; known: {', '.join(_CONFIG_KEYS)}",
+        )
     return RunConfig(
         command=doc.get("command", ""),
         params=doc.get("params", {}),

@@ -37,7 +37,7 @@ __all__ = [
     "conjugate_A_weight",
     "eig_window",
     "eigvals_window",
-    "localized_pairs",
+    "may_be_localized",
     "count_window",
 ]
 
@@ -189,7 +189,7 @@ _BISECT_TOL = 1e-4
 _GROUP_GAP = 1e3
 _RESIDUAL_EPS = 16.0
 _MAX_SWEEPS = 12
-# the localization screen (localized_pairs): stebz bisects to _SCREEN_TOL
+# the localization screen (may_be_localized): stebz bisects to _SCREEN_TOL
 # mean level spacings, coarse values less than two such tolerances apart
 # share a group, and a group's vectors take at most _SCREEN_SWEEPS solves
 # to show that it can be dropped
@@ -299,7 +299,7 @@ def _sweep(T, gttrs, lus, X, values=None):
     return theta, X, np.einsum("ij,ij->j", R, R)
 
 
-def _window_pairs(T, lo, hi, vectors=True, count=None):
+def _window_pairs(T, lo, hi, vectors=True):
     """Eigenpairs (w, V) of T with eigenvalues in [lo, hi], never forming a
     dense matrix.
 
@@ -320,11 +320,9 @@ def _window_pairs(T, lo, hi, vectors=True, count=None):
     eigenvalues (LAPACK's stein runs two extra solves); with vectors False
     the group stops at its eigenvalues, the same bits. A group not
     certified within _MAX_SWEEPS raises eig-window-convergence.
-
-    count, when given, is that Sturm count, from a caller that has it.
     """
     n = len(T.d)
-    k = count_window(T, lo, hi) if count is None else count
+    k = count_window(T, lo, hi)
     if k == 0:
         return np.empty(0), np.empty((n, 0))
     unit, spacing = _scale(T, lo, hi, k)
@@ -367,41 +365,36 @@ def eig_window(T, lo, hi):
     return _window_pairs(T, lo, hi)
 
 
-def localized_pairs(T, lo, hi, inner, level, count=None):
-    """eig_window's pairs of T in [lo, hi] whose group of close eigenvalues
-    may hold an eigenvector with a mass of at least level in the boolean row
-    mask inner, bit-identical to eig_window's; count is the Sturm count of
-    [lo, hi] when the caller has it.
+def may_be_localized(T, lo, hi, inner, level, count=None):
+    """Whether an eigenvector of T with its eigenvalue in [lo, hi] may have
+    a mass of at least level in the boolean row mask inner; count is the
+    Sturm count of [lo, hi] when the caller has it.
 
-    A coarse pass first: stebz bisects to tol = _SCREEN_TOL mean level
-    spacings, inside the window and within 2 tol outside it, and coarse
-    values closer than 2 tol form a group, so every eigenvalue outside a
-    group lies at or below its lower coarse neighbour + tol, or at or above
-    its upper one - tol (or beyond the bisected ranges). Each coarse value
-    shifts its own LU factorization, every group starts from the first
-    columns of one seeded block, and its vectors take at most
-    _SCREEN_SWEEPS solves; after each solve but the first, Rayleigh-Ritz
-    and the Davis-Kahan bound (_max_localization) against those neighbours
-    may drop the group. The residual is padded by twice the kernel's
-    certified bound for its own rounding and for the residual of the
-    vectors eig_window certifies, so no group that could hold a vector of
-    mass level is dropped. When
-    every group is dropped the result is empty and no fine bisection runs;
-    otherwise the result is eig_window's pairs at the kept groups' indices:
-    the j-th coarse value in the window belongs to the j-th eigenvalue, both
-    counts being Sturm-exact.
+    False is certain: no such eigenvector, nor any vector that eig_window
+    certifies for one, reaches level. A coarse pass decides it: stebz
+    bisects to tol = _SCREEN_TOL mean level spacings, inside the window and
+    within 2 tol outside it, and coarse values closer than 2 tol form a
+    group, so every eigenvalue outside a group lies at or below its lower
+    coarse neighbour + tol, or at or above its upper one - tol (or beyond
+    the bisected ranges). Each coarse value shifts its own LU factorization,
+    every group starts from the first columns of one seeded block, and its
+    vectors take at most _SCREEN_SWEEPS solves; after each solve but the
+    first, Rayleigh-Ritz and the Davis-Kahan bound (_max_localization)
+    against those neighbours may drop the group. The residual is padded by
+    twice the kernel's certified bound, for its own rounding and for the
+    residual of the vectors eig_window certifies. The answer is True at the
+    first group that is not dropped, and False when every group is.
     """
     n = len(T.d)
     k = count_window(T, lo, hi) if count is None else count
     if k == 0:
-        return np.empty(0), np.empty((n, 0))
+        return False
     unit, spacing = _scale(T, lo, hi, k)
     tol = _SCREEN_TOL * spacing
     reach = 2.0 * tol
-    coarse, keep, groups = _coarse_groups(T, lo, hi, k, tol, reach)
+    coarse, _, groups = _coarse_groups(T, lo, hi, k, tol, reach)
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (T.d,))
     start = np.random.default_rng(0).standard_normal((max(map(len, groups)), n))
-    held = []
     for group in groups:
         first, last = group[0], group[-1]
         # every eigenvalue outside the group lies at or below floor, or at
@@ -422,11 +415,8 @@ def localized_pairs(T, lo, hi, inner, level, count=None):
             if _max_localization(X, residual, inner, gap) < level:
                 break
         else:
-            held.extend(j - keep.start for j in group if keep.start <= j < keep.stop)
-    if not held:
-        return np.empty(0), np.empty((n, 0))
-    w, V = _window_pairs(T, lo, hi, count=k)
-    return w[held], V[:, held]
+            return True
+    return False
 
 
 def eigvals_window(T, lo, hi):

@@ -24,7 +24,7 @@ from .discretize import (
     build_radial_channel,
     eig_window,
     eigvals_window,
-    localized_pairs,
+    may_be_localized,
 )
 from .errors import InvariantViolation
 from .potentials import CutoffSpec, eval_cutoff
@@ -114,17 +114,27 @@ def _localizations(v, inner):
     return localizations
 
 
-def _largest_box(build, lo, hi, big):
-    """The eigenvalues of build(big) in [lo, hi] and the localization of
-    each: its eigenvector's mass inside the inner half-box."""
+def find_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
+    """Scan a window for embedded eigenvalues with box-stability filtering.
+
+    ``build`` maps a box size L to the Hamiltonian OperatorMatrix on that
+    box; ``window`` is the energy interval (lo, hi); ``box_list`` needs at
+    least two sizes. Candidates and their eigenvectors come from the largest
+    box alone, computed first; localization is the eigenvector mass inside
+    the inner half-box. The smaller boxes supply eigenvalues only, over the
+    window widened by 10 * drift_tol on each side, and the drift is the
+    worst nearest-match distance to them; so every drift below
+    10 * drift_tol is exact, also for a candidate whose partner lies just
+    outside the window.
+    verdict: genuine iff localization >= 0.99 and drift <= drift_tol;
+    box_artifact iff localization < 0.99 or drift >= 10 * drift_tol;
+    unresolved between.
+    """
+    lo, hi, boxes = _screen_args(window, box_list)
+    big = boxes[-1]
     T = build(big)
     energies, v = eig_window(T, lo, hi)
-    return energies, _localizations(v, _inner(T.grid, big))
-
-
-def _candidates(build, lo, hi, boxes, drift_tol, energies, localizations):
-    """An EmbeddedCandidate per largest-box eigenvalue; the smaller boxes
-    supply eigenvalues over the window widened by 10 * drift_tol."""
+    localizations = _localizations(v, _inner(T.grid, big))
     reach = 10.0 * drift_tol
     partners = [eigvals_window(build(L), lo - reach, hi + reach) for L in boxes[:-1]]
     out = []
@@ -152,52 +162,25 @@ def _candidates(build, lo, hi, boxes, drift_tol, energies, localizations):
     return out
 
 
-def find_embedded(build, window, box_list, drift_tol=DRIFT_TOL):
-    """Scan a window for embedded eigenvalues with box-stability filtering.
-
-    ``build`` maps a box size L to the Hamiltonian OperatorMatrix on that
-    box; ``window`` is the energy interval (lo, hi); ``box_list`` needs at
-    least two sizes. Candidates and their eigenvectors come from the largest
-    box alone, computed first; localization is the eigenvector mass inside
-    the inner half-box. The smaller boxes supply eigenvalues only, over the
-    window widened by 10 * drift_tol on each side, and the drift is the
-    worst nearest-match distance to them; so every drift below
-    10 * drift_tol is exact, also for a candidate whose partner lies just
-    outside the window.
-    verdict: genuine iff localization >= 0.99 and drift <= drift_tol;
-    box_artifact iff localization < 0.99 or drift >= 10 * drift_tol;
-    unresolved between.
-    """
-    lo, hi, boxes = _screen_args(window, box_list)
-    energies, localizations = _largest_box(build, lo, hi, boxes[-1])
-    return _candidates(build, lo, hi, boxes, drift_tol, energies, localizations)
-
-
 def genuine_embedded(build, window, box_list, count=None):
     """The genuine candidates of find_embedded(build, window, box_list).
 
-    Only a localized candidate can be genuine, so the largest box's
-    eigenpairs come from localized_pairs: its coarse pass drops a group of
-    close eigenvalues once a Davis-Kahan bound shows that none of its
-    eigenvectors reaches LOCALIZATION_THRESHOLD, less _SETTLE_MARGIN, and
-    the others are eig_window's pairs, bit for bit; when every group is
-    dropped, no fine eigensolve runs. The smaller boxes'
-    spectra are read only when some eigenvalue left reaches the threshold;
-    otherwise no smaller box is built or solved. count is the number of
-    eigenvalues of the largest box in the window, when the caller has it.
+    Only a localized candidate can be genuine, so the largest box is
+    screened first (discretize.may_be_localized): a coarse pass drops each
+    group of close eigenvalues once a Davis-Kahan bound shows that none of
+    its eigenvectors reaches LOCALIZATION_THRESHOLD, less _SETTLE_MARGIN.
+    When every group is dropped the answer is [], and no fine eigensolve
+    runs and no smaller box is built or solved; otherwise find_embedded runs
+    whole. count is the number of eigenvalues of the largest box in the
+    window, for the screen, when the caller has it.
     """
     lo, hi, boxes = _screen_args(window, box_list)
     big = boxes[-1]
     T = build(big)
-    inner = _inner(T.grid, big)
-    energies, v = localized_pairs(
-        T, lo, hi, inner, LOCALIZATION_THRESHOLD - _SETTLE_MARGIN, count=count
-    )
-    localizations = _localizations(v, inner)
-    if not any(loc >= LOCALIZATION_THRESHOLD for loc in localizations):
+    level = LOCALIZATION_THRESHOLD - _SETTLE_MARGIN
+    if not may_be_localized(T, lo, hi, _inner(T.grid, big), level, count=count):
         return []
-    found = _candidates(build, lo, hi, boxes, DRIFT_TOL, energies, localizations)
-    return [c for c in found if c.verdict == "genuine"]
+    return [c for c in find_embedded(build, window, box_list) if c.verdict == "genuine"]
 
 
 # ---------------------------------------------------------------------------

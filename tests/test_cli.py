@@ -355,6 +355,42 @@ def test_run_config_checks_its_own_fields(tmp_path, capsys, field, value, invari
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, overrides, key",
+    [({"outputdir": "elsewhere", "sed": 3}, (), "outputdir"),
+     ({}, ("outdir=elsewhere",), "outdir")],
+    ids=["file", "set"],
+)
+def test_unknown_config_keys_exit_2_before_any_output(
+    tmp_path, capsys, monkeypatch, extra, overrides, key
+):
+    # a misspelt output_dir once ran in the working directory
+    monkeypatch.chdir(tmp_path)
+    doc = {"command": "verify-wvn", "params": {}, **extra}
+    code = run(write_config(tmp_path, doc), overrides)
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err["error"]["invariant"] == "config-unknown"
+    assert repr(key) in err["error"]["message"]
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_phase_windows_other_than_below_and_above_are_unknown(tmp_path, capsys):
+    # phase.svg colours only these two names; any other drew its cell grey
+    doc = {
+        "command": "phase-diagram",
+        "params": {"windows": {"below": [0.2, 0.6], "high": [1.2, 1.7]},
+                   "alphas": [1.0], "betas": [0.75]},
+        "output_dir": str(tmp_path / "out"),
+    }
+    code = run(write_config(tmp_path, doc))
+    err = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert err["error"]["invariant"] == "param-unknown"
+    assert "'windows.high'" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_csv_key_is_unknown(tmp_path, capsys):
     doc = {
         "command": "compactness-probe",

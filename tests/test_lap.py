@@ -547,7 +547,7 @@ def test_pooled_phase_sweep_builds_in_the_parent_and_screens_in_workers(
 ):
     log = tmp_path / "calls.jsonl"
     build = oscilab.lap.build_schrodinger
-    localized_pairs = oscilab.spectral.localized_pairs
+    may_be_localized = oscilab.spectral.may_be_localized
     chain = oscilab.lap._chain
 
     def record(*entry):
@@ -560,14 +560,14 @@ def test_pooled_phase_sweep_builds_in_the_parent_and_screens_in_workers(
 
     def counted_screen(T, lo, hi, inner, level, count=None):
         record("screen", T.grid.L, lo, hi)
-        return localized_pairs(T, lo, hi, inner, level, count=count)
+        return may_be_localized(T, lo, hi, inner, level, count=count)
 
     def counted_chain(setup, task):
         record("chain", task[0])
         return chain(setup, task)
 
     monkeypatch.setattr(oscilab.lap, "build_schrodinger", counted_build)
-    monkeypatch.setattr(oscilab.spectral, "localized_pairs", counted_screen)
+    monkeypatch.setattr(oscilab.spectral, "may_be_localized", counted_screen)
     monkeypatch.setattr(oscilab.lap, "_chain", counted_chain)
     windows = {"below": (0.2, 0.6), "above": (1.2, 1.7)}
     args = ((1.0,), (0.75,), 2.0, 3.0, windows)
@@ -884,7 +884,7 @@ def test_phase_sweep_lite_cell_structure(tmp_path):
 def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch, one_cpu):
     builds, screens, kernel, counts, bisections = [], [], [], [], []
     build = oscilab.lap.build_schrodinger
-    localized_pairs = oscilab.spectral.localized_pairs
+    may_be_localized = oscilab.spectral.may_be_localized
     window_pairs = oscilab.discretize._window_pairs
     count_window = oscilab.discretize.count_window
     eigh_tridiagonal_ = oscilab.discretize.eigh_tridiagonal
@@ -895,11 +895,11 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch, one_cpu):
 
     def counted_screen(T, lo, hi, inner, level, count=None):
         screens.append((T.grid.L, lo, hi))
-        return localized_pairs(T, lo, hi, inner, level, count=count)
+        return may_be_localized(T, lo, hi, inner, level, count=count)
 
-    def counted_kernel(T, lo, hi, vectors=True, count=None):
-        kernel.append((T.shape[0], lo, hi, vectors, count))
-        return window_pairs(T, lo, hi, vectors, count)
+    def counted_kernel(T, lo, hi, vectors=True):
+        kernel.append((T.shape[0], lo, hi, vectors))
+        return window_pairs(T, lo, hi, vectors)
 
     def counted(caller):
         def count(T, lo, hi):
@@ -920,7 +920,7 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch, one_cpu):
         for win in windows.values()
     }
     monkeypatch.setattr(oscilab.lap, "build_schrodinger", counted_build)
-    monkeypatch.setattr(oscilab.spectral, "localized_pairs", counted_screen)
+    monkeypatch.setattr(oscilab.spectral, "may_be_localized", counted_screen)
     monkeypatch.setattr(oscilab.discretize, "_window_pairs", counted_kernel)
     monkeypatch.setattr(oscilab.lap, "count_window", counted("scan"))
     monkeypatch.setattr(oscilab.discretize, "count_window", counted("kernel"))
@@ -965,42 +965,42 @@ def test_phase_cell_does_each_piece_of_spectral_work_once(monkeypatch, one_cpu):
         assert below[1] == inside[1] == above[1]
         assert inside[1] == pytest.approx(oscilab.discretize._SCREEN_TOL * spacing)
     monkeypatch.undo()
-    big = build_schrodinger(line_grid(120.0, 0.25), V)
-    for lo, hi in windows.values():
-        _, localizations = oscilab.spectral._largest_box(lambda L: big, lo, hi, 120.0)
-        assert 0 < len(localizations)
-        assert max(localizations) < oscilab.spectral.LOCALIZATION_THRESHOLD
+    hams = {L: build_schrodinger(line_grid(L, 0.25), V) for L in (60.0, 120.0)}
+    for win in windows.values():
+        found = oscilab.spectral.find_embedded(hams.__getitem__, win, (60.0, 120.0))
+        assert 0 < len(found)
+        assert max(c.localization for c in found) < oscilab.spectral.LOCALIZATION_THRESHOLD
 
 
 def test_a_localized_candidate_still_reads_the_partner_spectrum(monkeypatch):
     # scenario 02: the Wigner-von Neumann eigenvalue at E = 1, screened by the
     # helper phase_sweep uses
-    partners, pairs = [], []
+    partners, screens = [], []
     eigvals_window_ = oscilab.spectral.eigvals_window
-    localized_pairs = oscilab.spectral.localized_pairs
+    may_be_localized = oscilab.spectral.may_be_localized
 
     def counted_values(T, lo, hi):
         partners.append((T.shape[0], lo, hi))
         return eigvals_window_(T, lo, hi)
 
-    def counted_pairs(T, lo, hi, inner, level, count=None):
-        pairs.append((T.shape[0], lo, hi))
-        return localized_pairs(T, lo, hi, inner, level, count=count)
+    def counted_screen(T, lo, hi, inner, level, count=None):
+        screens.append((T.shape[0], lo, hi))
+        return may_be_localized(T, lo, hi, inner, level, count=count)
 
     build = line_build(0.05, WignerVonNeumann1D())
     hams = {L: build(L) for L in (200.0, 400.0)}
     found = oscilab.spectral.find_embedded(hams.__getitem__, (0.9, 1.1), (200.0, 400.0))
     monkeypatch.setattr(oscilab.spectral, "eigvals_window", counted_values)
-    monkeypatch.setattr(oscilab.spectral, "localized_pairs", counted_pairs)
+    monkeypatch.setattr(oscilab.spectral, "may_be_localized", counted_screen)
     genuine = oscilab.spectral.genuine_embedded(
         hams.__getitem__, (0.9, 1.1), (200.0, 400.0)
     )
     assert len(genuine) == 1 and abs(genuine[0].energy - 1.0) <= 1e-2
     assert genuine == [c for c in found if c.verdict == "genuine"]
-    # the largest box's pairs first, then the smaller box's values over the
+    # one screen of the largest box, then the smaller box's values over the
     # widened window, each once
     reach = 10.0 * oscilab.spectral.DRIFT_TOL
-    assert pairs == [(hams[400.0].shape[0], 0.9, 1.1)]
+    assert screens == [(hams[400.0].shape[0], 0.9, 1.1)]
     assert partners == [(hams[200.0].shape[0], 0.9 - reach, 1.1 + reach)]
 
 

@@ -16,11 +16,12 @@ from oscilab.discretize import (
     OperatorMatrix,
     WindowSpec,
     build_schrodinger,
+    count_window,
     eig_window,
     eigvals_window,
     halfline_grid,
     line_grid,
-    localized_pairs,
+    may_be_localized,
     periodic_grid,
 )
 from oscilab.errors import ComputeFailure, InvariantViolation
@@ -197,28 +198,38 @@ def test_settled_screen_returns_the_full_screens_genuine_candidates(
     assert 0 < calls["gttrf"] <= calls["gttrs"] <= sweeps * calls["gttrf"]
 
 
-def test_settled_screen_keeps_eig_windows_pairs_bit_for_bit():
-    T = phase_builder(1.0, 0.6)(120.0)
+def test_settled_screen_stops_at_its_first_kept_group(monkeypatch):
+    # the Wigner-von Neumann bound state sits inside the window: the screen
+    # says yes at its group and factors none of the groups above it
+    T = wvn_builder(120.0)
     inner = np.abs(T.grid.x) <= 60.0
-    w, V = eig_window(T, 0.2, 0.6)
-    mass = V**2
-    localization = mass[inner].sum(axis=0) / mass.sum(axis=0)
-    # the window holds pairs closer than the kernel's grouping reach
-    D = oscilab.discretize
-    reach = D._GROUP_GAP * D._BISECT_TOL * (0.6 - 0.2) / len(w)
-    assert np.count_nonzero(np.diff(w) <= reach) >= 5
-    level = float(np.median(localization))
-    kept_w, kept_V = localized_pairs(T, 0.2, 0.6, inner, level, count=len(w))
-    kept = np.searchsorted(w, kept_w)
-    assert 0 < len(kept) < len(w)
-    assert np.array_equal(w[kept], kept_w) and np.array_equal(V[:, kept], kept_V)
-    # the bound drops no eigenvector that reaches the level
-    assert set(np.flatnonzero(localization >= level)) <= set(kept)
+    w, V = eig_window(T, 0.8, 1.2)
+    assert np.max((V[inner] ** 2).sum(axis=0)) >= 0.99
+    calls = counted_solves(monkeypatch)
+    assert may_be_localized(T, 0.8, 1.2, inner, 0.99)
+    assert 0 < calls["gttrf"] < count_window(T, 0.8, 1.2) == len(w)
+
+
+def test_a_screen_that_says_yes_leaves_the_verdicts_to_find_embedded(monkeypatch):
+    # no eigenvector of this window is localized; a screen forced to say
+    # yes hands the window to find_embedded, which reads none genuine
+    build = phase_builder(1.0, 0.75)
+    full = find_embedded(build, (0.2, 0.6), (60.0, 120.0))
+    assert full and all(c.verdict != "genuine" for c in full)
+    screens = []
+
+    def yes(*args, **kwargs):
+        screens.append(args[1:3])
+        return True
+
+    monkeypatch.setattr(oscilab.spectral, "may_be_localized", yes)
+    assert genuine_embedded(build, (0.2, 0.6), (60.0, 120.0)) == []
+    assert screens == [(0.2, 0.6)]
 
 
 def test_settled_screen_solves_a_localized_group_in_full(monkeypatch):
     # the Wigner-von Neumann bound state: its group cannot be dropped, so
-    # the screen returns eig_window's certified pair and reads it genuine
+    # find_embedded runs whole and reads its certified pair genuine
     full = find_embedded(wvn_builder, (0.8, 1.2), (60.0, 120.0))
     calls = counted_solves(monkeypatch)
     genuine = genuine_embedded(wvn_builder, (0.8, 1.2), (60.0, 120.0))
@@ -229,16 +240,15 @@ def test_settled_screen_solves_a_localized_group_in_full(monkeypatch):
 
 def test_settled_screen_keeps_the_genuine_eigenvalue_of_a_strong_cell(monkeypatch):
     # at w = 10 each catalog window holds one genuine eigenvalue, so the
-    # coarse pass keeps its group and the windowed kernel runs on the
-    # largest box for the kept pairs
+    # coarse pass keeps its group and find_embedded runs whole
     V = OscillatingSpec(w=10.0, k=2.0, alpha=1.0, beta=0.6)
     hams = {L: build_schrodinger(line_grid(L, 0.25), V) for L in (60.0, 120.0)}
     kernel = []
     window_pairs = oscilab.discretize._window_pairs
 
-    def counted_kernel(T, lo, hi, vectors=True, count=None):
+    def counted_kernel(T, lo, hi, vectors=True):
         kernel.append((T.shape[0], lo, hi, vectors))
-        return window_pairs(T, lo, hi, vectors, count)
+        return window_pairs(T, lo, hi, vectors)
 
     for window in ((0.2, 0.6), (1.2, 1.7)):
         full = find_embedded(hams.__getitem__, window, (60.0, 120.0))
@@ -247,7 +257,7 @@ def test_settled_screen_keeps_the_genuine_eigenvalue_of_a_strong_cell(monkeypatc
         monkeypatch.undo()
         assert len(genuine) == 1
         assert genuine == [c for c in full if c.verdict == "genuine"]
-        # the largest box's kept pairs, then the smaller box's drift partners
+        # the largest box's pairs, then the smaller box's drift partners
         assert kernel[0] == (hams[120.0].shape[0], *window, True)
         assert [call[0] for call in kernel[1:]] == [hams[60.0].shape[0]]
         kernel.clear()
@@ -277,18 +287,10 @@ def test_settled_screen_drops_no_localized_pair_of_random_tridiagonals(
     inner = np.zeros(n, dtype=bool)
     inner[first:last] = True
     w, V = eig_window(T, lo, hi)
-    kept_w, kept_V = localized_pairs(T, lo, hi, inner, level)
-    # every kept pair is one of eig_window's, bit for bit, in its order
-    kept, i = [], 0
-    for wj, vj in zip(kept_w, kept_V.T):
-        while i < len(w) and not (w[i] == wj and np.array_equal(V[:, i], vj)):
-            i += 1
-        assert i < len(w)
-        kept.append(i)
-        i += 1
-    # and every pair of eig_window that reaches the level is kept
+    # the screen says no only when no pair of eig_window reaches the level
     localization = (V[inner] ** 2).sum(axis=0) / (V**2).sum(axis=0)
-    assert set(np.flatnonzero(localization >= level)) <= set(kept)
+    reached = bool(np.any(localization >= level))
+    assert may_be_localized(T, lo, hi, inner, level) or not reached
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,15 @@ EXTRA = {
         {"alphas": [1.0], "betas": [0.75], "boxes": [60.0], "budget": 0,
          "windows": {"below": [0.6, 0.2]}},
     ),
+    # a window name the sweep's table does not know, and a top-level key
+    # the config does not know (the third item, merged into the config):
+    # each refused before any output (exit 2)
+    "phase-window-name": (
+        "phase-diagram",
+        {"alphas": [1.0], "betas": [0.75], "boxes": [60.0, 120.0], "h": 0.25,
+         "windows": {"low": [0.2, 0.6], "high": [1.2, 1.7]}},
+    ),
+    "config-unknown-key": ("verify-wvn", {}, {"sed": 3}),
     # the three commands on no catalog workload
     "verify-wvn-1d": ("verify-wvn", {"variant": "1d"}),
     "verify-wvn-3d": ("verify-wvn", {"variant": "3d"}),
@@ -126,24 +135,26 @@ def _sha256(path):
 
 
 def configs():
-    """(name, command, params, seed) of every run, catalog entries first."""
+    """(name, command, params, seed, extra top-level keys) of every run,
+    catalog entries first."""
     from perfbench import catalog
 
     for entry in catalog.all_entries():
-        yield entry.id, entry.command, entry.params, entry.seed
-    for name, (command, params) in EXTRA.items():
-        yield name, command, params, 0
+        yield entry.id, entry.command, entry.params, entry.seed, {}
+    for name, (command, params, *top) in EXTRA.items():
+        yield name, command, params, 0, top[0] if top else {}
 
 
-def run_one(command, params, seed, tmp):
-    """Exit code of one CLI run in tmp and the sha256 of each file it wrote."""
+def run_one(command, params, seed, top, tmp):
+    """Exit code of one CLI run in tmp and the sha256 of each file it wrote;
+    top holds extra top-level config keys."""
     import oscilab.cli
 
     out_dir = os.path.join(tmp, "out")
     path = os.path.join(tmp, "config.json")
     with open(path, "w") as fh:
         doc = {"command": command, "params": params, "output_dir": out_dir,
-               "seed": seed}
+               "seed": seed, **top}
         json.dump(doc, fh)
     log = io.StringIO()
     with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
@@ -161,9 +172,9 @@ def run_one(command, params, seed, tmp):
 def main():
     sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
     result = {}
-    for name, command, params, seed in configs():
+    for name, command, params, seed, top in configs():
         with tempfile.TemporaryDirectory() as tmp:
-            result[name] = run_one(command, params, seed, tmp)
+            result[name] = run_one(command, params, seed, top, tmp)
     json.dump(result, sys.stdout, indent=1)
     print()
 
